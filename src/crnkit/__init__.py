@@ -29,6 +29,7 @@ from .kinetics import (
     no_periodic_orbit_certificate,
     ode_variable_names,
 )
+from .linalg import ProofCheckError
 from .network import (
     Complex,
     NetworkSyntaxError,
@@ -95,6 +96,7 @@ __all__ = [
     "Polynomial",
     "PolynomialParseError",
     "PolynomialSystem",
+    "ProofCheckError",
     "QuadraticCandidate",
     "ReactionNetwork",
     "ReactionStep",

@@ -17,7 +17,7 @@ from typing import Sequence
 from .linalg import nullspace_basis, positive_vector_in_span
 from .network import ReactionNetwork
 from .numbers import format_rational, primitive_integer_vector
-from .poly import Exponents, Polynomial, PolynomialSystem
+from .poly import Polynomial, PolynomialSystem, coefficient_matrix
 
 
 @dataclass(frozen=True)
@@ -95,29 +95,12 @@ def stoichiometric_conservation(network: ReactionNetwork) -> ConservationVector 
     return _normalized(result.vector, "stoichiometric")
 
 
-def kinetic_conservation_matrix(system: PolynomialSystem) -> tuple[list[list[Fraction]], list[Exponents]]:
-    """Matrix whose rows are monomial coefficients across components.
-
-    Row for monomial mu has entries coeff(f_m, mu); rho is a kinetic witness
-    exactly when this matrix maps it to zero.
-    """
-    monomials: set[Exponents] = set()
-    for component in system.components:
-        monomials |= component.monomials()
-    ordered = sorted(monomials)
-    rows = [
-        [component.coefficient(mono) for component in system.components]
-        for mono in ordered
-    ]
-    return rows, ordered
-
-
 def kinetic_conservation(system: PolynomialSystem) -> ConservationVector | None:
     """Search for strictly positive rho with sum_m rho_m f_m identically zero."""
     m = system.dim
     if m == 0:
         return None
-    rows, _ = kinetic_conservation_matrix(system)
+    rows = coefficient_matrix([component.terms() for component in system.components])
     basis = nullspace_basis(rows, m)
     if not basis:
         return None

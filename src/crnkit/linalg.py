@@ -16,6 +16,19 @@ from typing import Sequence
 Matrix = list[list[Fraction]]
 
 
+class ProofCheckError(AssertionError):
+    """An exact answer failed the check of the proof that comes with it.
+
+    Raised explicitly rather than through `assert`, so these checks also run
+    under `python -O`.
+    """
+
+
+def check_proof(condition: bool, message: str) -> None:
+    if not condition:
+        raise ProofCheckError(message)
+
+
 def _copy_matrix(rows: Sequence[Sequence[Fraction]]) -> Matrix:
     return [[Fraction(x) for x in row] for row in rows]
 
@@ -172,13 +185,15 @@ def positive_vector_in_span(
             if coeff:
                 for i in range(dim):
                     result[i] += coeff * Fraction(vectors[j][i])
-        assert all(x >= 1 for x in result)
+        check_proof(all(x >= 1 for x in result), "positive witness has an entry below 1")
         return PositivityResult(vector=tuple(result), certificate=None)
 
     cert = [Fraction(1) - obj[art0 + i] for i in range(dim)]
-    assert all(y >= 0 for y in cert) and any(y > 0 for y in cert)
+    nonnegative_nonzero = all(y >= 0 for y in cert) and any(y > 0 for y in cert)
+    check_proof(nonnegative_nonzero, "certificate must be nonnegative and nonzero")
     for v in vectors:
-        assert sum((y * Fraction(x) for y, x in zip(cert, v)), Fraction(0)) == 0
+        residual = sum((y * Fraction(x) for y, x in zip(cert, v)), Fraction(0))
+        check_proof(residual == 0, "certificate must be orthogonal to the span")
     return PositivityResult(vector=None, certificate=tuple(cert))
 
 

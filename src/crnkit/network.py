@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .linalg import Matrix
 from .numbers import format_rational, parse_rational
 
 Rate = Fraction | str
@@ -296,9 +297,6 @@ class ReactionNetwork:
     @classmethod
     def from_json(cls, text: str) -> "ReactionNetwork":
         return cls.from_dict(json.loads(text))
-
-
-Matrix = list[list[Fraction]]
 
 
 def _parse_rate_text(text: str) -> Rate:

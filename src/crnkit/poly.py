@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence, Union
 
 from .numbers import format_rational, parse_rational
@@ -22,6 +23,27 @@ Scalar = Union[Fraction, int]
 def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
     """Sort key for graded-lexicographic order (degree first, then lex)."""
     return (sum(exponents), exponents)
+
+
+def coefficient_matrix(
+    columns: Sequence[Mapping[Exponents, Fraction]],
+) -> list[list[Fraction]]:
+    """Matrix whose column j holds the coefficients of `columns[j]`.
+
+    One row per monomial occurring in some column, in no particular order:
+    callers use only the row space (nullspace, reduced echelon form), which
+    does not depend on it.
+    """
+    zero = Fraction(0)
+    width = len(columns)
+    rows: dict[Exponents, list[Fraction]] = {}
+    for j, column in enumerate(columns):
+        for expts, coeff in column.items():
+            row = rows.get(expts)
+            if row is None:
+                row = rows[expts] = [zero] * width
+            row[j] = coeff
+    return list(rows.values())
 
 
 def default_variable_names(dim: int) -> tuple[str, ...]:
@@ -40,8 +62,10 @@ class Polynomial:
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         cleaned: dict[Exponents, Fraction] = {}
-        for expts, coeff in (terms or {}).items():
-            expts = tuple(int(e) for e in expts)
+        for raw, coeff in (terms or {}).items():
+            expts = tuple(int(e) for e in raw)
+            if expts != tuple(raw):
+                raise ValueError(f"non-integral exponent in {tuple(raw)}")
             if len(expts) != dim:
                 raise ValueError(
                     f"exponent tuple {expts} does not match dimension {dim}"
@@ -83,6 +107,10 @@ class Polynomial:
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         return self._terms.get(tuple(exponents), Fraction(0))
+
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """Read-only view of the nonzero terms, in no particular order."""
+        return MappingProxyType(self._terms)
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in descending graded-lex order."""

@@ -2,39 +2,44 @@
 
 A quadratic candidate V(x) = x^T Q x + b^T x + c is a first integral of
 x' = f(x) when its Lie derivative sum_m (dV/dx_m) f_m vanishes identically.
-Since the Lie derivative is linear in (Q, b), the search for first integrals
-is an exact null-space computation; strict sign conditions (for instance a
-positive-definite diagonal V) are decided by a rational simplex over that
-null space.
+Since the Lie derivative is bilinear in (V, f), the search for first
+integrals is an exact null-space computation over a matrix assembled directly
+from the coefficients of f: each unit candidate's column is f_i, or f_i and
+f_j shifted by one variable and doubled.  Strict sign conditions (for
+instance a positive-definite diagonal V) are decided by a rational simplex
+over that null space.
 
 The generators in this module produce, for each supported shape of V, the
 full coefficient family of kinetic quadratic systems conserving it; each
 generated system is verified (kinetic, Lie derivative exactly zero) before
-being returned.
+being returned.  These checks, like the positivity proofs of the simplex,
+raise `ProofCheckError` explicitly and so also run under `python -O`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .conservation import ConservationVector, kinetic_conservation
+from .conservation import ConservationVector, kinetic_conservation, verify_conservation
 from .kinetics import negative_cross_effect
-from .linalg import nullspace_basis, positive_vector_in_span, symmetric_inertia
+from .linalg import (
+    check_proof,
+    nullspace_basis,
+    positive_vector_in_span,
+    symmetric_inertia,
+)
 from .numbers import format_rational, leading_sign_normalized
 from .poly import (
+    Exponents,
     Polynomial,
     PolynomialSystem,
+    coefficient_matrix,
     default_variable_names,
-    grlex_key,
 )
 
 Scalar = Fraction | int
-
-
-def _frac(value: Scalar) -> Fraction:
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -46,11 +51,11 @@ class QuadraticCandidate:
     constant: Fraction = Fraction(0)
 
     def __post_init__(self):
-        q = tuple(tuple(_frac(v) for v in row) for row in self.q)
-        linear = tuple(_frac(v) for v in self.linear)
+        q = tuple(tuple(Fraction(v) for v in row) for row in self.q)
+        linear = tuple(Fraction(v) for v in self.linear)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "constant", _frac(self.constant))
+        object.__setattr__(self, "constant", Fraction(self.constant))
         n = len(q)
         if any(len(row) != n for row in q):
             raise ValueError("Q must be square")
@@ -69,7 +74,7 @@ class QuadraticCandidate:
     def diagonal(cls, coeffs: Sequence[Scalar]) -> "QuadraticCandidate":
         n = len(coeffs)
         q = tuple(
-            tuple(_frac(coeffs[i]) if i == j else Fraction(0) for j in range(n))
+            tuple(Fraction(coeffs[i]) if i == j else Fraction(0) for j in range(n))
             for i in range(n)
         )
         return cls(q, (Fraction(0),) * n)
@@ -78,14 +83,14 @@ class QuadraticCandidate:
     def binary_form(cls, a: Scalar, b: Scalar, c: Scalar) -> "QuadraticCandidate":
         """V = a x^2 + 2 b x y + c y^2."""
         return cls(
-            ((_frac(a), _frac(b)), (_frac(b), _frac(c))),
+            ((Fraction(a), Fraction(b)), (Fraction(b), Fraction(c))),
             (Fraction(0), Fraction(0)),
         )
 
     @classmethod
     def shifted_sum_of_squares(cls, a: Scalar, b: Scalar) -> "QuadraticCandidate":
         """V = (x + a)^2 + (y + b)^2."""
-        a, b = _frac(a), _frac(b)
+        a, b = Fraction(a), Fraction(b)
         return cls(
             ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
             (2 * a, 2 * b),
@@ -169,53 +174,49 @@ def is_first_integral(candidate: QuadraticCandidate, system: PolynomialSystem) -
 
 # -- exhaustive search ------------------------------------------------------
 
-def _unit_candidates(dim: int, diagonal_only: bool) -> list[QuadraticCandidate]:
-    """Basis of the candidate space in the order of `coefficient_vector`.
+def _lie_derivative_columns(
+    system: PolynomialSystem, diagonal_only: bool
+) -> list[Mapping[Exponents, Fraction]]:
+    """Coefficients of the Lie derivative of each unit candidate.
 
-    Constants are excluded: they never influence the Lie derivative, and
-    reported candidates pin the constant to zero.
+    Columns follow `coefficient_vector` order: x_i^2 gives 2 x_i f_i, the
+    off-diagonal unit 2 x_i x_j (i < j) gives 2 x_j f_i + 2 x_i f_j, and the
+    linear unit x_i gives f_i.  Constants are excluded: they never influence
+    the Lie derivative, and reported candidates pin the constant to zero.
     """
-    out = []
+    n = system.dim
+    f = [component.terms() for component in system.components]
+
+    def twice_shifted(pairs: set[tuple[int, int]]) -> dict[Exponents, Fraction]:
+        # sum of 2 x_k f_i over the (i, k) pairs
+        column: dict[Exponents, Fraction] = {}
+        for i, k in pairs:
+            for expts, coeff in f[i].items():
+                key = expts[:k] + (expts[k] + 1,) + expts[k + 1 :]
+                column[key] = column.get(key, 0) + 2 * coeff
+        return column
+
+    # the set holds one pair for a diagonal unit and two otherwise
+    quadratic = [
+        twice_shifted({(i, j), (j, i)})
+        for i in range(n)
+        for j in range(i, n)
+        if i == j or not diagonal_only
+    ]
+    return quadratic if diagonal_only else quadratic + f
+
+
+def _candidate(weights: Sequence[Fraction], dim: int, diagonal_only: bool) -> QuadraticCandidate:
+    """The normalized candidate with these weights on the unit candidates."""
+    ints = leading_sign_normalized(weights)
     if diagonal_only:
-        for i in range(dim):
-            q = [[Fraction(0)] * dim for _ in range(dim)]
-            q[i][i] = Fraction(1)
-            out.append(QuadraticCandidate(tuple(map(tuple, q)), (Fraction(0),) * dim))
-        return out
+        return QuadraticCandidate.diagonal(ints)
+    q = [[Fraction(0)] * dim for _ in range(dim)]
+    rest = iter(ints)
     for i in range(dim):
         for j in range(i, dim):
-            q = [[Fraction(0)] * dim for _ in range(dim)]
-            q[i][j] = Fraction(1)
-            q[j][i] = Fraction(1)
-            out.append(QuadraticCandidate(tuple(map(tuple, q)), (Fraction(0),) * dim))
-    for i in range(dim):
-        linear = tuple(Fraction(1 if k == i else 0) for k in range(dim))
-        out.append(
-            QuadraticCandidate(
-                tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim)),
-                linear,
-            )
-        )
-    return out
-
-
-def _combine(units: list[QuadraticCandidate], weights: Sequence[Fraction]) -> QuadraticCandidate:
-    dim = units[0].dim
-    q = [[Fraction(0)] * dim for _ in range(dim)]
-    linear = [Fraction(0)] * dim
-    for w, unit in zip(weights, units):
-        if w == 0:
-            continue
-        for i in range(dim):
-            for j in range(dim):
-                q[i][j] += w * unit.q[i][j]
-            linear[i] += w * unit.linear[i]
-    return QuadraticCandidate(tuple(map(tuple, q)), tuple(linear))
-
-
-def _normalized_candidate(units, weights) -> QuadraticCandidate:
-    ints = leading_sign_normalized(weights)
-    return _combine(units, [Fraction(v) for v in ints])
+            q[i][j] = q[j][i] = next(rest)
+    return QuadraticCandidate(q, tuple(rest))
 
 
 @dataclass(frozen=True)
@@ -236,18 +237,6 @@ class FirstIntegralReport:
         }
 
 
-def _solution_weights(system: PolynomialSystem, units) -> list[list[Fraction]]:
-    lie_polys = [lie_derivative(unit, system) for unit in units]
-    monomials = sorted(
-        {mono for poly in lie_polys for mono in poly.monomials()},
-        key=grlex_key,
-    )
-    rows = [
-        [poly.coefficient(mono) for poly in lie_polys] for mono in monomials
-    ]
-    return nullspace_basis(rows, len(units))
-
-
 def find_quadratic_first_integrals(
     system: PolynomialSystem, signature_filter: str | None = None
 ) -> FirstIntegralReport:
@@ -263,9 +252,9 @@ def find_quadratic_first_integrals(
     if signature_filter not in (None, "positive-diagonal", "positive_diagonal"):
         raise ValueError(f"unknown signature filter {signature_filter!r}")
     diagonal_only = signature_filter is not None
-    units = _unit_candidates(system.dim, diagonal_only)
-    weights = _solution_weights(system, units)
-    basis = tuple(_normalized_candidate(units, w) for w in weights)
+    columns = _lie_derivative_columns(system, diagonal_only)
+    weights = nullspace_basis(coefficient_matrix(columns), len(columns))
+    basis = tuple(_candidate(w, system.dim, diagonal_only) for w in weights)
     if not diagonal_only:
         candidate = basis[0] if basis else None
         return FirstIntegralReport(
@@ -279,7 +268,7 @@ def find_quadratic_first_integrals(
     result = positive_vector_in_span(weights, system.dim)
     if result.vector is None:
         return FirstIntegralReport(False, None, basis, None)
-    candidate = _normalized_candidate(units, result.vector)
+    candidate = _candidate(result.vector, system.dim, diagonal_only)
     return FirstIntegralReport(
         found=True,
         candidate=candidate,
@@ -300,9 +289,8 @@ def _require(condition: bool, message: str):
 
 
 def _verify_generated(system: PolynomialSystem, invariant: QuadraticCandidate):
-    report = negative_cross_effect(system)
-    assert report.is_kinetic, "generated system must be kinetic"
-    assert is_first_integral(invariant, system), "generated system must conserve V"
+    check_proof(negative_cross_effect(system).is_kinetic, "generated system must be kinetic")
+    check_proof(is_first_integral(invariant, system), "generated system must conserve V")
 
 
 @dataclass(frozen=True)
@@ -318,8 +306,8 @@ class DiagonalParams:
     coupling: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        weights = tuple(_frac(v) for v in self.weights)
-        coupling = tuple(tuple(_frac(v) for v in row) for row in self.coupling)
+        weights = tuple(Fraction(v) for v in self.weights)
+        coupling = tuple(tuple(Fraction(v) for v in row) for row in self.coupling)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "coupling", coupling)
         n = len(weights)
@@ -391,17 +379,17 @@ class MixedSignParams:
     rho_z: Fraction = Fraction(1)
 
     def __post_init__(self):
-        plus = tuple(_frac(v) for v in self.plus_weights)
-        minus = tuple(_frac(v) for v in self.minus_weights)
-        coupling = tuple(tuple(_frac(v) for v in row) for row in self.coupling)
-        rho_plus = tuple(_frac(v) for v in self.rho_plus)
-        rho_minus = tuple(_frac(v) for v in self.rho_minus)
+        plus = tuple(Fraction(v) for v in self.plus_weights)
+        minus = tuple(Fraction(v) for v in self.minus_weights)
+        coupling = tuple(tuple(Fraction(v) for v in row) for row in self.coupling)
+        rho_plus = tuple(Fraction(v) for v in self.rho_plus)
+        rho_minus = tuple(Fraction(v) for v in self.rho_minus)
         object.__setattr__(self, "plus_weights", plus)
         object.__setattr__(self, "minus_weights", minus)
         object.__setattr__(self, "coupling", coupling)
         object.__setattr__(self, "rho_plus", rho_plus)
         object.__setattr__(self, "rho_minus", rho_minus)
-        object.__setattr__(self, "rho_z", _frac(self.rho_z))
+        object.__setattr__(self, "rho_z", Fraction(self.rho_z))
         kk, ll = len(plus), len(minus)
         _require(all(v > 0 for v in plus + minus), "weights must be strictly positive")
         _require(
@@ -477,14 +465,11 @@ def generate_mixed_sign_system(params: MixedSignParams) -> PolynomialSystem:
     components.append(z_poly)
     system = PolynomialSystem(params.variable_names(), tuple(components))
     _verify_generated(system, params.invariant())
-    assert kinetic_residual_is_zero(params.conservation(), system)
+    check_proof(
+        verify_conservation(params.conservation(), system),
+        "generated system must conserve mass with weights (rho_plus, rho_minus, rho_z)",
+    )
     return system
-
-
-def kinetic_residual_is_zero(candidate: ConservationVector, system: PolynomialSystem) -> bool:
-    from .conservation import kinetic_residual
-
-    return kinetic_residual(candidate.rho, system).is_zero()
 
 
 BINARY_FORM_FAMILIES = (
@@ -530,7 +515,7 @@ class BinaryFormParams:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "k", "l", "m", "n", "r", "s"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
         fam = self.family
         _require(fam in BINARY_FORM_FAMILIES, f"unknown family {fam!r}")
         a, b, c = self.a, self.b, self.c
@@ -633,7 +618,7 @@ def generate_shifted_system(
     Requires A, B >= 0; a negative shift disables the corresponding rate
     (a < 0 forces B = 0, b < 0 forces A = 0) to keep the system kinetic.
     """
-    A, B, a, b = _frac(A), _frac(B), _frac(a), _frac(b)
+    A, B, a, b = Fraction(A), Fraction(B), Fraction(a), Fraction(b)
     _require(A >= 0 and B >= 0, "rates A and B must be nonnegative")
     if a < 0:
         _require(B == 0, "negative shift a requires B = 0")
@@ -751,28 +736,17 @@ def solve_log_integral_family() -> list[PolynomialSystem]:
     one = Polynomial.constant(2, 1)
     left = y * (x - one)
     right = x * (y - one)
-    columns: list[Polynomial] = []
-    for comp in range(2):
-        multiplier = left if comp == 0 else right
-        for mono in _QUAD_MONOMIALS:
-            columns.append(multiplier * Polynomial.monomial(2, mono))
-    monomials = sorted(
-        {m for col in columns for m in col.monomials()}, key=grlex_key
-    )
-    rows = [[col.coefficient(m) for col in columns] for m in monomials]
-    basis = nullspace_basis(rows, len(columns))
+    columns = [
+        (multiplier * Polynomial.monomial(2, mono)).terms()
+        for multiplier in (left, right)
+        for mono in _QUAD_MONOMIALS
+    ]
+    basis = nullspace_basis(coefficient_matrix(columns), len(columns))
     systems = []
     for vec in basis:
         ints = leading_sign_normalized(vec)
-        f1 = Polynomial(
-            2, {mono: Fraction(ints[i]) for i, mono in enumerate(_QUAD_MONOMIALS)}
-        )
-        f2 = Polynomial(
-            2,
-            {
-                mono: Fraction(ints[6 + i])
-                for i, mono in enumerate(_QUAD_MONOMIALS)
-            },
+        f1, f2 = (
+            Polynomial(2, dict(zip(_QUAD_MONOMIALS, ints[k : k + 6]))) for k in (0, 6)
         )
         systems.append(PolynomialSystem(("x", "y"), (f1, f2)))
     return systems

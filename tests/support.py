@@ -6,7 +6,13 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from crnkit import Polynomial, PolynomialSystem, ReactionNetwork
+from crnkit import (
+    Polynomial,
+    PolynomialSystem,
+    QuadraticCandidate,
+    ReactionNetwork,
+    lie_derivative,
+)
 from crnkit.network import Complex, ReactionStep
 
 SMALL_FRACTIONS = [
@@ -172,3 +178,46 @@ def diagonal_representable_2d(system: PolynomialSystem) -> bool:
     if (c1 == 0) != (b2 == 0) or (a2 == 0) != (b1 == 0):
         return False
     return b1 * b2 == c1 * a2
+
+
+def unit_candidates(dim: int, diagonal_only: bool) -> list[QuadraticCandidate]:
+    """Basis of the quadratic-plus-linear candidates, `coefficient_vector` order."""
+    zero = tuple(Fraction(0) for _ in range(dim))
+    out = []
+    for i in range(dim):
+        for j in range(i, dim):
+            if diagonal_only and i != j:
+                continue
+            q = [list(zero) for _ in range(dim)]
+            q[i][j] = q[j][i] = Fraction(1)
+            out.append(QuadraticCandidate(q, zero))
+    if not diagonal_only:
+        for i in range(dim):
+            linear = tuple(Fraction(1 if k == i else 0) for k in range(dim))
+            out.append(QuadraticCandidate([zero] * dim, linear))
+    return out
+
+
+def unit_lie_derivative_matrix(
+    system: PolynomialSystem, units: list[QuadraticCandidate]
+) -> list[list[Fraction]]:
+    """Oracle for the first-integral constraint matrix.
+
+    Applies `lie_derivative` to every unit candidate and reads the
+    coefficients back, one row per monomial in sorted order.
+    """
+    lies = [lie_derivative(unit, system) for unit in units]
+    monomials = sorted({mono for poly in lies for mono in poly.monomials()})
+    return [[poly.coefficient(mono) for poly in lies] for mono in monomials]
+
+
+def combine_units(units: list[QuadraticCandidate], weights) -> QuadraticCandidate:
+    dim = units[0].dim
+    q = [[Fraction(0)] * dim for _ in range(dim)]
+    linear = [Fraction(0)] * dim
+    for w, unit in zip(weights, units):
+        for i in range(dim):
+            for j in range(dim):
+                q[i][j] += w * unit.q[i][j]
+            linear[i] += w * unit.linear[i]
+    return QuadraticCandidate(q, tuple(linear))

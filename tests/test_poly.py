@@ -150,3 +150,5 @@ def test_system_json_round_trip(example_system):
 def test_system_dimension_mismatch():
     with pytest.raises(ValueError):
         PolynomialSystem(("x",), (Polynomial.zero(2),))
+    with pytest.raises(ValueError, match="non-integral exponent"):
+        Polynomial(1, {(1.5,): 1})

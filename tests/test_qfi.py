@@ -1,8 +1,12 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import crnkit.qfi
 from crnkit import (
     BinaryFormParams,
     DiagonalParams,
@@ -10,6 +14,7 @@ from crnkit import (
     MixedSignParams,
     Polynomial,
     PolynomialSystem,
+    ProofCheckError,
     QuadraticCandidate,
     diagonal_collapse_check,
     equilibria_on_line_check,
@@ -24,6 +29,15 @@ from crnkit import (
     lotka_volterra_log_check,
     negative_cross_effect,
     solve_log_integral_family,
+)
+from crnkit.linalg import nullspace_basis, positive_vector_in_span
+from crnkit.numbers import leading_sign_normalized
+
+from .support import (
+    SMALL_FRACTIONS,
+    combine_units,
+    unit_candidates,
+    unit_lie_derivative_matrix,
 )
 
 F = Fraction
@@ -184,6 +198,58 @@ def test_search_report_json():
     assert data["signature"] == "definite"
 
 
+@st.composite
+def small_systems(draw):
+    """Random systems of degree <= 3 in 1-5 variables, or diagonal-family ones."""
+    dim = draw(st.integers(1, 5))
+    if dim >= 2 and draw(st.booleans()):
+        coupling = tuple(
+            tuple(
+                F(0) if i == j else draw(st.sampled_from([F(0), F(1), F(2), F(1, 2)]))
+                for j in range(dim)
+            )
+            for i in range(dim)
+        )
+        weights = tuple(draw(st.sampled_from([F(1), F(2), F(3, 2)])) for _ in range(dim))
+        return generate_diagonal_system(DiagonalParams(weights, coupling))
+    exponents = st.tuples(*[st.integers(0, 2)] * dim).filter(lambda e: sum(e) <= 3)
+    component = st.dictionaries(exponents, st.sampled_from(SMALL_FRACTIONS), max_size=4)
+    names = tuple(f"x{i}" for i in range(dim))
+    return PolynomialSystem(
+        names, tuple(Polynomial(dim, draw(component)) for _ in range(dim))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=small_systems(), diagonal_only=st.booleans())
+def test_search_matches_unit_candidate_oracle(system, diagonal_only):
+    units = unit_candidates(system.dim, diagonal_only)
+    weights = nullspace_basis(unit_lie_derivative_matrix(system, units), len(units))
+    report = find_quadratic_first_integrals(
+        system, "positive-diagonal" if diagonal_only else None
+    )
+    assert report.basis == tuple(
+        combine_units(units, leading_sign_normalized(w)) for w in weights
+    )
+    if diagonal_only and weights:
+        witness = positive_vector_in_span(weights, system.dim).vector
+        if witness is not None:
+            assert report.candidate == combine_units(
+                units, leading_sign_normalized(witness)
+            )
+        assert report.found == (witness is not None)
+
+
+def test_search_makes_no_lie_derivative_call(monkeypatch, example_system, cascade_system):
+    def forbidden(candidate, system):
+        raise AssertionError("lie_derivative called")
+
+    monkeypatch.setattr(crnkit.qfi, "lie_derivative", forbidden)
+    for system in (example_system, cascade_system):
+        for signature_filter in (None, "positive-diagonal"):
+            find_quadratic_first_integrals(system, signature_filter)
+
+
 # -- diagonal generator -----------------------------------------------------
 
 def test_generate_two_species_template():
@@ -233,6 +299,30 @@ def test_diagonal_generator_randomized_soundness():
         system = generate_diagonal_system(params)
         assert negative_cross_effect(system).is_kinetic
         assert is_first_integral(params.invariant(), system)
+
+
+FAILING_GENERATOR_SCRIPT = """
+import crnkit.qfi
+from crnkit import DiagonalParams, ProofCheckError, generate_diagonal_system
+crnkit.qfi.is_first_integral = lambda candidate, system: False
+try:
+    generate_diagonal_system(DiagonalParams((1, 1), ((0, 2), (3, 0))))
+except ProofCheckError as exc:
+    print(exc)
+"""
+
+
+def test_generator_proof_check_survives_optimization(monkeypatch):
+    params = DiagonalParams((F(1), F(1)), ((F(0), F(2)), (F(3), F(0))))
+    monkeypatch.setattr(crnkit.qfi, "is_first_integral", lambda candidate, system: False)
+    with pytest.raises(ProofCheckError, match="must conserve V"):
+        generate_diagonal_system(params)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", FAILING_GENERATOR_SCRIPT],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "generated system must conserve V"
 
 
 # -- mixed-sign generator ---------------------------------------------------
