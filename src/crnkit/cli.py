@@ -22,8 +22,6 @@ from . import __version__
 from .conservation import (
     ConservationVector,
     conservation_report,
-    kinetic_conservation,
-    stoichiometric_conservation,
     verify_conservation,
 )
 from .kinetics import (
@@ -36,7 +34,7 @@ from .kinetics import (
 )
 from .network import ReactionNetwork, parse_network
 from .numbers import parse_rational
-from .poly import Polynomial, PolynomialSystem, parse_polynomial, parse_system
+from .poly import PolynomialSystem, parse_polynomial, parse_system
 from .qfi import (
     BinaryFormParams,
     DiagonalParams,
@@ -48,7 +46,6 @@ from .qfi import (
     generate_mixed_sign_system,
     generate_shifted_system,
     is_first_integral,
-    lie_derivative,
     lotka_volterra_log_check,
 )
 from .sim import SimConfig, SimulationError, drift_report, integrate

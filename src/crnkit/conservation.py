@@ -68,8 +68,17 @@ def kinetic_residual(rho: Sequence[Fraction], system: PolynomialSystem) -> Polyn
     return total
 
 
-def _normalized(rho: Sequence[Fraction], mode: str) -> ConservationVector:
-    ints = primitive_integer_vector(rho)
+def _positive_kernel_vector(
+    rows: Sequence[Sequence[Fraction]], m: int, mode: str
+) -> ConservationVector | None:
+    """Primitive integer rho > 0 with rows . rho = 0, or None if there is none."""
+    basis = nullspace_basis(rows, m)
+    if not basis:
+        return None
+    result = positive_vector_in_span(basis, m)
+    if result.vector is None:
+        return None
+    ints = primitive_integer_vector(result.vector)
     return ConservationVector(tuple(Fraction(v) for v in ints), mode)
 
 
@@ -86,13 +95,7 @@ def stoichiometric_conservation(network: ReactionNetwork) -> ConservationVector 
     gamma_t = [
         [gamma[i][j] for i in range(m)] for j in range(network.num_steps)
     ]
-    basis = nullspace_basis(gamma_t, m)
-    if not basis:
-        return None
-    result = positive_vector_in_span(basis, m)
-    if result.vector is None:
-        return None
-    return _normalized(result.vector, "stoichiometric")
+    return _positive_kernel_vector(gamma_t, m, "stoichiometric")
 
 
 def kinetic_conservation(system: PolynomialSystem) -> ConservationVector | None:
@@ -101,13 +104,7 @@ def kinetic_conservation(system: PolynomialSystem) -> ConservationVector | None:
     if m == 0:
         return None
     rows = coefficient_matrix([component.terms() for component in system.components])
-    basis = nullspace_basis(rows, m)
-    if not basis:
-        return None
-    result = positive_vector_in_span(basis, m)
-    if result.vector is None:
-        return None
-    return _normalized(result.vector, "kinetic")
+    return _positive_kernel_vector(rows, m, "kinetic")
 
 
 def verify_conservation(

@@ -1,16 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on plain lists of Fractions: reduced row echelon form,
-null-space bases, a phase-1 simplex that decides whether a subspace contains
-a strictly positive vector, and congruence-based inertia of symmetric
-matrices.  All decisions are exact; infeasible positivity queries come with a
-separating certificate that is verified before being returned.
+Reduced row echelon forms and null-space bases come from one fraction-free
+Gauss-Jordan elimination over sparse integer rows: each row is scaled to
+coprime integers, rows are combined by integer cross-multiplication and
+divided by the gcd of their entries, and only the results are turned back
+into Fractions.  The phase-1 simplex that decides whether a subspace
+contains a strictly positive vector, and the congruence-based inertia of
+symmetric matrices, work on lists of Fractions.  All decisions are exact;
+infeasible positivity queries come with a separating certificate that is
+verified before being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
@@ -33,59 +38,132 @@ def _copy_matrix(rows: Sequence[Sequence[Fraction]]) -> Matrix:
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    mat = _copy_matrix(rows)
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by its content (the gcd of its entries)."""
+    g = gcd(*row.values())
+    if g == 1:
+        return row
+    return {j: v // g for j, v in row.items()}
+
+
+def _integer_row(row: Sequence[Fraction]) -> dict[int, int]:
+    """Nonzero entries of a row of ints and Fractions scaled to coprime integers."""
+    entries = {j: v for j, v in enumerate(row) if v}
+    if not entries:
+        return entries
+    den = lcm(*(v.denominator for v in entries.values()))
+    return _primitive(
+        {j: v.numerator * (den // v.denominator) for j, v in entries.items()}
+    )
+
+
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[int, int]:
+    """Clear column `col` of `row` against `pivot_row`, fraction-free.
+
+    Computes (p/g) row - (a/g) pivot_row with p, a the two entries in `col`
+    and g = gcd(p, a), then divides out the content of the result.
+    """
+    p = pivot_row[col]
+    a = row[col]
+    g = gcd(p, a)
+    p //= g
+    a //= g
+    out = {j: v * p for j, v in row.items()} if p != 1 else dict(row)
+    for j, v in pivot_row.items():
+        value = out.get(j, 0) - a * v
+        if value:
+            out[j] = value
+        else:
+            del out[j]
+    return _primitive(out) if out else out
+
+
+def _reduce(
+    rows: Sequence[Sequence[Fraction]], ncols: int
+) -> tuple[list[dict[int, int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination over sparse integer rows.
+
+    Returns one primitive integer row per pivot and the pivot columns, in
+    column order.  Row i is nonzero in column pivots[i] and zero in every
+    other pivot column, so dividing it by that entry gives row i of the
+    reduced row echelon form.  The reduced form is unique, so which row
+    supplies a pivot is free: the sparsest one, which keeps fill-in low.
+    """
+    pending = []
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+        entries = _integer_row(row)
+        if entries:
+            pending.append(entries)
+    placed: list[dict[int, int]] = []
     pivots: list[int] = []
-    rank = 0
     for col in range(ncols):
-        pivot_row = next(
-            (r for r in range(rank, len(mat)) if mat[r][col] != 0), None
-        )
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(mat):
+        if not pending:
             break
-    return mat, pivots
+        index = min(
+            (i for i, row in enumerate(pending) if col in row),
+            key=lambda i: len(pending[i]),
+            default=None,
+        )
+        if index is None:
+            continue
+        pivot_row = pending.pop(index)
+        remaining = []
+        for row in pending:
+            if col in row:
+                row = _eliminate(row, pivot_row, col)
+            if row:
+                remaining.append(row)
+        pending = remaining
+        for i, row in enumerate(placed):
+            if col in row:
+                placed[i] = _eliminate(row, pivot_row, col)
+        placed.append(pivot_row)
+        pivots.append(col)
+    return placed, pivots
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns.
+
+    The reduced matrix has as many rows as the input, zero rows last.
+    """
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    placed, pivots = _reduce(rows, ncols)
+    zero = Fraction(0)
+    reduced = [
+        [Fraction(row[j], row[col]) if j in row else zero for j in range(ncols)]
+        for row, col in zip(placed, pivots)
+    ]
+    reduced.extend([zero] * ncols for _ in range(len(rows) - len(placed)))
+    return reduced, pivots
 
 
 def nullspace_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {v : A v = 0}, one vector per free column, in column order."""
-    if not rows:
-        return [
-            [Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
-            for i in range(ncols)
-        ]
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("ragged matrix")
-    reduced, pivots = rref(rows)
+    """Basis of {v : A v = 0}, one vector per free column, in column order.
+
+    The vector of free column j has 1 in column j, -R[i][j] in pivot column
+    i of the reduced row echelon form R, and 0 elsewhere.
+    """
+    placed, pivots = _reduce(rows, ncols)
+    zero = Fraction(0)
+    one = Fraction(1)
     pivot_set = set(pivots)
-    basis = []
+    basis: dict[int, list[Fraction]] = {}
     for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row_idx, piv_col in enumerate(pivots):
-            vec[piv_col] = -reduced[row_idx][free]
-        basis.append(vec)
-    return basis
-
-
-def matvec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in rows]
+        if free not in pivot_set:
+            vec = [zero] * ncols
+            vec[free] = one
+            basis[free] = vec
+    for row, col in zip(placed, pivots):
+        p = row[col]
+        for j, v in row.items():
+            if j != col:
+                basis[j][col] = Fraction(-v, p)
+    return list(basis.values())
 
 
 @dataclass(frozen=True)

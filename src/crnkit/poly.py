@@ -27,16 +27,17 @@ def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
 
 def coefficient_matrix(
     columns: Sequence[Mapping[Exponents, Fraction]],
-) -> list[list[Fraction]]:
+) -> list[list[Fraction | int]]:
     """Matrix whose column j holds the coefficients of `columns[j]`.
 
     One row per monomial occurring in some column, in no particular order:
     callers use only the row space (nullspace, reduced echelon form), which
-    does not depend on it.
+    does not depend on it.  Absent coefficients are the int 0, which the
+    elimination skips without a Fraction method call.
     """
-    zero = Fraction(0)
+    zero = 0
     width = len(columns)
-    rows: dict[Exponents, list[Fraction]] = {}
+    rows: dict[Exponents, list[Fraction | int]] = {}
     for j, column in enumerate(columns):
         for expts, coeff in column.items():
             row = rows.get(expts)

@@ -30,7 +30,7 @@ from .linalg import (
     positive_vector_in_span,
     symmetric_inertia,
 )
-from .numbers import format_rational, leading_sign_normalized
+from .numbers import leading_sign_normalized
 from .poly import (
     Exponents,
     Polynomial,
@@ -420,7 +420,6 @@ class MixedSignParams:
         return xs + ys + ("z",)
 
     def invariant(self) -> QuadraticCandidate:
-        kk, ll = self.block_sizes
         diag = list(self.plus_weights) + [-v for v in self.minus_weights] + [Fraction(0)]
         return QuadraticCandidate.diagonal(diag)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 from crnkit import (
     Polynomial,
@@ -221,3 +222,47 @@ def combine_units(units: list[QuadraticCandidate], weights) -> QuadraticCandidat
                 q[i][j] += w * unit.q[i][j]
             linear[i] += w * unit.linear[i]
     return QuadraticCandidate(q, tuple(linear))
+
+
+def matvec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> list[Fraction]:
+    return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in rows]
+
+
+def dense_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Oracle for `rref`: dense Gauss-Jordan over Fractions, zero rows last."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return [], []
+    pivots: list[int] = []
+    rank = 0
+    for col in range(len(mat[0])):
+        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(mat):
+            break
+    return mat, pivots
+
+
+def dense_nullspace_basis(rows, ncols: int) -> list[list[Fraction]]:
+    """Oracle for `nullspace_basis`, read off `dense_rref`."""
+    reduced, pivots = dense_rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row_idx, piv_col in enumerate(pivots):
+            vec[piv_col] = -reduced[row_idx][free]
+        basis.append(vec)
+    return basis

@@ -2,14 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crnkit.linalg import (
-    matvec,
     nullspace_basis,
     positive_vector_in_span,
     rref,
     symmetric_inertia,
 )
+
+from .support import dense_nullspace_basis, dense_rref, matvec
+
+
+F = Fraction
 
 
 def frac_matrix(rows):
@@ -48,6 +53,84 @@ def test_nullspace_empty_rows_is_identity():
     basis = nullspace_basis([], 3)
     assert len(basis) == 3
     assert basis[0][0] == 1 and basis[1][1] == 1 and basis[2][2] == 1
+
+
+def test_nullspace_no_rows_no_columns():
+    assert nullspace_basis([], 0) == []
+
+
+def test_nullspace_all_zero_rows_is_identity():
+    rows = [[0, Fraction(0), 0], [Fraction(0)] * 3]
+    assert nullspace_basis(rows, 3) == frac_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    reduced, pivots = rref(rows)
+    assert reduced == frac_matrix([[0, 0, 0], [0, 0, 0]])
+    assert pivots == []
+
+
+def test_ragged_rows_raise():
+    rows = frac_matrix([[1, 2, 3], [4, 5]])
+    with pytest.raises(ValueError):
+        nullspace_basis(rows, 3)
+    with pytest.raises(ValueError):
+        rref(rows)
+
+
+_ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """0-12 rows of 0-10 rational columns, with zero and repeated rows."""
+    ncols = draw(st.integers(0, 10))
+    sparse = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 5))
+        if kind == 0 and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == 1:
+            rows.append([0] * ncols)
+        else:
+            rows.append([
+                draw(_ENTRIES) if not sparse or draw(st.integers(0, 4)) == 0 else 0
+                for _ in range(ncols)
+            ])
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=rational_matrices())
+def test_elimination_matches_dense_fraction_oracle(matrix):
+    rows, ncols = matrix
+    reduced, pivots = rref(rows)
+    assert (reduced, pivots) == dense_rref(rows)
+    basis = nullspace_basis(rows, ncols)
+    assert basis == dense_nullspace_basis(rows, ncols)
+    entries = [x for row in reduced for x in row] + [x for vec in basis for x in vec]
+    assert all(type(x) is Fraction for x in entries)
+
+
+def test_rref_fixed_cases_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    cases = [
+        [[2, 4, -2, 0], [1, 2, 0, 3], [3, 6, -2, 3]],
+        [[F(1, 2), F(-3, 7), 0], [0, F(5, 6), F(2, 3)], [F(1, 4), 0, F(-1, 5)]],
+        [[0, 0, 6, -9, 3], [0, 4, 0, 2, F(1, 3)], [0, 2, 3, F(-7, 2), 0], [0, 0, 0, 0, 0]],
+        [[7, -14, 21], [F(-1, 3), F(2, 3), -1], [5, 1, 0], [0, 11, -15]],
+        [[1, 0, 0, 0, 2, 0], [0, 0, 3, 0, 0, -1], [0, 5, 0, 0, 0, 0], [1, 0, 3, 0, 2, -1]],
+    ]
+    for rows in cases:
+        expected, expected_pivots = sympy.Matrix(
+            [[sympy.Rational(F(v).numerator, F(v).denominator) for v in row] for row in rows]
+        ).rref()
+        reduced, pivots = rref(rows)
+        assert pivots == list(expected_pivots)
+        assert reduced == [
+            [F(int(v.p), int(v.q)) for v in expected.row(i)] for i in range(len(rows))
+        ]
 
 
 def test_positive_vector_simple_span():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -24,15 +25,18 @@ from crnkit import (
     generate_mixed_sign_system,
     generate_shifted_system,
     is_first_integral,
+    induced_kinetic_ode,
     kinetic_conservation,
     lie_derivative,
     lotka_volterra_log_check,
     negative_cross_effect,
+    parse_network,
     solve_log_integral_family,
 )
 from crnkit.linalg import nullspace_basis, positive_vector_in_span
 from crnkit.numbers import leading_sign_normalized
 
+from .conftest import CATALYTIC_CASCADE_TEXT
 from .support import (
     SMALL_FRACTIONS,
     combine_units,
@@ -238,6 +242,84 @@ def test_search_matches_unit_candidate_oracle(system, diagonal_only):
                 units, leading_sign_normalized(witness)
             )
         assert report.found == (witness is not None)
+
+
+# Full-QFI bases of the cascade as computed by dense Fraction elimination
+# (the `dense_rref` oracle): the rendered elements and the sha256 of
+# repr(report.basis).  The second network gives the cascade rational rates so
+# its constraint matrix carries larger coefficients.
+CASCADE_RATES = ("2", "1/3", "5/2", "7", "3/4", "2/5", "3", "1/2", "4/3", "6")
+CASCADE_BASES = {
+    False: (
+        "9f96ef14db6b352ec258693900ec81dce2e03e5eaaf92a3827a29faa228ddd13",
+        [
+            "a^2 - 2*a*b + b^2",
+            "2*a*d - 2*a*e - 2*b*d + 2*b*e",
+            "2*a^2 - 2*a*b + 4*a*c + 6*a*d + 6*a*f - 4*b*c - 6*b*d - 6*b*f",
+            "8*a^2 - 8*a*b + 4*a*c + 12*a*g + 12*a*h + 6*a*j - 4*b*c - 12*b*g"
+            " - 12*b*h - 6*b*j",
+            "d^2 - 2*d*e + e^2",
+            "2*a*d - 2*a*e + 4*c*d - 4*c*e + 6*d^2 - 6*d*e + 6*d*f - 6*e*f",
+            "8*a*d - 8*a*e + 4*c*d - 4*c*e + 12*d*g + 12*d*h + 6*d*j - 12*e*g"
+            " - 12*e*h - 6*e*j",
+            "a^2 + 4*a*c + 6*a*d + 6*a*f + 4*c^2 + 12*c*d + 12*c*f + 9*d^2"
+            " + 18*d*f + 9*f^2",
+            "8*a^2 + 20*a*c + 24*a*d + 24*a*f + 12*a*g + 12*a*h + 6*a*j + 8*c^2"
+            " + 12*c*d + 12*c*f + 24*c*g + 24*c*h + 12*c*j + 36*d*g + 36*d*h"
+            " + 18*d*j + 36*f*g + 36*f*h + 18*f*j",
+            "16*a^2 + 16*a*c + 48*a*g + 48*a*h + 24*a*j + 4*c^2 + 24*c*g + 24*c*h"
+            " + 12*c*j + 36*g^2 + 72*g*h + 36*g*j + 36*h^2 + 36*h*j + 9*j^2",
+            "a - b",
+            "d - e",
+            "a + 2*c + 3*d + 3*f",
+            "4*a + 2*c + 6*g + 6*h + 3*j",
+        ],
+    ),
+    True: (
+        "212a1ceb6807ef56d9bb005950b8295497a007a0fb2f1238198797e4e3614fc5",
+        [
+            "a^2 - 2*a*b + b^2",
+            "2*a*d - 2*a*e - 2*b*d + 2*b*e",
+            "150*a^2 - 150*a*b + 180*a*c + 184*a*d + 184*a*f - 180*b*c - 184*b*d"
+            " - 184*b*f",
+            "34*a^2 - 34*a*b + 4*a*c + 184*a*g + 184*a*h + 92*a*j - 4*b*c"
+            " - 184*b*g - 184*b*h - 92*b*j",
+            "d^2 - 2*d*e + e^2",
+            "150*a*d - 150*a*e + 180*c*d - 180*c*e + 184*d^2 - 184*d*e + 184*d*f"
+            " - 184*e*f",
+            "34*a*d - 34*a*e + 4*c*d - 4*c*e + 184*d*g + 184*d*h + 92*d*j"
+            " - 184*e*g - 184*e*h - 92*e*j",
+            "5625*a^2 + 13500*a*c + 13800*a*d + 13800*a*f + 8100*c^2 + 16560*c*d"
+            " + 16560*c*f + 8464*d^2 + 16928*d*f + 8464*f^2",
+            "1275*a^2 + 1680*a*c + 1564*a*d + 1564*a*f + 6900*a*g + 6900*a*h"
+            " + 3450*a*j + 180*c^2 + 184*c*d + 184*c*f + 8280*c*g + 8280*c*h"
+            " + 4140*c*j + 8464*d*g + 8464*d*h + 4232*d*j + 8464*f*g + 8464*f*h"
+            " + 4232*f*j",
+            "289*a^2 + 68*a*c + 3128*a*g + 3128*a*h + 1564*a*j + 4*c^2 + 368*c*g"
+            " + 368*c*h + 184*c*j + 8464*g^2 + 16928*g*h + 8464*g*j + 8464*h^2"
+            " + 8464*h*j + 2116*j^2",
+            "a - b",
+            "d - e",
+            "75*a + 90*c + 92*d + 92*f",
+            "17*a + 2*c + 92*g + 92*h + 46*j",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("rational_rates", [False, True])
+def test_cascade_full_basis_is_pinned(rational_rates):
+    text = CATALYTIC_CASCADE_TEXT
+    if rational_rates:
+        text = "".join(
+            line.replace("[1]", f"[{rate}]") + "\n"
+            for line, rate in zip(text.splitlines(), CASCADE_RATES)
+        )
+    system = induced_kinetic_ode(parse_network(text))
+    basis = find_quadratic_first_integrals(system).basis
+    digest, rendered = CASCADE_BASES[rational_rates]
+    assert [c.render(system.variables) for c in basis] == rendered
+    assert hashlib.sha256(repr(basis).encode()).hexdigest() == digest
 
 
 def test_search_makes_no_lie_derivative_call(monkeypatch, example_system, cascade_system):
