@@ -436,7 +436,7 @@ def cmd_realize(args) -> int:
 
 def cmd_simulate(args) -> int:
     system = _as_system(args.target, _parse_params(args.params))
-    x0 = [float(v) for v in _parse_vector(args.x0)]
+    x0 = _parse_vector(args.x0)
     method = {"rk4": "rk4_fixed", "rkf45": "rkf45_adaptive"}[args.method]
     config = SimConfig(
         method=method,

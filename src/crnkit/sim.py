@@ -1,22 +1,27 @@
 """Floating-point trajectory integration with first-integral monitoring.
 
 Two integrators are provided: classical fixed-step RK4 and adaptive
-Runge-Kutta-Fehlberg 4(5).  When a quadratic invariant is attached, its value
-is recorded along the trajectory so conservation drift can be reported.  For
-positive-definite diagonal invariants an optional level-set projection
-rescales the state back onto the initial level surface after every step.
+Runge-Kutta-Fehlberg 4(5).  Each step is generated as straight-line code for
+the system's dimension, doing the same float operations as the textbook
+per-component loops, so trajectories are bit-identical to theirs.  When a
+quadratic invariant is attached, its value is recorded along the trajectory
+so conservation drift can be reported.  For positive-definite diagonal
+invariants an optional level-set projection rescales the state back onto the
+initial level surface after every step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence, TextIO
 
-from .poly import PolynomialSystem
+from .poly import Polynomial, PolynomialSystem
 from .qfi import QuadraticCandidate
 
 CLAMP_TOLERANCE = 1e-12
+_BLOW_UP = "state became nonfinite (blow-up)"
 
 
 class SimulationError(RuntimeError):
@@ -48,6 +53,8 @@ class SimConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.projection not in ("off", "level_set"):
             raise ValueError(f"unknown projection {self.projection!r}")
+        if not all(map(math.isfinite, (self.step, self.tolerance, self.t_end))):
+            raise ValueError("step, tolerance and t_end must be finite")
         if self.step <= 0 or self.tolerance <= 0 or self.t_end <= 0:
             raise ValueError("step, tolerance and t_end must be positive")
         if self.stride < 1:
@@ -56,13 +63,23 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Sampled solution with optional invariant values and positivity log."""
+    """Sampled solution with optional invariant values and positivity log.
+
+    `rejected_steps` counts RKF45 steps retried with a smaller step size;
+    `forced_accepts` counts RKF45 steps kept with their error above tolerance
+    because the step size had reached its floor (1e-12 * t_end); when the
+    error estimate is finite, the step size that follows is below the floor
+    and the run aborts there with "step size underflow".  Both are
+    step-control statistics, not samples, and stay out of the repr.
+    """
 
     variables: tuple[str, ...]
     times: list[float]
     states: list[list[float]]
     invariant_values: list[float] | None = None
     positivity_events: list[tuple[float, int, float]] = field(default_factory=list)
+    rejected_steps: int = field(default=0, repr=False)
+    forced_accepts: int = field(default=0, repr=False)
 
     def write_csv(self, stream: TextIO):
         header = ["t"] + list(self.variables)
@@ -83,14 +100,39 @@ class Trajectory:
         return buf.getvalue()
 
 
+def _to_float(value, describe: Callable[[], str]) -> float:
+    """float(value); a value too large for a float raises ValueError naming it."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{describe()} is too large for a float") from None
+
+
+def _compile(signature: str, lines: Sequence[str], **namespace) -> Callable:
+    """Define `def signature:` with the given body lines; return the function."""
+    src = f"def {signature}:\n" + "".join(f"    {line}\n" for line in lines)
+    exec(src, namespace)  # generated from our own AST; no external input
+    return namespace[signature.partition("(")[0]]
+
+
+def _unpack(names: Sequence[str], value: str) -> str:
+    """`a, b, = value`, or the bare expression when there is nothing to bind."""
+    return f"{', '.join(names)}, = {value}" if names else value
+
+
 def compile_rhs(system: PolynomialSystem) -> Callable[[Sequence[float]], list[float]]:
     """Generate a fast float evaluator for the system's right-hand side."""
     n = system.dim
     exprs = []
-    for component in system.components:
+    for var, component in zip(system.variables, system.components):
         parts = []
         for expts, coeff in component.sorted_terms():
-            factors = [repr(float(coeff))]
+            value = _to_float(
+                coeff,
+                lambda: "coefficient of "
+                f"{Polynomial.monomial(n, expts).render(system.variables)} in d{var}/dt",
+            )
+            factors = [repr(value)]
             for i, e in enumerate(expts):
                 if e == 1:
                     factors.append(f"x{i}")
@@ -99,19 +141,43 @@ def compile_rhs(system: PolynomialSystem) -> Callable[[Sequence[float]], list[fl
             parts.append("*".join(factors))
         exprs.append(" + ".join(parts) if parts else "0.0")
     unpack = "; ".join(f"x{i} = state[{i}]" for i in range(n)) or "pass"
-    src = f"def _rhs(state):\n    {unpack}\n    return [{', '.join(exprs)}]\n"
-    namespace: dict = {}
-    exec(src, namespace)  # generated from our own AST; no external input
-    return namespace["_rhs"]
+    return _compile("_rhs(state)", [unpack, f"return [{', '.join(exprs)}]"])
 
 
 def compile_invariant(candidate: QuadraticCandidate) -> Callable[[Sequence[float]], float]:
-    q = [[float(v) for v in row] for row in candidate.q]
-    linear = [float(v) for v in candidate.linear]
-    constant = float(candidate.constant)
-    n = candidate.dim
+    """Generate a float evaluator for V(x) = x^T Q x + linear . x + constant.
 
-    def value(state: Sequence[float]) -> float:
+    For n = 2 with Q = diag(1, 1) and no linear part the generated code is
+
+        def _invariant(state):
+            x0, x1, = state
+            total = 0.0
+            total += 1.0 * x0 * x0
+            total += 1.0 * x1 * x1
+            if total - total != 0.0:
+                return dense(state)
+            return total
+
+    The order is that of the dense double loop: the constant, then per i the
+    linear term and the row-i terms q[i][j] * x_i * x_j.  Entries that are
+    zero as floats are left out: a zero term adds +-0.0, which leaves a sum
+    that did not start from -0.0 unchanged while the state is finite.  When
+    the total or a component that no kept term reads is not finite, the
+    dense loop itself is evaluated (0.0 * inf is nan), so values are
+    bit-identical to the dense loop in every case.
+    """
+    n = candidate.dim
+    constant = _to_float(candidate.constant, lambda: "constant term of the invariant")
+    linear = [
+        _to_float(v, lambda: f"linear coefficient {i} of the invariant")
+        for i, v in enumerate(candidate.linear)
+    ]
+    q = [
+        [_to_float(v, lambda: f"coefficient q[{i}][{j}] of the invariant") for j, v in enumerate(row)]
+        for i, row in enumerate(candidate.q)
+    ]
+
+    def dense(state: Sequence[float]) -> float:
         total = constant
         for i in range(n):
             xi = state[i]
@@ -120,7 +186,21 @@ def compile_invariant(candidate: QuadraticCandidate) -> Callable[[Sequence[float
                 total += q[i][j] * xi * state[j]
         return total
 
-    return value
+    # a -0.0 constant is the one start where adding +0.0 changes the sum
+    keep_zeros = constant == 0 and math.copysign(1.0, constant) < 0
+    terms = []
+    for i in range(n):
+        if linear[i] or keep_zeros:
+            terms.append(f"total += {linear[i]!r} * x{i}")
+        for j in range(n):
+            if q[i][j] or keep_zeros:
+                terms.append(f"total += {q[i][j]!r} * x{i} * x{j}")
+    lines = [_unpack([f"x{i}" for i in range(n)], "state"), f"total = {constant!r}"] + terms
+    if len(terms) < n * (n + 1):
+        unread = [i for i in range(n) if not (linear[i] or any(q[i]) or any(row[i] for row in q))]
+        finite = "total - total" + "".join(f" + (x{i} - x{i})" for i in unread)
+        lines += [f"if {finite} != 0.0:", "    return dense(state)"]
+    return _compile("_invariant(state)", lines + ["return total"], dense=dense)
 
 
 _RKF_A = (
@@ -135,36 +215,59 @@ _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 
 
-def _rk4_step(rhs, state, h):
-    k1 = rhs(state)
-    k2 = rhs([x + 0.5 * h * k for x, k in zip(state, k1)])
-    k3 = rhs([x + 0.5 * h * k for x, k in zip(state, k2)])
-    k4 = rhs([x + h * k for x, k in zip(state, k3)])
+def _rk4_source(n: int) -> list[str]:
+    x = [f"x{i}" for i in range(n)]
+    a, b, c, d = ([f"{s}{i}" for i in range(n)] for s in "abcd")
+
+    def probe(scale, k):
+        return "[" + ", ".join(f"{xi} + {scale} * {ki}" for xi, ki in zip(x, k)) + "]"
+
     return [
-        x + h / 6.0 * (a + 2 * b + 2 * c + d)
-        for x, a, b, c, d in zip(state, k1, k2, k3, k4)
+        "hh = 0.5 * h",
+        _unpack(a, "rhs(state)"),
+        _unpack(b, f"rhs({probe('hh', a)})"),
+        _unpack(c, f"rhs({probe('hh', b)})"),
+        _unpack(d, f"rhs({probe('h', c)})"),
+        "h6 = h / 6.0",
+        "return ["
+        + ", ".join(f"{x[i]} + h6 * ({a[i]} + 2 * {b[i]} + 2 * {c[i]} + {d[i]})" for i in range(n))
+        + "], 0.0",
     ]
 
 
-def _rkf45_step(rhs, state, h):
-    ks = [rhs(state)]
+def _rkf45_source(n: int) -> list[str]:
+    x = [f"x{i}" for i in range(n)]
+    ks = [[f"k{s}_{i}" for i in range(n)] for s in range(6)]
+
+    def increment(weights, i):
+        # sum() starts from the int 0; 0.0 + y is the same float operation
+        return "0.0" + "".join(f" + {w!r} * {ks[s][i]}" for s, w in enumerate(weights))
+
+    lines = [_unpack(ks[0], "rhs(state)")]
     for stage in range(1, 6):
-        coeffs = _RKF_A[stage]
-        probe = [
-            x + h * sum(c * ks[i][idx] for i, c in enumerate(coeffs))
-            for idx, x in enumerate(state)
-        ]
-        ks.append(rhs(probe))
-    fourth = [
-        x + h * sum(b * ks[i][idx] for i, b in enumerate(_RKF_B4))
-        for idx, x in enumerate(state)
-    ]
-    fifth = [
-        x + h * sum(b * ks[i][idx] for i, b in enumerate(_RKF_B5))
-        for idx, x in enumerate(state)
-    ]
-    error = max(abs(a - b) for a, b in zip(fourth, fifth))
-    return fifth, error
+        probe = ", ".join(f"{x[i]} + h * ({increment(_RKF_A[stage], i)})" for i in range(n))
+        lines.append(_unpack(ks[stage], f"rhs([{probe}])"))
+    for i in range(n):
+        lines.append(f"y{i} = {x[i]} + h * ({increment(_RKF_B4, i)})")
+        lines.append(f"z{i} = {x[i]} + h * ({increment(_RKF_B5, i)})")
+    errors = [f"abs(y{i} - z{i})" for i in range(n)]
+    if n > 1:
+        error = f"max({', '.join(errors)})"
+    else:
+        error = errors[0] if errors else "0.0"
+    lines.append(f"return [{', '.join(f'z{i}' for i in range(n))}], {error}")
+    return lines
+
+
+@lru_cache(maxsize=32)
+def _step_function(method: str, n: int) -> Callable:
+    """step(rhs, state, h) -> (new_state, error estimate), straight-line in n.
+
+    RK4 reports an error estimate of 0.0; RKF45 returns the fifth-order
+    solution and the largest component difference to the fourth-order one.
+    """
+    body = _rk4_source(n) if method == "rk4_fixed" else _rkf45_source(n)
+    return _compile("_step(rhs, state, h)", [_unpack([f"x{i}" for i in range(n)], "state")] + body)
 
 
 def integrate(
@@ -182,7 +285,12 @@ def integrate(
     n = system.dim
     if len(x0) != n:
         raise ValueError(f"initial state has length {len(x0)}, expected {n}")
-    state = [float(v) for v in x0]
+    state = [
+        _to_float(v, lambda: f"initial value of {system.variables[i]}")
+        for i, v in enumerate(x0)
+    ]
+    if not all(map(math.isfinite, state)):
+        raise ValueError("initial state must be finite")
     if any(v < 0 for v in state):
         raise ValueError("initial state must be nonnegative")
     if invariant is not None and invariant.dim != n:
@@ -194,94 +302,88 @@ def integrate(
             )
 
     rhs = compile_rhs(system)
+    step = _step_function(config.method, n)
     v_func = compile_invariant(invariant) if invariant is not None else None
     v0 = v_func(state) if v_func is not None else None
+    # `not V <= 0`: a nan V projects the state to nan, which the next step aborts on
+    project = config.projection == "level_set" and not v0 <= 0
 
-    traj = Trajectory(
-        variables=system.variables,
-        times=[0.0],
-        states=[list(state)],
-        invariant_values=[v0] if v_func is not None else None,
-    )
-
-    def check_state(new_state: list[float], t_new: float, t_old: float) -> list[float]:
-        for value in new_state:
-            if not math.isfinite(value):
-                raise SimulationError("state became nonfinite (blow-up)", t_old)
-        adjusted = list(new_state)
-        for i, value in enumerate(adjusted):
-            if value < 0:
-                if value < -CLAMP_TOLERANCE:
-                    raise SimulationError(
-                        f"component {system.variables[i]} went negative ({value:.3e})",
-                        t_old,
-                    )
-                traj.positivity_events.append((t_new, i, value))
-                adjusted[i] = 0.0
-        return adjusted
-
-    def project(new_state: list[float]) -> list[float]:
-        if config.projection != "level_set" or v0 is None or v0 <= 0:
-            return new_state
-        current = v_func(new_state)
-        if current <= 0:
-            return new_state
-        scale = math.sqrt(v0 / current)
-        return [scale * v for v in new_state]
-
-    def record(t: float, accepted_steps: int, final: bool):
-        if final or accepted_steps % config.stride == 0:
-            if final and traj.times and traj.times[-1] == t:
-                return
-            traj.times.append(t)
-            traj.states.append(list(state))
-            if v_func is not None:
-                traj.invariant_values.append(v_func(state))
-
-    t = 0.0
-    accepted = 0
+    times = [0.0]
+    states = [state]
+    values = [v0] if v_func is not None else None
+    events: list[tuple[float, int, float]] = []
     t_end = config.t_end
-    eps = 1e-12 * max(1.0, t_end)
-
-    if config.method == "rk4_fixed":
-        h = config.step
-        while t < t_end - eps:
-            step_h = min(h, t_end - t)
-            try:
-                new_state = _rk4_step(rhs, state, step_h)
-            except OverflowError:
-                raise SimulationError("state became nonfinite (blow-up)", t) from None
-            new_t = t + step_h
-            state = project(check_state(new_state, new_t, t))
-            t = new_t
-            accepted += 1
-            record(t, accepted, final=t >= t_end - eps)
-    else:
+    end = t_end - 1e-12 * max(1.0, t_end)
+    stride = config.stride
+    tolerance = config.tolerance
+    adaptive = config.method == "rkf45_adaptive"
+    if adaptive:
         h = min(config.step, t_end)
         h_min = 1e-12 * t_end
-        while t < t_end - eps:
-            step_h = min(h, t_end - t)
-            try:
-                new_state, error = _rkf45_step(rhs, state, step_h)
-            except OverflowError:
-                raise SimulationError("state became nonfinite (blow-up)", t) from None
-            scale = config.tolerance * max(
-                1.0, max((abs(v) for v in state), default=1.0)
-            )
-            if error <= scale or step_h <= h_min:
-                new_t = t + step_h
-                state = project(check_state(new_state, new_t, t))
-                t = new_t
-                accepted += 1
-                record(t, accepted, final=t >= t_end - eps)
+    else:
+        h = config.step
+        h_min = 0.0  # a fixed step never shrinks
+    t = 0.0
+    accepted = rejected = forced = 0
+    while t < end:
+        step_h = t_end - t
+        if not step_h < h:  # min(h, t_end - t), which keeps h on a tie
+            step_h = h
+        try:
+            new_state, error = step(rhs, state, step_h)
+        except OverflowError:
+            raise SimulationError(_BLOW_UP, t) from None
+        if adaptive:
+            bound = tolerance * max(1.0, max(map(abs, state), default=1.0))
             if error > 0:
-                factor = 0.9 * (scale / error) ** 0.2
+                factor = 0.9 * (bound / error) ** 0.2
                 h = step_h * min(5.0, max(0.2, factor))
             else:
                 h = step_h * 5.0
-            if h < h_min:
-                raise SimulationError("step size underflow", t)
-    return traj
+            if not error <= bound:
+                if step_h > h_min:
+                    rejected += 1
+                    if h < h_min:
+                        raise SimulationError("step size underflow", t)
+                    continue
+                forced += 1
+        # the sum of finite floats is finite or overflows; a nonfinite one is nan or inf
+        if not math.isfinite(sum(new_state)) and not all(map(math.isfinite, new_state)):
+            raise SimulationError(_BLOW_UP, t)
+        new_t = t + step_h
+        if min(new_state, default=0.0) < 0:
+            for i, value in enumerate(new_state):
+                if value < 0:
+                    if value < -CLAMP_TOLERANCE:
+                        raise SimulationError(
+                            f"component {system.variables[i]} went negative ({value:.3e})", t
+                        )
+                    events.append((new_t, i, value))
+                    new_state[i] = 0.0
+        if project:
+            current = v_func(new_state)
+            if not current <= 0:
+                ratio = math.sqrt(v0 / current)
+                new_state = [ratio * v for v in new_state]
+        t = new_t
+        state = new_state
+        accepted += 1
+        if t >= end or accepted % stride == 0:
+            times.append(t)
+            states.append(state)
+            if values is not None:
+                values.append(v_func(state))
+        if h < h_min:
+            raise SimulationError("step size underflow", t)
+    return Trajectory(
+        variables=system.variables,
+        times=times,
+        states=states,
+        invariant_values=values,
+        positivity_events=events,
+        rejected_steps=rejected,
+        forced_accepts=forced,
+    )
 
 
 def drift_report(trajectory: Trajectory) -> dict:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -12,8 +13,13 @@ from crnkit import (
     PolynomialSystem,
     QuadraticCandidate,
     ReactionNetwork,
+    SimConfig,
+    SimulationError,
+    Trajectory,
+    compile_rhs,
     lie_derivative,
 )
+from crnkit.sim import CLAMP_TOLERANCE
 from crnkit.network import Complex, ReactionStep
 
 SMALL_FRACTIONS = [
@@ -266,3 +272,182 @@ def dense_nullspace_basis(rows, ncols: int) -> list[list[Fraction]]:
             vec[piv_col] = -reduced[row_idx][free]
         basis.append(vec)
     return basis
+
+
+# -- integrator oracle: the per-component loops the generated steps replace ----
+
+RKF_A = (
+    (),
+    (1 / 4,),
+    (3 / 32, 9 / 32),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197),
+    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+)
+RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
+
+
+def left_sum(values) -> float:
+    """sum() of floats as Python 3.11 computes it: from the int 0, left to right.
+
+    From 3.12 on, sum() compensates float rounding, so the oracle spells out
+    the plain order the integrator was written against.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+def rk4_step(rhs, state, h):
+    k1 = rhs(state)
+    k2 = rhs([x + 0.5 * h * k for x, k in zip(state, k1)])
+    k3 = rhs([x + 0.5 * h * k for x, k in zip(state, k2)])
+    k4 = rhs([x + h * k for x, k in zip(state, k3)])
+    return [
+        x + h / 6.0 * (a + 2 * b + 2 * c + d)
+        for x, a, b, c, d in zip(state, k1, k2, k3, k4)
+    ]
+
+
+def rkf45_step(rhs, state, h):
+    ks = [rhs(state)]
+    for stage in range(1, 6):
+        coeffs = RKF_A[stage]
+        probe = [
+            x + h * left_sum(c * ks[i][idx] for i, c in enumerate(coeffs))
+            for idx, x in enumerate(state)
+        ]
+        ks.append(rhs(probe))
+    fourth = [
+        x + h * left_sum(b * ks[i][idx] for i, b in enumerate(RKF_B4))
+        for idx, x in enumerate(state)
+    ]
+    fifth = [
+        x + h * left_sum(b * ks[i][idx] for i, b in enumerate(RKF_B5))
+        for idx, x in enumerate(state)
+    ]
+    error = max(abs(a - b) for a, b in zip(fourth, fifth))
+    return fifth, error
+
+
+def dense_invariant(candidate: QuadraticCandidate):
+    """Oracle for `compile_invariant`: the dense double loop over Q."""
+    q = [[float(v) for v in row] for row in candidate.q]
+    linear = [float(v) for v in candidate.linear]
+    constant = float(candidate.constant)
+    n = candidate.dim
+
+    def value(state: Sequence[float]) -> float:
+        total = constant
+        for i in range(n):
+            xi = state[i]
+            total += linear[i] * xi
+            for j in range(n):
+                total += q[i][j] * xi * state[j]
+        return total
+
+    return value
+
+
+def reference_integrate(
+    system: PolynomialSystem,
+    x0: Sequence[float],
+    config: SimConfig,
+    invariant: QuadraticCandidate | None = None,
+) -> Trajectory:
+    """Oracle for `integrate` on valid input: closures, list copies and the
+    per-component steps above, counting rejected and forced RKF45 steps."""
+    state = [float(v) for v in x0]
+    rhs = compile_rhs(system)
+    v_func = dense_invariant(invariant) if invariant is not None else None
+    v0 = v_func(state) if v_func is not None else None
+    traj = Trajectory(
+        variables=system.variables,
+        times=[0.0],
+        states=[list(state)],
+        invariant_values=[v0] if v_func is not None else None,
+    )
+
+    def check_state(new_state, t_new, t_old):
+        for value in new_state:
+            if not math.isfinite(value):
+                raise SimulationError("state became nonfinite (blow-up)", t_old)
+        adjusted = list(new_state)
+        for i, value in enumerate(adjusted):
+            if value < 0:
+                if value < -CLAMP_TOLERANCE:
+                    raise SimulationError(
+                        f"component {system.variables[i]} went negative ({value:.3e})",
+                        t_old,
+                    )
+                traj.positivity_events.append((t_new, i, value))
+                adjusted[i] = 0.0
+        return adjusted
+
+    def project(new_state):
+        if config.projection != "level_set" or v0 is None or v0 <= 0:
+            return new_state
+        current = v_func(new_state)
+        if current <= 0:
+            return new_state
+        scale = math.sqrt(v0 / current)
+        return [scale * v for v in new_state]
+
+    def record(t, accepted_steps, final):
+        if final or accepted_steps % config.stride == 0:
+            if final and traj.times and traj.times[-1] == t:
+                return
+            traj.times.append(t)
+            traj.states.append(list(state))
+            if v_func is not None:
+                traj.invariant_values.append(v_func(state))
+
+    t = 0.0
+    accepted = 0
+    t_end = config.t_end
+    eps = 1e-12 * max(1.0, t_end)
+    if config.method == "rk4_fixed":
+        h = config.step
+        while t < t_end - eps:
+            step_h = min(h, t_end - t)
+            try:
+                new_state = rk4_step(rhs, state, step_h)
+            except OverflowError:
+                raise SimulationError("state became nonfinite (blow-up)", t) from None
+            new_t = t + step_h
+            state = project(check_state(new_state, new_t, t))
+            t = new_t
+            accepted += 1
+            record(t, accepted, final=t >= t_end - eps)
+    else:
+        h = min(config.step, t_end)
+        h_min = 1e-12 * t_end
+        while t < t_end - eps:
+            step_h = min(h, t_end - t)
+            try:
+                new_state, error = rkf45_step(rhs, state, step_h)
+            except OverflowError:
+                raise SimulationError("state became nonfinite (blow-up)", t) from None
+            scale = config.tolerance * max(
+                1.0, max((abs(v) for v in state), default=1.0)
+            )
+            if error <= scale or step_h <= h_min:
+                if not error <= scale:
+                    traj.forced_accepts += 1
+                new_t = t + step_h
+                state = project(check_state(new_state, new_t, t))
+                t = new_t
+                accepted += 1
+                record(t, accepted, final=t >= t_end - eps)
+            else:
+                traj.rejected_steps += 1
+            if error > 0:
+                factor = 0.9 * (scale / error) ** 0.2
+                h = step_h * min(5.0, max(0.2, factor))
+            else:
+                h = step_h * 5.0
+            if h < h_min:
+                raise SimulationError("step size underflow", t)
+    return traj

@@ -348,6 +348,28 @@ def test_simulate_auto_without_integral(tmp_path, capsys):
     assert "no quadratic first integral" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--method", "rkf45", "--tol", "nan"], "must be finite"),
+        (["--t-end", "nan"], "must be finite"),
+        (["--dt", "inf"], "must be finite"),
+        (["--x0", "1e400,1"], "initial value of x is too large for a float"),
+    ],
+)
+def test_simulate_rejects_nonfinite_settings(system_file, capsys, extra, message):
+    code = main(["simulate", system_file, "--x0", "1,0"] + extra)
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_simulate_rejects_coefficient_too_large_for_a_float(tmp_path, capsys):
+    path = write(tmp_path, "huge.txt", "vars x\n-1" + "0" * 400 + "*x\n")
+    code = main(["simulate", path, "--x0", "1", "--t-end", "0.1"])
+    assert code == 2
+    assert "coefficient of x in dx/dt is too large for a float" in capsys.readouterr().err
+
+
 def test_simulate_abort_is_exit_one(tmp_path, capsys):
     path = write(tmp_path, "blow.txt", "vars x\nx^2\n")
     code = main(["simulate", path, "--x0", "2", "--t-end", "1.0"])

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crnkit import (
+    Polynomial,
     PolynomialSystem,
     QuadraticCandidate,
     SimConfig,
@@ -15,7 +17,13 @@ from crnkit import (
     drift_report,
     integrate,
 )
-from .support import random_polynomial
+from .support import (
+    SMALL_FRACTIONS,
+    SMALL_POSITIVE,
+    dense_invariant,
+    random_polynomial,
+    reference_integrate,
+)
 
 F = Fraction
 
@@ -36,6 +44,10 @@ def test_config_validation():
         SimConfig(t_end=0.0)
     with pytest.raises(ValueError):
         SimConfig(stride=0)
+    for bad in (math.nan, math.inf):
+        for name in ("step", "tolerance", "t_end"):
+            with pytest.raises(ValueError, match="finite"):
+                SimConfig(method="rkf45_adaptive", **{name: bad})
 
 
 def test_compiled_rhs_matches_exact_evaluation():
@@ -64,6 +76,27 @@ def test_compiled_invariant_matches_polynomial():
     for point in ([0.5, 1.5], [2.0, 0.0], [1.0, 1.0]):
         exact = float(poly.evaluate([F(p) for p in point]))
         assert abs(v(point) - exact) < 1e-12
+
+
+def test_compiled_invariant_is_the_dense_loop():
+    """Left-out zero entries change nothing, for nonfinite states and -0.0 too."""
+    inf, nan = math.inf, math.nan
+    candidates = [
+        SPHERE,
+        QuadraticCandidate(((F(0), F(0)), (F(0), F(0))), (F(1), F(0)), F(0)),
+        QuadraticCandidate(((F(2), F(-1)), (F(-1), F(0))), (F(0), F(3)), F(-5)),
+        QuadraticCandidate(((F(0), F(0)), (F(0), F(0))), (F(0), F(0)), F(-1, 10**400)),
+        QuadraticCandidate(((F(0), F(0)), (F(0), F(1))), (F(-1), F(0)), F(-1, 10**400)),
+        QuadraticCandidate((), (), F(7)),
+    ]
+    points = [
+        (0.5, 1.5), (0.0, -0.0), (-0.0, -0.0), (-1.0, 0.0), (1e200, 1e200),
+        (inf, 1.0), (1.0, inf), (inf, inf), (nan, 0.0), (0.0, nan), (-inf, 2.0),
+    ]
+    for cand in candidates:
+        fast, slow = compile_invariant(cand), dense_invariant(cand)
+        for point in points if cand.dim else [()]:
+            assert repr(fast(point)) == repr(slow(point)), (cand, point)
 
 
 def test_rk4_circle_drift(example_system):
@@ -118,6 +151,26 @@ def test_rkf45_adapts_and_hits_t_end():
     assert 10 < len(traj.times) < 2000
 
 
+def test_step_statistics():
+    system = PolynomialSystem.from_strings(("x", "y"), ["-x*y", "x*y - 3*y"])
+    tight = SimConfig(method="rkf45_adaptive", step=0.5, tolerance=1e-13, t_end=1.0)
+    traj = integrate(system, [1.0, 2.0], tight)
+    assert traj.rejected_steps > 0 and traj.forced_accepts == 0
+    assert "rejected_steps" not in repr(traj)
+    fixed = integrate(system, [1.0, 2.0], SimConfig(step=0.5, t_end=1.0))
+    assert (fixed.rejected_steps, fixed.forced_accepts) == (0, 0)
+
+
+def test_forced_accept_aborts():
+    """At the step-size floor a step above tolerance is kept, and the shrunken
+    next step size is below the floor, so the run stops there."""
+    ramp = PolynomialSystem.from_strings(("x",), ["1 + x^2"])
+    config = SimConfig(method="rkf45_adaptive", step=1e-13, tolerance=1e-300, t_end=1.0)
+    with pytest.raises(SimulationError, match="step size underflow") as info:
+        integrate(ramp, [0.0], config)
+    assert info.value.last_time == 1e-13
+
+
 def test_rkf45_drift(example_system):
     config = SimConfig(method="rkf45_adaptive", tolerance=1e-10, t_end=10.0)
     traj = integrate(example_system, [1.0, 0.0], config, SPHERE)
@@ -149,6 +202,26 @@ def test_initial_state_validation(oscillator_system):
         integrate(oscillator_system, [-0.1, 1.0], config)
     with pytest.raises(ValueError):
         integrate(oscillator_system, [1.0, 0.0], config, QuadraticCandidate.diagonal((F(1),)))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(oscillator_system, [bad, 1.0], config)
+    with pytest.raises(ValueError, match="initial value of y is too large for a float"):
+        integrate(oscillator_system, [F(1), F(10) ** 400], config)
+
+
+def test_coefficient_too_large_for_a_float():
+    huge = F(10) ** 400
+    system = PolynomialSystem(
+        ("x", "y"), (Polynomial(2, {(1, 0): F(1)}), Polynomial(2, {(1, 1): -huge}))
+    )
+    with pytest.raises(ValueError, match=r"coefficient of x\*y in dy/dt is too large"):
+        compile_rhs(system)
+    with pytest.raises(ValueError, match="constant term of the invariant"):
+        compile_invariant(QuadraticCandidate(((F(1),),), (F(0),), huge))
+    with pytest.raises(ValueError, match="linear coefficient 1 of the invariant"):
+        compile_invariant(QuadraticCandidate(SPHERE.q, (F(0), huge)))
+    with pytest.raises(ValueError, match=r"q\[0\]\[1\] of the invariant"):
+        compile_invariant(QuadraticCandidate.binary_form(F(1), -huge, F(1)))
 
 
 def test_tiny_negative_overshoot_is_clamped():
@@ -192,6 +265,15 @@ def test_zero_system_is_constant():
     assert drift_report(traj)["max_abs_drift"] == 0.0
 
 
+def test_zero_dimensional_system():
+    empty = PolynomialSystem((), ())
+    constant = QuadraticCandidate((), (), F(3))
+    for method in ("rk4_fixed", "rkf45_adaptive"):
+        traj = integrate(empty, [], SimConfig(method=method, step=0.3, t_end=1.0), constant)
+        assert traj.times[-1] == 1.0
+        assert all(s == [] for s in traj.states) and set(traj.invariant_values) == {3.0}
+
+
 def test_csv_output(example_system):
     config = SimConfig(method="rk4_fixed", step=1e-3, t_end=2e-3)
     traj = integrate(example_system, [1.0, 0.0], config, SPHERE)
@@ -212,3 +294,83 @@ def test_csv_without_invariant(example_system):
     assert traj.to_csv().splitlines()[0] == "t,x,y"
     with pytest.raises(ValueError):
         drift_report(traj)
+
+
+def _outcome(run, system, x0, config, invariant):
+    try:
+        traj = run(system, x0, config, invariant)
+    except SimulationError as exc:
+        return "aborted", str(exc), repr(exc.last_time)
+    return (
+        repr(traj.times),
+        repr(traj.states),
+        repr(traj.invariant_values),
+        repr(traj.positivity_events),
+        traj.rejected_steps,
+        traj.forced_accepts,
+    )
+
+
+@st.composite
+def simulations(draw):
+    dim = draw(st.integers(1, 6))
+    exponents = st.tuples(*[st.integers(0, 2)] * dim).filter(lambda e: sum(e) <= 3)
+    component = st.dictionaries(exponents, st.sampled_from(SMALL_FRACTIONS), max_size=4)
+    system = PolynomialSystem(
+        tuple(f"x{i}" for i in range(dim)),
+        tuple(Polynomial(dim, draw(component)) for _ in range(dim)),
+    )
+    value = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+    x0 = draw(st.lists(value, min_size=dim, max_size=dim))
+    entry = st.sampled_from([F(0)] * 3 + SMALL_FRACTIONS)
+    projection = draw(st.booleans())
+    shape = "diagonal" if projection else draw(st.sampled_from(["none", "zero", "full"]))
+    invariant = None
+    if shape != "none":
+        q = [[F(0)] * dim for _ in range(dim)]
+        for i in range(dim):
+            if shape == "diagonal":
+                q[i][i] = draw(st.sampled_from(SMALL_POSITIVE))
+            for j in range(i, dim):
+                if shape == "full":
+                    q[i][j] = q[j][i] = draw(entry)
+        # level-set projection needs Q positive diagonal and no linear part
+        linear = tuple(F(0) if projection else draw(entry) for _ in range(dim))
+        invariant = QuadraticCandidate(q, linear, draw(entry))
+    config = SimConfig(
+        method=draw(st.sampled_from(["rk4_fixed", "rkf45_adaptive"])),
+        step=draw(st.sampled_from([0.01, 0.04])),
+        tolerance=draw(st.sampled_from([1e-5, 1e-8, 1e-11])),
+        t_end=draw(st.sampled_from([0.1, 0.37])),
+        stride=draw(st.sampled_from([1, 3])),
+        projection="level_set" if projection else "off",
+    )
+    return system, x0, config, invariant
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=simulations())
+def test_integrate_matches_reference_loops(case):
+    """Generated steps and the one step loop reproduce the per-component
+    steps and closures float for float, including where a run aborts."""
+    assert _outcome(integrate, *case) == _outcome(reference_integrate, *case)
+
+
+@pytest.mark.parametrize(
+    "text, x0, config",
+    [
+        # clamped overshoot, then a negative abort a few steps later
+        ("-1", [3e-3 - 5e-13], SimConfig(step=1e-3, t_end=0.01)),
+        ("x^2", [2.0], SimConfig(step=1e-3, t_end=1.0)),
+        ("x^2", [2.0], SimConfig(method="rkf45_adaptive", t_end=1.0)),
+        ("1 + x^2", [-0.0], SimConfig(method="rkf45_adaptive", step=1e-13, tolerance=1e-300, t_end=1.0)),
+        ("-x", [-0.0], SimConfig(step=0.3, t_end=1.0, stride=2)),
+        ("x", [-0.0], SimConfig(method="rkf45_adaptive", step=0.3, t_end=1.0)),
+        ("-x", [1.0], SimConfig(method="rkf45_adaptive", step=0.3, t_end=1.0, stride=4)),
+    ],
+)
+def test_integrate_matches_reference_on_edges(text, x0, config):
+    system = PolynomialSystem.from_strings(("x",), [text])
+    for invariant in (None, QuadraticCandidate(((F(1),),), (F(-1),), F(1, 2))):
+        case = (system, x0, config, invariant)
+        assert _outcome(integrate, *case) == _outcome(reference_integrate, *case)
