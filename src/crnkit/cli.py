@@ -11,6 +11,7 @@ the same command on the same inputs produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -120,14 +121,16 @@ class _Output:
         self.files[name] = content
 
     def finish(self, payload: dict):
-        if getattr(self.args, "json", False):
-            print(json.dumps(payload, indent=2, sort_keys=True))
+        json_mode = getattr(self.args, "json", False)
+        if not json_mode and self.outdir is None:
+            return
+        report = json.dumps(payload, indent=2, sort_keys=True)
+        if json_mode:
+            print(report)
         if self.outdir is None:
             return
         self.outdir.mkdir(parents=True, exist_ok=True)
-        self.files.setdefault(
-            "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        self.files.setdefault("report.json", report + "\n")
         digests = {}
         for name, content in sorted(self.files.items()):
             data = content.encode()
@@ -188,7 +191,7 @@ def _check_kinetic(system, args, payload):
     return 0 if report.is_kinetic else 1
 
 
-def _check_conservation(target, mode, args, payload):
+def _check_conservation(target, args, payload, mode):
     candidate = None
     if args.candidate:
         candidate = ConservationVector(tuple(_parse_vector(args.candidate)), mode)
@@ -258,33 +261,28 @@ def _check_no_periodic(system, args, payload):
     return 0 if cert.holds else 1
 
 
+# handlers for the properties decided on the ODE; conserve-stoich needs the network
+_SYSTEM_CHECKS = {
+    "kinetic": _check_kinetic,
+    "conserve-kinetic": functools.partial(_check_conservation, mode="kinetic"),
+    "qfi": _check_qfi,
+    "log-lv": _check_log_lv,
+    "no-periodic": _check_no_periodic,
+}
+
+
 def cmd_check(args) -> int:
     kind, obj = _load_target(args.target)
     params = _parse_params(args.params)
     payload: dict = {"property": args.property}
-    out = _Output(args)
-
     if args.property == "conserve-stoich":
         if kind != "network":
             raise ValueError("conserve-stoich needs a reaction network")
-        code = _check_conservation(obj, "stoichiometric", args, payload)
-        out.finish(payload)
-        return code
-
-    system = obj if kind == "system" else induced_kinetic_ode(obj, params)
-    if args.property == "kinetic":
-        code = _check_kinetic(system, args, payload)
-    elif args.property == "conserve-kinetic":
-        code = _check_conservation(system, "kinetic", args, payload)
-    elif args.property == "qfi":
-        code = _check_qfi(system, args, payload)
-    elif args.property == "log-lv":
-        code = _check_log_lv(system, args, payload)
-    elif args.property == "no-periodic":
-        code = _check_no_periodic(system, args, payload)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown property {args.property!r}")
-    out.finish(payload)
+        code = _check_conservation(obj, args, payload, "stoichiometric")
+    else:
+        system = obj if kind == "system" else induced_kinetic_ode(obj, params)
+        code = _SYSTEM_CHECKS[args.property](system, args, payload)
+    _Output(args).finish(payload)
     return code
 
 
@@ -311,15 +309,17 @@ def _invariant_from_expression(text: str, system: PolynomialSystem) -> Quadratic
     return QuadraticCandidate(tuple(map(tuple, q)), tuple(linear), constant)
 
 
-def _build_generate_params(args):
+def _generate_family(args):
+    """Build the requested family instance: (system, invariant, conservation or None)."""
     fam = args.family
     if fam == "diagonal":
         if not args.weights or not args.coupling:
             raise ValueError("diagonal family needs --weights and --coupling")
-        return DiagonalParams(
+        params = DiagonalParams(
             tuple(_parse_vector(args.weights)),
             tuple(tuple(row) for row in _parse_matrix(args.coupling)),
         )
+        return generate_diagonal_system(params), params.invariant(), None
     if fam == "mixed-sign":
         needed = (args.plus_weights, args.minus_weights, args.coupling,
                   args.rho_plus, args.rho_minus)
@@ -328,7 +328,7 @@ def _build_generate_params(args):
                 "mixed-sign family needs --plus-weights, --minus-weights, "
                 "--coupling, --rho-plus and --rho-minus"
             )
-        return MixedSignParams(
+        params = MixedSignParams(
             tuple(_parse_vector(args.plus_weights)),
             tuple(_parse_vector(args.minus_weights)),
             tuple(tuple(row) for row in _parse_matrix(args.coupling)),
@@ -336,12 +336,14 @@ def _build_generate_params(args):
             tuple(_parse_vector(args.rho_minus)),
             parse_rational(args.rho_z) if args.rho_z else Fraction(1),
         )
+        return generate_mixed_sign_system(params), params.invariant(), params.conservation()
     if fam == "shifted":
         values = {}
         for name in ("A", "B", "a", "b"):
             raw = getattr(args, "rate_A" if name == "A" else "rate_B" if name == "B" else f"shift_{name}")
             values[name] = parse_rational(raw) if raw else Fraction(0)
-        return values
+        system = generate_shifted_system(values["A"], values["B"], values["a"], values["b"])
+        return system, QuadraticCandidate.shifted_sum_of_squares(values["a"], values["b"]), None
     # binary-form families
     if args.a is None or args.b is None:
         raise ValueError(f"family {fam} needs --a and --b")
@@ -350,33 +352,17 @@ def _build_generate_params(args):
         raw = getattr(args, name)
         if raw is not None:
             kwargs[name] = parse_rational(raw)
-    return BinaryFormParams(
+    params = BinaryFormParams(
         family=fam.replace("-", "_"),
         a=parse_rational(args.a),
         b=parse_rational(args.b),
         **kwargs,
     )
+    return generate_binary_form_system(params), params.invariant(), None
 
 
 def cmd_generate(args) -> int:
-    params = _build_generate_params(args)
-    conservation = None
-    if args.family == "diagonal":
-        system = generate_diagonal_system(params)
-        invariant = params.invariant()
-    elif args.family == "mixed-sign":
-        system = generate_mixed_sign_system(params)
-        invariant = params.invariant()
-        conservation = params.conservation()
-    elif args.family == "shifted":
-        system = generate_shifted_system(
-            params["A"], params["B"], params["a"], params["b"]
-        )
-        invariant = QuadraticCandidate.shifted_sum_of_squares(params["a"], params["b"])
-    else:
-        system = generate_binary_form_system(params)
-        invariant = params.invariant()
-
+    system, invariant, conservation = _generate_family(args)
     network = canonical_realization(system)
     checks = {
         "kinetic": negative_cross_effect(system).is_kinetic,
@@ -470,20 +456,16 @@ def cmd_simulate(args) -> int:
         "t_end": config.t_end,
         "samples": len(trajectory.times),
     }
-    if invariant is not None:
-        payload["invariant"] = invariant.render(system.variables)
-        payload["drift"] = drift_report(trajectory)
     out = _Output(args)
     out.add_file("trajectory.csv", trajectory.to_csv())
     if invariant is not None:
-        out.add_file(
-            "drift.json",
-            json.dumps(drift_report(trajectory), indent=2, sort_keys=True) + "\n",
-        )
+        drift = drift_report(trajectory)
+        payload["invariant"] = invariant.render(system.variables)
+        payload["drift"] = drift
+        out.add_file("drift.json", json.dumps(drift, indent=2, sort_keys=True) + "\n")
     if not args.json:
         print(f"integrated to t={trajectory.times[-1]:.6g} with {len(trajectory.times)} samples")
         if invariant is not None:
-            drift = drift_report(trajectory)
             print(
                 f"invariant drift: max {drift['max_abs_drift']:.3e}, "
                 f"final {drift['final_drift']:.3e}, "
@@ -495,7 +477,12 @@ def cmd_simulate(args) -> int:
 
 # -- parser -----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every `main` call.
+
+    Parsing never writes to it: each `parse_args` returns a fresh Namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="crnkit",
         description="Exact analysis of mass-action reaction networks and their quadratic first integrals.",
@@ -586,8 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.command_line = list(argv) if argv is not None else sys.argv[1:]
     try:
         return args.func(args)

@@ -21,6 +21,10 @@ from .poly import Polynomial, PolynomialSystem
 from .qfi import QuadraticCandidate
 
 CLAMP_TOLERANCE = 1e-12
+# Largest t_end / step a fixed-step run may take (10^4 times a 1,000-step run).
+# Without a bound a tiny step runs until killed: once it is below half an ulp
+# of t, t + step == t and the loop cannot end.
+MAX_FIXED_STEPS = 10**7
 _BLOW_UP = "state became nonfinite (blow-up)"
 
 
@@ -38,7 +42,8 @@ class SimConfig:
 
     method is "rk4_fixed" (uses `step`) or "rkf45_adaptive" (uses
     `tolerance`); `stride` keeps every k-th accepted step in the output;
-    projection is "off" or "level_set".
+    projection is "off" or "level_set".  An "rk4_fixed" run may take at most
+    MAX_FIXED_STEPS steps (t_end / step).
     """
 
     method: str = "rk4_fixed"
@@ -59,6 +64,12 @@ class SimConfig:
             raise ValueError("step, tolerance and t_end must be positive")
         if self.stride < 1:
             raise ValueError("stride must be at least 1")
+        steps = self.t_end / self.step
+        if self.method == "rk4_fixed" and steps > MAX_FIXED_STEPS:
+            raise ValueError(
+                f"rk4_fixed with step {self.step:g} to t_end {self.t_end:g} takes "
+                f"{steps:.3g} steps, more than the limit of {MAX_FIXED_STEPS:.0e}"
+            )
 
 
 @dataclass

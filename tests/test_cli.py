@@ -2,10 +2,11 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from crnkit.cli import main
+from crnkit.cli import build_parser, main
 from .conftest import CATALYTIC_CASCADE_TEXT, EXAMPLE_NETWORK_TEXT
 
 KINETIC_SYSTEM_TEXT = "vars x y\n2*y^2 - 3*x*y\n3*x^2 - 2*x*y\n"
@@ -370,6 +371,14 @@ def test_simulate_rejects_coefficient_too_large_for_a_float(tmp_path, capsys):
     assert "coefficient of x in dx/dt is too large for a float" in capsys.readouterr().err
 
 
+def test_simulate_rejects_too_many_fixed_steps(system_file, capsys):
+    start = time.perf_counter()
+    code = main(["simulate", system_file, "--x0", "1,0.5", "--dt", "1e-20", "--t-end", "1"])
+    assert code == 2
+    assert "takes 1e+20 steps" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_simulate_abort_is_exit_one(tmp_path, capsys):
     path = write(tmp_path, "blow.txt", "vars x\nx^2\n")
     code = main(["simulate", path, "--x0", "2", "--t-end", "1.0"])
@@ -410,3 +419,39 @@ def test_module_invocation():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("crnkit")
+
+
+# -- one parser per process -------------------------------------------------
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_seed_does_not_leak_between_calls(system_file, tmp_path, capsys):
+    first, second = tmp_path / "d1", tmp_path / "d2"
+    argv = ["check", system_file, "--property", "kinetic", "--out"]
+    assert main(argv + [str(first), "--seed", "7"]) == 0
+    assert main(argv + [str(second)]) == 0
+    capsys.readouterr()
+    assert json.loads((first / "manifest.json").read_text())["seed"] == 7
+    assert json.loads((second / "manifest.json").read_text())["seed"] is None
+
+
+def test_filter_does_not_leak_between_calls(tmp_path, capsys):
+    mixed = write(tmp_path, "mixed.txt", "vars x y z\ny*z\nx*z\n-x*z - y*z\n")
+    qfi = ["check", mixed, "--property", "qfi", "--json"]
+    assert main(qfi) == 0
+    plain = capsys.readouterr().out
+    assert main(qfi + ["--filter", "positive-diagonal"]) == 1
+    assert json.loads(capsys.readouterr().out)["found"] is False
+    assert main(qfi) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_valid_call_after_argument_error(system_file, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["check", system_file])
+    assert info.value.code == 2
+    assert "--property" in capsys.readouterr().err
+    assert main(["check", system_file, "--property", "kinetic"]) == 0
+    assert "kinetic: yes" in capsys.readouterr().out

@@ -17,6 +17,7 @@ from crnkit import (
     drift_report,
     integrate,
 )
+from crnkit.sim import MAX_FIXED_STEPS
 from .support import (
     SMALL_FRACTIONS,
     SMALL_POSITIVE,
@@ -48,6 +49,18 @@ def test_config_validation():
         for name in ("step", "tolerance", "t_end"):
             with pytest.raises(ValueError, match="finite"):
                 SimConfig(method="rkf45_adaptive", **{name: bad})
+
+
+def test_fixed_step_count_is_capped():
+    SimConfig(step=1.0, t_end=float(MAX_FIXED_STEPS))
+    with pytest.raises(ValueError, match=r"takes 1e\+20 steps"):
+        SimConfig(step=1e-20, t_end=1.0)
+    with pytest.raises(ValueError, match="takes inf steps"):
+        SimConfig(step=1e-300, t_end=1e300)
+    with pytest.raises(ValueError, match="limit"):
+        SimConfig(step=1.0, t_end=float(MAX_FIXED_STEPS + 1))
+    # the adaptive method chooses its own steps; `step` is only its first guess
+    SimConfig(method="rkf45_adaptive", step=1e-20, t_end=1.0)
 
 
 def test_compiled_rhs_matches_exact_evaluation():
