@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -82,9 +83,17 @@ def _parse_matrix(text: str) -> list[list[Fraction]]:
     return [_parse_vector(row) for row in text.split(";")]
 
 
-def _load_target(path: str):
-    """Read a file as ("network", net) or ("system", sys), sniffing the format."""
-    text = Path(path).read_text()
+def _load_target(args):
+    """Read args.target as ("network", net) or ("system", sys), sniffing the format.
+
+    The file is read once.  Its bytes are hashed into args.target_sha256 for
+    the manifest and decoded as `Path.read_text` would decode them (locale
+    encoding, universal newlines), so the manifest describes what was parsed.
+    """
+    path = args.target
+    raw = Path(path).read_bytes()
+    args.target_sha256 = hashlib.sha256(raw).hexdigest()
+    text = io.TextIOWrapper(io.BytesIO(raw)).read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
         data = json.loads(text)
@@ -102,8 +111,8 @@ def _load_target(path: str):
     return "network", parse_network(text)
 
 
-def _as_system(path: str, params: dict[str, Fraction]) -> PolynomialSystem:
-    kind, obj = _load_target(path)
+def _as_system(args, params: dict[str, Fraction]) -> PolynomialSystem:
+    kind, obj = _load_target(args)
     if kind == "system":
         return obj
     return induced_kinetic_ode(obj, params)
@@ -139,7 +148,7 @@ class _Output:
         inputs = {}
         target = getattr(self.args, "target", None)
         if target:
-            inputs[target] = hashlib.sha256(Path(target).read_bytes()).hexdigest()
+            inputs[target] = self.args.target_sha256
         manifest = {
             "command": self.args.command_line,
             "version": __version__,
@@ -154,7 +163,7 @@ class _Output:
 # -- subcommands ------------------------------------------------------------
 
 def cmd_parse(args) -> int:
-    _, obj = _load_target(args.target)
+    _, obj = _load_target(args)
     if not isinstance(obj, ReactionNetwork):
         raise ValueError("parse expects a reaction network file")
     out = _Output(args)
@@ -170,7 +179,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_odes(args) -> int:
-    kind, obj = _load_target(args.target)
+    kind, obj = _load_target(args)
     if kind != "network":
         raise ValueError("odes expects a reaction network file")
     system = induced_kinetic_ode(obj, _parse_params(args.params))
@@ -272,7 +281,7 @@ _SYSTEM_CHECKS = {
 
 
 def cmd_check(args) -> int:
-    kind, obj = _load_target(args.target)
+    kind, obj = _load_target(args)
     params = _parse_params(args.params)
     payload: dict = {"property": args.property}
     if args.property == "conserve-stoich":
@@ -393,7 +402,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    system = _as_system(args.target, _parse_params(args.params))
+    system = _as_system(args, _parse_params(args.params))
     out = _Output(args)
     try:
         network = canonical_realization(system)
@@ -421,7 +430,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    system = _as_system(args.target, _parse_params(args.params))
+    system = _as_system(args, _parse_params(args.params))
     x0 = _parse_vector(args.x0)
     method = {"rk4": "rk4_fixed", "rkf45": "rkf45_adaptive"}[args.method]
     config = SimConfig(

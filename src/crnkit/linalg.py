@@ -1,14 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Reduced row echelon forms and null-space bases come from one fraction-free
-Gauss-Jordan elimination over sparse integer rows: each row is scaled to
-coprime integers, rows are combined by integer cross-multiplication and
-divided by the gcd of their entries, and only the results are turned back
-into Fractions.  The phase-1 simplex that decides whether a subspace
-contains a strictly positive vector, and the congruence-based inertia of
-symmetric matrices, work on lists of Fractions.  All decisions are exact;
-infeasible positivity queries come with a separating certificate that is
-verified before being returned.
+Null-space bases come from one fraction-free Gauss-Jordan elimination over
+sparse integer rows: each row is scaled to coprime integers, rows are
+combined by integer cross-multiplication and divided by the gcd of their
+entries, and only the results are turned back into Fractions.  Whether a
+subspace contains a strictly positive vector is decided by a fraction-free
+integer phase-1 simplex over the reduced span: the same elimination step
+pivots a tableau with one variable per pivot of the span and one constraint
+per other coordinate.  The congruence-based inertia of symmetric matrices
+works on lists of Fractions.  All decisions are exact; infeasible
+positivity queries come with a separating certificate that is verified
+before being returned.
 """
 
 from __future__ import annotations
@@ -124,24 +126,6 @@ def _reduce(
     return placed, pivots
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns.
-
-    The reduced matrix has as many rows as the input, zero rows last.
-    """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    placed, pivots = _reduce(rows, ncols)
-    zero = Fraction(0)
-    reduced = [
-        [Fraction(row[j], row[col]) if j in row else zero for j in range(ncols)]
-        for row, col in zip(placed, pivots)
-    ]
-    reduced.extend([zero] * ncols for _ in range(len(rows) - len(placed)))
-    return reduced, pivots
-
-
 def nullspace_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of {v : A v = 0}, one vector per free column, in column order.
 
@@ -183,90 +167,136 @@ class PositivityResult:
         return self.vector is not None
 
 
+def _phase1(
+    rows: list[dict[int, int]], rhs: list[int], nvars: int
+) -> tuple[list[Fraction] | None, list[int] | None]:
+    """Phase 1 of the simplex method for {s >= 0 : rows[j] . s >= rhs[j]}, in integers.
+
+    Columns 0..nvars-1 hold s, column nvars + j the surplus t_j of
+    constraint j, and column nvars + len(rows) the right-hand side.  A
+    constraint violated at s = 0 (rhs[j] > 0) starts with an artificial
+    basic variable, which ranks after every column and is dropped once it
+    leaves the basis; any other starts with t_j basic, its row negated so
+    that t_j has coefficient +1.  Every tableau row and the objective row
+    (the reduced costs of the sum of the artificials) is kept a primitive
+    integer row that is a positive multiple of the textbook row, so signs
+    and ratios are the textbook ones: pivoting is `_eliminate`, and ratios
+    are compared by cross-multiplication.  Bland's rule picks the entering
+    and leaving variables, so the method terminates.
+
+    Returns (s, None) with s a feasible point, or (None, z): z >= 0 holds
+    the reduced costs of the surplus columns, a positive multiple of dual
+    values with z . rhs > 0 and sum_j z_j rows[j] <= 0, which prove that
+    there is no such s.
+    """
+    last = nvars + len(rows)
+    tableau: list[dict[int, int]] = []
+    basis: list[int] = []
+    objective: dict[int, int] = {}
+    for j, (row, b) in enumerate(zip(rows, rhs)):
+        if b > 0:
+            row = {**row, nvars + j: -1, last: b}
+            basis.append(last + 1 + j)
+            for col, v in row.items():
+                objective[col] = objective.get(col, 0) - v
+        else:
+            row = {i: -v for i, v in row.items()}
+            row[nvars + j] = 1
+            if b:
+                row[last] = -b
+            basis.append(nvars + j)
+        tableau.append(row)
+    objective = {col: v for col, v in objective.items() if v}
+
+    # objective[last] is minus a positive multiple of the sum of the
+    # artificials; once it is zero the current point is feasible
+    while last in objective:
+        entering = min(
+            (col for col, v in objective.items() if v < 0 and col != last), default=None
+        )
+        if entering is None:
+            return None, [objective.get(nvars + j, 0) for j in range(len(rows))]
+        leaving = None
+        for r, row in enumerate(tableau):
+            coeff = row.get(entering, 0)
+            if coeff > 0:
+                if leaving is None:
+                    leaving, best_rhs, best_coeff = r, row.get(last, 0), coeff
+                    continue
+                ratio = row.get(last, 0) * best_coeff
+                best = best_rhs * coeff
+                if ratio < best or (ratio == best and basis[r] < basis[leaving]):
+                    leaving, best_rhs, best_coeff = r, row.get(last, 0), coeff
+        if leaving is None:  # pragma: no cover - phase 1 is always bounded
+            raise RuntimeError("unbounded phase-1 objective")
+        pivot_row = tableau[leaving]
+        for r, row in enumerate(tableau):
+            if r != leaving and entering in row:
+                tableau[r] = _eliminate(row, pivot_row, entering)
+        objective = _eliminate(objective, pivot_row, entering)
+        basis[leaving] = entering
+
+    s = [Fraction(0)] * nvars
+    for row, var in zip(tableau, basis):
+        if var < nvars:
+            s[var] = Fraction(row.get(last, 0), row[var])
+    return s, None
+
+
 def positive_vector_in_span(
     vectors: Sequence[Sequence[Fraction]], dim: int
 ) -> PositivityResult:
     """Decide whether span(vectors) meets the open positive orthant.
 
-    Solved as the phase-1 linear program "find lambda with N lambda >= 1"
-    using exact rational pivoting and Bland's rule.  On failure the dual
-    solution is returned: y >= 0, y != 0, y orthogonal to every spanning
-    vector (so no positive combination can exist).
+    `_reduce` turns the vectors into primitive integer rows R_i with pivot
+    columns p_i, so the span is {sum_i mu_i R_i / R_i[p_i]}, whose
+    coordinate p_i is mu_i.  With mu = 1 + s and s >= 0 the pivot
+    coordinates are at least 1, and each other coordinate j asks
+    sum_i s_i a_ji >= L - sum_i a_ji, where a_ji = L R_i[j] / R_i[p_i] and
+    L = lcm |R_i[p_i]| make the constraints integral.  `_phase1` decides
+    them.  A feasible s gives a witness with every entry >= 1.  Otherwise
+    its dual values z >= 0 give the certificate y: y_j = z_j on the
+    constrained coordinates and y_{p_i} = -sum_j z_j R_i[j] / R_i[p_i].
+    It is nonnegative, nonzero and orthogonal to every spanning vector, so
+    no positive combination exists.  Both proofs are checked before they
+    are returned.
     """
     if dim <= 0:
         raise ValueError("dimension must be positive")
     for v in vectors:
         if len(v) != dim:
             raise ValueError("spanning vector has wrong length")
-    k = len(vectors)
-    ncols = 2 * k + 2 * dim  # lambda+, lambda-, surplus, artificial
-    art0 = 2 * k + dim
-    rows: list[list[Fraction]] = []
-    for i in range(dim):
-        row = [Fraction(0)] * (ncols + 1)
-        for j in range(k):
-            row[j] = Fraction(vectors[j][i])
-            row[k + j] = -row[j]
-        row[2 * k + i] = Fraction(-1)
-        row[art0 + i] = Fraction(1)
-        row[ncols] = Fraction(1)
-        rows.append(row)
-    basis = [art0 + i for i in range(dim)]
-    # objective row: reduced costs of min(sum of artificials); entry ncols
-    # holds minus the current objective value
-    obj = [Fraction(0)] * (ncols + 1)
-    for j in range(ncols):
-        cost = Fraction(1) if j >= art0 else Fraction(0)
-        obj[j] = cost - sum(row[j] for row in rows)
-    obj[ncols] = -sum(row[ncols] for row in rows)
+    placed, pivots = _reduce(vectors, dim)
+    scale = lcm(*(row[p] for row, p in zip(placed, pivots)))
+    pivot_set = set(pivots)
+    constrained = [j for j in range(dim) if j not in pivot_set]
+    position = {j: c for c, j in enumerate(constrained)}
+    rows: list[dict[int, int]] = [{} for _ in constrained]
+    for i, (row, p) in enumerate(zip(placed, pivots)):
+        factor = scale // row[p]
+        for j, v in row.items():
+            if j != p:
+                rows[position[j]][i] = v * factor
+    rhs = [scale - sum(row.values()) for row in rows]
+    s, z = _phase1(rows, rhs, len(pivots))
 
-    while True:
-        entering = next((j for j in range(ncols) if obj[j] < 0), None)
-        if entering is None:
-            break
-        leaving = None
-        best = None
-        for r in range(dim):
-            coeff = rows[r][entering]
-            if coeff > 0:
-                ratio = rows[r][ncols] / coeff
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[r] < basis[leaving])
-                ):
-                    best = ratio
-                    leaving = r
-        if leaving is None:  # pragma: no cover - phase 1 is always bounded
-            raise RuntimeError("unbounded phase-1 objective")
-        piv = rows[leaving][entering]
-        rows[leaving] = [x / piv for x in rows[leaving]]
-        for r in range(dim):
-            if r != leaving and rows[r][entering] != 0:
-                f = rows[r][entering]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[leaving])]
-        if obj[entering] != 0:
-            f = obj[entering]
-            obj = [a - f * b for a, b in zip(obj, rows[leaving])]
-        basis[leaving] = entering
-
-    objective = -obj[ncols]
-    if objective == 0:
-        lam = [Fraction(0)] * k
-        for r, var in enumerate(basis):
-            if var < k:
-                lam[var] += rows[r][ncols]
-            elif var < 2 * k:
-                lam[var - k] -= rows[r][ncols]
+    if s is not None:
         result = [Fraction(0)] * dim
-        for j, coeff in enumerate(lam):
-            if coeff:
-                for i in range(dim):
-                    result[i] += coeff * Fraction(vectors[j][i])
+        mu = [1 + v for v in s]
+        for p, value in zip(pivots, mu):
+            result[p] = value
+        for j, row in zip(constrained, rows):
+            result[j] = Fraction(sum(mu[i] * v for i, v in row.items()), scale)
         check_proof(all(x >= 1 for x in result), "positive witness has an entry below 1")
         return PositivityResult(vector=tuple(result), certificate=None)
 
-    cert = [Fraction(1) - obj[art0 + i] for i in range(dim)]
+    cert = [0] * dim
+    for j, row, zj in zip(constrained, rows, z):
+        cert[j] = scale * zj
+        for i, v in row.items():
+            cert[pivots[i]] -= zj * v
+    g = gcd(*cert) or 1
+    cert = [Fraction(y // g) for y in cert]
     nonnegative_nonzero = all(y >= 0 for y in cert) and any(y > 0 for y in cert)
     check_proof(nonnegative_nonzero, "certificate must be nonnegative and nonzero")
     for v in vectors:

@@ -6,8 +6,8 @@ Since the Lie derivative is bilinear in (V, f), the search for first
 integrals is an exact null-space computation over a matrix assembled directly
 from the coefficients of f: each unit candidate's column is f_i, or f_i and
 f_j shifted by one variable and doubled.  Strict sign conditions (for
-instance a positive-definite diagonal V) are decided by a rational simplex
-over that null space.
+instance a positive-definite diagonal V) are decided by a fraction-free
+integer phase-1 simplex over the reduced span of that null space.
 
 The generators in this module produce, for each supported shape of V, the
 full coefficient family of kinetic quadratic systems conserving it; each

@@ -25,6 +25,9 @@ CLAMP_TOLERANCE = 1e-12
 # Without a bound a tiny step runs until killed: once it is below half an ulp
 # of t, t + step == t and the loop cannot end.
 MAX_FIXED_STEPS = 10**7
+# Most samples a run may store after the initial state: a 2-D sample holds
+# about 160 bytes, so 10^6 of them take about 160 MB (100 times a 10,000-step run).
+MAX_SAMPLES = 10**6
 _BLOW_UP = "state became nonfinite (blow-up)"
 
 
@@ -43,7 +46,9 @@ class SimConfig:
     method is "rk4_fixed" (uses `step`) or "rkf45_adaptive" (uses
     `tolerance`); `stride` keeps every k-th accepted step in the output;
     projection is "off" or "level_set".  An "rk4_fixed" run may take at most
-    MAX_FIXED_STEPS steps (t_end / step).
+    MAX_FIXED_STEPS steps (t_end / step) and store at most MAX_SAMPLES
+    samples (t_end / (step * stride)); an RKF45 run aborts when it would
+    store more.
     """
 
     method: str = "rk4_fixed"
@@ -69,6 +74,13 @@ class SimConfig:
             raise ValueError(
                 f"rk4_fixed with step {self.step:g} to t_end {self.t_end:g} takes "
                 f"{steps:.3g} steps, more than the limit of {MAX_FIXED_STEPS:.0e}"
+            )
+        samples = steps / self.stride
+        if self.method == "rk4_fixed" and samples > MAX_SAMPLES:
+            raise ValueError(
+                f"rk4_fixed with step {self.step:g} to t_end {self.t_end:g} and stride "
+                f"{self.stride} stores {samples:.3g} samples, more than the limit of "
+                f"{MAX_SAMPLES:.0e}; raise the stride"
             )
 
 
@@ -380,6 +392,11 @@ def integrate(
         state = new_state
         accepted += 1
         if t >= end or accepted % stride == 0:
+            # SimConfig has bounded a fixed-step run's samples before it started
+            if adaptive and len(times) > MAX_SAMPLES:
+                raise SimulationError(
+                    f"more than {MAX_SAMPLES:.0e} samples to store; raise the stride", t
+                )
             times.append(t)
             states.append(state)
             if values is not None:

@@ -19,6 +19,7 @@ from crnkit import (
     compile_rhs,
     lie_derivative,
 )
+from crnkit.linalg import PositivityResult, _reduce, check_proof
 from crnkit.sim import CLAMP_TOLERANCE
 from crnkit.network import Complex, ReactionStep
 
@@ -272,6 +273,120 @@ def dense_nullspace_basis(rows, ncols: int) -> list[list[Fraction]]:
             vec[piv_col] = -reduced[row_idx][free]
         basis.append(vec)
     return basis
+
+
+# -- exact linear algebra: test-only helpers and the old positivity solver ---
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and the list of pivot columns, read off `_reduce`.
+
+    The reduced matrix has as many rows as the input, zero rows last.
+    """
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    placed, pivots = _reduce(rows, ncols)
+    zero = Fraction(0)
+    reduced = [
+        [Fraction(row[j], row[col]) if j in row else zero for j in range(ncols)]
+        for row, col in zip(placed, pivots)
+    ]
+    reduced.extend([zero] * ncols for _ in range(len(rows) - len(placed)))
+    return reduced, pivots
+
+
+def split_positive_vector_in_span(
+    vectors: Sequence[Sequence[Fraction]], dim: int
+) -> PositivityResult:
+    """Oracle for `positive_vector_in_span`: the split-variable rational simplex.
+
+    Decide whether span(vectors) meets the open positive orthant.
+
+    Solved as the phase-1 linear program "find lambda with N lambda >= 1"
+    using exact rational pivoting and Bland's rule.  On failure the dual
+    solution is returned: y >= 0, y != 0, y orthogonal to every spanning
+    vector (so no positive combination can exist).
+    """
+    if dim <= 0:
+        raise ValueError("dimension must be positive")
+    for v in vectors:
+        if len(v) != dim:
+            raise ValueError("spanning vector has wrong length")
+    k = len(vectors)
+    ncols = 2 * k + 2 * dim  # lambda+, lambda-, surplus, artificial
+    art0 = 2 * k + dim
+    rows: list[list[Fraction]] = []
+    for i in range(dim):
+        row = [Fraction(0)] * (ncols + 1)
+        for j in range(k):
+            row[j] = Fraction(vectors[j][i])
+            row[k + j] = -row[j]
+        row[2 * k + i] = Fraction(-1)
+        row[art0 + i] = Fraction(1)
+        row[ncols] = Fraction(1)
+        rows.append(row)
+    basis = [art0 + i for i in range(dim)]
+    # objective row: reduced costs of min(sum of artificials); entry ncols
+    # holds minus the current objective value
+    obj = [Fraction(0)] * (ncols + 1)
+    for j in range(ncols):
+        cost = Fraction(1) if j >= art0 else Fraction(0)
+        obj[j] = cost - sum(row[j] for row in rows)
+    obj[ncols] = -sum(row[ncols] for row in rows)
+
+    while True:
+        entering = next((j for j in range(ncols) if obj[j] < 0), None)
+        if entering is None:
+            break
+        leaving = None
+        best = None
+        for r in range(dim):
+            coeff = rows[r][entering]
+            if coeff > 0:
+                ratio = rows[r][ncols] / coeff
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[r] < basis[leaving])
+                ):
+                    best = ratio
+                    leaving = r
+        if leaving is None:  # pragma: no cover - phase 1 is always bounded
+            raise RuntimeError("unbounded phase-1 objective")
+        piv = rows[leaving][entering]
+        rows[leaving] = [x / piv for x in rows[leaving]]
+        for r in range(dim):
+            if r != leaving and rows[r][entering] != 0:
+                f = rows[r][entering]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[leaving])]
+        if obj[entering] != 0:
+            f = obj[entering]
+            obj = [a - f * b for a, b in zip(obj, rows[leaving])]
+        basis[leaving] = entering
+
+    objective = -obj[ncols]
+    if objective == 0:
+        lam = [Fraction(0)] * k
+        for r, var in enumerate(basis):
+            if var < k:
+                lam[var] += rows[r][ncols]
+            elif var < 2 * k:
+                lam[var - k] -= rows[r][ncols]
+        result = [Fraction(0)] * dim
+        for j, coeff in enumerate(lam):
+            if coeff:
+                for i in range(dim):
+                    result[i] += coeff * Fraction(vectors[j][i])
+        check_proof(all(x >= 1 for x in result), "positive witness has an entry below 1")
+        return PositivityResult(vector=tuple(result), certificate=None)
+
+    cert = [Fraction(1) - obj[art0 + i] for i in range(dim)]
+    nonnegative_nonzero = all(y >= 0 for y in cert) and any(y > 0 for y in cert)
+    check_proof(nonnegative_nonzero, "certificate must be nonnegative and nonzero")
+    for v in vectors:
+        residual = sum((y * Fraction(x) for y, x in zip(cert, v)), Fraction(0))
+        check_proof(residual == 0, "certificate must be orthogonal to the span")
+    return PositivityResult(vector=None, certificate=tuple(cert))
 
 
 # -- integrator oracle: the per-component loops the generated steps replace ----

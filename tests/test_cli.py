@@ -1,5 +1,8 @@
+import builtins
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -307,6 +310,40 @@ def test_simulate_manifest_reproducible(network_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_crlf_input_parses_the_same_and_is_hashed_raw(tmp_path, capsys):
+    lf = tmp_path / "lf.crn"
+    crlf = tmp_path / "crlf.crn"
+    lf.write_bytes(CATALYTIC_CASCADE_TEXT.encode())
+    crlf.write_bytes(CATALYTIC_CASCADE_TEXT.replace("\n", "\r\n").encode())
+    reports = []
+    for path, outdir in ((lf, tmp_path / "out-lf"), (crlf, tmp_path / "out-crlf")):
+        assert main(["parse", str(path), "--json", "--out", str(outdir)]) == 0
+        reports.append((outdir / "report.json").read_bytes())
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+        }
+    assert reports[0] == reports[1]
+    capsys.readouterr()
+
+
+def test_check_with_out_opens_its_target_once(cascade_file, tmp_path, monkeypatch, capsys):
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if not isinstance(file, int) and os.fspath(file) == cascade_file:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    argv = ["check", cascade_file, "--property", "conserve-stoich", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert len(opened) == 1
+    capsys.readouterr()
+
+
 def test_simulate_auto_invariant(system_file, capsys):
     code = main(
         ["simulate", system_file, "--x0", "1,0", "--t-end", "0.1",
@@ -378,6 +415,13 @@ def test_simulate_rejects_too_many_fixed_steps(system_file, capsys):
     assert "takes 1e+20 steps" in capsys.readouterr().err
     assert time.perf_counter() - start < 1.0
 
+
+def test_simulate_rejects_too_many_samples(system_file, capsys):
+    start = time.perf_counter()
+    code = main(["simulate", system_file, "--x0", "1,0.5", "--dt", "1e-6", "--t-end", "10"])
+    assert code == 2
+    assert "stores 1e+07 samples" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
 
 def test_simulate_abort_is_exit_one(tmp_path, capsys):
     path = write(tmp_path, "blow.txt", "vars x\nx^2\n")

@@ -1,17 +1,25 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crnkit.linalg import (
+    ProofCheckError,
     nullspace_basis,
     positive_vector_in_span,
-    rref,
     symmetric_inertia,
 )
 
-from .support import dense_nullspace_basis, dense_rref, matvec
+from .support import (
+    dense_nullspace_basis,
+    dense_rref,
+    matvec,
+    rref,
+    split_positive_vector_in_span,
+)
 
 
 F = Fraction
@@ -191,6 +199,123 @@ def test_positive_vector_randomized_against_scipy():
             _, pivots = rref([row[:] for row in base])
             _, pivots_ext = rref([row[:] for row in base] + [list(result.vector)])
             assert len(pivots) == len(pivots_ext)
+
+
+def assert_positivity_proof(result, vectors, dim):
+    """The witness is >= 1 and in the span, or the certificate separates it."""
+    if result.feasible:
+        assert result.certificate is None
+        assert len(result.vector) == dim
+        assert all(type(x) is Fraction and x >= 1 for x in result.vector)
+        _, pivots = rref(vectors)
+        _, pivots_ext = rref(list(vectors) + [list(result.vector)])
+        assert len(pivots_ext) == len(pivots)
+    else:
+        cert = result.certificate
+        assert len(cert) == dim
+        assert all(type(y) is Fraction and y >= 0 for y in cert)
+        assert any(y > 0 for y in cert)
+        assert all(v == 0 for v in matvec(vectors, cert))
+
+
+@st.composite
+def spanning_sets(draw):
+    """dim 1-8 and 0-6 rational vectors, with zero, repeated and dependent ones."""
+    dim = draw(st.integers(1, 8))
+    vectors = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 5))
+        if kind == 0 and vectors:
+            vectors.append(list(draw(st.sampled_from(vectors))))
+        elif kind == 1:
+            vectors.append([0] * dim)
+        elif kind == 2 and len(vectors) >= 2:
+            a, b = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            c, d = draw(_ENTRIES), draw(_ENTRIES)
+            vectors.append([c * x + d * y for x, y in zip(a, b)])
+        else:
+            vectors.append([draw(_ENTRIES) for _ in range(dim)])
+    return vectors, dim
+
+
+@settings(max_examples=400, deadline=None)
+@given(span=spanning_sets())
+def test_positivity_matches_split_variable_oracle(span):
+    vectors, dim = span
+    result = positive_vector_in_span(vectors, dim)
+    assert result.feasible == split_positive_vector_in_span(vectors, dim).feasible
+    assert_positivity_proof(result, vectors, dim)
+
+
+def test_positivity_full_rank_span_gives_all_ones():
+    vectors = [[F(1, 2), 3, -1], [0, -2, 5], [7, 0, F(-1, 3)]]
+    result = positive_vector_in_span(vectors, 3)
+    assert result.vector == (1, 1, 1)
+
+
+@pytest.mark.parametrize("vectors", [[], [[0, 0, 0]], [[0, F(0), 0], [0, 0, 0]]])
+def test_positivity_empty_and_zero_spans_are_refuted(vectors):
+    result = positive_vector_in_span(vectors, 3)
+    assert result.certificate == (1, 1, 1)
+    assert_positivity_proof(result, vectors, 3)
+
+
+def test_positivity_in_one_dimension():
+    assert positive_vector_in_span([[F(-2, 3)]], 1).vector == (1,)
+    assert positive_vector_in_span([[0], [F(5)]], 1).vector == (1,)
+    assert positive_vector_in_span([[0]], 1).certificate == (1,)
+    assert positive_vector_in_span([], 1).certificate == (1,)
+
+
+def test_positivity_with_entries_near_two_to_the_64():
+    big = 2**64
+    cases = [
+        ([[big - 1, -(big + 1), 3], [1, 1, big]], 3, True),
+        ([[big + 1, -(big - 1)]], 2, False),
+        ([[F(big, big - 1), -F(big + 1, 3), 1], [1, big, -F(1, big)]], 3, True),
+        ([[F(big, big - 1), -F(big + 1, 3), 1], [big, big, -(big - 3)]], 3, False),
+        ([[big, -big, 0], [0, big, -big]], 3, False),
+    ]
+    for vectors, dim, feasible in cases:
+        result = positive_vector_in_span(vectors, dim)
+        assert result.feasible == feasible
+        assert result.feasible == split_positive_vector_in_span(vectors, dim).feasible
+        assert_positivity_proof(result, vectors, dim)
+
+
+TAMPERED_CERTIFICATE_SCRIPT = """
+import crnkit.linalg as linalg
+assert not __debug__
+phase1 = linalg._phase1
+for tamper in (lambda z: [-v for v in z], lambda z: [0] * len(z)):
+    def tampered(rows, rhs, nvars, tamper=tamper):
+        s, z = phase1(rows, rhs, nvars)
+        return s, tamper(z)
+    linalg._phase1 = tampered
+    try:
+        linalg.positive_vector_in_span([(1, -1, 0), (0, 2, -1)], 3)
+    except linalg.ProofCheckError as exc:
+        print(exc)
+"""
+
+
+def test_tampered_reduced_costs_fail_the_proof_check_under_optimization(monkeypatch):
+    import crnkit.linalg
+
+    phase1 = crnkit.linalg._phase1
+    monkeypatch.setattr(
+        crnkit.linalg,
+        "_phase1",
+        lambda rows, rhs, nvars: (None, [-v for v in phase1(rows, rhs, nvars)[1]]),
+    )
+    with pytest.raises(ProofCheckError, match="nonnegative and nonzero"):
+        positive_vector_in_span([(1, -1)], 2)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", TAMPERED_CERTIFICATE_SCRIPT],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["certificate must be nonnegative and nonzero"] * 2
 
 
 def test_inertia_diagonal():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from crnkit import (
     drift_report,
     integrate,
 )
-from crnkit.sim import MAX_FIXED_STEPS
+import crnkit.sim
+from crnkit.sim import MAX_FIXED_STEPS, MAX_SAMPLES
 from .support import (
     SMALL_FRACTIONS,
     SMALL_POSITIVE,
@@ -52,7 +54,8 @@ def test_config_validation():
 
 
 def test_fixed_step_count_is_capped():
-    SimConfig(step=1.0, t_end=float(MAX_FIXED_STEPS))
+    # a stride keeps the run at the step limit within the sample limit
+    SimConfig(step=1.0, t_end=float(MAX_FIXED_STEPS), stride=MAX_FIXED_STEPS // MAX_SAMPLES)
     with pytest.raises(ValueError, match=r"takes 1e\+20 steps"):
         SimConfig(step=1e-20, t_end=1.0)
     with pytest.raises(ValueError, match="takes inf steps"):
@@ -62,6 +65,27 @@ def test_fixed_step_count_is_capped():
     # the adaptive method chooses its own steps; `step` is only its first guess
     SimConfig(method="rkf45_adaptive", step=1e-20, t_end=1.0)
 
+
+def test_fixed_step_sample_count_is_capped():
+    SimConfig(step=1.0, t_end=float(MAX_SAMPLES))
+    with pytest.raises(ValueError, match=r"stores 1e\+07 samples, more than the limit of 1e\+06"):
+        SimConfig(step=1e-6, t_end=10.0)
+    with pytest.raises(ValueError, match="samples"):
+        SimConfig(step=1.0, t_end=float(MAX_SAMPLES + 1))
+    SimConfig(step=1e-6, t_end=10.0, stride=10)
+    SimConfig(method="rkf45_adaptive", step=1e-6, t_end=10.0)
+
+
+def test_rkf45_aborts_at_the_sample_limit(example_system, monkeypatch):
+    config = SimConfig(method="rkf45_adaptive", tolerance=1e-10, t_end=10.0)
+    stored = len(integrate(example_system, [1.0, 0.0], config).times)
+    monkeypatch.setattr(crnkit.sim, "MAX_SAMPLES", stored - 1)
+    assert integrate(example_system, [1.0, 0.0], config).times[-1] == 10.0
+    monkeypatch.setattr(crnkit.sim, "MAX_SAMPLES", stored - 2)
+    with pytest.raises(SimulationError, match=re.escape(f"more than {stored - 2:.0e} samples")):
+        integrate(example_system, [1.0, 0.0], config)
+    strided = SimConfig(method="rkf45_adaptive", tolerance=1e-10, t_end=10.0, stride=2)
+    assert integrate(example_system, [1.0, 0.0], strided).times[-1] == 10.0
 
 def test_compiled_rhs_matches_exact_evaluation():
     rng = random.Random(99)
