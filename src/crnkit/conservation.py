@@ -17,7 +17,13 @@ from typing import Sequence
 from .linalg import nullspace_basis, positive_vector_in_span
 from .network import ReactionNetwork
 from .numbers import format_rational, primitive_integer_vector
-from .poly import Polynomial, PolynomialSystem, coefficient_matrix
+from .poly import (
+    Exponents,
+    Polynomial,
+    PolynomialSystem,
+    accumulate_terms,
+    coefficient_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -62,10 +68,10 @@ def kinetic_residual(rho: Sequence[Fraction], system: PolynomialSystem) -> Polyn
         raise ValueError(
             f"vector length {len(rho)} does not match {system.dim} variables"
         )
-    total = Polynomial.zero(system.dim)
+    sums: dict[Exponents, Fraction] = {}
     for value, component in zip(rho, system.components):
-        total = total + component * Fraction(value)
-    return total
+        accumulate_terms(sums, component.terms(), Fraction(value))
+    return Polynomial._from_clean(system.dim, {e: c for e, c in sums.items() if c})
 
 
 def _positive_kernel_vector(

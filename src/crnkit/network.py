@@ -30,6 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix
 from .numbers import format_rational, parse_rational
+from .poly import MAX_DEGREE
 
 Rate = Fraction | str
 
@@ -456,6 +457,7 @@ class _LineParser:
                 kb = None
             self.take("rbracket")
             right = self.parse_complex()
+            first_new = len(steps)
             try:
                 if arrow[0] == "fwd":
                     steps.append(ReactionStep(left, right, kf))
@@ -466,6 +468,15 @@ class _LineParser:
                     steps.append(ReactionStep(right, left, kb))
             except NetworkValidationError as exc:
                 self.error(str(exc), arrow[2])
+            for step in steps[first_new:]:
+                # reactant coefficients (integers, as ReactionStep checks)
+                # become the exponents of the rate monomial
+                degree = sum(c.numerator for _, c in step.reactant.entries)
+                if degree > MAX_DEGREE:
+                    self.error(
+                        f"reactant complex of degree {degree} is above MAX_DEGREE = {MAX_DEGREE}",
+                        arrow[2],
+                    )
             left = right
         if not saw_arrow:
             self.error("chain needs at least one arrow")

@@ -4,6 +4,18 @@ A polynomial in M variables is stored as a mapping from exponent tuples of
 length M to nonzero Fraction coefficients.  Printing, hashing and iteration
 use descending graded-lexicographic term order, so rendered forms are stable
 and parse(render(p)) == p.
+
+`Polynomial(dim, terms)` is the validating constructor for terms that come
+from outside: it checks every exponent tuple and converts every coefficient.
+Arithmetic and the exact pipeline build their results with the trusted
+`Polynomial._from_clean(dim, terms)` instead, which stores the dict it is
+given as is.  Its contract: the dict is not shared with anyone else, every
+key is a tuple of `dim` non-negative ints, and every value is a nonzero
+`Fraction`.
+
+The parser bounds exact expansion: before each `*` and `**` it checks the
+degree and a bound on the term count of the result against `MAX_DEGREE`
+and `MAX_TERMS`, so no expansion starts that could exceed them.
 """
 
 from __future__ import annotations
@@ -11,6 +23,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import add
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -18,6 +32,11 @@ from .numbers import format_rational, parse_rational
 
 Exponents = tuple[int, ...]
 Scalar = Union[Fraction, int]
+
+# Caps on what the parser may expand: the total degree of any product or
+# power (and any exponent), and a bound on its number of terms.
+MAX_DEGREE = 100
+MAX_TERMS = 2_000
 
 
 def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
@@ -47,11 +66,46 @@ def coefficient_matrix(
     return list(rows.values())
 
 
+def accumulate_terms(
+    sums: dict[Exponents, Fraction],
+    terms: Mapping[Exponents, Fraction],
+    scale: Fraction | None = None,
+    shift: int | None = None,
+) -> None:
+    """Add scale * x_shift * f to the term sums, for f given by its terms.
+
+    scale None means 1 and shift None means no factor x_shift.  Multiplying
+    by x_shift (raising that exponent by one, the shift rule of Lie
+    derivatives) maps distinct terms to distinct keys, so a term only merges
+    with what `sums` already held.  Sums that reach zero stay in `sums`;
+    drop them before passing `sums` to `Polynomial._from_clean`.
+    """
+    for expts, coeff in terms.items():
+        if shift is not None:
+            expts = expts[:shift] + (expts[shift] + 1,) + expts[shift + 1 :]
+        if scale is not None:
+            coeff = coeff * scale
+        old = sums.get(expts)
+        sums[expts] = coeff if old is None else old + coeff
+
+
 def default_variable_names(dim: int) -> tuple[str, ...]:
     """Conventional names: x / x,y / x,y,z / x,y,z,w, then x1..xM."""
     if 1 <= dim <= 4:
         return tuple("xyzw"[:dim])
     return tuple(f"x{i + 1}" for i in range(dim))
+
+
+def _checked_exponents(dim: int, raw) -> Exponents:
+    """`raw` as a tuple of ints, or ValueError naming what is wrong with it."""
+    expts = tuple(int(e) for e in raw)
+    if expts != tuple(raw):
+        raise ValueError(f"non-integral exponent in {tuple(raw)}")
+    if len(expts) != dim:
+        raise ValueError(f"exponent tuple {expts} does not match dimension {dim}")
+    if any(e < 0 for e in expts):
+        raise ValueError(f"negative exponent in {expts}")
+    return expts
 
 
 class Polynomial:
@@ -64,21 +118,28 @@ class Polynomial:
             raise ValueError("dimension must be nonnegative")
         cleaned: dict[Exponents, Fraction] = {}
         for raw, coeff in (terms or {}).items():
-            expts = tuple(int(e) for e in raw)
-            if expts != tuple(raw):
-                raise ValueError(f"non-integral exponent in {tuple(raw)}")
-            if len(expts) != dim:
-                raise ValueError(
-                    f"exponent tuple {expts} does not match dimension {dim}"
-                )
-            if any(e < 0 for e in expts):
-                raise ValueError(f"negative exponent in {expts}")
-            c = Fraction(coeff)
-            if c != 0:
-                cleaned[expts] = c
+            # a tuple of dim non-negative ints (not bools) is already clean
+            if not (
+                type(raw) is tuple
+                and len(raw) == dim
+                and all(type(e) is int and e >= 0 for e in raw)
+            ):
+                raw = _checked_exponents(dim, raw)
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            if c:
+                cleaned[raw] = c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_terms", cleaned)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _from_clean(cls, dim: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """Trusted constructor: store `terms` as is (see the module docstring)."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "dim", dim)
+        object.__setattr__(poly, "_terms", terms)
+        object.__setattr__(poly, "_hash", None)
+        return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Polynomial is immutable")
@@ -149,13 +210,21 @@ class Polynomial:
             return NotImplemented
         terms = dict(self._terms)
         for expts, coeff in rhs._terms.items():
-            terms[expts] = terms.get(expts, Fraction(0)) + coeff
-        return Polynomial(self.dim, terms)
+            old = terms.get(expts)
+            if old is None:
+                terms[expts] = coeff
+            else:
+                total = old + coeff
+                if total:
+                    terms[expts] = total
+                else:
+                    del terms[expts]
+        return Polynomial._from_clean(self.dim, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.dim, {e: -c for e, c in self._terms.items()})
+        return Polynomial._from_clean(self.dim, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         rhs = self._coerce(other)
@@ -171,17 +240,25 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Polynomial(self.dim, {e: v * c for e, v in self._terms.items()})
+            if not other:
+                return Polynomial._from_clean(self.dim, {})
+            c = other if type(other) is Fraction else Fraction(other)
+            return Polynomial._from_clean(
+                self.dim, {e: v * c for e, v in self._terms.items()}
+            )
         if isinstance(other, Polynomial):
             if other.dim != self.dim:
                 raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
             terms: dict[Exponents, Fraction] = {}
+            rhs = other._terms.items()
             for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-            return Polynomial(self.dim, terms)
+                for e2, c2 in rhs:
+                    key = tuple(map(add, e1, e2))
+                    old = terms.get(key)
+                    terms[key] = c1 * c2 if old is None else old + c1 * c2
+            return Polynomial._from_clean(
+                self.dim, {e: c for e, c in terms.items() if c}
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -205,16 +282,13 @@ class Polynomial:
         """Partial derivative with respect to variable `index`."""
         if not 0 <= index < self.dim:
             raise ValueError(f"variable index {index} out of range for dim {self.dim}")
+        # lowering one exponent maps distinct terms to distinct terms
         terms: dict[Exponents, Fraction] = {}
         for expts, coeff in self._terms.items():
             e = expts[index]
-            if e == 0:
-                continue
-            new = list(expts)
-            new[index] = e - 1
-            key = tuple(new)
-            terms[key] = terms.get(key, Fraction(0)) + coeff * e
-        return Polynomial(self.dim, terms)
+            if e:
+                terms[expts[:index] + (e - 1,) + expts[index + 1 :]] = coeff * e
+        return Polynomial._from_clean(self.dim, terms)
 
     def substitute(self, assignments: Mapping[int, "Scalar | Polynomial"]) -> "Polynomial":
         """Substitute values or polynomials (same dimension) for variables."""
@@ -358,6 +432,41 @@ class _PolyParser:
         self.pos += 1
         return tok
 
+    def check_expansion(self, degree: int, terms: int):
+        """Refuse an expansion of this degree or term-count bound."""
+        if degree > MAX_DEGREE:
+            raise PolynomialParseError(
+                f"expansion would reach degree {degree}, above MAX_DEGREE = {MAX_DEGREE}"
+            )
+        if terms > MAX_TERMS:
+            raise PolynomialParseError(
+                f"expansion could reach {terms} terms, above MAX_TERMS = {MAX_TERMS}"
+            )
+
+    def product(self, left: Polynomial, right: Polynomial) -> Polynomial:
+        if not left.is_zero() and not right.is_zero():
+            degree = left.degree() + right.degree()
+            self.check_expansion(
+                degree,
+                min(len(left.terms()) * len(right.terms()), comb(degree + self.dim, self.dim)),
+            )
+        return left * right
+
+    def power(self, base: Polynomial, exponent: int) -> Polynomial:
+        if exponent > MAX_DEGREE:
+            raise PolynomialParseError(
+                f"exponent {exponent} is above MAX_DEGREE = {MAX_DEGREE}"
+            )
+        terms = len(base.terms())
+        if terms:
+            degree = exponent * base.degree()
+            # a^n has at most one term per multiset of n of a's terms
+            self.check_expansion(
+                degree,
+                min(comb(exponent + terms - 1, terms - 1), comb(degree + self.dim, self.dim)),
+            )
+        return base**exponent
+
     def parse(self) -> Polynomial:
         result = self.parse_sum()
         tok = self.peek()
@@ -391,10 +500,10 @@ class _PolyParser:
                 break
             if tok[0] == "op" and tok[1] == "*":
                 self.take()
-                result = result * self.parse_factor()
+                result = self.product(result, self.parse_factor())
             elif tok[0] in ("number", "ident") or (tok[0] == "op" and tok[1] == "("):
                 # implicit multiplication, e.g. "2x", "x y" or "x(x + y)"
-                result = result * self.parse_factor()
+                result = self.product(result, self.parse_factor())
             else:
                 break
         return result
@@ -416,7 +525,7 @@ class _PolyParser:
                     raise PolynomialParseError(
                         f"expected integer exponent at column {exp_tok[2] + 1}"
                     )
-                return inner ** int(exp_tok[1])
+                return self.power(inner, int(exp_tok[1]))
             return inner
         if tok[0] == "number":
             value = parse_rational(tok[1])
@@ -449,7 +558,7 @@ class _PolyParser:
                     raise PolynomialParseError(
                         f"expected integer exponent at column {exp_tok[2] + 1}"
                     )
-                return base ** int(exp_tok[1])
+                return self.power(base, int(exp_tok[1]))
             return base
         raise PolynomialParseError(
             f"unexpected token {tok[1]!r} at column {tok[2] + 1}"

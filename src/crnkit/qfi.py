@@ -2,12 +2,17 @@
 
 A quadratic candidate V(x) = x^T Q x + b^T x + c is a first integral of
 x' = f(x) when its Lie derivative sum_m (dV/dx_m) f_m vanishes identically.
-Since the Lie derivative is bilinear in (V, f), the search for first
-integrals is an exact null-space computation over a matrix assembled directly
-from the coefficients of f: each unit candidate's column is f_i, or f_i and
-f_j shifted by one variable and doubled.  Strict sign conditions (for
-instance a positive-definite diagonal V) are decided by a fraction-free
-integer phase-1 simplex over the reduced span of that null space.
+The Lie derivative is computed straight from the coefficients of V and f:
+dV/dx_i = 2 sum_k q_ik x_k + b_i, so each term of f_i enters once scaled by
+2 q_ik with its exponent of x_k raised by one (the shift rule), and once
+scaled by b_i.  No gradient or product polynomial is built.  Since the Lie
+derivative is bilinear in (V, f), the search for first integrals is an exact
+null-space computation over a matrix assembled by the same shift rule: each
+unit candidate's column is f_i, or f_i and f_j shifted by one variable and
+doubled (the positive-diagonal search drops the factor 2 that every one of
+its columns carries).  Strict sign conditions (for instance a
+positive-definite diagonal V) are decided by a fraction-free integer phase-1
+simplex over the reduced span of that null space.
 
 The generators in this module produce, for each supported shape of V, the
 full coefficient family of kinetic quadratic systems conserving it; each
@@ -35,11 +40,19 @@ from .poly import (
     Exponents,
     Polynomial,
     PolynomialSystem,
+    accumulate_terms,
     coefficient_matrix,
     default_variable_names,
 )
 
 Scalar = Fraction | int
+
+_ZERO = Fraction(0)
+
+
+def _fraction(value: Scalar) -> Fraction:
+    """`value` as a Fraction, kept as is when it already is one."""
+    return value if type(value) is Fraction else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -51,11 +64,11 @@ class QuadraticCandidate:
     constant: Fraction = Fraction(0)
 
     def __post_init__(self):
-        q = tuple(tuple(Fraction(v) for v in row) for row in self.q)
-        linear = tuple(Fraction(v) for v in self.linear)
+        q = tuple(tuple(map(_fraction, row)) for row in self.q)
+        linear = tuple(map(_fraction, self.linear))
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "constant", Fraction(self.constant))
+        object.__setattr__(self, "constant", _fraction(self.constant))
         n = len(q)
         if any(len(row) != n for row in q):
             raise ValueError("Q must be square")
@@ -74,10 +87,10 @@ class QuadraticCandidate:
     def diagonal(cls, coeffs: Sequence[Scalar]) -> "QuadraticCandidate":
         n = len(coeffs)
         q = tuple(
-            tuple(Fraction(coeffs[i]) if i == j else Fraction(0) for j in range(n))
+            tuple(_fraction(coeffs[i]) if i == j else _ZERO for j in range(n))
             for i in range(n)
         )
-        return cls(q, (Fraction(0),) * n)
+        return cls(q, (_ZERO,) * n)
 
     @classmethod
     def binary_form(cls, a: Scalar, b: Scalar, c: Scalar) -> "QuadraticCandidate":
@@ -119,10 +132,6 @@ class QuadraticCandidate:
         add((0,) * n, self.constant)
         return Polynomial(n, terms)
 
-    def gradient(self) -> list[Polynomial]:
-        poly = self.as_polynomial()
-        return [poly.derivative(i) for i in range(self.dim)]
-
     def is_diagonal(self) -> bool:
         return all(
             self.q[i][j] == 0
@@ -157,15 +166,20 @@ class QuadraticCandidate:
 
 
 def lie_derivative(candidate: QuadraticCandidate, system: PolynomialSystem) -> Polynomial:
-    """grad(V) . f, computed exactly."""
+    """grad(V) . f = sum_i (2 sum_k q_ik x_k + b_i) f_i, computed exactly."""
     if candidate.dim != system.dim:
         raise ValueError(
             f"candidate dimension {candidate.dim} does not match system dimension {system.dim}"
         )
-    total = Polynomial.zero(system.dim)
-    for partial, component in zip(candidate.gradient(), system.components):
-        total = total + partial * component
-    return total
+    sums: dict[Exponents, Fraction] = {}
+    for i, component in enumerate(system.components):
+        terms = component.terms()
+        for k, q_ik in enumerate(candidate.q[i]):
+            if q_ik:
+                accumulate_terms(sums, terms, 2 * q_ik, shift=k)
+        if candidate.linear[i]:
+            accumulate_terms(sums, terms, candidate.linear[i])
+    return Polynomial._from_clean(system.dim, {e: c for e, c in sums.items() if c})
 
 
 def is_first_integral(candidate: QuadraticCandidate, system: PolynomialSystem) -> bool:
@@ -183,27 +197,28 @@ def _lie_derivative_columns(
     off-diagonal unit 2 x_i x_j (i < j) gives 2 x_j f_i + 2 x_i f_j, and the
     linear unit x_i gives f_i.  Constants are excluded: they never influence
     the Lie derivative, and reported candidates pin the constant to zero.
+    With diagonal_only every column is x_i^2's, so the common factor 2 is
+    dropped; the null space is the same.
     """
     n = system.dim
     f = [component.terms() for component in system.components]
-
-    def twice_shifted(pairs: set[tuple[int, int]]) -> dict[Exponents, Fraction]:
-        # sum of 2 x_k f_i over the (i, k) pairs
-        column: dict[Exponents, Fraction] = {}
-        for i, k in pairs:
-            for expts, coeff in f[i].items():
-                key = expts[:k] + (expts[k] + 1,) + expts[k + 1 :]
-                column[key] = column.get(key, 0) + 2 * coeff
-        return column
-
-    # the set holds one pair for a diagonal unit and two otherwise
-    quadratic = [
-        twice_shifted({(i, j), (j, i)})
-        for i in range(n)
-        for j in range(i, n)
-        if i == j or not diagonal_only
-    ]
-    return quadratic if diagonal_only else quadratic + f
+    if diagonal_only:
+        columns = []
+        for i in range(n):
+            column: dict[Exponents, Fraction] = {}
+            accumulate_terms(column, f[i], shift=i)
+            columns.append(column)
+        return columns
+    twice = [{e: 2 * c for e, c in terms.items()} for terms in f]
+    quadratic = []
+    for i in range(n):
+        for j in range(i, n):
+            column = {}
+            accumulate_terms(column, twice[i], shift=j)
+            if j != i:
+                accumulate_terms(column, twice[j], shift=i)
+            quadratic.append(column)
+    return quadratic + f
 
 
 def _candidate(weights: Sequence[Fraction], dim: int, diagonal_only: bool) -> QuadraticCandidate:
@@ -306,8 +321,8 @@ class DiagonalParams:
     coupling: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        weights = tuple(Fraction(v) for v in self.weights)
-        coupling = tuple(tuple(Fraction(v) for v in row) for row in self.coupling)
+        weights = tuple(map(_fraction, self.weights))
+        coupling = tuple(tuple(map(_fraction, row)) for row in self.coupling)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "coupling", coupling)
         n = len(weights)
@@ -343,15 +358,18 @@ def generate_diagonal_system(
     names = tuple(variables) if variables is not None else default_variable_names(n)
     components = []
     for m in range(n):
-        poly = Polynomial.zero(n)
+        # the x_p^2 and x_m x_p keys (p != m) are all distinct
+        terms: dict[Exponents, Fraction] = {}
         for p in range(n):
             if p == m:
                 continue
-            sq = tuple(2 if i == p else 0 for i in range(n))
-            cross = tuple(1 if i in (m, p) else 0 for i in range(n))
-            poly = poly + Polynomial.monomial(n, sq, a[p] * k[m][p])
-            poly = poly - Polynomial.monomial(n, cross, a[p] * k[p][m])
-        components.append(poly)
+            gain = a[p] * k[m][p]
+            if gain:
+                terms[tuple(2 if i == p else 0 for i in range(n))] = gain
+            loss = a[p] * k[p][m]
+            if loss:
+                terms[tuple(1 if i in (m, p) else 0 for i in range(n))] = -loss
+        components.append(Polynomial._from_clean(n, terms))
     system = PolynomialSystem(names, tuple(components))
     _verify_generated(system, params.invariant())
     return system
@@ -440,28 +458,27 @@ def generate_mixed_sign_system(params: MixedSignParams) -> PolynomialSystem:
         # y_l z or x_k z monomials
         return tuple(1 if t in (i, z) else 0 for t in range(n))
 
-    components = []
+    # the y_l z keys of one x_k' (and the x_k z keys of one y_l') are distinct
+    terms = []
     for k_i in range(kk):
-        poly = Polynomial.zero(n)
-        for l_i in range(ll):
-            poly = poly + Polynomial.monomial(
-                n, mono(kk + l_i), b[l_i] * coupling[k_i][l_i]
-            )
-        components.append(poly)
+        terms.append({
+            mono(kk + l_i): b[l_i] * coupling[k_i][l_i]
+            for l_i in range(ll)
+            if coupling[k_i][l_i]
+        })
     for l_i in range(ll):
-        poly = Polynomial.zero(n)
-        for k_i in range(kk):
-            poly = poly + Polynomial.monomial(
-                n, mono(k_i), a[k_i] * coupling[k_i][l_i]
-            )
-        components.append(poly)
-    z_poly = Polynomial.zero(n)
-    for k_i in range(kk):
-        z_poly = z_poly - components[k_i] * params.rho_plus[k_i]
-    for l_i in range(ll):
-        z_poly = z_poly - components[kk + l_i] * params.rho_minus[l_i]
-    z_poly = z_poly * (1 / params.rho_z)
-    components.append(z_poly)
+        terms.append({
+            mono(k_i): a[k_i] * coupling[k_i][l_i]
+            for k_i in range(kk)
+            if coupling[k_i][l_i]
+        })
+    # every term is positive, so the sums for z' cannot cancel
+    z_sums: dict[Exponents, Fraction] = {}
+    for component, rho in zip(terms, params.rho_plus + params.rho_minus):
+        accumulate_terms(z_sums, component, rho)
+    scale = -1 / params.rho_z
+    terms.append({e: c * scale for e, c in z_sums.items()})
+    components = [Polynomial._from_clean(n, component) for component in terms]
     system = PolynomialSystem(params.variable_names(), tuple(components))
     _verify_generated(system, params.invariant())
     check_proof(

@@ -17,7 +17,6 @@ from crnkit import (
     SimulationError,
     Trajectory,
     compile_rhs,
-    lie_derivative,
 )
 from crnkit.linalg import PositivityResult, _reduce, check_proof
 from crnkit.sim import CLAMP_TOLERANCE
@@ -206,15 +205,34 @@ def unit_candidates(dim: int, diagonal_only: bool) -> list[QuadraticCandidate]:
     return out
 
 
+def gradient(candidate: QuadraticCandidate) -> list[Polynomial]:
+    poly = candidate.as_polynomial()
+    return [poly.derivative(i) for i in range(candidate.dim)]
+
+
+def arithmetic_lie_derivative(
+    candidate: QuadraticCandidate, system: PolynomialSystem
+) -> Polynomial:
+    """Oracle for `lie_derivative`: grad(V) . f by Polynomial products and sums."""
+    if candidate.dim != system.dim:
+        raise ValueError(
+            f"candidate dimension {candidate.dim} does not match system dimension {system.dim}"
+        )
+    total = Polynomial.zero(system.dim)
+    for partial, component in zip(gradient(candidate), system.components):
+        total = total + partial * component
+    return total
+
+
 def unit_lie_derivative_matrix(
     system: PolynomialSystem, units: list[QuadraticCandidate]
 ) -> list[list[Fraction]]:
     """Oracle for the first-integral constraint matrix.
 
-    Applies `lie_derivative` to every unit candidate and reads the
-    coefficients back, one row per monomial in sorted order.
+    Applies `arithmetic_lie_derivative` to every unit candidate and reads
+    the coefficients back, one row per monomial in sorted order.
     """
-    lies = [lie_derivative(unit, system) for unit in units]
+    lies = [arithmetic_lie_derivative(unit, system) for unit in units]
     monomials = sorted({mono for poly in lies for mono in poly.monomials()})
     return [[poly.coefficient(mono) for poly in lies] for mono in monomials]
 

@@ -423,6 +423,23 @@ def test_simulate_rejects_too_many_samples(system_file, capsys):
     assert "stores 1e+07 samples" in capsys.readouterr().err
     assert time.perf_counter() - start < 1.0
 
+
+@pytest.mark.parametrize(
+    "text, limit",
+    [
+        ("vars x\nx^100000000000\n", "MAX_DEGREE"),
+        ("vars x y z\n(x+y+z+1)^50\nx\ny\n", "MAX_TERMS"),
+        ("100000000000A ->[1] B\n", "MAX_DEGREE"),
+    ],
+)
+def test_check_refuses_oversized_expansion(tmp_path, capsys, text, limit):
+    path = write(tmp_path, "big.txt", text)
+    start = time.perf_counter()
+    assert main(["check", path, "--property", "kinetic"]) == 2
+    assert f"above {limit} = " in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_simulate_abort_is_exit_one(tmp_path, capsys):
     path = write(tmp_path, "blow.txt", "vars x\nx^2\n")
     code = main(["simulate", path, "--x0", "2", "--t-end", "1.0"])

@@ -12,6 +12,7 @@ from crnkit import (
     parse_network,
 )
 from crnkit.network import Complex, ReactionStep
+from crnkit.poly import MAX_DEGREE
 
 from .support import random_network
 
@@ -82,6 +83,21 @@ def test_empty_complex_and_fractional_product():
 def test_fractional_reactant_rejected():
     with pytest.raises(NetworkSyntaxError):
         parse_network("1/2X ->[1] Y")
+
+
+def test_reactant_degree_is_capped():
+    at_cap = parse_network(f"{MAX_DEGREE - 1}A + B ->[1] C")
+    assert at_cap.steps[0].reactant.as_dict() == {0: MAX_DEGREE - 1, 1: 1}
+    for text in (
+        f"{MAX_DEGREE}A + B ->[1] C",
+        f"C <-[1] {MAX_DEGREE + 1}A",
+        "C <=>[1, 1] 100000000000A",
+        f"A ->[1] {MAX_DEGREE + 1}B ->[1] C",
+    ):
+        with pytest.raises(NetworkSyntaxError, match=f"above MAX_DEGREE = {MAX_DEGREE}"):
+            parse_network(text)
+    # product coefficients are not exponents
+    assert parse_network(f"A ->[1] {MAX_DEGREE + 1}B").steps[0].product.coefficient(1) == MAX_DEGREE + 1
 
 
 def test_semicolon_and_comments():

@@ -1,9 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crnkit import Polynomial, PolynomialParseError, PolynomialSystem, parse_polynomial, parse_system
+from crnkit.poly import MAX_DEGREE
 
 from .support import random_polynomial
 
@@ -125,6 +128,33 @@ def test_parse_malformed():
             parse_polynomial(bad, ("x", "y"))
 
 
+def test_parse_caps_admit_expansion_up_to_them():
+    names = ("x", "y", "z")
+    assert parse_polynomial(f"x^{MAX_DEGREE}", names) == Polynomial.monomial(3, (MAX_DEGREE, 0, 0))
+    assert len(parse_polynomial("(x + y + z + 1)^10", names).terms()) == 286
+
+
+@pytest.mark.parametrize(
+    "text, limit",
+    [
+        ("x^100000000000", "MAX_DEGREE"),
+        (f"x^{MAX_DEGREE + 1}", "MAX_DEGREE"),
+        (f"(2)^{MAX_DEGREE + 1}", "MAX_DEGREE"),
+        (f"x^{MAX_DEGREE} * y", "MAX_DEGREE"),
+        (f"x^{MAX_DEGREE} y", "MAX_DEGREE"),
+        (f"(x + y)^{MAX_DEGREE // 2} * (x + 1)^{MAX_DEGREE // 2 + 1}", "MAX_DEGREE"),
+        ("(x + y + z + 1)^50", "MAX_TERMS"),
+        ("(x + y + 1)^62", "MAX_TERMS"),  # at most C(64, 2) = 2016 terms
+        ("(x + y + 1)^30 * (x + y + 1)^33", "MAX_TERMS"),
+    ],
+)
+def test_parse_refuses_oversized_expansion(text, limit):
+    start = time.perf_counter()
+    with pytest.raises(PolynomialParseError, match=f"above {limit} = "):
+        parse_polynomial(text, ("x", "y", "z"))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_system_from_strings_and_render():
     sys_ = PolynomialSystem.from_strings(("x", "y"), ["y^2 - x*y", "x^2"])
     assert sys_.render() == "{-x*y + y^2, x^2}"
@@ -152,3 +182,99 @@ def test_system_dimension_mismatch():
         PolynomialSystem(("x",), (Polynomial.zero(2),))
     with pytest.raises(ValueError, match="non-integral exponent"):
         Polynomial(1, {(1.5,): 1})
+
+
+# -- the validating constructor ----------------------------------------------
+
+@pytest.mark.parametrize(
+    "dim, terms, message",
+    [
+        (1, {(1.5,): 1}, r"non-integral exponent in \(1.5,\)"),
+        (1, {("1",): 1}, r"non-integral exponent in \('1',\)"),
+        (1, {(-1,): 1}, r"negative exponent in \(-1,\)"),
+        (2, {(1,): 1}, r"exponent tuple \(1,\) does not match dimension 2"),
+        (1, {(1, 0): 1}, r"exponent tuple \(1, 0\) does not match dimension 1"),
+        (2, {(-1,): 1}, r"exponent tuple \(-1,\) does not match dimension 2"),
+        (1, {(1,): "abc"}, "Invalid literal for Fraction"),
+    ],
+)
+def test_constructor_rejects(dim, terms, message):
+    with pytest.raises(ValueError, match=message):
+        Polynomial(dim, terms)
+
+
+@pytest.mark.parametrize(
+    "terms, stored",
+    [
+        ({(1.0,): 1}, {(1,): Fraction(1)}),
+        ({(True,): 1}, {(1,): Fraction(1)}),
+        ({(False,): 2}, {(0,): Fraction(2)}),
+        ({(1,): 0.5}, {(1,): Fraction(1, 2)}),
+        ({(1,): 3}, {(1,): Fraction(3)}),
+        ({(1,): "1/3"}, {(1,): Fraction(1, 3)}),
+        ({(1,): 0.0, (2,): "0", (3,): Fraction(0)}, {}),
+    ],
+)
+def test_constructor_converts(terms, stored):
+    poly = Polynomial(1, terms)
+    assert dict(poly.terms()) == stored
+    # a bool exponent equals and hashes like an int, so check the types too
+    assert all(type(e) is int for key in poly.terms() for e in key)
+    assert all(type(v) is Fraction for v in poly.terms().values())
+
+
+def test_constructor_rejects_a_non_number_coefficient():
+    with pytest.raises(TypeError):
+        Polynomial(1, {(1,): None})
+
+
+# -- arithmetic builds valid polynomials ----------------------------------------
+
+_COEFFS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def polynomial_pairs(draw):
+    dim = draw(st.integers(1, 4))
+    exponents = st.lists(st.integers(0, 3), min_size=dim, max_size=dim).map(tuple)
+    p, q = (
+        Polynomial(dim, draw(st.dictionaries(exponents, _COEFFS, max_size=6)))
+        for _ in range(2)
+    )
+    point = [draw(_COEFFS) for _ in range(dim)]
+    return p, q, point
+
+
+def _assert_clean(poly: Polynomial):
+    assert poly == Polynomial(poly.dim, dict(poly.terms()))
+    assert all(type(v) is Fraction and v != 0 for v in poly.terms().values())
+    assert all(
+        type(key) is tuple and len(key) == poly.dim and all(type(e) is int and e >= 0 for e in key)
+        for key in poly.terms()
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=polynomial_pairs(), scalar=st.one_of(st.just(0), st.integers(-3, 3), _COEFFS))
+def test_arithmetic_results_are_clean(case, scalar):
+    p, q, point = case
+    at_p, at_q = p.evaluate(point), q.evaluate(point)
+    for result, value in (
+        (p + q, at_p + at_q),
+        (p - q, at_p - at_q),
+        (-p, -at_p),
+        (p * q, at_p * at_q),
+        (p * scalar, at_p * scalar),
+        (scalar * p, at_p * scalar),
+        (p + scalar, at_p + scalar),
+        (scalar - p, scalar - at_p),
+        (p**3, at_p**3),
+        (p**0, 1),
+    ):
+        _assert_clean(result)
+        assert result.evaluate(point) == value
+    for i in range(p.dim):
+        _assert_clean(p.derivative(i))
+    assert not (p + (-p)).terms()
+    assert not (p - p).terms()
+    assert not (p * 0).terms()

@@ -39,6 +39,7 @@ from crnkit.numbers import leading_sign_normalized
 from .conftest import CATALYTIC_CASCADE_TEXT
 from .support import (
     SMALL_FRACTIONS,
+    arithmetic_lie_derivative,
     combine_units,
     unit_candidates,
     unit_lie_derivative_matrix,
@@ -96,6 +97,50 @@ def test_lie_derivative_simple():
     system = PolynomialSystem.from_strings(("x",), ["1"])
     V = QuadraticCandidate.diagonal((F(1),))
     assert lie_derivative(V, system).render(("x",)) == "2*x"
+
+
+_COEFFS = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 6)),
+)
+
+
+@st.composite
+def systems_and_candidates(draw):
+    """Random 1-6 D systems of degree <= 3 and full quadratic candidates."""
+    dim = draw(st.integers(1, 6))
+    exponents = st.lists(st.integers(0, 2), min_size=dim, max_size=dim).map(tuple)
+    components = [
+        Polynomial(dim, draw(st.dictionaries(exponents, _COEFFS, max_size=6)))
+        for _ in range(dim)
+    ]
+    q = [[F(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            q[i][j] = q[j][i] = draw(_COEFFS)
+    linear = tuple(draw(_COEFFS) for _ in range(dim))
+    candidate = QuadraticCandidate(q, linear, draw(_COEFFS))
+    names = tuple(f"x{i + 1}" for i in range(dim))
+    return candidate, PolynomialSystem(names, tuple(components))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=systems_and_candidates())
+def test_lie_derivative_matches_arithmetic_oracle(case):
+    candidate, system = case
+    got = lie_derivative(candidate, system)
+    assert sorted(got.terms().items()) == sorted(
+        arithmetic_lie_derivative(candidate, system).terms().items()
+    )
+    assert all(type(v) is Fraction and v != 0 for v in got.terms().values())
+    assert all(type(e) is int for key in got.terms() for e in key)
+
+
+def test_lie_derivative_uses_linear_and_constant_parts():
+    # V = x^2 + 3y + 5 on x' = y, y' = 1: 2xy + 3
+    system = sys2("y", "1")
+    V = QuadraticCandidate(((F(1), F(0)), (F(0), F(0))), (F(0), F(3)), F(5))
+    assert lie_derivative(V, system).render(("x", "y")) == "2*x*y + 3"
 
 
 def test_is_first_integral_cases(oscillator_system):
