@@ -9,7 +9,6 @@ float integrator with drift monitoring covers the numerical side.
 
 from .conservation import (
     ConservationVector,
-    conservation_report,
     kinetic_conservation,
     kinetic_residual,
     stoichiometric_conservation,
@@ -107,7 +106,6 @@ __all__ = [
     "canonical_realization",
     "compile_invariant",
     "compile_rhs",
-    "conservation_report",
     "diagonal_collapse_check",
     "divergence",
     "drift_report",

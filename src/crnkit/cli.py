@@ -23,21 +23,24 @@ from pathlib import Path
 from . import __version__
 from .conservation import (
     ConservationVector,
-    conservation_report,
+    kinetic_conservation,
+    kinetic_residual,
+    stoichiometric_conservation,
+    stoichiometric_residual,
     verify_conservation,
 )
 from .kinetics import (
     NotKineticError,
     canonical_realization,
-    divergence,
     induced_kinetic_ode,
     negative_cross_effect,
     no_periodic_orbit_certificate,
 )
 from .network import ReactionNetwork, parse_network
-from .numbers import parse_rational
+from .numbers import format_rational, parse_rational
 from .poly import PolynomialSystem, parse_polynomial, parse_system
 from .qfi import (
+    BINARY_FORM_FAMILIES,
     BinaryFormParams,
     DiagonalParams,
     MixedSignParams,
@@ -83,8 +86,8 @@ def _parse_matrix(text: str) -> list[list[Fraction]]:
     return [_parse_vector(row) for row in text.split(";")]
 
 
-def _load_target(args):
-    """Read args.target as ("network", net) or ("system", sys), sniffing the format.
+def _load_target(args) -> ReactionNetwork | PolynomialSystem:
+    """Read args.target as a network or a system, sniffing the format.
 
     The file is read once.  Its bytes are hashed into args.target_sha256 for
     the manifest and decoded as `Path.read_text` would decode them (locale
@@ -96,226 +99,180 @@ def _load_target(args):
     text = io.TextIOWrapper(io.BytesIO(raw)).read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON is nested too deeply") from None
         if "species" in data:
-            return "network", ReactionNetwork.from_dict(data)
+            return ReactionNetwork.from_dict(data)
         if "variables" in data:
-            return "system", PolynomialSystem.from_dict(data)
+            return PolynomialSystem.from_dict(data)
         raise ValueError(f"{path}: JSON has neither 'species' nor 'variables'")
     first = next(
         (line.strip() for line in text.splitlines() if line.split("#", 1)[0].strip()),
         "",
     )
     if first.split()[:1] == ["vars"]:
-        return "system", parse_system(text)
-    return "network", parse_network(text)
+        return parse_system(text)
+    return parse_network(text)
+
+
+def _load_network(args) -> ReactionNetwork:
+    target = _load_target(args)
+    if not isinstance(target, ReactionNetwork):
+        raise ValueError(f"{args.command} expects a reaction network file")
+    return target
 
 
 def _as_system(args, params: dict[str, Fraction]) -> PolynomialSystem:
-    kind, obj = _load_target(args)
-    if kind == "system":
-        return obj
-    return induced_kinetic_ode(obj, params)
+    target = _load_target(args)
+    if isinstance(target, ReactionNetwork):
+        return induced_kinetic_ode(target, params)
+    return target
 
 
-class _Output:
-    """Collects printable text and files for the optional --out directory."""
+def _read_invariant(text: str, system: PolynomialSystem) -> QuadraticCandidate:
+    poly = parse_polynomial(text, system.variables)
+    if poly.degree() > 2:
+        raise ValueError(f"invariant {text!r} has degree > 2")
+    return QuadraticCandidate.from_polynomial(poly)
 
-    def __init__(self, args):
-        self.outdir = Path(args.out) if getattr(args, "out", None) else None
-        self.files: dict[str, str] = {}
-        self.args = args
 
-    def add_file(self, name: str, content: str):
-        self.files[name] = content
-
-    def finish(self, payload: dict):
-        json_mode = getattr(self.args, "json", False)
-        if not json_mode and self.outdir is None:
-            return
-        report = json.dumps(payload, indent=2, sort_keys=True)
-        if json_mode:
-            print(report)
-        if self.outdir is None:
-            return
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        self.files.setdefault("report.json", report + "\n")
-        digests = {}
-        for name, content in sorted(self.files.items()):
-            data = content.encode()
-            (self.outdir / name).write_bytes(data)
-            digests[name] = hashlib.sha256(data).hexdigest()
-        inputs = {}
-        target = getattr(self.args, "target", None)
-        if target:
-            inputs[target] = self.args.target_sha256
-        manifest = {
-            "command": self.args.command_line,
-            "version": __version__,
-            "seed": getattr(self.args, "seed", None),
-            "inputs": inputs,
-            "outputs": digests,
-        }
-        data = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
-        (self.outdir / "manifest.json").write_bytes(data)
+def _emit(args, payload: dict, lines: list[str], files: dict[str, str]) -> None:
+    """Print the text lines or the JSON report; write --out and its manifest."""
+    report = json.dumps(payload, indent=2, sort_keys=True)
+    print(report if args.json else "\n".join(lines))
+    if not args.out:
+        return
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    files["report.json"] = report + "\n"
+    digests = {}
+    for name, content in sorted(files.items()):
+        data = content.encode()
+        (outdir / name).write_bytes(data)
+        digests[name] = hashlib.sha256(data).hexdigest()
+    target = getattr(args, "target", None)
+    manifest = {
+        "command": args.command_line,
+        "version": __version__,
+        "seed": args.seed,
+        "inputs": {target: args.target_sha256} if target else {},
+        "outputs": digests,
+    }
+    data = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+    (outdir / "manifest.json").write_bytes(data)
 
 
 # -- subcommands ------------------------------------------------------------
+#
+# Each returns (exit code, JSON payload, text lines, extra --out files).
 
-def cmd_parse(args) -> int:
-    _, obj = _load_target(args)
-    if not isinstance(obj, ReactionNetwork):
-        raise ValueError("parse expects a reaction network file")
-    out = _Output(args)
-    if not args.json:
-        print(f"species: {' '.join(obj.species)}")
-        print(obj.render())
-        if not obj.is_proper:
-            unused = ", ".join(obj.unused_species()) or "no steps"
-            print(f"note: network is degenerate ({unused})")
-    out.add_file("network.json", obj.to_json() + "\n")
-    out.finish(obj.to_dict())
-    return 0
+def cmd_parse(args):
+    network = _load_network(args)
+    lines = [f"species: {' '.join(network.species)}", network.render()]
+    if not network.is_proper:
+        unused = ", ".join(network.unused_species()) or "no steps"
+        lines.append(f"note: network is degenerate ({unused})")
+    return 0, network.to_dict(), lines, {"network.json": network.to_json() + "\n"}
 
 
-def cmd_odes(args) -> int:
-    kind, obj = _load_target(args)
-    if kind != "network":
-        raise ValueError("odes expects a reaction network file")
-    system = induced_kinetic_ode(obj, _parse_params(args.params))
-    out = _Output(args)
-    if not args.json:
-        print(system.render())
-    out.finish(system.to_dict())
-    return 0
+def cmd_odes(args):
+    system = induced_kinetic_ode(_load_network(args), _parse_params(args.params))
+    return 0, system.to_dict(), [system.render()], {}
 
 
-def _check_kinetic(system, args, payload):
+# -- check: each property maps (target, args) to (holds, payload, text lines)
+
+def _check_kinetic(system, args):
     report = negative_cross_effect(system)
-    payload.update(report.to_dict())
-    if not args.json:
-        print(f"kinetic: {_verdict(report.is_kinetic)}")
-        for violation in report.violations:
-            print("  " + violation.describe(system.variables))
-    return 0 if report.is_kinetic else 1
+    lines = [f"kinetic: {_verdict(report.is_kinetic)}"]
+    lines += ["  " + v.describe(system.variables) for v in report.violations]
+    return report.is_kinetic, report.to_dict(), lines
 
 
-def _check_conservation(target, args, payload, mode):
+def _check_conservation(target, args):
+    """Stoichiometric conservation of a network, kinetic conservation of a system."""
+    if isinstance(target, ReactionNetwork):
+        mode, search = "stoichiometric", stoichiometric_conservation
+    else:
+        mode, search = "kinetic", kinetic_conservation
     candidate = None
     if args.candidate:
         candidate = ConservationVector(tuple(_parse_vector(args.candidate)), mode)
-    report = conservation_report(target, mode, candidate)
-    payload.update(report)
+    found = search(target)
+    holds = found is not None
+    payload: dict = {"mode": mode, "exists": holds}
+    details = []
+    if found is not None:
+        payload["witness"] = [format_rational(v) for v in found.rho]
+        details.append("  witness: " + " ".join(payload["witness"]))
     if candidate is not None:
-        holds = report["candidate_valid"]
-    else:
-        holds = report["exists"]
-    if not args.json:
-        label = "mass conserving (%s)" % mode
-        print(f"{label}: {_verdict(holds)}")
-        if "witness" in report:
-            print("  witness: " + " ".join(report["witness"]))
-        if candidate is not None:
-            print(
-                "  candidate valid: "
-                + _verdict(report["candidate_valid"])
-            )
-    return 0 if holds else 1
+        holds = verify_conservation(candidate, target)
+        payload["candidate"] = [format_rational(v) for v in candidate.rho]
+        payload["candidate_valid"] = holds
+        payload["residual"] = (
+            [format_rational(v) for v in stoichiometric_residual(candidate.rho, target)]
+            if mode == "stoichiometric"
+            else kinetic_residual(candidate.rho, target).render(target.variables)
+        )
+        details.append("  candidate valid: " + _verdict(holds))
+    return holds, payload, [f"mass conserving ({mode}): {_verdict(holds)}", *details]
 
 
-def _check_qfi(system, args, payload):
+def _check_qfi(system, args):
     report = find_quadratic_first_integrals(system, args.filter)
-    payload.update(report.to_dict(system.variables))
-    if not args.json:
-        print(f"quadratic first integral: {_verdict(report.found, 'found', 'none')}")
-        if report.candidate is not None:
-            print(f"  candidate: {report.candidate.render(system.variables)}")
-            print(f"  signature: {report.signature}")
-        if report.basis:
-            print(f"  solution space dimension: {len(report.basis)}")
-    return 0 if report.found else 1
+    payload = report.to_dict(system.variables)
+    lines = [f"quadratic first integral: {_verdict(report.found, 'found', 'none')}"]
+    if report.candidate is not None:
+        lines.append(f"  candidate: {payload['candidate']}")
+        lines.append(f"  signature: {report.signature}")
+    if report.basis:
+        lines.append(f"  solution space dimension: {len(report.basis)}")
+    return report.found, payload, lines
 
 
-def _check_log_lv(system, args, payload):
+def _check_log_lv(system, args):
     holds = lotka_volterra_log_check(system)
-    payload["log_integral"] = holds
-    if not args.json:
-        print(f"conserves x + y - ln x - ln y: {_verdict(holds)}")
-    return 0 if holds else 1
+    return holds, {"log_integral": holds}, [f"conserves x + y - ln x - ln y: {_verdict(holds)}"]
 
 
-def _check_no_periodic(system, args, payload):
+def _check_no_periodic(system, args):
     invariant = None
     if args.invariant and args.invariant != "auto":
-        invariant = _invariant_from_expression(args.invariant, system)
+        invariant = _read_invariant(args.invariant, system)
     cert = no_periodic_orbit_certificate(system, invariant)
-    payload.update(
-        {
-            "verdict": cert.verdict,
-            "divergence": cert.divergence.render(system.variables),
-            "divergence_negative": cert.divergence_negative,
-            "first_integral": (
-                cert.first_integral.render(system.variables)
-                if cert.first_integral is not None
-                else None
-            ),
-        }
-    )
-    if not args.json:
-        print(f"no periodic orbit in the open positive orthant: {_verdict(cert.holds, 'yes', 'inconclusive')}")
-        print(f"  divergence: {cert.divergence.render(system.variables)}")
-        print(f"  divergence nonpositive and nonzero: {_verdict(cert.divergence_negative)}")
-        known = cert.first_integral is not None
-        print(f"  first integral known: {_verdict(known)}")
-    return 0 if cert.holds else 1
+    payload = cert.to_dict(system.variables)
+    lines = [
+        "no periodic orbit in the open positive orthant: "
+        + _verdict(cert.holds, "yes", "inconclusive"),
+        f"  divergence: {payload['divergence']}",
+        f"  divergence nonpositive and nonzero: {_verdict(cert.divergence_negative)}",
+        f"  first integral known: {_verdict(cert.first_integral is not None)}",
+    ]
+    return cert.holds, payload, lines
 
 
-# handlers for the properties decided on the ODE; conserve-stoich needs the network
-_SYSTEM_CHECKS = {
+_CHECKS = {
     "kinetic": _check_kinetic,
-    "conserve-kinetic": functools.partial(_check_conservation, mode="kinetic"),
+    "conserve-stoich": _check_conservation,
+    "conserve-kinetic": _check_conservation,
     "qfi": _check_qfi,
     "log-lv": _check_log_lv,
     "no-periodic": _check_no_periodic,
 }
 
 
-def cmd_check(args) -> int:
-    kind, obj = _load_target(args)
+def cmd_check(args):
+    target = _load_target(args)
     params = _parse_params(args.params)
-    payload: dict = {"property": args.property}
     if args.property == "conserve-stoich":
-        if kind != "network":
+        if not isinstance(target, ReactionNetwork):
             raise ValueError("conserve-stoich needs a reaction network")
-        code = _check_conservation(obj, args, payload, "stoichiometric")
-    else:
-        system = obj if kind == "system" else induced_kinetic_ode(obj, params)
-        code = _SYSTEM_CHECKS[args.property](system, args, payload)
-    _Output(args).finish(payload)
-    return code
-
-
-def _invariant_from_expression(text: str, system: PolynomialSystem) -> QuadraticCandidate:
-    poly = parse_polynomial(text, system.variables)
-    n = system.dim
-    q = [[Fraction(0)] * n for _ in range(n)]
-    linear = [Fraction(0)] * n
-    constant = Fraction(0)
-    for expts, coeff in poly.sorted_terms():
-        degree = sum(expts)
-        if degree > 2:
-            raise ValueError(f"invariant {text!r} has degree > 2")
-        support = [i for i, e in enumerate(expts) if e]
-        if degree == 0:
-            constant = coeff
-        elif degree == 1:
-            linear[support[0]] = coeff
-        elif len(support) == 1:
-            q[support[0]][support[0]] = coeff
-        else:
-            i, j = support
-            q[i][j] = q[j][i] = coeff / 2
-    return QuadraticCandidate(tuple(map(tuple, q)), tuple(linear), constant)
+    elif isinstance(target, ReactionNetwork):
+        target = induced_kinetic_ode(target, params)
+    holds, payload, lines = _CHECKS[args.property](target, args)
+    return (0 if holds else 1), {"property": args.property, **payload}, lines, {}
 
 
 def _generate_family(args):
@@ -370,7 +327,7 @@ def _generate_family(args):
     return generate_binary_form_system(params), params.invariant(), None
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args):
     system, invariant, conservation = _generate_family(args)
     network = canonical_realization(system)
     checks = {
@@ -380,7 +337,6 @@ def cmd_generate(args) -> int:
     }
     if conservation is not None:
         checks["kinetically_conserving"] = verify_conservation(conservation, system)
-
     payload = {
         "family": args.family,
         "system": system.to_dict(),
@@ -388,48 +344,36 @@ def cmd_generate(args) -> int:
         "realization": network.to_dict(),
         "checks": checks,
     }
-    out = _Output(args)
-    if not args.json:
-        print(f"system: {system.render()}")
-        print(f"invariant: {invariant.render(system.variables)}")
-        print("realization:")
-        rendered = network.render()
-        print("  " + rendered.replace("\n", "\n  ") if rendered else "  (no steps)")
-        flags = " ".join(f"{k}={_verdict(v)}" for k, v in checks.items())
-        print(f"verified: {flags}")
-    out.finish(payload)
-    return 0
+    rendered = network.render()
+    lines = [
+        f"system: {system.render()}",
+        f"invariant: {payload['invariant']}",
+        "realization:",
+        "  " + rendered.replace("\n", "\n  ") if rendered else "  (no steps)",
+        "verified: " + " ".join(f"{k}={_verdict(v)}" for k, v in checks.items()),
+    ]
+    return 0, payload, lines, {}
 
 
-def cmd_realize(args) -> int:
+def cmd_realize(args):
     system = _as_system(args, _parse_params(args.params))
-    out = _Output(args)
     try:
         network = canonical_realization(system)
     except NotKineticError as exc:
-        payload = {"realizable": False, **exc.report.to_dict()}
-        if not args.json:
-            print(f"realizable: {_verdict(False)}")
-            for violation in exc.report.violations:
-                print("  " + violation.describe(system.variables))
-        out.finish(payload)
-        return 1
-    payload = {
-        "realizable": True,
-        "proper": network.is_proper,
-        **network.to_dict(),
-    }
-    if not args.json:
-        print(f"species: {' '.join(network.species)}")
-        print(network.render() if network.steps else "(no steps)")
-        if not network.is_proper:
-            print("note: degenerate realization (zero system or unused species)")
-    out.add_file("network.json", network.to_json() + "\n")
-    out.finish(payload)
-    return 0
+        lines = [f"realizable: {_verdict(False)}"]
+        lines += ["  " + v.describe(system.variables) for v in exc.report.violations]
+        return 1, {"realizable": False, **exc.report.to_dict()}, lines, {}
+    payload = {"realizable": True, "proper": network.is_proper, **network.to_dict()}
+    lines = [
+        f"species: {' '.join(network.species)}",
+        network.render() if network.steps else "(no steps)",
+    ]
+    if not network.is_proper:
+        lines.append("note: degenerate realization (zero system or unused species)")
+    return 0, payload, lines, {"network.json": network.to_json() + "\n"}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     system = _as_system(args, _parse_params(args.params))
     x0 = _parse_vector(args.x0)
     method = {"rk4": "rk4_fixed", "rkf45": "rkf45_adaptive"}[args.method]
@@ -450,38 +394,29 @@ def cmd_simulate(args) -> int:
             raise ValueError("no quadratic first integral found for --invariant auto")
         invariant = report.candidate
     elif args.invariant:
-        invariant = _invariant_from_expression(args.invariant, system)
+        invariant = _read_invariant(args.invariant, system)
         if not is_first_integral(invariant, system):
             raise ValueError("supplied invariant is not a first integral of the system")
 
-    try:
-        trajectory = integrate(system, x0, config, invariant)
-    except SimulationError as exc:
-        print(f"simulation aborted: {exc}", file=sys.stderr)
-        return 1
-
+    trajectory = integrate(system, x0, config, invariant)
     payload: dict = {
         "method": config.method,
         "t_end": config.t_end,
         "samples": len(trajectory.times),
     }
-    out = _Output(args)
-    out.add_file("trajectory.csv", trajectory.to_csv())
+    files = {"trajectory.csv": trajectory.to_csv()}
+    lines = [f"integrated to t={trajectory.times[-1]:.6g} with {len(trajectory.times)} samples"]
     if invariant is not None:
         drift = drift_report(trajectory)
         payload["invariant"] = invariant.render(system.variables)
         payload["drift"] = drift
-        out.add_file("drift.json", json.dumps(drift, indent=2, sort_keys=True) + "\n")
-    if not args.json:
-        print(f"integrated to t={trajectory.times[-1]:.6g} with {len(trajectory.times)} samples")
-        if invariant is not None:
-            print(
-                f"invariant drift: max {drift['max_abs_drift']:.3e}, "
-                f"final {drift['final_drift']:.3e}, "
-                f"positivity events {drift['positivity_events']}"
-            )
-    out.finish(payload)
-    return 0
+        files["drift.json"] = json.dumps(drift, indent=2, sort_keys=True) + "\n"
+        lines.append(
+            f"invariant drift: max {drift['max_abs_drift']:.3e}, "
+            f"final {drift['final_drift']:.3e}, "
+            f"positivity events {drift['positivity_events']}"
+        )
+    return 0, payload, lines, files
 
 
 # -- parser -----------------------------------------------------------------
@@ -531,20 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("generate", parents=[common], help="emit a conserving family instance")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=[
-            "diagonal",
-            "mixed-sign",
-            "ellipse-hyperbola",
-            "parabolic-plus",
-            "parabolic-minus",
-            "indefinite",
-            "rank-one",
-            "shifted",
-        ],
-    )
+    binary_forms = [family.replace("_", "-") for family in BINARY_FORM_FAMILIES]
+    families = ["diagonal", "mixed-sign", *binary_forms, "shifted"]
+    p.add_argument("--family", required=True, choices=families)
     for opt in ("a", "b", "c", "k", "l", "m", "n", "r", "s"):
         p.add_argument(f"--{opt}", metavar="Q")
     p.add_argument("--weights", metavar="V", help="diagonal family: comma-separated a_m")
@@ -585,10 +509,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.command_line = list(argv) if argv is not None else sys.argv[1:]
     try:
-        return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+        code, payload, lines, files = args.func(args)
+        _emit(args, payload, lines, files)
+    except SimulationError as exc:
+        print(f"simulation aborted: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 def entry_point():  # pragma: no cover - thin wrapper

@@ -128,42 +128,3 @@ def verify_conservation(
     if not isinstance(target, PolynomialSystem):
         raise TypeError("kinetic candidates verify against a polynomial system")
     return kinetic_residual(candidate.rho, target).is_zero()
-
-
-def conservation_report(
-    target: ReactionNetwork | PolynomialSystem,
-    mode: str,
-    candidate: ConservationVector | None = None,
-) -> dict:
-    """JSON-friendly summary used by the command line."""
-    if mode == "stoichiometric":
-        found = (
-            stoichiometric_conservation(target)
-            if isinstance(target, ReactionNetwork)
-            else None
-        )
-    elif mode == "kinetic":
-        found = (
-            kinetic_conservation(target)
-            if isinstance(target, PolynomialSystem)
-            else None
-        )
-    else:
-        raise ValueError(f"unknown conservation mode {mode!r}")
-    report: dict = {"mode": mode, "exists": found is not None}
-    if found is not None:
-        report["witness"] = [format_rational(v) for v in found.rho]
-    if candidate is not None:
-        ok = verify_conservation(candidate, target)
-        report["candidate"] = [format_rational(v) for v in candidate.rho]
-        report["candidate_valid"] = ok
-        if candidate.mode == "stoichiometric" and isinstance(target, ReactionNetwork):
-            report["residual"] = [
-                format_rational(v)
-                for v in stoichiometric_residual(candidate.rho, target)
-            ]
-        elif candidate.mode == "kinetic" and isinstance(target, PolynomialSystem):
-            report["residual"] = kinetic_residual(candidate.rho, target).render(
-                target.variables
-            )
-    return report

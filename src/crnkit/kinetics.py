@@ -225,6 +225,15 @@ class NoPeriodicOrbitCertificate:
     def holds(self) -> bool:
         return self.verdict == "yes"
 
+    def to_dict(self, variables: Sequence[str]) -> dict:
+        integral = self.first_integral
+        return {
+            "verdict": self.verdict,
+            "divergence": self.divergence.render(variables),
+            "divergence_negative": self.divergence_negative,
+            "first_integral": None if integral is None else integral.render(variables),
+        }
+
 
 def no_periodic_orbit_certificate(
     system: PolynomialSystem, invariant=None

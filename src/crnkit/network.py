@@ -268,13 +268,19 @@ class ReactionNetwork:
     @classmethod
     def from_dict(cls, data: Mapping) -> "ReactionNetwork":
         try:
-            species = list(data["species"])
+            species = data["species"]
             raw_steps = data["steps"]
         except (KeyError, TypeError) as exc:
             raise ValueError("network JSON needs 'species' and 'steps'") from exc
+        if not isinstance(species, list) or not all(isinstance(s, str) for s in species):
+            raise ValueError("network JSON 'species' must be a list of names")
+        if not isinstance(raw_steps, list):
+            raise ValueError("network JSON 'steps' must be a list of steps")
         index = {name: i for i, name in enumerate(species)}
 
-        def read_complex(entry: Mapping[str, str]) -> Complex:
+        def read_complex(entry, where: str) -> Complex:
+            if not isinstance(entry, Mapping):
+                raise ValueError(f"{where} must map species names to coefficients")
             coeffs = {}
             for name, value in entry.items():
                 if name not in index:
@@ -283,13 +289,18 @@ class ReactionNetwork:
             return Complex.from_mapping(coeffs)
 
         steps = []
-        for raw in raw_steps:
-            rate_text = str(raw["rate"])
-            rate = _parse_rate_text(rate_text)
+        for number, raw in enumerate(raw_steps, start=1):
+            where = f"network JSON step {number}"
+            if not isinstance(raw, Mapping):
+                raise ValueError(f"{where} must be an object")
+            for key in ("rate", "reactant", "product"):
+                if key not in raw:
+                    raise ValueError(f"{where} has no {key!r}")
+            rate = _parse_rate_text(str(raw["rate"]))
             steps.append(
                 ReactionStep(
-                    read_complex(raw["reactant"]),
-                    read_complex(raw["product"]),
+                    read_complex(raw["reactant"], f"{where} 'reactant'"),
+                    read_complex(raw["product"], f"{where} 'product'"),
                     rate,
                 )
             )
@@ -333,11 +344,12 @@ _NET_TOKEN_RE = re.compile(
 )
 
 
-def _tokenize_line(line: str, line_no: int) -> list[tuple[str, str, int]]:
+def _tokenize_line(line: str, line_no: int, start: int, end: int) -> list[tuple[str, str, int]]:
+    """Tokens of line[start:end], with 1-based columns counted from the line start."""
     tokens = []
-    pos = 0
-    while pos < len(line):
-        m = _NET_TOKEN_RE.match(line, pos)
+    pos = start
+    while pos < end:
+        m = _NET_TOKEN_RE.match(line, pos, end)
         if m is None:
             raise NetworkSyntaxError(
                 f"unexpected character {line[pos]!r}", line_no, pos + 1
@@ -495,13 +507,15 @@ def parse_network(text: str) -> ReactionNetwork:
     any_content = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0]
+        start = 0
         for piece in stripped.split(";"):
-            if not piece.strip():
-                continue
-            any_content = True
-            tokens = _tokenize_line(piece, line_no)
-            parser = _LineParser(tokens, line_no, species_index, species_order)
-            steps.extend(parser.parse_chain())
+            end = start + len(piece)
+            if piece.strip():
+                any_content = True
+                tokens = _tokenize_line(stripped, line_no, start, end)
+                parser = _LineParser(tokens, line_no, species_index, species_order)
+                steps.extend(parser.parse_chain())
+            start = end + 1
     if not any_content:
         raise NetworkSyntaxError("no reactions found", 1, 1)
     return ReactionNetwork(species_order, steps)

@@ -8,11 +8,18 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
+# Bound on the decimal exponent of a literal: "1e1000000" would otherwise
+# expand to a 3.3-million-bit integer.
+MAX_EXPONENT = 1000
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "3", "-5/3" or "0.25" into an exact Fraction.
+    """Parse "3", "-5/3", "0.25" or "2.5e-2" into an exact Fraction.
 
     Decimal literals are converted exactly (0.1 becomes 1/10, not the nearest
-    binary float).
+    binary float).  Infinities and NaNs are invalid, and so are literals
+    whose decimal exponent (the power of ten of the leading digit) lies
+    outside +-MAX_EXPONENT.
     """
     s = text.strip()
     if "/" in s:
@@ -22,9 +29,17 @@ def parse_rational(text: str) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"invalid rational literal {text!r}") from exc
     try:
-        return Fraction(Decimal(s))
+        value = Decimal(s)
     except (InvalidOperation, ValueError) as exc:
         raise ValueError(f"invalid rational literal {text!r}") from exc
+    if not value.is_finite():
+        raise ValueError(f"invalid rational literal {text!r}")
+    if abs(value.adjusted()) > MAX_EXPONENT:
+        raise ValueError(
+            f"rational literal {text!r} has decimal exponent {value.adjusted()}, "
+            f"outside +-MAX_EXPONENT = {MAX_EXPONENT}"
+        )
+    return Fraction(value)
 
 
 def format_rational(value: Fraction) -> str:

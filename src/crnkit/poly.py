@@ -15,7 +15,8 @@ key is a tuple of `dim` non-negative ints, and every value is a nonzero
 
 The parser bounds exact expansion: before each `*` and `**` it checks the
 degree and a bound on the term count of the result against `MAX_DEGREE`
-and `MAX_TERMS`, so no expansion starts that could exceed them.
+and `MAX_TERMS`, so no expansion starts that could exceed them.  It also
+refuses parentheses nested deeper than `MAX_NESTING`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ Scalar = Union[Fraction, int]
 # power (and any exponent), and a bound on its number of terms.
 MAX_DEGREE = 100
 MAX_TERMS = 2_000
+# Cap on parenthesis nesting, which the recursive-descent parser recurses on.
+MAX_NESTING = 100
 
 
 def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
@@ -421,6 +424,7 @@ class _PolyParser:
         self.index = {name: i for i, name in enumerate(variables)}
         self.dim = len(variables)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -511,7 +515,14 @@ class _PolyParser:
     def parse_factor(self) -> Polynomial:
         tok = self.take()
         if tok[0] == "op" and tok[1] == "(":
+            if self.depth == MAX_NESTING:
+                raise PolynomialParseError(
+                    f"parentheses at column {tok[2] + 1} nest deeper than "
+                    f"MAX_NESTING = {MAX_NESTING}"
+                )
+            self.depth += 1
             inner = self.parse_sum()
+            self.depth -= 1
             closing = self.take()
             if closing[0] != "op" or closing[1] != ")":
                 raise PolynomialParseError(
@@ -625,6 +636,9 @@ class PolynomialSystem:
             components = data["components"]
         except (KeyError, TypeError) as exc:
             raise ValueError("system JSON needs 'variables' and 'components'") from exc
+        for name, value in (("variables", variables), ("components", components)):
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise ValueError(f"system JSON {name!r} must be a list of strings")
         return cls.from_strings(variables, components)
 
 

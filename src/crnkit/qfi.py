@@ -132,6 +132,20 @@ class QuadraticCandidate:
         add((0,) * n, self.constant)
         return Polynomial(n, terms)
 
+    @classmethod
+    def from_polynomial(cls, poly: Polynomial) -> "QuadraticCandidate":
+        """The candidate whose `as_polynomial` is `poly`, of degree at most 2."""
+        if poly.degree() > 2:
+            raise ValueError(f"polynomial of degree {poly.degree()} is not quadratic")
+        n = poly.dim
+
+        def coeff(*indices: int) -> Fraction:
+            # coefficient of the product of x_i over `indices`
+            return poly.coefficient(tuple(indices.count(k) for k in range(n)))
+
+        q = [[coeff(i, j) if i == j else coeff(i, j) / 2 for j in range(n)] for i in range(n)]
+        return cls(q, [coeff(i) for i in range(n)], coeff())
+
     def is_diagonal(self) -> bool:
         return all(
             self.q[i][j] == 0

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -123,6 +124,23 @@ def test_check_conservation_modes(cascade_file, capsys):
         ["check", cascade_file, "--property", "conserve-kinetic", "--candidate", rho]
     ) == 0
     assert "candidate valid: yes" in capsys.readouterr().out
+
+
+def test_check_conservation_payloads(cascade_file, capsys):
+    assert main(["check", cascade_file, "--property", "conserve-stoich", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["mode"] == "stoichiometric"
+    assert data["exists"] is True
+    assert data["witness"] and all(isinstance(v, str) for v in data["witness"])
+
+    rho = "1,2,4,1,4,5,2,2,1"
+    argv = ["check", cascade_file, "--property", "conserve-kinetic", "--candidate", rho, "--json"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["mode"] == "kinetic"
+    assert data["candidate"] == rho.split(",")
+    assert data["candidate_valid"] is True
+    assert data["residual"] == "0"
 
 
 def test_check_qfi(system_file, tmp_path, capsys):
@@ -440,6 +458,89 @@ def test_check_refuses_oversized_expansion(tmp_path, capsys, text, limit):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        pytest.param(
+            '{"species": [1], "steps": []}',
+            "'species' must be a list of names",
+            id="species-not-names",
+        ),
+        pytest.param(
+            '{"species": ["A"], "steps": {"a": 1}}',
+            "'steps' must be a list of steps",
+            id="steps-not-a-list",
+        ),
+        pytest.param(
+            '{"species": ["A"], "steps": [5]}',
+            "step 1 must be an object",
+            id="step-not-an-object",
+        ),
+        pytest.param(
+            '{"species": ["A", "B"], "steps": [{"reactant": 5, "product": {"B": "1"}, "rate": "1"}]}',
+            "step 1 'reactant' must map species names to coefficients",
+            id="reactant-not-a-mapping",
+        ),
+        pytest.param(
+            '{"species": ["A", "B"], "steps": [{"reactant": {"A": "1"}, "product": {"B": "1"}}]}',
+            "step 1 has no 'rate'",
+            id="step-without-rate",
+        ),
+        pytest.param(
+            '{"variables": ["x"], "components": [5]}',
+            "'components' must be a list of strings",
+            id="component-not-a-string",
+        ),
+        pytest.param(
+            '{"variables": "xy", "components": ["y", "-x"]}',
+            "'variables' must be a list of strings",
+            id="variables-a-string",
+        ),
+        pytest.param(
+            '{"species": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            "JSON is nested too deeply",
+            id="nested-100000-deep",
+        ),
+    ],
+)
+def test_malformed_json_input_exits_2(tmp_path, capsys, document, message):
+    path = write(tmp_path, "bad.json", document)
+    assert main(["check", path, "--property", "kinetic"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "{system}", "--x0", "inf,1"],
+        ["simulate", "{system}", "--x0", "1e1000000,1"],
+        ["odes", "{network}", "--params", "a=Infinity", "b=1"],
+        ["check", "{network}", "--property", "kinetic", "--params", "a=1", "b=-inf"],
+        ["check", "{cascade}", "--property", "conserve-kinetic", "--candidate", "inf,1"],
+        ["generate", "--family", "rank-one", "--a", "inf", "--b", "1", "--k", "1", "--s", "1"],
+        ["generate", "--family", "diagonal", "--weights", "1e2000,1", "--coupling", "0,1;1,0"],
+    ],
+    ids=" ".join,
+)
+def test_nonfinite_and_huge_numbers_exit_2(system_file, network_file, cascade_file, capsys, argv):
+    files = {"system": system_file, "network": network_file, "cascade": cascade_file}
+    start = time.perf_counter()
+    assert main([arg.format(**files) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid rational literal" in captured.err or "MAX_EXPONENT = 1000" in captured.err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_deeply_nested_component_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "nest.txt", "vars x\n" + "(" * 400 + "x" + ")" * 400 + "\n")
+    assert main(["check", path, "--property", "kinetic"]) == 2
+    assert "MAX_NESTING = 100" in capsys.readouterr().err
+
+
 def test_simulate_abort_is_exit_one(tmp_path, capsys):
     path = write(tmp_path, "blow.txt", "vars x\nx^2\n")
     code = main(["simulate", path, "--x0", "2", "--t-end", "1.0"])
@@ -516,3 +617,248 @@ def test_valid_call_after_argument_error(system_file, capsys):
     assert "--property" in capsys.readouterr().err
     assert main(["check", system_file, "--property", "kinetic"]) == 0
     assert "kinetic: yes" in capsys.readouterr().out
+
+
+# -- pinned output ------------------------------------------------------------
+
+GOLDEN_INPUTS = {
+    "net.crn": EXAMPLE_NETWORK_TEXT,
+    "cascade.crn": CATALYTIC_CASCADE_TEXT,
+    "sys.txt": KINETIC_SYSTEM_TEXT,
+    "rot.txt": ROTATION_SYSTEM_TEXT,
+    "div.txt": DIVERGENT_SYSTEM_TEXT,
+    "mixed.txt": "vars x y z\ny*z\nx*z\n-x*z - y*z\n",
+    "lv.txt": "vars p q\np*q - p\n-p*q + q\n",
+}
+
+# Exit code and the leading 16 hex digits of the sha256 of stdout, stderr
+# ("" when empty) and every file written to --out, for every subcommand and
+# property in text mode and with --json --out.  Relative paths keep the
+# manifests independent of the directory the test runs in.
+GOLDEN_CALLS = [
+    (["parse", "net.crn"],
+     {"exit": 0, "stdout": "1841909288f087b2", "stderr": ""}),
+    (["parse", "net.crn", "--json", "--out", "out"],
+     {
+      "exit": 0,
+      "stdout": "7083cb0895218686",
+      "stderr": "",
+      "manifest.json": "45c9eb06313b9755",
+      "network.json": "7083cb0895218686",
+      "report.json": "7083cb0895218686",
+     }),
+    (["odes", "net.crn", "--params", "a=2", "b=3"],
+     {"exit": 0, "stdout": "de946149c34aed6e", "stderr": ""}),
+    (["odes", "net.crn", "--params", "a=2", "b=3", "--json", "--out", "out"],
+     {
+      "exit": 0,
+      "stdout": "cbec807617a6c0cb",
+      "stderr": "",
+      "manifest.json": "5b52ae16f90d5de0",
+      "report.json": "cbec807617a6c0cb",
+     }),
+    (["check", "sys.txt", "--property", "kinetic"],
+     {"exit": 0, "stdout": "06becee7e1496a57", "stderr": ""}),
+    (["check", "sys.txt", "--property", "kinetic", "--json", "--out", "out"],
+     {
+      "exit": 0,
+      "stdout": "1c31dd712ea09782",
+      "stderr": "",
+      "manifest.json": "420c496b37e3e0f0",
+      "report.json": "1c31dd712ea09782",
+     }),
+    (["check", "rot.txt", "--property", "kinetic"],
+     {"exit": 1, "stdout": "8358e8c9296aaba0", "stderr": ""}),
+    (["check", "rot.txt", "--property", "kinetic", "--json", "--out", "out"],
+     {
+      "exit": 1,
+      "stdout": "cc4ab326ad417c60",
+      "stderr": "",
+      "manifest.json": "ee79337f61b09050",
+      "report.json": "cc4ab326ad417c60",
+     }),
+    (["check", "cascade.crn", "--property", "conserve-stoich"],
+     {"exit": 0, "stdout": "256a2d702dde9fe6", "stderr": ""}),
+    (["check", "cascade.crn", "--property", "conserve-stoich", "--json", "--out", "out"],
+     {
+      "exit": 0,
+      "stdout": "fd63ebbb5d426cf5",
+      "stderr": "",
+      "manifest.json": "ae9c3e42b2ab5668",
+      "report.json": "fd63ebbb5d426cf5",
+     }),
+    (["check", "cascade.crn", "--property", "conserve-stoich", "--candidate", "1,2,4,1,4,5,2,2,1"],
+     {"exit": 1, "stdout": "c14bb9fe598b135f", "stderr": ""}),
+    ([
+        "check", "cascade.crn", "--property", "conserve-stoich", "--candidate",
+        "1,2,4,1,4,5,2,2,1", "--json", "--out", "out",
+    ],
+     {
+      "exit": 1,
+      "stdout": "26da1c618ad5e3c4",
+      "stderr": "",
+      "manifest.json": "c57175a01f257617",
+      "report.json": "26da1c618ad5e3c4",
+     }),
+    ([
+        "check", "cascade.crn", "--property", "conserve-kinetic", "--candidate",
+        "1,2,4,1,4,5,2,2,1",
+    ],
+     {"exit": 0, "stdout": "e5afb834f0922bc1", "stderr": ""}),
+    ([
+        "check", "cascade.crn", "--property", "conserve-kinetic", "--candidate",
+        "1,2,4,1,4,5,2,2,1", "--json", "--out", "out",
+    ],
+     {
+      "exit": 0,
+      "stdout": "86fd7fb19a55e736",
+      "stderr": "",
+      "manifest.json": "519bd1806a443a46",
+      "report.json": "86fd7fb19a55e736",
+     }),
+    (["check", "sys.txt", "--property", "qfi"],
+     {"exit": 0, "stdout": "a8cccc2d43a32029", "stderr": ""}),
+    (["check", "sys.txt", "--property", "qfi", "--json", "--out", "out"],
+     {
+      "exit": 0,
+      "stdout": "abe300816aa26a43",
+      "stderr": "",
+      "manifest.json": "f968b3c02ec198aa",
+      "report.json": "abe300816aa26a43",
+     }),
+    (["check", "mixed.txt", "--property", "qfi", "--filter", "positive-diagonal"],
+     {"exit": 1, "stdout": "8dfb6e550b401391", "stderr": ""}),
+    ([
+        "check", "mixed.txt", "--property", "qfi", "--filter", "positive-diagonal", "--json",
+        "--out", "out",
+    ],
+     {
+      "exit": 1,
+      "stdout": "5faf3a1b2816ded1",
+      "stderr": "",
+      "manifest.json": "e59a8077e7832ece",
+      "report.json": "5faf3a1b2816ded1",
+     }),
+    (["check", "lv.txt", "--property", "log-lv"],
+     {"exit": 0, "stdout": "14a7063d21204ebf", "stderr": ""}),
+    (["check", "lv.txt", "--property", "log-lv", "--json", "--out", "out"],
+     {
+      "exit": 0,
+      "stdout": "a9494141b36720cb",
+      "stderr": "",
+      "manifest.json": "4a9f0b06022a9618",
+      "report.json": "a9494141b36720cb",
+     }),
+    (["check", "div.txt", "--property", "no-periodic", "--invariant", "x^2 + y^2 + z^2"],
+     {"exit": 0, "stdout": "a338795fc061c804", "stderr": ""}),
+    ([
+        "check", "div.txt", "--property", "no-periodic", "--invariant", "x^2 + y^2 + z^2",
+        "--json", "--out", "out",
+    ],
+     {
+      "exit": 0,
+      "stdout": "a784c970c270f939",
+      "stderr": "",
+      "manifest.json": "9d673c2eaeb29557",
+      "report.json": "a784c970c270f939",
+     }),
+    (["generate", "--family", "diagonal", "--weights", "1,1", "--coupling", "0,2;3,0"],
+     {"exit": 0, "stdout": "9e1da7f8d1cdd51b", "stderr": ""}),
+    ([
+        "generate", "--family", "diagonal", "--weights", "1,1", "--coupling", "0,2;3,0", "--json",
+        "--out", "out",
+    ],
+     {
+      "exit": 0,
+      "stdout": "81b443475007e001",
+      "stderr": "",
+      "manifest.json": "3d11455605895c47",
+      "report.json": "81b443475007e001",
+     }),
+    ([
+        "generate", "--family", "mixed-sign", "--plus-weights", "1", "--minus-weights", "1",
+        "--coupling", "1", "--rho-plus", "1", "--rho-minus", "1",
+    ],
+     {"exit": 0, "stdout": "f3d0941deb59340c", "stderr": ""}),
+    ([
+        "generate", "--family", "mixed-sign", "--plus-weights", "1", "--minus-weights", "1",
+        "--coupling", "1", "--rho-plus", "1", "--rho-minus", "1", "--json", "--out", "out",
+    ],
+     {
+      "exit": 0,
+      "stdout": "d9972804560658c3",
+      "stderr": "",
+      "manifest.json": "d980e50efb326df0",
+      "report.json": "d9972804560658c3",
+     }),
+    (["realize", "sys.txt"],
+     {"exit": 0, "stdout": "b7617fcd869a17af", "stderr": ""}),
+    (["realize", "sys.txt", "--json", "--out", "out"],
+     {
+      "exit": 0,
+      "stdout": "ea8eae627dc66899",
+      "stderr": "",
+      "manifest.json": "dd2a497ee2138d61",
+      "network.json": "53d6cc0b1cd45524",
+      "report.json": "ea8eae627dc66899",
+     }),
+    (["realize", "rot.txt"],
+     {"exit": 1, "stdout": "f0154bdd972549c9", "stderr": ""}),
+    (["realize", "rot.txt", "--json", "--out", "out"],
+     {
+      "exit": 1,
+      "stdout": "4daf121dd141a309",
+      "stderr": "",
+      "manifest.json": "12336ad0b33fd2ab",
+      "report.json": "4daf121dd141a309",
+     }),
+    ([
+        "simulate", "net.crn", "--params", "a=2", "b=3", "--x0", "1,0", "--t-end", "0.5",
+        "--invariant", "x^2 + y^2", "--seed", "7",
+    ],
+     {"exit": 0, "stdout": "d5750d0fae2b7984", "stderr": ""}),
+    ([
+        "simulate", "net.crn", "--params", "a=2", "b=3", "--x0", "1,0", "--t-end", "0.5",
+        "--invariant", "x^2 + y^2", "--seed", "7", "--json", "--out", "out",
+    ],
+     {
+      "exit": 0,
+      "stdout": "fe5be2e98736a58f",
+      "stderr": "",
+      "drift.json": "7f5c486da5bbf7e0",
+      "manifest.json": "1ba567142f7c6a20",
+      "report.json": "fe5be2e98736a58f",
+      "trajectory.csv": "0ce5c2c55ea41628",
+     }),
+    (["check", "sys.txt", "--property", "conserve-stoich"],
+     {"exit": 2, "stdout": "", "stderr": "7d482f2b36687c30"}),
+    (["check", "sys.txt", "--property", "conserve-stoich", "--json", "--out", "out"],
+     {"exit": 2, "stdout": "", "stderr": "7d482f2b36687c30"}),
+]
+
+
+def _short_digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16] if data else ""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    GOLDEN_CALLS,
+    ids=[re.sub(r"\W+", "_", " ".join(argv)).strip("_") for argv, _ in GOLDEN_CALLS],
+)
+def test_output_bytes_are_pinned(argv, expected, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    got = {
+        "exit": code,
+        "stdout": _short_digest(captured.out.encode()),
+        "stderr": _short_digest(captured.err.encode()),
+    }
+    out = tmp_path / "out"
+    if out.is_dir():
+        for path in sorted(out.iterdir()):
+            got[path.name] = _short_digest(path.read_bytes())
+    assert got == expected

@@ -6,7 +6,6 @@ import pytest
 
 from crnkit import (
     ConservationVector,
-    conservation_report,
     induced_kinetic_ode,
     kinetic_conservation,
     kinetic_residual,
@@ -99,17 +98,3 @@ def test_witness_normalization(cascade_network):
     assert all(v.denominator == 1 for v in found.rho)
     assert gcd(*nums) == 1
 
-
-def test_conservation_report_shapes(cascade_network, cascade_system):
-    report = conservation_report(cascade_network, "stoichiometric")
-    assert report["mode"] == "stoichiometric"
-    assert report["exists"] is True
-    assert all(isinstance(v, str) for v in report["witness"])
-
-    candidate = ConservationVector(CASCADE_KINETIC_RHO, "kinetic")
-    report = conservation_report(cascade_system, "kinetic", candidate)
-    assert report["candidate_valid"] is True
-    assert report["residual"] == "0"
-
-    with pytest.raises(ValueError):
-        conservation_report(cascade_network, "sideways")

@@ -136,6 +136,14 @@ def test_error_carries_position():
     assert info.value.line == 2
 
 
+def test_error_column_counts_from_line_start_after_semicolon():
+    with pytest.raises(NetworkSyntaxError) as info:
+        parse_network("A ->[1] B; C ->[x$] D")
+    assert (info.value.line, info.value.column) == (1, 18)
+    with pytest.raises(NetworkSyntaxError, match="line 1, column 19: expected a complex"):
+        parse_network("A ->[1] B;; C ->[1] ; D ->[2] E")
+
+
 def test_zero_rate_rejected():
     with pytest.raises(NetworkSyntaxError):
         parse_network("A ->[0] B")

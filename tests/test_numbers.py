@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from crnkit.numbers import (
+    MAX_EXPONENT,
     format_rational,
     leading_sign_normalized,
     parse_rational,
@@ -34,6 +36,27 @@ def test_parse_rejects_garbage(bad):
 def test_parse_scientific_notation_is_exact():
     assert parse_rational("1e3") == 1000
     assert parse_rational("2.5e-2") == Fraction(1, 40)
+
+
+def test_parse_admits_exponents_up_to_the_limit():
+    assert parse_rational(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+    assert parse_rational(f"-2.5e-{MAX_EXPONENT}") == Fraction(-25, 10 ** (MAX_EXPONENT + 1))
+
+
+@pytest.mark.parametrize("bad", ["inf", "-Infinity", "nan", "sNaN"])
+def test_parse_rejects_nonfinite(bad):
+    with pytest.raises(ValueError, match="invalid rational literal"):
+        parse_rational(bad)
+
+
+@pytest.mark.parametrize(
+    "big", [f"1e{MAX_EXPONENT + 1}", f"1e-{MAX_EXPONENT + 1}", "10e1000", "1e1000000", "1e1000000000"]
+)
+def test_parse_refuses_exponent_beyond_limit(big):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"outside \\+-MAX_EXPONENT = {MAX_EXPONENT}"):
+        parse_rational(big)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_format_round_trip():

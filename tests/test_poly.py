@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crnkit import Polynomial, PolynomialParseError, PolynomialSystem, parse_polynomial, parse_system
-from crnkit.poly import MAX_DEGREE
+from crnkit.poly import MAX_DEGREE, MAX_NESTING
 
 from .support import random_polynomial
 
@@ -153,6 +153,16 @@ def test_parse_refuses_oversized_expansion(text, limit):
     with pytest.raises(PolynomialParseError, match=f"above {limit} = "):
         parse_polynomial(text, ("x", "y", "z"))
     assert time.perf_counter() - start < 1.0
+
+
+def test_parse_nesting_cap():
+    names = ("x",)
+    nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_polynomial(nested, names) == Polynomial.variable(1, 0)
+    deeper = "(" * 400 + "x" + ")" * 400
+    message = f"column {MAX_NESTING + 1} nest deeper than MAX_NESTING = {MAX_NESTING}"
+    with pytest.raises(PolynomialParseError, match=message):
+        parse_polynomial(deeper, names)
 
 
 def test_system_from_strings_and_render():

@@ -136,6 +136,18 @@ def test_lie_derivative_matches_arithmetic_oracle(case):
     assert all(type(e) is int for key in got.terms() for e in key)
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=systems_and_candidates())
+def test_candidate_from_polynomial_inverts_as_polynomial(case):
+    candidate, _ = case
+    assert QuadraticCandidate.from_polynomial(candidate.as_polynomial()) == candidate
+
+
+def test_candidate_from_polynomial_rejects_cubic():
+    with pytest.raises(ValueError, match="degree 3 is not quadratic"):
+        QuadraticCandidate.from_polynomial(Polynomial.monomial(2, (2, 1)))
+
+
 def test_lie_derivative_uses_linear_and_constant_parts():
     # V = x^2 + 3y + 5 on x' = y, y' = 1: 2xy + 3
     system = sys2("y", "1")
