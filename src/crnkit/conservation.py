@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .linalg import nullspace_basis, positive_vector_in_span
 from .network import ReactionNetwork
-from .numbers import format_rational, primitive_integer_vector
+from .numbers import format_rational
 from .poly import (
     Exponents,
     Polynomial,
@@ -84,8 +84,7 @@ def _positive_kernel_vector(
     result = positive_vector_in_span(basis, m)
     if result.vector is None:
         return None
-    ints = primitive_integer_vector(result.vector)
-    return ConservationVector(tuple(Fraction(v) for v in ints), mode)
+    return ConservationVector(result.vector, mode)
 
 
 def stoichiometric_conservation(network: ReactionNetwork) -> ConservationVector | None:

@@ -16,32 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .network import Complex, Rate, ReactionNetwork, ReactionStep, _rate_parts
-from .numbers import format_rational, parse_rational
+from .network import (
+    Complex,
+    ReactionNetwork,
+    ReactionStep,
+    UnboundParameterError,
+    resolve_rate,
+)
+from .numbers import format_rational
 from .poly import Exponents, Polynomial, PolynomialSystem
-
-
-class UnboundParameterError(ValueError):
-    """A symbolic rate was used without a numeric binding."""
-
-    def __init__(self, name: str):
-        super().__init__(f"rate parameter {name!r} is not bound")
-        self.name = name
-
-
-def resolve_rate(rate: Rate, binding: Mapping[str, Fraction] | None = None) -> Fraction:
-    """Resolve a literal or parameter (or '+'-joined sum) to a Fraction."""
-    if isinstance(rate, Fraction):
-        return rate
-    total = Fraction(0)
-    for part in _rate_parts(rate):
-        if part[:1].isdigit():
-            total += parse_rational(part)
-        else:
-            if binding is None or part not in binding:
-                raise UnboundParameterError(part)
-            total += Fraction(binding[part])
-    return total
 
 
 def ode_variable_names(species: Sequence[str]) -> tuple[str, ...]:
@@ -88,11 +71,14 @@ def induced_kinetic_ode(
         for index, coeff in step.reactant.entries:
             exponents[index] = int(coeff)
         mono = tuple(exponents)
-        for index in range(m):
-            gamma = step.product.coefficient(index) - step.reactant.coefficient(index)
-            if gamma != 0:
-                bucket = terms[index]
-                bucket[mono] = bucket.get(mono, Fraction(0)) + gamma * k
+        for index, coeff in step.reactant.entries:
+            bucket = terms[index]
+            bucket[mono] = bucket.get(mono, 0) - coeff * k
+        for index, coeff in step.product.entries:
+            bucket = terms[index]
+            bucket[mono] = bucket.get(mono, 0) + coeff * k
+    # a catalyst's gain and loss, and opposite steps, cancel: Polynomial drops
+    # the zero sums
     components = tuple(Polynomial(m, t) for t in terms)
     return PolynomialSystem(variables, components)
 
@@ -176,22 +162,16 @@ def canonical_realization(system: PolynomialSystem) -> ReactionNetwork:
     if not report.is_kinetic:
         raise NotKineticError(report)
     species = species_names_for_variables(system.variables)
-    m = system.dim
     steps: list[ReactionStep] = []
     for index, component in enumerate(system.components):
         for expts, coeff in component.sorted_terms():
-            reactant = Complex.from_mapping(
-                {i: Fraction(e) for i, e in enumerate(expts) if e}
-            )
-            product_coeffs = {i: Fraction(e) for i, e in enumerate(expts) if e}
-            if coeff > 0:
-                product_coeffs[index] = product_coeffs.get(index, Fraction(0)) + 1
-                rate = coeff
-            else:
-                product_coeffs[index] = product_coeffs.get(index, Fraction(0)) - 1
-                rate = -coeff
+            reactant = {i: Fraction(e) for i, e in enumerate(expts) if e}
+            product = dict(reactant)
+            product[index] = product.get(index, 0) + (1 if coeff > 0 else -1)
             steps.append(
-                ReactionStep(reactant, Complex.from_mapping(product_coeffs), rate)
+                ReactionStep(
+                    Complex.from_mapping(reactant), Complex.from_mapping(product), abs(coeff)
+                )
             )
     return ReactionNetwork(species, steps)
 

@@ -3,7 +3,8 @@
 Null-space bases come from one fraction-free Gauss-Jordan elimination over
 sparse integer rows: each row is scaled to coprime integers, rows are
 combined by integer cross-multiplication and divided by the gcd of their
-entries, and only the results are turned back into Fractions.  Whether a
+entries, and only the results are turned back into Fractions: each basis
+vector as coprime integers with a positive first nonzero entry.  Whether a
 subspace contains a strictly positive vector is decided by a fraction-free
 integer phase-1 simplex over the reduced span: the same elimination step
 pivots a tableau with one variable per pivot of the span and one constraint
@@ -129,25 +130,32 @@ def _reduce(
 def nullspace_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of {v : A v = 0}, one vector per free column, in column order.
 
-    The vector of free column j has 1 in column j, -R[i][j] in pivot column
-    i of the reduced row echelon form R, and 0 elsewhere.
+    The vector of free column j is the multiple of the one with 1 in column
+    j, -R[i][j] in pivot column i of the reduced row echelon form R, and 0
+    elsewhere, that has coprime integer entries (as Fractions) and a
+    positive first nonzero entry.  Pivot columns with R[i][j] != 0 lie left
+    of j, so that entry is the one of the leftmost such pivot, or column j.
     """
     placed, pivots = _reduce(rows, ncols)
-    zero = Fraction(0)
-    one = Fraction(1)
     pivot_set = set(pivots)
-    basis: dict[int, list[Fraction]] = {}
+    zero = Fraction(0)
+    basis = []
     for free in range(ncols):
-        if free not in pivot_set:
-            vec = [zero] * ncols
-            vec[free] = one
-            basis[free] = vec
-    for row, col in zip(placed, pivots):
-        p = row[col]
-        for j, v in row.items():
-            if j != col:
-                basis[j][col] = Fraction(-v, p)
-    return list(basis.values())
+        if free in pivot_set:
+            continue
+        # the rows nonzero in column free, leftmost pivot first; entry
+        # -row[free] / row[col] in pivot column col, times the lcm of the row[col]
+        hits = [(col, row) for row, col in zip(placed, pivots) if free in row]
+        scale = lcm(*(row[col] for col, row in hits))
+        vec = [0] * ncols
+        vec[free] = scale
+        for col, row in hits:
+            vec[col] = -row[free] * (scale // row[col])
+        g = gcd(*vec)
+        if hits and vec[hits[0][0]] < 0:
+            g = -g
+        basis.append([Fraction(x // g) if x else zero for x in vec])
+    return basis
 
 
 @dataclass(frozen=True)
@@ -254,12 +262,12 @@ def positive_vector_in_span(
     coordinates are at least 1, and each other coordinate j asks
     sum_i s_i a_ji >= L - sum_i a_ji, where a_ji = L R_i[j] / R_i[p_i] and
     L = lcm |R_i[p_i]| make the constraints integral.  `_phase1` decides
-    them.  A feasible s gives a witness with every entry >= 1.  Otherwise
-    its dual values z >= 0 give the certificate y: y_j = z_j on the
-    constrained coordinates and y_{p_i} = -sum_j z_j R_i[j] / R_i[p_i].
-    It is nonnegative, nonzero and orthogonal to every spanning vector, so
-    no positive combination exists.  Both proofs are checked before they
-    are returned.
+    them.  A feasible s gives a witness with every entry >= 1, returned
+    scaled to coprime integers.  Otherwise its dual values z >= 0 give the
+    certificate y: y_j = z_j on the constrained coordinates and
+    y_{p_i} = -sum_j z_j R_i[j] / R_i[p_i].  It is nonnegative, nonzero and
+    orthogonal to every spanning vector, so no positive combination exists.
+    Both proofs are checked before they are returned.
     """
     if dim <= 0:
         raise ValueError("dimension must be positive")
@@ -281,14 +289,19 @@ def positive_vector_in_span(
     s, z = _phase1(rows, rhs, len(pivots))
 
     if s is not None:
-        result = [Fraction(0)] * dim
+        # the witness times scale and the lcm of the denominators of mu
         mu = [1 + v for v in s]
+        den = lcm(*(v.denominator for v in mu))
+        mu = [v.numerator * (den // v.denominator) for v in mu]
+        result = [0] * dim
         for p, value in zip(pivots, mu):
-            result[p] = value
+            result[p] = value * scale
         for j, row in zip(constrained, rows):
-            result[j] = Fraction(sum(mu[i] * v for i, v in row.items()), scale)
-        check_proof(all(x >= 1 for x in result), "positive witness has an entry below 1")
-        return PositivityResult(vector=tuple(result), certificate=None)
+            result[j] = sum(mu[i] * v for i, v in row.items())
+        g = gcd(*result) or 1
+        witness = tuple(Fraction(x // g) for x in result)
+        check_proof(all(x >= 1 for x in witness), "positive witness has an entry below 1")
+        return PositivityResult(vector=witness, certificate=None)
 
     cert = [0] * dim
     for j, row, zj in zip(constrained, rows, z):

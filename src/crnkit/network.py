@@ -50,6 +50,14 @@ class NetworkValidationError(ValueError):
     """Structurally invalid network (bad coefficients, self-loops, ...)."""
 
 
+class UnboundParameterError(ValueError):
+    """A symbolic rate was used without a numeric binding."""
+
+    def __init__(self, name: str):
+        super().__init__(f"rate parameter {name!r} is not bound")
+        self.name = name
+
+
 @dataclass(frozen=True)
 class Complex:
     """A formal linear combination of species with positive coefficients."""
@@ -119,6 +127,37 @@ def format_rate(rate: Rate) -> str:
     return format_rational(rate) if isinstance(rate, Fraction) else rate
 
 
+def resolve_rate(rate: Rate, binding: Mapping[str, Fraction] | None = None) -> Fraction:
+    """Resolve a literal or parameter (or '+'-joined sum) to a Fraction."""
+    if isinstance(rate, Fraction):
+        return rate
+    total = Fraction(0)
+    for part in _rate_parts(rate):
+        if part[:1].isdigit():
+            total += parse_rational(part)
+        else:
+            if binding is None or part not in binding:
+                raise UnboundParameterError(part)
+            total += Fraction(binding[part])
+    return total
+
+
+def _parse_rate_text(text: str) -> Rate:
+    parts = [p.strip() for p in text.split("+")]
+    if any(not p for p in parts):
+        raise ValueError(f"invalid rate {text!r}")
+    numeric = all(p[:1].isdigit() for p in parts)
+    if numeric:
+        total = sum((parse_rational(p) for p in parts), Fraction(0))
+        if total <= 0:
+            raise ValueError(f"rate must be positive, got {text!r}")
+        return total
+    for p in parts:
+        if not p[:1].isdigit() and not _SPECIES_RE.match(p):
+            raise ValueError(f"invalid rate parameter {p!r}")
+    return "+".join(parts)
+
+
 @dataclass(frozen=True)
 class ReactionStep:
     """One irreversible reaction: reactant complex -> product complex."""
@@ -135,6 +174,12 @@ class ReactionStep:
         if not self.reactant.is_integral():
             raise NetworkValidationError(
                 "reactant-side coefficients must be nonnegative integers"
+            )
+        # reactant coefficients become the exponents of the rate monomial
+        degree = sum(c.numerator for _, c in self.reactant.entries)
+        if degree > MAX_DEGREE:
+            raise NetworkValidationError(
+                f"reactant complex of degree {degree} is above MAX_DEGREE = {MAX_DEGREE}"
             )
 
     def render(self, species: Sequence[str]) -> str:
@@ -154,8 +199,7 @@ class ReactionNetwork:
         for name in species:
             if not _SPECIES_RE.match(name):
                 raise NetworkValidationError(f"invalid species name {name!r}")
-        merged: dict[tuple[Complex, Complex], Rate] = {}
-        order: list[tuple[Complex, Complex]] = []
+        merged: dict[tuple[Complex, Complex], ReactionStep] = {}
         for step in steps:
             hi = max(step.reactant.max_index(), step.product.max_index())
             if hi >= len(species):
@@ -168,15 +212,12 @@ class ReactionNetwork:
                     f"duplicate step {step.render(species)} merged by summing rates",
                     stacklevel=2,
                 )
-                merged[key] = _merge_rates(merged[key], step.rate)
-            else:
-                merged[key] = step.rate
-                order.append(key)
+                step = ReactionStep(
+                    step.reactant, step.product, _merge_rates(merged[key].rate, step.rate)
+                )
+            merged[key] = step
         self.species = species
-        self.steps = tuple(
-            ReactionStep(reactant, product, merged[(reactant, product)])
-            for reactant, product in order
-        )
+        self.steps = tuple(merged.values())
 
     # -- structure ---------------------------------------------------------
 
@@ -311,22 +352,6 @@ class ReactionNetwork:
         return cls.from_dict(json.loads(text))
 
 
-def _parse_rate_text(text: str) -> Rate:
-    parts = [p.strip() for p in text.split("+")]
-    if any(not p for p in parts):
-        raise ValueError(f"invalid rate {text!r}")
-    numeric = all(p[:1].isdigit() for p in parts)
-    if numeric:
-        total = sum((parse_rational(p) for p in parts), Fraction(0))
-        if total <= 0:
-            raise ValueError(f"rate must be positive, got {text!r}")
-        return total
-    for p in parts:
-        if not p[:1].isdigit() and not _SPECIES_RE.match(p):
-            raise ValueError(f"invalid rate parameter {p!r}")
-    return "+".join(parts)
-
-
 # -- text parsing -----------------------------------------------------------
 
 _NET_TOKEN_RE = re.compile(
@@ -443,13 +468,9 @@ class _LineParser:
             else:
                 self.error(f"expected rate, found {tok[1]!r}", tok[2])
             nxt = self.peek()
-            if nxt is not None and nxt[0] == "plus":
-                self.take()
-                continue
-            break
-        if all(p[:1].isdigit() for p in parts):
-            return sum((parse_rational(p) for p in parts), Fraction(0))
-        return "+".join(parts)
+            if nxt is None or nxt[0] != "plus":
+                return _parse_rate_text("+".join(parts))
+            self.take()
 
     def parse_chain(self) -> list[ReactionStep]:
         steps = []
@@ -469,7 +490,6 @@ class _LineParser:
                 kb = None
             self.take("rbracket")
             right = self.parse_complex()
-            first_new = len(steps)
             try:
                 if arrow[0] == "fwd":
                     steps.append(ReactionStep(left, right, kf))
@@ -480,15 +500,6 @@ class _LineParser:
                     steps.append(ReactionStep(right, left, kb))
             except NetworkValidationError as exc:
                 self.error(str(exc), arrow[2])
-            for step in steps[first_new:]:
-                # reactant coefficients (integers, as ReactionStep checks)
-                # become the exponents of the rate monomial
-                degree = sum(c.numerator for _, c in step.reactant.entries)
-                if degree > MAX_DEGREE:
-                    self.error(
-                        f"reactant complex of degree {degree} is above MAX_DEGREE = {MAX_DEGREE}",
-                        arrow[2],
-                    )
             left = right
         if not saw_arrow:
             self.error("chain needs at least one arrow")

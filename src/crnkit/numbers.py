@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Sequence
 
 
 # Bound on the decimal exponent of a literal: "1e1000000" would otherwise
@@ -48,29 +46,3 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def primitive_integer_vector(values: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    """Scale a rational vector to coprime integers, preserving direction.
-
-    The zero vector maps to itself.  Entries come back as integer-valued
-    Fractions so downstream exact arithmetic needs no conversion.
-    """
-    fracs = [Fraction(v) for v in values]
-    if not fracs or all(v == 0 for v in fracs):
-        return tuple(Fraction(0) for _ in fracs)
-    den = lcm(*(v.denominator for v in fracs))
-    ints = [int(v * den) for v in fracs]
-    g = gcd(*ints)
-    return tuple(Fraction(i // g) for i in ints)
-
-
-def leading_sign_normalized(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Primitive integer form with the first nonzero entry made positive."""
-    ints = primitive_integer_vector(values)
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = tuple(-x for x in ints)
-            break
-    return ints

@@ -35,7 +35,6 @@ from .linalg import (
     positive_vector_in_span,
     symmetric_inertia,
 )
-from .numbers import leading_sign_normalized
 from .poly import (
     Exponents,
     Polynomial,
@@ -112,24 +111,17 @@ class QuadraticCandidate:
 
     def as_polynomial(self) -> Polynomial:
         n = self.dim
-        terms: dict[tuple[int, ...], Fraction] = {}
-
-        def add(expts, coeff):
-            if coeff:
-                terms[expts] = terms.get(expts, Fraction(0)) + coeff
-
-        # x^T Q x: the (i, j) and (j, i) entries land on the same monomial,
-        # so off-diagonal monomials pick up 2 q[i][j]
+        terms: dict[Exponents, Fraction] = {}
+        # x^T Q x: q_ij and q_ji both land on x_i x_j, which gets 2 q_ij
         for i in range(n):
-            for j in range(n):
-                expts = tuple(
-                    (2 if k == i else 0) if i == j else (1 if k in (i, j) else 0)
-                    for k in range(n)
-                )
-                add(expts, self.q[i][j])
+            for j in range(i, n):
+                expts = [0] * n
+                expts[i] += 1
+                expts[j] += 1
+                terms[tuple(expts)] = self.q[i][j] if i == j else 2 * self.q[i][j]
         for i in range(n):
-            add(tuple(1 if k == i else 0 for k in range(n)), self.linear[i])
-        add((0,) * n, self.constant)
+            terms[tuple(1 if k == i else 0 for k in range(n))] = self.linear[i]
+        terms[(0,) * n] = self.constant
         return Polynomial(n, terms)
 
     @classmethod
@@ -236,12 +228,11 @@ def _lie_derivative_columns(
 
 
 def _candidate(weights: Sequence[Fraction], dim: int, diagonal_only: bool) -> QuadraticCandidate:
-    """The normalized candidate with these weights on the unit candidates."""
-    ints = leading_sign_normalized(weights)
+    """The candidate with these weights on the unit candidates."""
     if diagonal_only:
-        return QuadraticCandidate.diagonal(ints)
+        return QuadraticCandidate.diagonal(weights)
     q = [[Fraction(0)] * dim for _ in range(dim)]
-    rest = iter(ints)
+    rest = iter(weights)
     for i in range(dim):
         for j in range(i, dim):
             q[i][j] = q[j][i] = next(rest)
@@ -774,9 +765,8 @@ def solve_log_integral_family() -> list[PolynomialSystem]:
     basis = nullspace_basis(coefficient_matrix(columns), len(columns))
     systems = []
     for vec in basis:
-        ints = leading_sign_normalized(vec)
         f1, f2 = (
-            Polynomial(2, dict(zip(_QUAD_MONOMIALS, ints[k : k + 6]))) for k in (0, 6)
+            Polynomial(2, dict(zip(_QUAD_MONOMIALS, vec[k : k + 6]))) for k in (0, 6)
         )
         systems.append(PolynomialSystem(("x", "y"), (f1, f2)))
     return systems

@@ -19,8 +19,9 @@ from crnkit import (
     compile_rhs,
 )
 from crnkit.linalg import PositivityResult, _reduce, check_proof
+from crnkit.kinetics import ode_variable_names
 from crnkit.sim import CLAMP_TOLERANCE
-from crnkit.network import Complex, ReactionStep
+from crnkit.network import Complex, ReactionStep, resolve_rate
 
 SMALL_FRACTIONS = [
     Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3) if Fraction(n, d) != 0
@@ -95,6 +96,26 @@ def random_network(rng: random.Random, conserving: bool = False) -> ReactionNetw
     for step in steps:
         seen[(step.reactant, step.product)] = step
     return ReactionNetwork(species, tuple(seen.values()))
+
+
+def reference_induced_ode(network: ReactionNetwork, params=None) -> PolynomialSystem:
+    """Oracle for `induced_kinetic_ode`: f_m = sum_r (beta[m,r] - alpha[m,r]) k_r x^alpha_r,
+    read species by species off each step's two complexes."""
+    m = network.num_species
+    terms = [dict() for _ in range(m)]
+    for step in network.steps:
+        k = resolve_rate(step.rate, params)
+        exponents = [0] * m
+        for index, coeff in step.reactant.entries:
+            exponents[index] = int(coeff)
+        mono = tuple(exponents)
+        for index in range(m):
+            gamma = step.product.coefficient(index) - step.reactant.coefficient(index)
+            if gamma != 0:
+                bucket = terms[index]
+                bucket[mono] = bucket.get(mono, Fraction(0)) + gamma * k
+    components = tuple(Polynomial(m, t) for t in terms)
+    return PolynomialSystem(ode_variable_names(network.species), components)
 
 
 def random_kinetic_system(rng: random.Random) -> PolynomialSystem:
@@ -276,6 +297,33 @@ def dense_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
         if rank == len(mat):
             break
     return mat, pivots
+
+
+def primitive_integer_vector(values) -> tuple[Fraction, ...]:
+    """Scale a rational vector to coprime integers, preserving direction.
+
+    The zero vector maps to itself.  Entries come back as integer-valued
+    Fractions.
+    """
+    fracs = [Fraction(v) for v in values]
+    if not fracs or all(v == 0 for v in fracs):
+        return tuple(Fraction(0) for _ in fracs)
+    den = math.lcm(*(v.denominator for v in fracs))
+    ints = [int(v * den) for v in fracs]
+    g = math.gcd(*ints)
+    return tuple(Fraction(i // g) for i in ints)
+
+
+def leading_sign_normalized(values) -> tuple[Fraction, ...]:
+    """Oracle for the normal form of `nullspace_basis` vectors: the primitive
+    integer form with the first nonzero entry made positive."""
+    ints = primitive_integer_vector(values)
+    for v in ints:
+        if v != 0:
+            if v < 0:
+                ints = tuple(-x for x in ints)
+            break
+    return ints
 
 
 def dense_nullspace_basis(rows, ncols: int) -> list[list[Fraction]]:

@@ -448,6 +448,12 @@ def test_simulate_rejects_too_many_samples(system_file, capsys):
         ("vars x\nx^100000000000\n", "MAX_DEGREE"),
         ("vars x y z\n(x+y+z+1)^50\nx\ny\n", "MAX_TERMS"),
         ("100000000000A ->[1] B\n", "MAX_DEGREE"),
+        pytest.param(
+            '{"species": ["A", "B"], "steps": [{"reactant": {"A": "100000000000"}, '
+            '"product": {"B": "1"}, "rate": "1"}]}',
+            "MAX_DEGREE",
+            id="json-network-MAX_DEGREE",
+        ),
     ],
 )
 def test_check_refuses_oversized_expansion(tmp_path, capsys, text, limit):

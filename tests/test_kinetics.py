@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crnkit import (
     NotKineticError,
@@ -17,8 +18,16 @@ from crnkit import (
     ode_variable_names,
     parse_network,
 )
+from crnkit.network import Complex, ReactionNetwork, ReactionStep
 
-from .support import plant_cross_effect_violation, random_kinetic_system, random_network
+from .support import (
+    plant_cross_effect_violation,
+    random_kinetic_system,
+    random_network,
+    reference_induced_ode,
+)
+
+F = Fraction
 
 
 def sys2(f1: str, f2: str) -> PolynomialSystem:
@@ -64,6 +73,44 @@ def test_variable_naming_lowercases_species():
     assert ode_variable_names(("A", "J")) == ("a", "j")
     # collision keeps original names
     assert ode_variable_names(("X", "x")) == ("X", "x")
+
+
+@st.composite
+def catalytic_networks(draw):
+    """1-4 species with steps that have catalysts (a species on both sides)
+    and mirrored steps R -> 2R - P beside R -> P at the same rate, whose
+    terms cancel; rates are rationals or the parameter k."""
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+    rate = st.sampled_from([F(1), F(2), F(1, 3), "k", "k+1/2"])
+    steps = {}
+    for _ in range(draw(st.integers(0, 6))):
+        reactant = draw(st.dictionaries(index, st.sampled_from([F(1), F(2)]), max_size=2))
+        product = draw(
+            st.dictionaries(index, st.sampled_from([F(1), F(2), F(1, 2)]), max_size=2)
+        )
+        if draw(st.booleans()):
+            catalyst, amount = draw(index), draw(st.sampled_from([F(1), F(2)]))
+            reactant[catalyst] = reactant.get(catalyst, 0) + amount
+            product[catalyst] = product.get(catalyst, 0) + amount
+        k = draw(rate)
+        pairs = [(reactant, product)]
+        mirror = {i: 2 * reactant.get(i, 0) - product.get(i, 0) for i in range(n)}
+        if draw(st.booleans()) and all(v >= 0 for v in mirror.values()):
+            pairs.append((reactant, mirror))
+        for r, p in pairs:
+            r, p = Complex.from_mapping(r), Complex.from_mapping(p)
+            if r != p:
+                steps[(r, p)] = ReactionStep(r, p, k)
+    return ReactionNetwork(tuple("ABCD"[:n]), tuple(steps.values()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(network=catalytic_networks())
+@example(network=parse_network("A + B ->[1] 2A; A + B ->[1] 2B; A + C ->[k] A + 2C"))
+def test_induction_matches_per_species_reference(network):
+    params = {"k": F(3, 2)}
+    assert induced_kinetic_ode(network, params) == reference_induced_ode(network, params)
 
 
 # -- negative cross-effect --------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from crnkit.linalg import (
 from .support import (
     dense_nullspace_basis,
     dense_rref,
+    leading_sign_normalized,
     matvec,
     rref,
     split_positive_vector_in_span,
@@ -116,7 +118,9 @@ def test_elimination_matches_dense_fraction_oracle(matrix):
     reduced, pivots = rref(rows)
     assert (reduced, pivots) == dense_rref(rows)
     basis = nullspace_basis(rows, ncols)
-    assert basis == dense_nullspace_basis(rows, ncols)
+    assert basis == [
+        list(leading_sign_normalized(vec)) for vec in dense_nullspace_basis(rows, ncols)
+    ]
     entries = [x for row in reduced for x in row] + [x for vec in basis for x in vec]
     assert all(type(x) is Fraction for x in entries)
 
@@ -202,11 +206,13 @@ def test_positive_vector_randomized_against_scipy():
 
 
 def assert_positivity_proof(result, vectors, dim):
-    """The witness is >= 1 and in the span, or the certificate separates it."""
+    """The witness is coprime integers >= 1 in the span, or the certificate separates it."""
     if result.feasible:
         assert result.certificate is None
         assert len(result.vector) == dim
         assert all(type(x) is Fraction and x >= 1 for x in result.vector)
+        assert all(x.denominator == 1 for x in result.vector)
+        assert math.gcd(*(x.numerator for x in result.vector)) == 1
         _, pivots = rref(vectors)
         _, pivots_ext = rref(list(vectors) + [list(result.vector)])
         assert len(pivots_ext) == len(pivots)

@@ -3,13 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from crnkit.numbers import (
-    MAX_EXPONENT,
-    format_rational,
-    leading_sign_normalized,
-    parse_rational,
-    primitive_integer_vector,
-)
+from crnkit.numbers import MAX_EXPONENT, format_rational, parse_rational
+
+from .support import leading_sign_normalized, primitive_integer_vector
 
 
 def test_parse_integer():

@@ -34,13 +34,13 @@ from crnkit import (
     solve_log_integral_family,
 )
 from crnkit.linalg import nullspace_basis, positive_vector_in_span
-from crnkit.numbers import leading_sign_normalized
 
 from .conftest import CATALYTIC_CASCADE_TEXT
 from .support import (
     SMALL_FRACTIONS,
     arithmetic_lie_derivative,
     combine_units,
+    leading_sign_normalized,
     unit_candidates,
     unit_lie_derivative_matrix,
 )
