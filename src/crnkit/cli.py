@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -505,11 +506,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace):
+    """args.func(args), printing each warning it raises as a `warning:` line on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return args.func(args)
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.command_line = list(argv) if argv is not None else sys.argv[1:]
     try:
-        code, payload, lines, files = args.func(args)
+        code, payload, lines, files = _run(args)
         _emit(args, payload, lines, files)
     except SimulationError as exc:
         print(f"simulation aborted: {exc}", file=sys.stderr)

@@ -319,9 +319,7 @@ class ReactionNetwork:
             raise ValueError("network JSON 'steps' must be a list of steps")
         index = {name: i for i, name in enumerate(species)}
 
-        def read_complex(entry, where: str) -> Complex:
-            if not isinstance(entry, Mapping):
-                raise ValueError(f"{where} must map species names to coefficients")
+        def read_complex(entry: Mapping) -> Complex:
             coeffs = {}
             for name, value in entry.items():
                 if name not in index:
@@ -337,14 +335,17 @@ class ReactionNetwork:
             for key in ("rate", "reactant", "product"):
                 if key not in raw:
                     raise ValueError(f"{where} has no {key!r}")
-            rate = _parse_rate_text(str(raw["rate"]))
-            steps.append(
-                ReactionStep(
-                    read_complex(raw["reactant"], f"{where} 'reactant'"),
-                    read_complex(raw["product"], f"{where} 'product'"),
-                    rate,
+            for key in ("reactant", "product"):
+                if not isinstance(raw[key], Mapping):
+                    raise ValueError(f"{where} {key!r} must map species names to coefficients")
+            try:
+                rate = _parse_rate_text(str(raw["rate"]))
+                steps.append(
+                    ReactionStep(read_complex(raw["reactant"]), read_complex(raw["product"]), rate)
                 )
-            )
+            except ValueError as exc:
+                # the step's own faults keep their type and gain its number
+                raise type(exc)(f"{where}: {exc}") from None
         return cls(species, steps)
 
     @classmethod

@@ -16,7 +16,8 @@ key is a tuple of `dim` non-negative ints, and every value is a nonzero
 The parser bounds exact expansion: before each `*` and `**` it checks the
 degree and a bound on the term count of the result against `MAX_DEGREE`
 and `MAX_TERMS`, so no expansion starts that could exceed them.  It also
-refuses parentheses nested deeper than `MAX_NESTING`.
+refuses parentheses nested deeper than `MAX_NESTING`, and a power of a
+constant whose numerator or denominator could exceed `MAX_COEFFICIENT_BITS`.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ MAX_DEGREE = 100
 MAX_TERMS = 2_000
 # Cap on parenthesis nesting, which the recursive-descent parser recurses on.
 MAX_NESTING = 100
+# Cap on the bit length of the numerator and denominator of a power of a
+# constant: nested constant powers would otherwise multiply it by up to
+# MAX_DEGREE per level.  It admits every literal parse_rational accepts
+# (10^1000 has 3,322 bits).
+MAX_COEFFICIENT_BITS = 10_000
 
 
 def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
@@ -462,6 +468,14 @@ class _PolyParser:
                 f"exponent {exponent} is above MAX_DEGREE = {MAX_DEGREE}"
             )
         terms = len(base.terms())
+        if terms == 1 and base.degree() == 0:
+            value = base.coefficient((0,) * self.dim)
+            bits = exponent * max(value.numerator.bit_length(), value.denominator.bit_length())
+            if bits > MAX_COEFFICIENT_BITS:
+                raise PolynomialParseError(
+                    f"constant power could reach {bits} bits, above "
+                    f"MAX_COEFFICIENT_BITS = {MAX_COEFFICIENT_BITS}"
+                )
         if terms:
             degree = exponent * base.degree()
             # a^n has at most one term per multiset of n of a's terms

@@ -3,7 +3,11 @@
 Two integrators are provided: classical fixed-step RK4 and adaptive
 Runge-Kutta-Fehlberg 4(5).  Each step is generated as straight-line code for
 the system's dimension, doing the same float operations as the textbook
-per-component loops, so trajectories are bit-identical to theirs.  When a
+per-component loops, so trajectories are bit-identical to theirs.  The step
+also reports whether its result lies in the closed positive orthant, so the
+loop inspects the state only when it does not.  The right-hand side and the
+invariant are compiled once per system and kept in a bounded cache, so
+integrating a system again reuses its evaluators.  When a
 quadratic invariant is attached, its value is recorded along the trajectory
 so conservation drift can be reported.  For positive-definite diagonal
 invariants an optional level-set projection rescales the state back onto the
@@ -13,6 +17,7 @@ initial level surface after every step.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence, TextIO
@@ -28,6 +33,8 @@ MAX_FIXED_STEPS = 10**7
 # Most samples a run may store after the initial state: a 2-D sample holds
 # about 160 bytes, so 10^6 of them take about 160 MB (100 times a 10,000-step run).
 MAX_SAMPLES = 10**6
+# `0.0 <= x <= MAX_FLOAT` holds exactly for the finite x >= 0 (and -0.0)
+MAX_FLOAT = sys.float_info.max
 _BLOW_UP = "state became nonfinite (blow-up)"
 
 
@@ -143,8 +150,13 @@ def _unpack(names: Sequence[str], value: str) -> str:
     return f"{', '.join(names)}, = {value}" if names else value
 
 
+@lru_cache(maxsize=32)
 def compile_rhs(system: PolynomialSystem) -> Callable[[Sequence[float]], list[float]]:
-    """Generate a fast float evaluator for the system's right-hand side."""
+    """Generate a fast float evaluator for the system's right-hand side.
+
+    Cached per system: equal systems (same exact terms, same variable names)
+    share one evaluator.
+    """
     n = system.dim
     exprs = []
     for var, component in zip(system.variables, system.components):
@@ -163,12 +175,15 @@ def compile_rhs(system: PolynomialSystem) -> Callable[[Sequence[float]], list[fl
                     factors.append(f"x{i}**{e}")
             parts.append("*".join(factors))
         exprs.append(" + ".join(parts) if parts else "0.0")
-    unpack = "; ".join(f"x{i} = state[{i}]" for i in range(n)) or "pass"
+    unpack = _unpack([f"x{i}" for i in range(n)], "state")
     return _compile("_rhs(state)", [unpack, f"return [{', '.join(exprs)}]"])
 
 
+@lru_cache(maxsize=32)
 def compile_invariant(candidate: QuadraticCandidate) -> Callable[[Sequence[float]], float]:
     """Generate a float evaluator for V(x) = x^T Q x + linear . x + constant.
+
+    Cached per candidate, like `compile_rhs`.
 
     For n = 2 with Q = diag(1, 1) and no linear part the generated code is
 
@@ -238,6 +253,13 @@ _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 
 
+def _return_step(n: int, error: str) -> str:
+    """`return [z0, ...], error, inside`: inside is true when every z_i is finite and >= 0."""
+    z = [f"z{i}" for i in range(n)]
+    inside = " and ".join(f"0.0 <= {zi} <= {MAX_FLOAT!r}" for zi in z) or "True"
+    return f"return [{', '.join(z)}], {error}, {inside}"
+
+
 def _rk4_source(n: int) -> list[str]:
     x = [f"x{i}" for i in range(n)]
     a, b, c, d = ([f"{s}{i}" for i in range(n)] for s in "abcd")
@@ -252,9 +274,8 @@ def _rk4_source(n: int) -> list[str]:
         _unpack(c, f"rhs({probe('hh', b)})"),
         _unpack(d, f"rhs({probe('h', c)})"),
         "h6 = h / 6.0",
-        "return ["
-        + ", ".join(f"{x[i]} + h6 * ({a[i]} + 2 * {b[i]} + 2 * {c[i]} + {d[i]})" for i in range(n))
-        + "], 0.0",
+        *(f"z{i} = {x[i]} + h6 * ({a[i]} + 2 * {b[i]} + 2 * {c[i]} + {d[i]})" for i in range(n)),
+        _return_step(n, "0.0"),
     ]
 
 
@@ -278,16 +299,17 @@ def _rkf45_source(n: int) -> list[str]:
         error = f"max({', '.join(errors)})"
     else:
         error = errors[0] if errors else "0.0"
-    lines.append(f"return [{', '.join(f'z{i}' for i in range(n))}], {error}")
+    lines.append(_return_step(n, error))
     return lines
 
 
 @lru_cache(maxsize=32)
 def _step_function(method: str, n: int) -> Callable:
-    """step(rhs, state, h) -> (new_state, error estimate), straight-line in n.
+    """step(rhs, state, h) -> (new_state, error estimate, inside), straight-line in n.
 
     RK4 reports an error estimate of 0.0; RKF45 returns the fifth-order
     solution and the largest component difference to the fourth-order one.
+    `inside` is true when every component of new_state is finite and >= 0.
     """
     body = _rk4_source(n) if method == "rk4_fixed" else _rkf45_source(n)
     return _compile("_step(rhs, state, h)", [_unpack([f"x{i}" for i in range(n)], "state")] + body)
@@ -353,7 +375,7 @@ def integrate(
         if not step_h < h:  # min(h, t_end - t), which keeps h on a tie
             step_h = h
         try:
-            new_state, error = step(rhs, state, step_h)
+            new_state, error, inside = step(rhs, state, step_h)
         except OverflowError:
             raise SimulationError(_BLOW_UP, t) from None
         if adaptive:
@@ -370,19 +392,20 @@ def integrate(
                         raise SimulationError("step size underflow", t)
                     continue
                 forced += 1
-        # the sum of finite floats is finite or overflows; a nonfinite one is nan or inf
-        if not math.isfinite(sum(new_state)) and not all(map(math.isfinite, new_state)):
-            raise SimulationError(_BLOW_UP, t)
         new_t = t + step_h
-        if min(new_state, default=0.0) < 0:
-            for i, value in enumerate(new_state):
-                if value < 0:
-                    if value < -CLAMP_TOLERANCE:
-                        raise SimulationError(
-                            f"component {system.variables[i]} went negative ({value:.3e})", t
-                        )
-                    events.append((new_t, i, value))
-                    new_state[i] = 0.0
+        if not inside:
+            # the sum of finite floats is finite or overflows; a nonfinite one is nan or inf
+            if not math.isfinite(sum(new_state)) and not all(map(math.isfinite, new_state)):
+                raise SimulationError(_BLOW_UP, t)
+            if min(new_state, default=0.0) < 0:
+                for i, value in enumerate(new_state):
+                    if value < 0:
+                        if value < -CLAMP_TOLERANCE:
+                            raise SimulationError(
+                                f"component {system.variables[i]} went negative ({value:.3e})", t
+                            )
+                        events.append((new_t, i, value))
+                        new_state[i] = 0.0
         if project:
             current = v_func(new_state)
             if not current <= 0:

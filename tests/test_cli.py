@@ -547,6 +547,63 @@ def test_deeply_nested_component_exits_2(tmp_path, capsys):
     assert "MAX_NESTING = 100" in capsys.readouterr().err
 
 
+def test_nested_constant_power_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "power.txt", "vars x\n(((2)^100)^100)^100*x\n")
+    start = time.perf_counter()
+    assert main(["check", path, "--property", "kinetic"]) == 2
+    assert "above MAX_COEFFICIENT_BITS = " in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+    path = write(tmp_path, "small.txt", "vars x y\n(2)^100*y\n-(3/2)^50*x\n")
+    assert main(["check", path, "--property", "kinetic"]) in (0, 1)
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        pytest.param(
+            '{"reactant": {"A": "1"}, "product": {"A": "1"}, "rate": "1"}',
+            "step has identical reactant and product",
+            id="self-loop",
+        ),
+        pytest.param(
+            '{"reactant": {"A": "100000000000"}, "product": {"B": "1"}, "rate": "1"}',
+            "reactant complex of degree 100000000000 is above MAX_DEGREE = 100",
+            id="oversized-reactant",
+        ),
+        pytest.param(
+            '{"reactant": {"C": "1"}, "product": {"B": "1"}, "rate": "1"}',
+            "unknown species 'C' in complex",
+            id="unknown-species",
+        ),
+        pytest.param(
+            '{"reactant": {"A": "1"}, "product": {"B": "1"}, "rate": "-2"}',
+            "invalid rate parameter '-2'",
+            id="bad-rate",
+        ),
+    ],
+)
+def test_json_step_faults_name_the_step(tmp_path, capsys, step, message):
+    good = '{"reactant": {"A": "1"}, "product": {"B": "1"}, "rate": "1"}'
+    document = '{"species": ["A", "B"], "steps": [' + good + ", " + step + "]}"
+    path = write(tmp_path, "bad.json", document)
+    assert main(["check", path, "--property", "kinetic"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: network JSON step 2: {message}\n"
+
+
+def test_warnings_are_one_line_each(tmp_path, capsys):
+    path = write(tmp_path, "dup.crn", "A ->[1] B\nA ->[2] B\n")
+    assert main(["parse", path]) == 0
+    assert capsys.readouterr().err == "warning: duplicate step A ->[2] B merged by summing rates\n"
+    # a warning raised before a failure is printed before its error line
+    path = write(tmp_path, "unbound.crn", "A ->[k] B\nA ->[k] B\n")
+    assert main(["odes", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "warning: duplicate step A ->[k] B merged by summing rates"
+    assert len(err) == 2 and err[1].startswith("error: ")
+
+
 def test_simulate_abort_is_exit_one(tmp_path, capsys):
     path = write(tmp_path, "blow.txt", "vars x\nx^2\n")
     code = main(["simulate", path, "--x0", "2", "--t-end", "1.0"])

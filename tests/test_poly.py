@@ -165,6 +165,17 @@ def test_parse_nesting_cap():
         parse_polynomial(deeper, names)
 
 
+def test_parse_constant_power_cap():
+    names = ("x",)
+    assert parse_polynomial("(2)^100*x", names) == Polynomial(1, {(1,): Fraction(2) ** 100})
+    assert parse_polynomial("(3/2)^50", names) == Polynomial.constant(1, Fraction(3, 2) ** 50)
+    for text in ("((2)^100)^100", "(((2)^100)^100)^100", "((1/3)^100)^100*x"):
+        start = time.perf_counter()
+        with pytest.raises(PolynomialParseError, match="above MAX_COEFFICIENT_BITS = "):
+            parse_polynomial(text, names)
+        assert time.perf_counter() - start < 1.0
+
+
 def test_system_from_strings_and_render():
     sys_ = PolynomialSystem.from_strings(("x", "y"), ["y^2 - x*y", "x^2"])
     assert sys_.render() == "{-x*y + y^2, x^2}"

@@ -104,6 +104,28 @@ def test_compiled_rhs_matches_exact_evaluation():
                 assert abs(e - g) <= 1e-9 * max(1.0, abs(e))
 
 
+def test_compiled_evaluators_are_cached_per_system():
+    def build(names):
+        return PolynomialSystem.from_strings(names, ["-x*y + 1/3", "x*y - 2*y"])
+
+    rhs = compile_rhs(build(("x", "y")))
+    assert compile_rhs(build(("x", "y"))) is rhs
+    renamed = PolynomialSystem(("u", "v"), build(("x", "y")).components)
+    assert compile_rhs(renamed) is not rhs
+    assert compile_rhs(renamed)([2.0, 3.0]) == rhs([2.0, 3.0])
+    invariant = compile_invariant(QuadraticCandidate.diagonal((F(1), F(2))))
+    built = QuadraticCandidate(((F(1), F(0)), (F(0), F(2))), (F(0), F(0)), F(0))
+    assert compile_invariant(built) is invariant
+    assert compile_invariant(QuadraticCandidate.diagonal((F(2), F(1)))) is not invariant
+
+
+def test_compiled_rhs_takes_a_state_of_its_dimension(oscillator_system):
+    rhs = compile_rhs(oscillator_system)
+    for state in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError):
+            rhs(state)
+
+
 def test_compiled_invariant_matches_polynomial():
     cand = QuadraticCandidate(
         ((F(2), F(-1)), (F(-1), F(3))), (F(1), F(0)), F(5)
@@ -251,14 +273,16 @@ def test_coefficient_too_large_for_a_float():
     system = PolynomialSystem(
         ("x", "y"), (Polynomial(2, {(1, 0): F(1)}), Polynomial(2, {(1, 1): -huge}))
     )
-    with pytest.raises(ValueError, match=r"coefficient of x\*y in dy/dt is too large"):
-        compile_rhs(system)
-    with pytest.raises(ValueError, match="constant term of the invariant"):
-        compile_invariant(QuadraticCandidate(((F(1),),), (F(0),), huge))
-    with pytest.raises(ValueError, match="linear coefficient 1 of the invariant"):
-        compile_invariant(QuadraticCandidate(SPHERE.q, (F(0), huge)))
-    with pytest.raises(ValueError, match=r"q\[0\]\[1\] of the invariant"):
-        compile_invariant(QuadraticCandidate.binary_form(F(1), -huge, F(1)))
+    # a refusal is not cached: every call raises again
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"coefficient of x\*y in dy/dt is too large"):
+            compile_rhs(system)
+        with pytest.raises(ValueError, match="constant term of the invariant"):
+            compile_invariant(QuadraticCandidate(((F(1),),), (F(0),), huge))
+        with pytest.raises(ValueError, match="linear coefficient 1 of the invariant"):
+            compile_invariant(QuadraticCandidate(SPHERE.q, (F(0), huge)))
+        with pytest.raises(ValueError, match=r"q\[0\]\[1\] of the invariant"):
+            compile_invariant(QuadraticCandidate.binary_form(F(1), -huge, F(1)))
 
 
 def test_tiny_negative_overshoot_is_clamped():
@@ -404,6 +428,16 @@ def test_integrate_matches_reference_loops(case):
         ("-x", [-0.0], SimConfig(step=0.3, t_end=1.0, stride=2)),
         ("x", [-0.0], SimConfig(method="rkf45_adaptive", step=0.3, t_end=1.0)),
         ("-x", [1.0], SimConfig(method="rkf45_adaptive", step=0.3, t_end=1.0, stride=4)),
+        # 1e300 * x overflows to inf by multiplication, which raises no OverflowError
+        pytest.param(
+            "1" + "0" * 300 + "*x", [1e10], SimConfig(step=1e-3, t_end=1.0), id="inf-by-product"
+        ),
+        pytest.param(
+            "-1",
+            [1e-3 - 5e-13],
+            SimConfig(method="rkf45_adaptive", step=1e-3, t_end=1e-3),
+            id="rkf45-clamp",
+        ),
     ],
 )
 def test_integrate_matches_reference_on_edges(text, x0, config):
