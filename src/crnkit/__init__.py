@@ -18,14 +18,11 @@ from .conservation import (
 from .kinetics import (
     CrossEffectReport,
     CrossEffectViolation,
-    NoPeriodicOrbitCertificate,
     NotKineticError,
     UnboundParameterError,
     canonical_realization,
-    divergence,
     induced_kinetic_ode,
     negative_cross_effect,
-    no_periodic_orbit_certificate,
     ode_variable_names,
 )
 from .linalg import ProofCheckError
@@ -52,8 +49,10 @@ from .qfi import (
     FirstIntegralReport,
     GeneratorConstraintError,
     MixedSignParams,
+    NoPeriodicOrbitCertificate,
     QuadraticCandidate,
     diagonal_collapse_check,
+    divergence,
     equilibria_on_line_check,
     find_quadratic_first_integrals,
     generate_binary_form_system,
@@ -63,6 +62,7 @@ from .qfi import (
     is_first_integral,
     lie_derivative,
     lotka_volterra_log_check,
+    no_periodic_orbit_certificate,
     solve_log_integral_family,
 )
 from .sim import (

@@ -35,7 +35,6 @@ from .kinetics import (
     canonical_realization,
     induced_kinetic_ode,
     negative_cross_effect,
-    no_periodic_orbit_certificate,
 )
 from .network import ReactionNetwork, parse_network
 from .numbers import format_rational, parse_rational
@@ -53,6 +52,7 @@ from .qfi import (
     generate_shifted_system,
     is_first_integral,
     lotka_volterra_log_check,
+    no_periodic_orbit_certificate,
 )
 from .sim import SimConfig, SimulationError, drift_report, integrate
 

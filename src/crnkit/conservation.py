@@ -14,16 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import nullspace_basis, positive_vector_in_span
+from .linalg import SparseRow, coefficient_matrix, nullspace_basis, positive_vector_in_span
 from .network import ReactionNetwork
 from .numbers import format_rational
-from .poly import (
-    Exponents,
-    Polynomial,
-    PolynomialSystem,
-    accumulate_terms,
-    coefficient_matrix,
-)
+from .poly import Exponents, Polynomial, PolynomialSystem, accumulate_terms
 
 
 @dataclass(frozen=True)
@@ -55,10 +49,9 @@ def stoichiometric_residual(
         raise ValueError(
             f"vector length {len(rho)} does not match {network.num_species} species"
         )
-    _, _, gamma = network.stoichiometric_matrices()
     return [
-        sum((Fraction(rho[i]) * gamma[i][j] for i in range(len(rho))), Fraction(0))
-        for j in range(network.num_steps)
+        sum((Fraction(rho[i]) * c for i, c in step.net_change.items()), Fraction(0))
+        for step in network.steps
     ]
 
 
@@ -74,42 +67,39 @@ def kinetic_residual(rho: Sequence[Fraction], system: PolynomialSystem) -> Polyn
     return Polynomial._from_clean(system.dim, {e: c for e, c in sums.items() if c})
 
 
-def _positive_kernel_vector(
-    rows: Sequence[Sequence[Fraction]], m: int, mode: str
-) -> ConservationVector | None:
-    """Primitive integer rho > 0 with rows . rho = 0, or None if there is none."""
-    basis = nullspace_basis(rows, m)
+def positive_kernel_vector(
+    rows: Sequence[SparseRow], ncols: int
+) -> tuple[list[list[Fraction]], tuple[Fraction, ...] | None]:
+    """The kernel of sparse rows, and a strictly positive vector in it if any.
+
+    Returns `nullspace_basis(rows, ncols)` and the witness that
+    `positive_vector_in_span` finds in its span, or None when there is none
+    (an empty kernel is not searched).  Every strict-positivity search over
+    a kernel, conservation and positive-diagonal QFI alike, runs here.
+    """
+    basis = nullspace_basis(rows, ncols)
     if not basis:
-        return None
-    result = positive_vector_in_span(basis, m)
-    if result.vector is None:
-        return None
-    return ConservationVector(result.vector, mode)
+        return basis, None
+    return basis, positive_vector_in_span(basis, ncols).vector
 
 
 def stoichiometric_conservation(network: ReactionNetwork) -> ConservationVector | None:
     """Search for strictly positive rho with rho^T gamma = 0.
 
-    Returns an integer witness with collective gcd 1, or None when the left
-    null space of gamma misses the open positive orthant.
+    Each step's net change is one row of gamma^T.  Returns an integer
+    witness with collective gcd 1, or None when the left null space of
+    gamma misses the open positive orthant.
     """
-    _, _, gamma = network.stoichiometric_matrices()
-    m = network.num_species
-    if m == 0:
-        return None
-    gamma_t = [
-        [gamma[i][j] for i in range(m)] for j in range(network.num_steps)
-    ]
-    return _positive_kernel_vector(gamma_t, m, "stoichiometric")
+    rows = [step.net_change for step in network.steps]
+    _, witness = positive_kernel_vector(rows, network.num_species)
+    return None if witness is None else ConservationVector(witness, "stoichiometric")
 
 
 def kinetic_conservation(system: PolynomialSystem) -> ConservationVector | None:
     """Search for strictly positive rho with sum_m rho_m f_m identically zero."""
-    m = system.dim
-    if m == 0:
-        return None
     rows = coefficient_matrix([component.terms() for component in system.components])
-    return _positive_kernel_vector(rows, m, "kinetic")
+    _, witness = positive_kernel_vector(rows, system.dim)
+    return None if witness is None else ConservationVector(witness, "kinetic")
 
 
 def verify_conservation(

@@ -71,15 +71,13 @@ def induced_kinetic_ode(
         for index, coeff in step.reactant.entries:
             exponents[index] = int(coeff)
         mono = tuple(exponents)
-        for index, coeff in step.reactant.entries:
+        for index, change in step.net_change.items():
             bucket = terms[index]
-            bucket[mono] = bucket.get(mono, 0) - coeff * k
-        for index, coeff in step.product.entries:
-            bucket = terms[index]
-            bucket[mono] = bucket.get(mono, 0) + coeff * k
-    # a catalyst's gain and loss, and opposite steps, cancel: Polynomial drops
-    # the zero sums
-    components = tuple(Polynomial(m, t) for t in terms)
+            bucket[mono] = bucket.get(mono, 0) + change * k
+    # opposite steps cancel: drop the zero sums
+    components = tuple(
+        Polynomial._from_clean(m, {e: c for e, c in t.items() if c}) for t in terms
+    )
     return PolynomialSystem(variables, components)
 
 
@@ -174,72 +172,3 @@ def canonical_realization(system: PolynomialSystem) -> ReactionNetwork:
                 )
             )
     return ReactionNetwork(species, steps)
-
-
-# -- divergence and periodic orbits ----------------------------------------
-
-def divergence(system: PolynomialSystem) -> Polynomial:
-    """Sum of the partial derivatives d f_m / d x_m."""
-    total = Polynomial.zero(system.dim)
-    for index, component in enumerate(system.components):
-        total = total + component.derivative(index)
-    return total
-
-
-@dataclass(frozen=True)
-class NoPeriodicOrbitCertificate:
-    """Witness that no periodic orbit lies in the open positive orthant.
-
-    The verdict is "yes" only when the divergence is nonzero with every
-    coefficient nonpositive (hence strictly negative on the open orthant)
-    and a nonconstant first integral is known; both facts are recorded
-    separately so an inconclusive answer shows which leg failed.
-    """
-
-    verdict: str  # "yes" | "inconclusive"
-    divergence: Polynomial
-    divergence_negative: bool
-    first_integral: "object | None"  # QuadraticCandidate, avoids import cycle
-
-    @property
-    def holds(self) -> bool:
-        return self.verdict == "yes"
-
-    def to_dict(self, variables: Sequence[str]) -> dict:
-        integral = self.first_integral
-        return {
-            "verdict": self.verdict,
-            "divergence": self.divergence.render(variables),
-            "divergence_negative": self.divergence_negative,
-            "first_integral": None if integral is None else integral.render(variables),
-        }
-
-
-def no_periodic_orbit_certificate(
-    system: PolynomialSystem, invariant=None
-) -> NoPeriodicOrbitCertificate:
-    """Try to certify absence of periodic orbits in the open positive orthant.
-
-    If `invariant` (a QuadraticCandidate) is given it is verified; otherwise
-    a quadratic first integral is searched for.
-    """
-    from .qfi import find_quadratic_first_integrals, is_first_integral
-
-    div = divergence(system)
-    div_negative = (not div.is_zero()) and all(
-        coeff <= 0 for _, coeff in div.sorted_terms()
-    )
-    if invariant is not None:
-        if not is_first_integral(invariant, system):
-            raise ValueError("supplied invariant is not a first integral of the system")
-        integral = invariant
-    else:
-        report = find_quadratic_first_integrals(system)
-        integral = report.basis[0] if report.basis else None
-    verdict = "yes" if (div_negative and integral is not None) else "inconclusive"
-    return NoPeriodicOrbitCertificate(
-        verdict=verdict,
-        divergence=div,
-        divergence_negative=div_negative,
-        first_integral=integral,
-    )

@@ -1,5 +1,11 @@
 """Exact linear algebra over the rationals.
 
+A linear constraint is a sparse row: a mapping from column index to
+coefficient (an int or a Fraction).  Absent columns are 0, zero values are
+skipped, and a nonzero value in a column outside 0..ncols-1 is a ValueError.
+`coefficient_matrix` builds such rows, and the elimination reads only their
+nonzero entries, never a dense row.
+
 Null-space bases come from one fraction-free Gauss-Jordan elimination over
 sparse integer rows: each row is scaled to coprime integers, rows are
 combined by integer cross-multiplication and divided by the gcd of their
@@ -19,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Hashable, Mapping, Sequence
 
 Matrix = list[list[Fraction]]
+SparseRow = Mapping[int, Fraction | int]
 
 
 class ProofCheckError(AssertionError):
@@ -49,15 +56,36 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {j: v // g for j, v in row.items()}
 
 
-def _integer_row(row: Sequence[Fraction]) -> dict[int, int]:
-    """Nonzero entries of a row of ints and Fractions scaled to coprime integers."""
-    entries = {j: v for j, v in enumerate(row) if v}
+def _integer_row(row: SparseRow) -> dict[int, int]:
+    """Nonzero entries of a sparse row scaled to coprime integers."""
+    entries = {j: v for j, v in row.items() if v}
     if not entries:
         return entries
     den = lcm(*(v.denominator for v in entries.values()))
     return _primitive(
         {j: v.numerator * (den // v.denominator) for j, v in entries.items()}
     )
+
+
+def coefficient_matrix(
+    columns: Sequence[Mapping[Hashable, Fraction]],
+) -> list[dict[int, Fraction]]:
+    """Sparse rows of the matrix whose column j holds the entries of `columns[j]`.
+
+    One row per key occurring in some column (a monomial, a species, any
+    hashable), mapping j to that key's value in `columns[j]`, in no
+    particular order: callers use only the row space (null space, reduced
+    echelon form), which does not depend on it.  Values are copied as
+    given, zeros included; the elimination skips them.
+    """
+    rows: dict[Hashable, dict[int, Fraction]] = {}
+    for j, column in enumerate(columns):
+        for key, coeff in column.items():
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = {}
+            row[j] = coeff
+    return list(rows.values())
 
 
 def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[int, int]:
@@ -82,7 +110,7 @@ def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict
 
 
 def _reduce(
-    rows: Sequence[Sequence[Fraction]], ncols: int
+    rows: Sequence[SparseRow], ncols: int
 ) -> tuple[list[dict[int, int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination over sparse integer rows.
 
@@ -94,8 +122,6 @@ def _reduce(
     """
     pending = []
     for row in rows:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
         entries = _integer_row(row)
         if entries:
             pending.append(entries)
@@ -124,11 +150,18 @@ def _reduce(
                 placed[i] = _eliminate(row, pivot_row, col)
         placed.append(pivot_row)
         pivots.append(col)
+    # a column outside 0..ncols-1 is never a pivot: where the input is nonzero
+    # in one, a pending or placed row still is
+    if pending or any(min(row) < 0 or max(row) >= ncols for row in placed):
+        raise ValueError(f"column index out of range for {ncols} columns")
     return placed, pivots
 
 
-def nullspace_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
+def nullspace_basis(rows: Sequence[SparseRow], ncols: int) -> list[list[Fraction]]:
     """Basis of {v : A v = 0}, one vector per free column, in column order.
+
+    A is given as sparse rows: only nonzero entries are read, and one in a
+    column outside 0..ncols-1 raises ValueError.  The basis vectors are dense.
 
     The vector of free column j is the multiple of the one with 1 in column
     j, -R[i][j] in pivot column i of the reduced row echelon form R, and 0
@@ -274,7 +307,7 @@ def positive_vector_in_span(
     for v in vectors:
         if len(v) != dim:
             raise ValueError("spanning vector has wrong length")
-    placed, pivots = _reduce(vectors, dim)
+    placed, pivots = _reduce([dict(enumerate(v)) for v in vectors], dim)
     scale = lcm(*(row[p] for row, p in zip(placed, pivots)))
     pivot_set = set(pivots)
     constrained = [j for j in range(dim) if j not in pivot_set]

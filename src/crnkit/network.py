@@ -26,6 +26,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix
@@ -181,6 +182,20 @@ class ReactionStep:
             raise NetworkValidationError(
                 f"reactant complex of degree {degree} is above MAX_DEGREE = {MAX_DEGREE}"
             )
+        change = dict(self.product.entries)
+        for index, coeff in self.reactant.entries:
+            change[index] = change[index] - coeff if index in change else -coeff
+        object.__setattr__(self, "_net_change", {i: c for i, c in change.items() if c})
+
+    @property
+    def net_change(self) -> Mapping[int, Fraction]:
+        """Product minus reactant as a read-only sparse row, built with the step.
+
+        Maps each species index the step changes to its nonzero Fraction
+        change; a catalyst has no entry.  The exact searches read it as one
+        row of gamma^T.
+        """
+        return MappingProxyType(self._net_change)
 
     def render(self, species: Sequence[str]) -> str:
         return (
@@ -347,10 +362,6 @@ class ReactionNetwork:
                 # the step's own faults keep their type and gain its number
                 raise type(exc)(f"{where}: {exc}") from None
         return cls(species, steps)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReactionNetwork":
-        return cls.from_dict(json.loads(text))
 
 
 # -- text parsing -----------------------------------------------------------

@@ -53,28 +53,6 @@ def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
     return (sum(exponents), exponents)
 
 
-def coefficient_matrix(
-    columns: Sequence[Mapping[Exponents, Fraction]],
-) -> list[list[Fraction | int]]:
-    """Matrix whose column j holds the coefficients of `columns[j]`.
-
-    One row per monomial occurring in some column, in no particular order:
-    callers use only the row space (nullspace, reduced echelon form), which
-    does not depend on it.  Absent coefficients are the int 0, which the
-    elimination skips without a Fraction method call.
-    """
-    zero = 0
-    width = len(columns)
-    rows: dict[Exponents, list[Fraction | int]] = {}
-    for j, column in enumerate(columns):
-        for expts, coeff in column.items():
-            row = rows.get(expts)
-            if row is None:
-                row = rows[expts] = [zero] * width
-            row[j] = coeff
-    return list(rows.values())
-
-
 def accumulate_terms(
     sums: dict[Exponents, Fraction],
     terms: Mapping[Exponents, Fraction],

@@ -11,14 +11,15 @@ null-space computation over a matrix assembled by the same shift rule: each
 unit candidate's column is f_i, or f_i and f_j shifted by one variable and
 doubled (the positive-diagonal search drops the factor 2 that every one of
 its columns carries).  Strict sign conditions (for instance a
-positive-definite diagonal V) are decided by a fraction-free integer phase-1
-simplex over the reduced span of that null space.
+positive-definite diagonal V) are decided over that null space by
+`positive_kernel_vector`, the routine the conservation searches use.
 
 The generators in this module produce, for each supported shape of V, the
 full coefficient family of kinetic quadratic systems conserving it; each
 generated system is verified (kinetic, Lie derivative exactly zero) before
 being returned.  These checks, like the positivity proofs of the simplex,
-raise `ProofCheckError` explicitly and so also run under `python -O`.
+raise `ProofCheckError` explicitly and so also run under `python -O`.  The
+no-periodic-orbit test lives here too, as its verdict needs a first integral.
 """
 
 from __future__ import annotations
@@ -27,20 +28,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .conservation import ConservationVector, kinetic_conservation, verify_conservation
-from .kinetics import negative_cross_effect
-from .linalg import (
-    check_proof,
-    nullspace_basis,
-    positive_vector_in_span,
-    symmetric_inertia,
+from .conservation import (
+    ConservationVector,
+    kinetic_conservation,
+    positive_kernel_vector,
+    verify_conservation,
 )
+from .kinetics import negative_cross_effect
+from .linalg import check_proof, coefficient_matrix, nullspace_basis, symmetric_inertia
 from .poly import (
     Exponents,
     Polynomial,
     PolynomialSystem,
     accumulate_terms,
-    coefficient_matrix,
     default_variable_names,
 )
 
@@ -269,31 +269,23 @@ def find_quadratic_first_integrals(
     exactly whether the solution space meets the open positive-coefficient
     orthant, returning a strictly positive witness if so.
     """
-    if signature_filter not in (None, "positive-diagonal", "positive_diagonal"):
+    if signature_filter not in (None, "positive-diagonal"):
         raise ValueError(f"unknown signature filter {signature_filter!r}")
     diagonal_only = signature_filter is not None
     columns = _lie_derivative_columns(system, diagonal_only)
-    weights = nullspace_basis(coefficient_matrix(columns), len(columns))
+    rows = coefficient_matrix(columns)
+    if diagonal_only:
+        weights, witness = positive_kernel_vector(rows, len(columns))
+    else:
+        weights = nullspace_basis(rows, len(columns))
+        witness = weights[0] if weights else None
     basis = tuple(_candidate(w, system.dim, diagonal_only) for w in weights)
-    if not diagonal_only:
-        candidate = basis[0] if basis else None
-        return FirstIntegralReport(
-            found=bool(basis),
-            candidate=candidate,
-            basis=basis,
-            signature=candidate.signature() if candidate else None,
-        )
-    if not weights:
-        return FirstIntegralReport(False, None, basis, None)
-    result = positive_vector_in_span(weights, system.dim)
-    if result.vector is None:
-        return FirstIntegralReport(False, None, basis, None)
-    candidate = _candidate(result.vector, system.dim, diagonal_only)
+    candidate = None if witness is None else _candidate(witness, system.dim, diagonal_only)
     return FirstIntegralReport(
-        found=True,
+        found=candidate is not None,
         candidate=candidate,
         basis=basis,
-        signature=candidate.signature(),
+        signature=candidate.signature() if candidate else None,
     )
 
 
@@ -722,6 +714,73 @@ def diagonal_collapse_check(system: PolynomialSystem) -> DiagonalCollapseResult:
     )
 
 
+# -- divergence and periodic orbits ----------------------------------------
+
+def divergence(system: PolynomialSystem) -> Polynomial:
+    """Sum of the partial derivatives d f_m / d x_m."""
+    total = Polynomial.zero(system.dim)
+    for index, component in enumerate(system.components):
+        total = total + component.derivative(index)
+    return total
+
+
+@dataclass(frozen=True)
+class NoPeriodicOrbitCertificate:
+    """Witness that no periodic orbit lies in the open positive orthant.
+
+    The verdict is "yes" only when the divergence is nonzero with every
+    coefficient nonpositive (hence strictly negative on the open orthant)
+    and a nonconstant first integral is known; both facts are recorded
+    separately so an inconclusive answer shows which leg failed.
+    """
+
+    verdict: str  # "yes" | "inconclusive"
+    divergence: Polynomial
+    divergence_negative: bool
+    first_integral: QuadraticCandidate | None
+
+    @property
+    def holds(self) -> bool:
+        return self.verdict == "yes"
+
+    def to_dict(self, variables: Sequence[str]) -> dict:
+        integral = self.first_integral
+        return {
+            "verdict": self.verdict,
+            "divergence": self.divergence.render(variables),
+            "divergence_negative": self.divergence_negative,
+            "first_integral": None if integral is None else integral.render(variables),
+        }
+
+
+def no_periodic_orbit_certificate(
+    system: PolynomialSystem, invariant: QuadraticCandidate | None = None
+) -> NoPeriodicOrbitCertificate:
+    """Try to certify absence of periodic orbits in the open positive orthant.
+
+    If `invariant` (a QuadraticCandidate) is given it is verified; otherwise
+    a quadratic first integral is searched for.
+    """
+    div = divergence(system)
+    div_negative = (not div.is_zero()) and all(
+        coeff <= 0 for _, coeff in div.sorted_terms()
+    )
+    if invariant is not None:
+        if not is_first_integral(invariant, system):
+            raise ValueError("supplied invariant is not a first integral of the system")
+        integral = invariant
+    else:
+        report = find_quadratic_first_integrals(system)
+        integral = report.basis[0] if report.basis else None
+    verdict = "yes" if (div_negative and integral is not None) else "inconclusive"
+    return NoPeriodicOrbitCertificate(
+        verdict=verdict,
+        divergence=div,
+        divergence_negative=div_negative,
+        first_integral=integral,
+    )
+
+
 # -- logarithmic first integral (planar predator-prey) ----------------------
 
 def lotka_volterra_log_check(system: PolynomialSystem) -> bool:
@@ -752,15 +811,12 @@ def solve_log_integral_family() -> list[PolynomialSystem]:
     is returned as a basis of normalized systems; time reversal stays inside
     the family since it only flips the overall sign.
     """
-    x = Polynomial.variable(2, 0)
-    y = Polynomial.variable(2, 1)
-    one = Polynomial.constant(2, 1)
-    left = y * (x - one)
-    right = x * (y - one)
+    # column (k, a, b) holds the terms of x^a y^b times y (x - 1) for k = 0
+    # (f_1's coefficient of x^a y^b) or x (y - 1) for k = 1 (f_2's)
     columns = [
-        (multiplier * Polynomial.monomial(2, mono)).terms()
-        for multiplier in (left, right)
-        for mono in _QUAD_MONOMIALS
+        {(i + a, j + b): c for (i, j), c in multiplier.items()}
+        for multiplier in ({(1, 1): 1, (0, 1): -1}, {(1, 1): 1, (1, 0): -1})
+        for a, b in _QUAD_MONOMIALS
     ]
     basis = nullspace_basis(coefficient_matrix(columns), len(columns))
     systems = []

@@ -16,6 +16,7 @@ initial level surface after every step.
 
 from __future__ import annotations
 
+import io
 import math
 import sys
 from dataclasses import dataclass, field
@@ -123,8 +124,6 @@ class Trajectory:
             stream.write(",".join(row) + "\n")
 
     def to_csv(self) -> str:
-        import io
-
         buf = io.StringIO()
         self.write_csv(buf)
         return buf.getvalue()
@@ -380,7 +379,7 @@ def integrate(
             raise SimulationError(_BLOW_UP, t) from None
         if adaptive:
             bound = tolerance * max(1.0, max(map(abs, state), default=1.0))
-            if error > 0:
+            if error != 0:  # nan shrinks the step, as max(0.2, nan) is 0.2
                 factor = 0.9 * (bound / error) ** 0.2
                 h = step_h * min(5.0, max(0.2, factor))
             else:

@@ -18,7 +18,7 @@ from crnkit import (
     Trajectory,
     compile_rhs,
 )
-from crnkit.linalg import PositivityResult, _reduce, check_proof
+from crnkit.linalg import PositivityResult, _reduce, check_proof, positive_vector_in_span
 from crnkit.kinetics import ode_variable_names
 from crnkit.sim import CLAMP_TOLERANCE
 from crnkit.network import Complex, ReactionStep, resolve_rate
@@ -326,6 +326,11 @@ def leading_sign_normalized(values) -> tuple[Fraction, ...]:
     return ints
 
 
+def sparse_rows(rows: Sequence[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
+    """Dense rows as the sparse rows `nullspace_basis` reads, zero entries kept."""
+    return [dict(enumerate(row)) for row in rows]
+
+
 def dense_nullspace_basis(rows, ncols: int) -> list[list[Fraction]]:
     """Oracle for `nullspace_basis`, read off `dense_rref`."""
     reduced, pivots = dense_rref(rows)
@@ -341,6 +346,36 @@ def dense_nullspace_basis(rows, ncols: int) -> list[list[Fraction]]:
     return basis
 
 
+def dense_positive_kernel_vector(rows, ncols: int) -> tuple[Fraction, ...] | None:
+    """Oracle for the witness of `positive_kernel_vector`, on dense rows.
+
+    The kernel comes from `dense_rref` and its span goes to
+    `positive_vector_in_span`, which reduces it again, so the witness does
+    not depend on how the basis vectors are scaled.
+    """
+    basis = dense_nullspace_basis(rows, ncols)
+    if not basis:
+        return None
+    return positive_vector_in_span(basis, ncols).vector
+
+
+def dense_conservation_rows(
+    network: ReactionNetwork, system: PolynomialSystem
+) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """Dense constraint rows of both conservation searches.
+
+    The rows of gamma^T (one per step, read off `stoichiometric_matrices`)
+    and the coefficient rows of the system (one per monomial, sorted).
+    """
+    _, _, gamma = network.stoichiometric_matrices()
+    gamma_t = [list(column) for column in zip(*gamma)]
+    monomials = sorted({e for component in system.components for e in component.terms()})
+    coefficients = [
+        [component.coefficient(e) for component in system.components] for e in monomials
+    ]
+    return gamma_t, coefficients
+
+
 # -- exact linear algebra: test-only helpers and the old positivity solver ---
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -351,7 +386,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     if not rows:
         return [], []
     ncols = len(rows[0])
-    placed, pivots = _reduce(rows, ncols)
+    placed, pivots = _reduce(sparse_rows(rows), ncols)
     zero = Fraction(0)
     reduced = [
         [Fraction(row[j], row[col]) if j in row else zero for j in range(ncols)]
@@ -624,7 +659,7 @@ def reference_integrate(
                 record(t, accepted, final=t >= t_end - eps)
             else:
                 traj.rejected_steps += 1
-            if error > 0:
+            if error != 0:
                 factor = 0.9 * (scale / error) ** 0.2
                 h = step_h * min(5.0, max(0.2, factor))
             else:

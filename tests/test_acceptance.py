@@ -179,7 +179,7 @@ def _nonzero_diagonal_integral_exists(system):
         lie_derivative_of_unit_square(system, 1),
     ]
     monos = sorted({m for p in lies for m in p.monomials()})
-    rows = [[p.coefficient(m) for p in lies] for m in monos]
+    rows = [{j: p.coefficient(m) for j, p in enumerate(lies)} for m in monos]
     basis = nullspace_basis(rows, 2)
     return any(v[0] != 0 for v in basis) and any(v[1] != 0 for v in basis)
 

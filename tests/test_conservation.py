@@ -3,10 +3,16 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crnkit import (
+    Complex,
     ConservationVector,
+    ReactionNetwork,
+    ReactionStep,
+    find_quadratic_first_integrals,
     induced_kinetic_ode,
+    is_first_integral,
     kinetic_conservation,
     kinetic_residual,
     parse_network,
@@ -15,7 +21,12 @@ from crnkit import (
     verify_conservation,
 )
 
-from .support import random_network
+from .support import (
+    dense_conservation_rows,
+    dense_positive_kernel_vector,
+    random_network,
+    reference_induced_ode,
+)
 
 CASCADE_KINETIC_RHO = tuple(Fraction(v) for v in (1, 2, 4, 1, 4, 5, 2, 2, 1))
 
@@ -98,3 +109,69 @@ def test_witness_normalization(cascade_network):
     assert all(v.denominator == 1 for v in found.rho)
     assert gcd(*nums) == 1
 
+
+def test_sparse_searches_match_the_dense_path():
+    rng = random.Random(7)
+    for i in range(1000):
+        network = random_network(rng, conserving=bool(i % 2))
+        system = induced_kinetic_ode(network)
+        assert system == reference_induced_ode(network)
+        gamma_t, coefficients = dense_conservation_rows(network, system)
+        m = network.num_species
+        for found, rows in (
+            (stoichiometric_conservation(network), gamma_t),
+            (kinetic_conservation(system), coefficients),
+        ):
+            assert (None if found is None else found.rho) == dense_positive_kernel_vector(rows, m)
+
+
+def _permuted(network, perm):
+    """The same network with species i moved to position perm[i]."""
+    species = [""] * network.num_species
+    for i, p in enumerate(perm):
+        species[p] = network.species[i]
+
+    def move(cpx):
+        return Complex.from_mapping({perm[i]: c for i, c in cpx.entries})
+
+    steps = [ReactionStep(move(s.reactant), move(s.product), s.rate) for s in network.steps]
+    return ReactionNetwork(species, steps)
+
+
+def _rescaled(network, factor):
+    steps = [ReactionStep(s.reactant, s.product, s.rate * factor) for s in network.steps]
+    return ReactionNetwork(network.species, steps)
+
+
+def _decisions(network):
+    """Both conservation decisions, the full-QFI nullity and the positive-diagonal
+    decision, after checking every witness they return."""
+    system = induced_kinetic_ode(network)
+    stoich = stoichiometric_conservation(network)
+    if stoich is not None:
+        assert verify_conservation(stoich, network)
+    kinetic = kinetic_conservation(system)
+    if kinetic is not None:
+        assert verify_conservation(kinetic, system)
+    full = find_quadratic_first_integrals(system)
+    assert all(is_first_integral(element, system) for element in full.basis)
+    diagonal = find_quadratic_first_integrals(system, "positive-diagonal")
+    if diagonal.found:
+        assert is_first_integral(diagonal.candidate, system)
+        assert diagonal.candidate.signature() == "positive-definite diagonal"
+    return stoich is not None, kinetic is not None, len(full.basis), diagonal.found
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    conserving=st.booleans(),
+    factor=st.fractions(min_value=Fraction(1, 12), max_value=50, max_denominator=12),
+    data=st.data(),
+)
+def test_decisions_survive_species_permutation_and_rate_scaling(seed, conserving, factor, data):
+    network = random_network(random.Random(seed), conserving)
+    perm = data.draw(st.permutations(range(network.num_species)))
+    expected = _decisions(network)
+    assert _decisions(_permuted(network, perm)) == expected
+    assert _decisions(_rescaled(network, factor)) == expected

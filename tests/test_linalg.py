@@ -20,6 +20,7 @@ from .support import (
     leading_sign_normalized,
     matvec,
     rref,
+    sparse_rows,
     split_positive_vector_in_span,
 )
 
@@ -52,7 +53,7 @@ def test_nullspace_orthogonal_to_rows():
             [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(ncols)]
             for _ in range(nrows)
         ]
-        basis = nullspace_basis(rows, ncols)
+        basis = nullspace_basis(sparse_rows(rows), ncols)
         _, pivots = rref([row[:] for row in rows])
         assert len(basis) == ncols - len(pivots)
         for vec in basis:
@@ -71,18 +72,21 @@ def test_nullspace_no_rows_no_columns():
 
 def test_nullspace_all_zero_rows_is_identity():
     rows = [[0, Fraction(0), 0], [Fraction(0)] * 3]
-    assert nullspace_basis(rows, 3) == frac_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    identity = frac_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert nullspace_basis(sparse_rows(rows), 3) == identity
     reduced, pivots = rref(rows)
     assert reduced == frac_matrix([[0, 0, 0], [0, 0, 0]])
     assert pivots == []
 
 
-def test_ragged_rows_raise():
-    rows = frac_matrix([[1, 2, 3], [4, 5]])
-    with pytest.raises(ValueError):
-        nullspace_basis(rows, 3)
-    with pytest.raises(ValueError):
-        rref(rows)
+def test_out_of_range_column_raises():
+    # a bad column is left alone in a pending row, kept in a placed row, or both
+    for row in ({3: F(1)}, {-1: F(2), 0: F(1)}, {1: F(1), 5: 3}, {0: F(1), -2: F(1, 2)}):
+        for rows in ([{0: F(1)}, row], [row], [row, dict(row)]):
+            with pytest.raises(ValueError, match="out of range"):
+                nullspace_basis(rows, 3)
+    # a zero value is skipped wherever it is
+    assert nullspace_basis([{2: F(1), 7: 0}, {}], 3) == frac_matrix([[1, 0, 0], [0, 1, 0]])
 
 
 _ENTRIES = st.one_of(
@@ -117,7 +121,7 @@ def test_elimination_matches_dense_fraction_oracle(matrix):
     rows, ncols = matrix
     reduced, pivots = rref(rows)
     assert (reduced, pivots) == dense_rref(rows)
-    basis = nullspace_basis(rows, ncols)
+    basis = nullspace_basis(sparse_rows(rows), ncols)
     assert basis == [
         list(leading_sign_normalized(vec)) for vec in dense_nullspace_basis(rows, ncols)
     ]

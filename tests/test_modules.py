@@ -20,3 +20,14 @@ def test_no_module_imports_a_private_name_of_another():
                     if name.startswith("_") and not name.endswith("__"):
                         found.append(f"{path.name}:{node.lineno} imports {name}")
     assert found == []
+
+
+def test_no_module_imports_inside_a_function():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for inner in ast.walk(node):
+                    if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                        found.append(f"{path.name}:{inner.lineno}")
+    assert found == []

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import warnings
 from fractions import Fraction
@@ -182,6 +183,23 @@ def test_stoichiometric_matrices(cascade_network):
         for r in range(10):
             assert gamma[m][r] == beta[m][r] - alpha[m][r]
             assert alpha[m][r] >= 0 and beta[m][r] >= 0
+
+
+def test_net_change_is_the_sparse_column_of_gamma(cascade_network):
+    _, _, gamma = cascade_network.stoichiometric_matrices()
+    for r, step in enumerate(cascade_network.steps):
+        change = step.net_change
+        assert change == {m: gamma[m][r] for m in range(9) if gamma[m][r]}
+        assert all(type(v) is Fraction for v in change.values())
+        with pytest.raises(TypeError):
+            change[0] = Fraction(1)
+    catalysed = parse_network("A + E ->[1] B + E").steps[0]
+    assert catalysed.net_change == {0: -1, 2: 1}
+
+
+def test_network_pickles_after_its_net_changes_are_read(cascade_network):
+    assert [step.net_change for step in cascade_network.steps]
+    assert pickle.loads(pickle.dumps(cascade_network)) == cascade_network
 
 
 def test_render_parse_identity(cascade_network):

@@ -41,6 +41,7 @@ from .support import (
     arithmetic_lie_derivative,
     combine_units,
     leading_sign_normalized,
+    sparse_rows,
     unit_candidates,
     unit_lie_derivative_matrix,
 )
@@ -244,6 +245,12 @@ def test_search_filter_excludes_indefinite():
     assert not filtered.found
 
 
+@pytest.mark.parametrize("name", ["positive_diagonal", "definite"])
+def test_search_rejects_unknown_filters(example_system, name):
+    with pytest.raises(ValueError, match="unknown signature filter"):
+        find_quadratic_first_integrals(example_system, name)
+
+
 def test_search_basis_elements_verify(example_system, cascade_system):
     for system in (example_system, cascade_system):
         report = find_quadratic_first_integrals(system)
@@ -285,7 +292,9 @@ def small_systems(draw):
 @given(system=small_systems(), diagonal_only=st.booleans())
 def test_search_matches_unit_candidate_oracle(system, diagonal_only):
     units = unit_candidates(system.dim, diagonal_only)
-    weights = nullspace_basis(unit_lie_derivative_matrix(system, units), len(units))
+    weights = nullspace_basis(
+        sparse_rows(unit_lie_derivative_matrix(system, units)), len(units)
+    )
     report = find_quadratic_first_integrals(
         system, "positive-diagonal" if diagonal_only else None
     )

@@ -1,7 +1,11 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -445,3 +449,45 @@ def test_integrate_matches_reference_on_edges(text, x0, config):
     for invariant in (None, QuadraticCandidate(((F(1),),), (F(-1),), F(1, 2))):
         case = (system, x0, config, invariant)
         assert _outcome(integrate, *case) == _outcome(reference_integrate, *case)
+
+
+# A stage of 1e300*x from x0 = 1e10 overflows to inf, so the RKF45 error
+# estimate is inf - inf = nan; the step must shrink until it underflows.
+NAN_ERROR_SYSTEM = "1" + "0" * 300 + "*x"
+NAN_ERROR_SCRIPT = f"""
+from crnkit import PolynomialSystem, SimConfig, SimulationError, integrate
+from tests.support import reference_integrate
+system = PolynomialSystem.from_strings(("x",), ["{NAN_ERROR_SYSTEM}"])
+config = SimConfig(method="rkf45_adaptive", step=1e-3, t_end=1.0)
+for run in (integrate, reference_integrate):
+    try:
+        run(system, [1e10], config)
+    except SimulationError as exc:
+        print(exc)
+"""
+
+
+def _run_bounded(args, **kwargs):
+    """Run a Python subprocess that sees this crnkit and tests, killed after 10 s."""
+    src = Path(crnkit.sim.__file__).resolve().parents[1]
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(src), str(root)))}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=10, env=env, **kwargs
+    )
+
+
+def test_rkf45_ends_when_its_error_estimate_is_nan():
+    result = _run_bounded(["-c", NAN_ERROR_SCRIPT])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["step size underflow (last valid time t=0)"] * 2
+
+
+def test_cli_rkf45_ends_when_its_error_estimate_is_nan(tmp_path):
+    path = tmp_path / "blowup.txt"
+    path.write_text(f"vars x\n{NAN_ERROR_SYSTEM}\n")
+    result = _run_bounded(
+        ["-m", "crnkit", "simulate", str(path), "--x0", "1e10", "--method", "rkf45", "--t-end", "1"]
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("simulation aborted: step size underflow")
