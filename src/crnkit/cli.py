@@ -139,17 +139,25 @@ def _read_invariant(text: str, system: PolynomialSystem) -> QuadraticCandidate:
     return QuadraticCandidate.from_polynomial(poly)
 
 
-def _emit(args, payload: dict, lines: list[str], files: dict[str, str]) -> None:
-    """Print the text lines or the JSON report; write --out and its manifest."""
-    report = json.dumps(payload, indent=2, sort_keys=True)
+_encode = functools.partial(json.dumps, indent=2, sort_keys=True)
+
+
+def _emit(args, payload: dict, lines: list[str], files: dict[str, str | dict]) -> None:
+    """Print the text lines or the JSON report; write --out and its manifest.
+
+    `files` maps extra --out files to their text, or to dicts encoded like the report.
+    """
+    report = _encode(payload) if args.json or args.out else None
     print(report if args.json else "\n".join(lines))
     if not args.out:
         return
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    files["report.json"] = report + "\n"
+    files["report.json"] = payload
     digests = {}
     for name, content in sorted(files.items()):
+        if isinstance(content, dict):
+            content = (report if content is payload else _encode(content)) + "\n"
         data = content.encode()
         (outdir / name).write_bytes(data)
         digests[name] = hashlib.sha256(data).hexdigest()
@@ -161,7 +169,7 @@ def _emit(args, payload: dict, lines: list[str], files: dict[str, str]) -> None:
         "inputs": {target: args.target_sha256} if target else {},
         "outputs": digests,
     }
-    data = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+    data = (_encode(manifest) + "\n").encode()
     (outdir / "manifest.json").write_bytes(data)
 
 
@@ -175,7 +183,8 @@ def cmd_parse(args):
     if not network.is_proper:
         unused = ", ".join(network.unused_species()) or "no steps"
         lines.append(f"note: network is degenerate ({unused})")
-    return 0, network.to_dict(), lines, {"network.json": network.to_json() + "\n"}
+    payload = network.to_dict()
+    return 0, payload, lines, {"network.json": payload}
 
 
 def cmd_odes(args):
@@ -371,7 +380,7 @@ def cmd_realize(args):
     ]
     if not network.is_proper:
         lines.append("note: degenerate realization (zero system or unused species)")
-    return 0, payload, lines, {"network.json": network.to_json() + "\n"}
+    return 0, payload, lines, {"network.json": network.to_dict()}
 
 
 def cmd_simulate(args):
@@ -411,7 +420,7 @@ def cmd_simulate(args):
         drift = drift_report(trajectory)
         payload["invariant"] = invariant.render(system.variables)
         payload["drift"] = drift
-        files["drift.json"] = json.dumps(drift, indent=2, sort_keys=True) + "\n"
+        files["drift.json"] = drift
         lines.append(
             f"invariant drift: max {drift['max_abs_drift']:.3e}, "
             f"final {drift['final_drift']:.3e}, "

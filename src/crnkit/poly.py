@@ -463,6 +463,19 @@ class _PolyParser:
             )
         return base**exponent
 
+    def parse_power(self, base: Polynomial) -> Polynomial:
+        """`base`, raised to the exponent if `^ integer` follows."""
+        nxt = self.peek()
+        if nxt and nxt[0] == "op" and nxt[1] == "^":
+            self.take()
+            exp_tok = self.take()
+            if exp_tok[0] != "number" or "." in exp_tok[1]:
+                raise PolynomialParseError(
+                    f"expected integer exponent at column {exp_tok[2] + 1}"
+                )
+            return self.power(base, int(exp_tok[1]))
+        return base
+
     def parse(self) -> Polynomial:
         result = self.parse_sum()
         tok = self.peek()
@@ -520,16 +533,7 @@ class _PolyParser:
                 raise PolynomialParseError(
                     f"expected ')' at column {closing[2] + 1}"
                 )
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "^":
-                self.take()
-                exp_tok = self.take()
-                if exp_tok[0] != "number" or "." in exp_tok[1]:
-                    raise PolynomialParseError(
-                        f"expected integer exponent at column {exp_tok[2] + 1}"
-                    )
-                return self.power(inner, int(exp_tok[1]))
-            return inner
+            return self.parse_power(inner)
         if tok[0] == "number":
             value = parse_rational(tok[1])
             nxt = self.peek()
@@ -552,17 +556,7 @@ class _PolyParser:
                 raise PolynomialParseError(
                     f"unknown variable {name!r} (known: {known})"
                 )
-            base = Polynomial.variable(self.dim, self.index[name])
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "^":
-                self.take()
-                exp_tok = self.take()
-                if exp_tok[0] != "number" or "." in exp_tok[1]:
-                    raise PolynomialParseError(
-                        f"expected integer exponent at column {exp_tok[2] + 1}"
-                    )
-                return self.power(base, int(exp_tok[1]))
-            return base
+            return self.parse_power(Polynomial.variable(self.dim, self.index[name]))
         raise PolynomialParseError(
             f"unexpected token {tok[1]!r} at column {tok[2] + 1}"
         )

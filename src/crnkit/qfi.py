@@ -18,15 +18,20 @@ The generators in this module produce, for each supported shape of V, the
 full coefficient family of kinetic quadratic systems conserving it; each
 generated system is verified (kinetic, Lie derivative exactly zero) before
 being returned.  These checks, like the positivity proofs of the simplex,
-raise `ProofCheckError` explicitly and so also run under `python -O`.  The
-no-periodic-orbit test lives here too, as its verdict needs a first integral.
+raise `ProofCheckError` explicitly and so also run under `python -O`.  Each
+planar binary-form family is one row of `_BINARY_FAMILIES` (the signs in V,
+the conditions on its coefficients, the free parameters and the field,
+linear in them), which validation, the invariant and the generator all
+read.  The no-periodic-orbit test lives here too, as its verdict needs a
+first integral; which integrals it accepts depends on the dimension (see
+`no_periodic_orbit_certificate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .conservation import (
     ConservationVector,
@@ -346,13 +351,10 @@ class DiagonalParams:
         return QuadraticCandidate.diagonal(self.weights)
 
 
-def generate_diagonal_system(
-    params: DiagonalParams, variables: Sequence[str] | None = None
-) -> PolynomialSystem:
+def generate_diagonal_system(params: DiagonalParams) -> PolynomialSystem:
     """Build the full kinetic family conserving a positive-diagonal V."""
     n = params.dim
     a, k = params.weights, params.coupling
-    names = tuple(variables) if variables is not None else default_variable_names(n)
     components = []
     for m in range(n):
         # the x_p^2 and x_m x_p keys (p != m) are all distinct
@@ -367,7 +369,7 @@ def generate_diagonal_system(
             if loss:
                 terms[tuple(1 if i in (m, p) else 0 for i in range(n))] = -loss
         components.append(Polynomial._from_clean(n, terms))
-    system = PolynomialSystem(names, tuple(components))
+    system = PolynomialSystem(default_variable_names(n), tuple(components))
     _verify_generated(system, params.invariant())
     return system
 
@@ -485,13 +487,80 @@ def generate_mixed_sign_system(params: MixedSignParams) -> PolynomialSystem:
     return system
 
 
-BINARY_FORM_FAMILIES = (
-    "ellipse_hyperbola",
-    "parabolic_plus",
-    "parabolic_minus",
-    "indefinite",
-    "rank_one",
+# Conditions on (a, b, c), each with the text after the family name in its message.
+_A_POSITIVE = (lambda a, b, c: a > 0, "requires a > 0")
+_C_POSITIVE = (lambda a, b, c: c > 0, "requires c > 0")
+_B_NONZERO = (lambda a, b, c: b != 0, "requires b != 0")
+_NOT_PARABOLIC = (lambda a, b, c: a * c - b * b != 0, "requires ac - b^2 != 0")
+_PARABOLIC = (
+    (lambda a, b, c: a > 0 and b > 0 and c > 0, "requires a, b, c > 0"),
+    (lambda a, b, c: a * c == b * b, "requires ac - b^2 = 0"),
 )
+
+
+# One row per binary family: the signs (sb, sc) of V = a x^2 + 2 sb b xy + sc c y^2,
+# the conditions on (a, b, c) in the order they are checked, the free parameters, and
+# field(a, b, c, k, l, m, n, r, s) -> (f_x terms, f_y terms), linear in the free ones.
+class _BinaryFamily(NamedTuple):
+    signs: tuple[int, int]
+    conditions: tuple[tuple[Callable[..., bool], str], ...]
+    free: str
+    field: Callable[..., tuple[dict[Exponents, Fraction], dict[Exponents, Fraction]]]
+
+
+_BINARY_FAMILIES = {
+    "ellipse_hyperbola": _BinaryFamily(
+        (1, 1), (_A_POSITIVE, _C_POSITIVE, _NOT_PARABOLIC), "kl",
+        lambda a, b, c, k, l, m, n, r, s: (
+            {(2, 0): -b * k, (1, 1): -c * k + b * l, (0, 2): c * l},
+            {(2, 0): a * k, (1, 1): b * k - a * l, (0, 2): -b * l},
+        ),
+    ),
+    "parabolic_plus": _BinaryFamily(
+        (1, 1), _PARABOLIC, "klmns",
+        lambda a, b, c, k, l, m, n, r, s: (
+            {(2, 0): -b * k, (1, 1): c * s, (0, 2): c * l, (1, 0): -b * m, (0, 1): c * n},
+            {(2, 0): a * k, (1, 1): -b * s, (0, 2): -b * l, (1, 0): a * m, (0, 1): -b * n},
+        ),
+    ),
+    "parabolic_minus": _BinaryFamily(
+        (-1, 1), _PARABOLIC, "klmnrs",
+        lambda a, b, c, k, l, m, n, r, s: (
+            {
+                (2, 0): b * k,
+                (1, 1): c * s,
+                (0, 2): c * l,
+                (1, 0): b * m,
+                (0, 1): c * n,
+                (0, 0): c * r,
+            },
+            {
+                (2, 0): a * k,
+                (1, 1): b * s,
+                (0, 2): b * l,
+                (1, 0): a * m,
+                (0, 1): b * n,
+                (0, 0): b * r,
+            },
+        ),
+    ),
+    "indefinite": _BinaryFamily(
+        (1, -1), (_A_POSITIVE, _C_POSITIVE, _B_NONZERO), "klm",
+        lambda a, b, c, k, l, m, n, r, s: (
+            {(2, 0): -b * k, (1, 1): c * k - b * l, (0, 2): c * l, (1, 0): -b * m, (0, 1): c * m},
+            {(2, 0): a * k, (1, 1): b * k + a * l, (0, 2): b * l, (1, 0): a * m, (0, 1): b * m},
+        ),
+    ),
+    "rank_one": _BinaryFamily(
+        (1, 1), (_A_POSITIVE, _B_NONZERO, (lambda a, b, c: c == 0, "fixes c = 0")), "kms",
+        lambda a, b, c, k, l, m, n, r, s: (
+            {(2, 0): -b * k, (1, 1): -b * s, (1, 0): -b * m},
+            {(2, 0): a * k, (1, 1): b * k + a * s, (0, 2): b * s, (1, 0): a * m, (0, 1): b * m},
+        ),
+    ),
+}
+
+BINARY_FORM_FAMILIES = tuple(_BINARY_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -527,95 +596,33 @@ class BinaryFormParams:
     s: Fraction = Fraction(0)
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "k", "l", "m", "n", "r", "s"):
+        for name in "abcklmnrs":
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        fam = self.family
-        _require(fam in BINARY_FORM_FAMILIES, f"unknown family {fam!r}")
-        a, b, c = self.a, self.b, self.c
-        if fam == "ellipse_hyperbola":
-            _require(a > 0, "ellipse_hyperbola requires a > 0")
-            _require(c > 0, "ellipse_hyperbola requires c > 0")
-            _require(a * c - b * b != 0, "ellipse_hyperbola requires ac - b^2 != 0")
-            self._only("k", "l")
-        elif fam == "parabolic_plus":
-            _require(a > 0 and b > 0 and c > 0, "parabolic_plus requires a, b, c > 0")
-            _require(a * c == b * b, "parabolic_plus requires ac - b^2 = 0")
-            self._only("k", "l", "m", "n", "s")
-        elif fam == "parabolic_minus":
-            _require(a > 0 and b > 0 and c > 0, "parabolic_minus requires a, b, c > 0")
-            _require(a * c == b * b, "parabolic_minus requires ac - b^2 = 0")
-            self._only("k", "l", "m", "n", "r", "s")
-        elif fam == "indefinite":
-            _require(a > 0, "indefinite requires a > 0")
-            _require(c > 0, "indefinite requires c > 0")
-            _require(b != 0, "indefinite requires b != 0")
-            self._only("k", "l", "m")
-        else:  # rank_one
-            _require(a > 0, "rank_one requires a > 0")
-            _require(b != 0, "rank_one requires b != 0")
-            _require(c == 0, "rank_one fixes c = 0")
-            self._only("k", "m", "s")
-        for name in ("k", "l", "m", "n", "r"):
+        _require(self.family in BINARY_FORM_FAMILIES, f"unknown family {self.family!r}")
+        row = _BINARY_FAMILIES[self.family]
+        for holds, text in row.conditions:
+            _require(holds(self.a, self.b, self.c), f"{self.family} {text}")
+        for name in "klmnrs":
+            if name not in row.free:
+                _require(
+                    getattr(self, name) == 0,
+                    f"family {self.family} does not use parameter {name}",
+                )
+        for name in "klmnr":
             _require(
                 getattr(self, name) >= 0,
                 f"free parameter {name} must be nonnegative",
             )
 
-    def _only(self, *allowed: str):
-        for name in ("k", "l", "m", "n", "r", "s"):
-            if name not in allowed:
-                _require(
-                    getattr(self, name) == 0,
-                    f"family {self.family} does not use parameter {name}",
-                )
-
     def invariant(self) -> QuadraticCandidate:
-        if self.family == "parabolic_minus":
-            return QuadraticCandidate.binary_form(self.a, -self.b, self.c)
-        if self.family == "indefinite":
-            return QuadraticCandidate.binary_form(self.a, self.b, -self.c)
-        return QuadraticCandidate.binary_form(self.a, self.b, self.c)
+        sb, sc = _BINARY_FAMILIES[self.family].signs
+        return QuadraticCandidate.binary_form(self.a, sb * self.b, sc * self.c)
 
 
-def generate_binary_form_system(
-    params: BinaryFormParams, variables: Sequence[str] = ("x", "y")
-) -> PolynomialSystem:
+def generate_binary_form_system(params: BinaryFormParams) -> PolynomialSystem:
     """Build the planar family conserving the given binary form."""
-    a, b, c = params.a, params.b, params.c
-    k, l, m, n, r, s = params.k, params.l, params.m, params.n, params.r, params.s
-    fam = params.family
-    if fam == "ellipse_hyperbola":
-        fx = {(2, 0): -b * k, (1, 1): -c * k + b * l, (0, 2): c * l}
-        fy = {(2, 0): a * k, (1, 1): b * k - a * l, (0, 2): -b * l}
-    elif fam == "parabolic_plus":
-        fx = {(2, 0): -b * k, (1, 1): c * s, (0, 2): c * l, (1, 0): -b * m, (0, 1): c * n}
-        fy = {(2, 0): a * k, (1, 1): -b * s, (0, 2): -b * l, (1, 0): a * m, (0, 1): -b * n}
-    elif fam == "parabolic_minus":
-        fx = {
-            (2, 0): b * k,
-            (1, 1): c * s,
-            (0, 2): c * l,
-            (1, 0): b * m,
-            (0, 1): c * n,
-            (0, 0): c * r,
-        }
-        fy = {
-            (2, 0): a * k,
-            (1, 1): b * s,
-            (0, 2): b * l,
-            (1, 0): a * m,
-            (0, 1): b * n,
-            (0, 0): b * r,
-        }
-    elif fam == "indefinite":
-        fx = {(2, 0): -b * k, (1, 1): c * k - b * l, (0, 2): c * l, (1, 0): -b * m, (0, 1): c * m}
-        fy = {(2, 0): a * k, (1, 1): b * k + a * l, (0, 2): b * l, (1, 0): a * m, (0, 1): b * m}
-    else:  # rank_one
-        fx = {(2, 0): -b * k, (1, 1): -b * s, (1, 0): -b * m}
-        fy = {(2, 0): a * k, (1, 1): b * k + a * s, (0, 2): b * s, (1, 0): a * m, (0, 1): b * m}
-    system = PolynomialSystem(
-        tuple(variables), (Polynomial(2, fx), Polynomial(2, fy))
-    )
+    fx, fy = _BINARY_FAMILIES[params.family].field(*(getattr(params, v) for v in "abcklmnrs"))
+    system = PolynomialSystem(("x", "y"), (Polynomial(2, fx), Polynomial(2, fy)))
     _verify_generated(system, params.invariant())
     return system
 
@@ -649,9 +656,7 @@ def generate_shifted_system(
 
 # -- structural checks ------------------------------------------------------
 
-def equilibria_on_line_check(
-    params: BinaryFormParams, system: PolynomialSystem | None = None
-) -> bool:
+def equilibria_on_line_check(params: BinaryFormParams) -> bool:
     """Check the off-origin equilibrium set of an ellipse_hyperbola instance.
 
     For k != 0 != l the set is the line y = (k/l) x; if one parameter
@@ -661,7 +666,6 @@ def equilibria_on_line_check(
     """
     if params.family != "ellipse_hyperbola":
         raise ValueError("equilibrium line analysis applies to ellipse_hyperbola only")
-    sys_ = system if system is not None else generate_binary_form_system(params)
     if params.k != 0 and params.l != 0:
         line = Polynomial.variable(2, 0) * (params.k / params.l)
         substitution = {1: line}
@@ -673,7 +677,7 @@ def equilibria_on_line_check(
         substitution = {}
     return all(
         component.substitute(substitution).is_zero()
-        for component in sys_.components
+        for component in generate_binary_form_system(params).components
     )
 
 
@@ -730,7 +734,8 @@ class NoPeriodicOrbitCertificate:
 
     The verdict is "yes" only when the divergence is nonzero with every
     coefficient nonpositive (hence strictly negative on the open orthant)
-    and a nonconstant first integral is known; both facts are recorded
+    and a first integral that the rule for the system's dimension accepts
+    is known (see `no_periodic_orbit_certificate`); both facts are recorded
     separately so an inconclusive answer shows which leg failed.
     """
 
@@ -753,21 +758,74 @@ class NoPeriodicOrbitCertificate:
         }
 
 
+def _has_disk_level_sets(candidate: QuadraticCandidate) -> bool:
+    """Is V a nonzero linear form, or a positive-definite form with no linear part?"""
+    if any(candidate.linear):
+        return not any(any(row) for row in candidate.q)
+    return symmetric_inertia(candidate.q)[0] == candidate.dim
+
+
+def _disk_level_integral(
+    system: PolynomialSystem, invariant: QuadraticCandidate | None
+) -> QuadraticCandidate | None:
+    """A first integral of a 3-D system accepted by `_has_disk_level_sets`, if known.
+
+    The supplied invariant if it qualifies; else a linear integral, which
+    exists iff the components are linearly dependent (any signs); else the
+    positive-diagonal search's witness.
+    """
+    if invariant is not None and _has_disk_level_sets(invariant):
+        return invariant
+    rows = coefficient_matrix([component.terms() for component in system.components])
+    linear = nullspace_basis(rows, system.dim)
+    if linear:
+        return QuadraticCandidate(((_ZERO,) * system.dim,) * system.dim, linear[0])
+    return find_quadratic_first_integrals(system, "positive-diagonal").candidate
+
+
 def no_periodic_orbit_certificate(
     system: PolynomialSystem, invariant: QuadraticCandidate | None = None
 ) -> NoPeriodicOrbitCertificate:
     """Try to certify absence of periodic orbits in the open positive orthant.
 
-    If `invariant` (a QuadraticCandidate) is given it is verified; otherwise
-    a quadratic first integral is searched for.
+    If `invariant` (a QuadraticCandidate) is given it is verified first.
+    Writing D for the open orthant, "yes" needs div f < 0 on D (checked as a
+    nonzero divergence with no positive coefficient) and, by dimension:
+
+    - n <= 2: a quadratic first integral, the supplied one or the first
+      element of the full search's basis.  Bendixson's criterion (Bendixson
+      1901; Dulac 1937) on the simply connected quadrant already suffices:
+      a periodic orbit bounds a disk in D, and the integral of div f over
+      it equals the zero flux of f through the orbit.
+    - n = 3: a first integral H whose level sets meet D in disks, on which
+      dH != 0: a nonzero linear H (a plane meets the convex cone D in a
+      convex set), or a positive-definite form with no linear part (its
+      level sets are star-shaped about the origin, and D is a cone).  A
+      periodic orbit lies on one such disk S and bounds a disk in it.  The
+      Gelfand-Leray form sigma (dH ^ sigma = volume) obeys
+      L_f sigma = (div f) sigma on S, so the same flux argument applies to
+      the area form sigma.  The supplied invariant is used if it is such an
+      H; otherwise a linear integral is sought, then a positive-diagonal
+      one.
+    - n >= 4: "inconclusive".  A level set of one integral then has
+      dimension 3 or more, where the area argument says nothing.  For
+      instance, with r = (x - 1)^2 + (y - 1)^2, the system
+      x' = 1 - y + (x - 1)(1/4 - r), y' = x - 1 + (y - 1)(1/4 - r),
+      z' = (1 - z)(1 + 8x + 8y), w' = 0 has divergence -4x^2 - 4y^2 - 17/2
+      and the first integral w^2, yet the circle r = 1/4, z = w = 1 is a
+      periodic orbit in D.
     """
     div = divergence(system)
     div_negative = (not div.is_zero()) and all(
         coeff <= 0 for _, coeff in div.sorted_terms()
     )
-    if invariant is not None:
-        if not is_first_integral(invariant, system):
-            raise ValueError("supplied invariant is not a first integral of the system")
+    if invariant is not None and not is_first_integral(invariant, system):
+        raise ValueError("supplied invariant is not a first integral of the system")
+    if system.dim > 3:
+        integral = None
+    elif system.dim == 3:
+        integral = _disk_level_integral(system, invariant)
+    elif invariant is not None:
         integral = invariant
     else:
         report = find_quadratic_first_integrals(system)

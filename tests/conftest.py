@@ -27,6 +27,21 @@ H ->[1] 2J
 2J ->[1] G
 """
 
+# Negative divergence -4x^2 - 4y^2 - 17/2 and the first integral w^2, yet the
+# circle (1 + cos(t)/2, 1 + sin(t)/2, 1, 1) is a periodic orbit in the open
+# orthant: on it the bracket and 1 - z vanish, so (x, y) rotates about (1, 1).
+LIMIT_CYCLE_4D_TEXT = """\
+vars x y z w
+-(y-1) + (x-1)*(1/4 - (x-1)^2 - (y-1)^2)
+(x-1) + (y-1)*(1/4 - (x-1)^2 - (y-1)^2)
+(1-z)*(1+8*x+8*y)
+0
+"""
+
+# Divergence -1; its only quadratic first integral is x^2 - y^2, whose level
+# sets are not disks, and it has no linear one.
+SADDLE_3D_TEXT = "vars x y z\ny*z\nx*z\n-z\n"
+
 
 @pytest.fixture
 def example_network():

@@ -11,7 +11,12 @@ import time
 import pytest
 
 from crnkit.cli import build_parser, main
-from .conftest import CATALYTIC_CASCADE_TEXT, EXAMPLE_NETWORK_TEXT
+from .conftest import (
+    CATALYTIC_CASCADE_TEXT,
+    EXAMPLE_NETWORK_TEXT,
+    LIMIT_CYCLE_4D_TEXT,
+    SADDLE_3D_TEXT,
+)
 
 KINETIC_SYSTEM_TEXT = "vars x y\n2*y^2 - 3*x*y\n3*x^2 - 2*x*y\n"
 ROTATION_SYSTEM_TEXT = "vars x y\ny\n-x\n"
@@ -189,6 +194,20 @@ def test_check_no_periodic(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "inconclusive" in out
     assert "first integral known: no" in out
+
+
+def test_check_no_periodic_beyond_the_theorems(tmp_path, capsys):
+    # negative divergence plus a first integral whose level sets are not disks
+    limit = write(tmp_path, "limit.txt", LIMIT_CYCLE_4D_TEXT)
+    saddle = write(tmp_path, "saddle.txt", SADDLE_3D_TEXT)
+    for argv in (
+        [limit], [limit, "--invariant", "w^2"], [saddle], [saddle, "--invariant", "x^2 - y^2"]
+    ):
+        assert main(["check", *argv, "--property", "no-periodic", "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdict"] == "inconclusive"
+        assert data["divergence_negative"] is True
+        assert data["first_integral"] is None
 
 
 def test_check_stoich_requires_network(system_file, capsys):
@@ -853,6 +872,85 @@ GOLDEN_CALLS = [
       "stderr": "",
       "manifest.json": "d980e50efb326df0",
       "report.json": "d9972804560658c3",
+     }),
+    ([
+        "generate", "--family", "ellipse-hyperbola", "--a", "2", "--b", "1", "--c", "3", "--k",
+        "1", "--l", "1",
+    ],
+     {"exit": 0, "stdout": "1af69019b1487de3", "stderr": ""}),
+    ([
+        "generate", "--family", "ellipse-hyperbola", "--a", "2", "--b", "1", "--c", "3", "--k",
+        "1", "--l", "1", "--json", "--out", "out",
+    ],
+     {
+      "exit": 0,
+      "stdout": "fc47bb504d9fec61",
+      "stderr": "",
+      "manifest.json": "4721e0dd278477fe",
+      "report.json": "fc47bb504d9fec61",
+     }),
+    ([
+        "generate", "--family", "parabolic-plus", "--a", "1", "--b", "1", "--c", "1", "--k", "1",
+        "--m", "1", "--s", "-1",
+    ],
+     {"exit": 0, "stdout": "433c3ebafe477bc0", "stderr": ""}),
+    ([
+        "generate", "--family", "parabolic-plus", "--a", "1", "--b", "1", "--c", "1", "--k", "1",
+        "--m", "1", "--s", "-1", "--json", "--out", "out",
+    ],
+     {
+      "exit": 0,
+      "stdout": "3de8aa5183c119c8",
+      "stderr": "",
+      "manifest.json": "b738961fabf736d3",
+      "report.json": "3de8aa5183c119c8",
+     }),
+    ([
+        "generate", "--family", "parabolic-minus", "--a", "1", "--b", "1", "--c", "1", "--k", "1",
+        "--r", "2",
+    ],
+     {"exit": 0, "stdout": "e0d70c3d88e755e7", "stderr": ""}),
+    ([
+        "generate", "--family", "parabolic-minus", "--a", "1", "--b", "1", "--c", "1", "--k", "1",
+        "--r", "2", "--json", "--out", "out",
+    ],
+     {
+      "exit": 0,
+      "stdout": "9ed619c52b0ba5ab",
+      "stderr": "",
+      "manifest.json": "a37f0ac232a35284",
+      "report.json": "9ed619c52b0ba5ab",
+     }),
+    ([
+        "generate", "--family", "indefinite", "--a", "1", "--b", "2", "--c", "3", "--k", "1",
+        "--l", "1", "--m", "1",
+    ],
+     {"exit": 0, "stdout": "0359537051852251", "stderr": ""}),
+    ([
+        "generate", "--family", "indefinite", "--a", "1", "--b", "2", "--c", "3", "--k", "1",
+        "--l", "1", "--m", "1", "--json", "--out", "out",
+    ],
+     {
+      "exit": 0,
+      "stdout": "3029dc42ad0c85c9",
+      "stderr": "",
+      "manifest.json": "11d71cd5e3ad5175",
+      "report.json": "3029dc42ad0c85c9",
+     }),
+    ([
+        "generate", "--family", "rank-one", "--a", "1", "--b", "1", "--k", "1", "--s", "1",
+    ],
+     {"exit": 0, "stdout": "49f6d359f2b755da", "stderr": ""}),
+    ([
+        "generate", "--family", "rank-one", "--a", "1", "--b", "1", "--k", "1", "--s", "1",
+        "--json", "--out", "out",
+    ],
+     {
+      "exit": 0,
+      "stdout": "fbfe179fc82ec462",
+      "stderr": "",
+      "manifest.json": "c06f7ab7e84ccff5",
+      "report.json": "fbfe179fc82ec462",
      }),
     (["realize", "sys.txt"],
      {"exit": 0, "stdout": "b7617fcd869a17af", "stderr": ""}),

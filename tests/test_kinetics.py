@@ -19,6 +19,10 @@ from crnkit import (
     parse_network,
 )
 from crnkit.network import Complex, ReactionNetwork, ReactionStep
+from crnkit.poly import parse_system
+from crnkit.qfi import QuadraticCandidate
+
+from .conftest import LIMIT_CYCLE_4D_TEXT, SADDLE_3D_TEXT
 
 from .support import (
     plant_cross_effect_violation,
@@ -304,6 +308,33 @@ def test_no_periodic_orbit_inconclusive_zero_divergence(oscillator_system):
     assert cert.verdict == "inconclusive"
     assert not cert.divergence_negative
     assert cert.first_integral is not None
+
+
+def test_no_periodic_orbit_inconclusive_in_four_dimensions():
+    system = parse_system(LIMIT_CYCLE_4D_TEXT)
+    # on the circle (1 + u, 1 + v, 1, 1) with u^2 + v^2 = 1/4 the field is (-v, u, 0, 0)
+    for u, v in ((F(1, 2), F(0)), (F(3, 10), F(2, 5)), (F(-2, 5), F(-3, 10))):
+        point = (1 + u, 1 + v, F(1), F(1))
+        assert [c.evaluate(point) for c in system.components] == [-v, u, 0, 0]
+    for invariant in (None, QuadraticCandidate.diagonal((0, 0, 0, 1))):
+        cert = no_periodic_orbit_certificate(system, invariant)
+        assert cert.verdict == "inconclusive"
+        assert cert.divergence_negative
+        assert cert.first_integral is None
+
+
+def test_no_periodic_orbit_in_three_dimensions_needs_disk_level_sets():
+    saddle = parse_system(SADDLE_3D_TEXT)
+    for invariant in (None, QuadraticCandidate.diagonal((1, -1, 0))):
+        cert = no_periodic_orbit_certificate(saddle, invariant)
+        assert cert.verdict == "inconclusive"
+        assert cert.divergence_negative
+        assert cert.first_integral is None
+    # a nonzero linear integral qualifies whatever its signs
+    decay = PolynomialSystem.from_strings(("x", "y", "z"), ["-x*y", "-x*y", "-z"])
+    cert = no_periodic_orbit_certificate(decay)
+    assert cert.verdict == "yes"
+    assert cert.first_integral.render(decay.variables) == "x - y"
 
 
 def test_no_periodic_orbit_rejects_bad_invariant(example_system):

@@ -1,8 +1,10 @@
 import hashlib
+import math
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +35,8 @@ from crnkit import (
     parse_network,
     solve_log_integral_family,
 )
-from crnkit.linalg import nullspace_basis, positive_vector_in_span
+from crnkit.linalg import _phase1, coefficient_matrix, nullspace_basis, positive_vector_in_span
+from crnkit.poly import accumulate_terms
 
 from .conftest import CATALYTIC_CASCADE_TEXT
 from .support import (
@@ -623,23 +626,67 @@ def test_binary_form_zero_parameters_give_zero_system():
         assert generate_binary_form_system(params).is_zero()
 
 
+# Every admissibility condition of every binary family with its exact message.
+# Where several conditions fail, the first listed for the family wins; the
+# "does not use" checks run in k, l, m, n, r, s order before the sign checks.
+BINARY_FORM_REJECTIONS = [
+    (dict(family="nonsense", a=1, b=1), "unknown family 'nonsense'"),
+    (dict(family="nonsense", a=-1, b=1, k=-1), "unknown family 'nonsense'"),
+    (dict(family="ellipse_hyperbola", a=0, b=1, c=0), "ellipse_hyperbola requires a > 0"),
+    (dict(family="ellipse_hyperbola", a=1, b=1, c=-1), "ellipse_hyperbola requires c > 0"),
+    # ac = b^2 is the parabolic case, not allowed here
+    (dict(family="ellipse_hyperbola", a=1, b=1, c=1), "ellipse_hyperbola requires ac - b^2 != 0"),
+    (dict(family="ellipse_hyperbola", a=2, b=1, c=3, k=-1), "free parameter k must be nonnegative"),
+    (dict(family="ellipse_hyperbola", a=2, b=1, c=3, l=-1), "free parameter l must be nonnegative"),
+    (dict(family="ellipse_hyperbola", a=2, b=1, c=3, k=-1, m=1),
+     "family ellipse_hyperbola does not use parameter m"),
+    (dict(family="ellipse_hyperbola", a=2, b=1, c=3, n=1, m=1),
+     "family ellipse_hyperbola does not use parameter m"),
+    (dict(family="ellipse_hyperbola", a=2, b=1, c=3, n=-1),
+     "family ellipse_hyperbola does not use parameter n"),
+    # r belongs to parabolic_minus only
+    (dict(family="ellipse_hyperbola", a=2, b=1, c=3, r=1),
+     "family ellipse_hyperbola does not use parameter r"),
+    (dict(family="ellipse_hyperbola", a=2, b=1, c=3, s=1),
+     "family ellipse_hyperbola does not use parameter s"),
+    (dict(family="parabolic_plus", a=1, b=0, c=0), "parabolic_plus requires a, b, c > 0"),
+    (dict(family="parabolic_plus", a=1, b=-1, c=1), "parabolic_plus requires a, b, c > 0"),
+    (dict(family="parabolic_plus", a=1, b=1, c=2), "parabolic_plus requires ac - b^2 = 0"),
+    (dict(family="parabolic_plus", a=1, b=1, c=1, r=1),
+     "family parabolic_plus does not use parameter r"),
+    (dict(family="parabolic_plus", a=1, b=1, c=1, n=-1), "free parameter n must be nonnegative"),
+    (dict(family="parabolic_plus", a=1, b=1, c=1, m=-1, k=-1),
+     "free parameter k must be nonnegative"),
+    (dict(family="parabolic_minus", a=0, b=1, c=1), "parabolic_minus requires a, b, c > 0"),
+    (dict(family="parabolic_minus", a=4, b=2, c=2), "parabolic_minus requires ac - b^2 = 0"),
+    (dict(family="parabolic_minus", a=4, b=2, c=1, r=-1), "free parameter r must be nonnegative"),
+    (dict(family="parabolic_minus", a=4, b=2, c=1, l=-1, s=-1),
+     "free parameter l must be nonnegative"),
+    (dict(family="indefinite", a=-1, b=0, c=-1), "indefinite requires a > 0"),
+    (dict(family="indefinite", a=1, b=0, c=0), "indefinite requires c > 0"),
+    (dict(family="indefinite", a=1, b=0, c=1), "indefinite requires b != 0"),
+    (dict(family="indefinite", a=1, b=1, c=1, n=1), "family indefinite does not use parameter n"),
+    (dict(family="indefinite", a=1, b=1, c=1, r=1), "family indefinite does not use parameter r"),
+    (dict(family="indefinite", a=1, b=1, c=1, s=-1), "family indefinite does not use parameter s"),
+    (dict(family="indefinite", a=1, b=1, c=1, m=-1), "free parameter m must be nonnegative"),
+    (dict(family="rank_one", a=0, b=0, c=1), "rank_one requires a > 0"),
+    (dict(family="rank_one", a=1, b=0, c=1), "rank_one requires b != 0"),
+    (dict(family="rank_one", a=1, b=1, c=1), "rank_one fixes c = 0"),
+    (dict(family="rank_one", a=1, b=1, l=1), "family rank_one does not use parameter l"),
+    (dict(family="rank_one", a=1, b=1, n=1), "family rank_one does not use parameter n"),
+    (dict(family="rank_one", a=1, b=1, r=1, k=-1), "family rank_one does not use parameter r"),
+    (dict(family="rank_one", a=1, b=-1, k=-1), "free parameter k must be nonnegative"),
+]
+
+
 def test_binary_form_constraint_violations():
-    with pytest.raises(GeneratorConstraintError):
-        # ac = b^2 is the parabolic case, not allowed here
-        BinaryFormParams(family="ellipse_hyperbola", a=F(1), b=F(1), c=F(1))
-    with pytest.raises(GeneratorConstraintError):
-        BinaryFormParams(family="parabolic_plus", a=F(1), b=F(1), c=F(2))
-    with pytest.raises(GeneratorConstraintError):
-        BinaryFormParams(
-            family="ellipse_hyperbola", a=F(2), b=F(1), c=F(3), k=F(-1)
-        )
-    with pytest.raises(GeneratorConstraintError):
-        # R belongs to parabolic_minus only
-        BinaryFormParams(
-            family="ellipse_hyperbola", a=F(2), b=F(1), c=F(3), r=F(1)
-        )
-    with pytest.raises(GeneratorConstraintError):
-        BinaryFormParams(family="nonsense", a=F(1), b=F(1))
+    for kwargs, message in BINARY_FORM_REJECTIONS:
+        with pytest.raises(GeneratorConstraintError) as info:
+            BinaryFormParams(**kwargs)
+        assert str(info.value) == message, kwargs
+    # Fraction conversion comes before every family check
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        BinaryFormParams(family="nonsense", a=1, b=1, s="junk")
 
 
 def test_binary_form_randomized_soundness():
@@ -693,6 +740,125 @@ def test_binary_form_randomized_soundness():
         assert is_first_integral(params.invariant(), system)
         count += 1
     assert count >= 80
+
+
+# -- completeness of the families ---------------------------------------------
+#
+# A family is complete for its form V when every kinetic system f of degree
+# <= 2 with grad(V) . f = 0 lies in the family's span.  In coordinates (f_i's
+# coefficient of each monomial of degree <= 2) the conserving systems are
+# K mu, and kinetic means K mu >= 0 on the coordinates S of monomials without
+# x_i.  A kinetic conserving system outside the span has l . K mu != 0 for a
+# functional l vanishing on the span, and the kinetic set is a cone, so
+# {mu : (K mu)_S >= 0, +-l . K mu >= 1} is infeasible for every such l and
+# sign exactly when the family is complete.  Phase 1 decides each system on
+# mu = mu+ - mu-, and its dual z is checked here as a Farkas certificate.
+
+
+def _split(vector):
+    """Integer sparse row over (mu+, mu-) for a positive multiple of `vector` . mu."""
+    scale = math.lcm(*(F(v).denominator for v in vector))
+    row = {j: int(v * scale) for j, v in enumerate(vector) if v}
+    return {**row, **{j + len(vector): -v for j, v in row.items()}}
+
+
+def _assert_cone_misses(cone, form):
+    """No mu has c . mu >= 0 for each c in `cone` and form . mu >= 1.
+
+    The set is a cone apart from the last right-hand side, so scaling a row
+    by a positive number (`_split`) keeps its feasibility.  Phase 1 must
+    find it empty, and its dual z must be a Farkas certificate: z >= 0,
+    z . rhs > 0, and z . rows <= 0 in every column.
+    """
+    rows = [_split(vector) for vector in cone + [form]]
+    rhs = [0] * len(cone) + [1]
+    point, z = _phase1(rows, rhs, 2 * len(form))
+    assert point is None, "feasible"
+    assert all(v >= 0 for v in z) and sum(v * b for v, b in zip(z, rhs)) > 0
+    combined = [0] * (2 * len(form))
+    for v, row in zip(z, rows):
+        for col, entry in row.items():
+            combined[col] += v * entry
+    assert all(v <= 0 for v in combined)
+
+
+def _assert_complete(invariant, unit_systems, free_signs):
+    """The kinetic systems conserving `invariant` are the kinetic span of `unit_systems`.
+
+    `free_signs[j]` is True when the j-th free parameter must be >= 0.
+    """
+    n = invariant.dim
+    monomials = [e for e in product(range(3), repeat=n) if sum(e) <= 2]
+    columns = []
+    for i in range(n):
+        for e in monomials:
+            column = {}
+            for k, q in enumerate(invariant.q[i]):
+                if q:
+                    accumulate_terms(column, {e: F(1)}, 2 * q, shift=k)
+            if invariant.linear[i]:
+                accumulate_terms(column, {e: F(1)}, invariant.linear[i])
+            columns.append(column)
+    kernel = nullspace_basis(coefficient_matrix(columns), len(columns))
+    kinetic = [i * len(monomials) + t for i in range(n) for t, e in enumerate(monomials) if not e[i]]
+    span = [
+        [component.coefficient(e) for component in system.components for e in monomials]
+        for system in unit_systems
+    ]
+    cone = [[vec[c] for vec in kernel] for c in kinetic]
+    for ell in nullspace_basis([dict(enumerate(v)) for v in span], len(columns)):
+        form = [sum(l * vec[c] for c, l in enumerate(ell) if l) for vec in kernel]
+        _assert_cone_misses(cone, form)
+        _assert_cone_misses(cone, [-v for v in form])
+    # within the span, kinetic means admissible: no sign-restricted parameter <= -1
+    cone = [[vec[c] for vec in span] for c in kinetic]
+    for j, nonnegative in enumerate(free_signs):
+        if nonnegative:
+            _assert_cone_misses(cone, [-1 if t == j else 0 for t in range(len(span))])
+
+
+def _admissible_forms(family, count, rng):
+    """`count` admissible (a, b, c) for a binary family, drawn from small rationals."""
+    values = [F(p, q) for p in range(-3, 4) for q in (1, 2, 3)]
+    forms = []
+    while len(forms) < count:
+        a, b, c = (rng.choice(values) for _ in range(3))
+        if family.startswith("parabolic") and b > 0 and c > 0:
+            a = b * b / c
+        if family == "rank_one":
+            c = F(0)
+        try:
+            forms.append(BinaryFormParams(family=family, a=a, b=b, c=c))
+        except GeneratorConstraintError:
+            continue
+    return forms
+
+
+@pytest.mark.parametrize("family", crnkit.qfi.BINARY_FORM_FAMILIES)
+def test_binary_families_are_complete(family):
+    free = crnkit.qfi._BINARY_FAMILIES[family].free
+    for params in _admissible_forms(family, 5, random.Random(family)):
+        units = [
+            generate_binary_form_system(
+                BinaryFormParams(family=family, a=params.a, b=params.b, c=params.c, **{name: 1})
+            )
+            for name in free
+        ]
+        _assert_complete(params.invariant(), units, [name != "s" for name in free])
+
+
+@pytest.mark.parametrize("n, draws", [(2, 3), (3, 2)])
+def test_diagonal_family_is_complete(n, draws):
+    rng = random.Random(n)
+    slots = [(m, p) for m in range(n) for p in range(n) if m != p]
+    for _ in range(draws):
+        weights = tuple(F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n))
+        units = []
+        for slot in slots:
+            coupling = tuple(tuple(int((m, p) == slot) for p in range(n)) for m in range(n))
+            units.append(generate_diagonal_system(DiagonalParams(weights, coupling)))
+        invariant = QuadraticCandidate.diagonal(weights)
+        _assert_complete(invariant, units, [True] * len(slots))
 
 
 def test_shifted_display_instance():
