@@ -258,8 +258,19 @@ def _check_no_periodic(system, args):
         + _verdict(cert.holds, "yes", "inconclusive"),
         f"  divergence: {payload['divergence']}",
         f"  divergence nonpositive and nonzero: {_verdict(cert.divergence_negative)}",
-        f"  first integral known: {_verdict(cert.first_integral is not None)}",
     ]
+    # for n <= 2 a verified integral is always used; above that the rule may reject it
+    rejected = invariant is not None and cert.first_integral != invariant
+    if rejected:
+        rule = (
+            "the rule for n = 3 accepts only a nonzero linear form or a "
+            "positive-definite form with no linear part"
+            if system.dim == 3
+            else "the rule for n >= 4 accepts none, as a level set has dimension 3 or more"
+        )
+        lines.append(f"  supplied first integral verified but not used: {rule}")
+    if not rejected or cert.first_integral is not None:
+        lines.append(f"  first integral known: {_verdict(cert.first_integral is not None)}")
     return cert.holds, payload, lines
 
 

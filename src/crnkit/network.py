@@ -340,7 +340,8 @@ class ReactionNetwork:
                 if name not in index:
                     raise ValueError(f"unknown species {name!r} in complex")
                 coeffs[index[name]] = parse_rational(str(value))
-            return Complex.from_mapping(coeffs)
+            # unlike from_mapping, keeps a zero for Complex to reject
+            return Complex(tuple(coeffs.items()))
 
         steps = []
         for number, raw in enumerate(raw_steps, start=1):

@@ -277,38 +277,6 @@ class Polynomial:
                 terms[expts[:index] + (e - 1,) + expts[index + 1 :]] = coeff * e
         return Polynomial._from_clean(self.dim, terms)
 
-    def substitute(self, assignments: Mapping[int, "Scalar | Polynomial"]) -> "Polynomial":
-        """Substitute values or polynomials (same dimension) for variables."""
-        for i in assignments:
-            if not 0 <= i < self.dim:
-                raise ValueError(f"variable index {i} out of range for dim {self.dim}")
-        result = Polynomial.zero(self.dim)
-        for expts, coeff in self._terms.items():
-            scalar = coeff
-            poly_factor: Polynomial | None = None
-            residual = [0] * self.dim
-            for i, e in enumerate(expts):
-                if e == 0:
-                    continue
-                if i in assignments:
-                    val = assignments[i]
-                    if isinstance(val, Polynomial):
-                        if val.dim != self.dim:
-                            raise ValueError(
-                                f"substituted polynomial has dimension {val.dim}, expected {self.dim}"
-                            )
-                        piece = val ** e
-                        poly_factor = piece if poly_factor is None else poly_factor * piece
-                    else:
-                        scalar *= Fraction(val) ** e
-                else:
-                    residual[i] = e
-            term = Polynomial(self.dim, {tuple(residual): scalar})
-            if poly_factor is not None:
-                term = term * poly_factor
-            result = result + term
-        return result
-
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point."""
         if len(point) != self.dim:
@@ -600,7 +568,16 @@ class PolynomialSystem:
 
     @classmethod
     def from_strings(cls, variables: Sequence[str], exprs: Sequence[str]) -> "PolynomialSystem":
+        """Parse each expression over `variables`, each of which must be an identifier."""
         vars_t = tuple(variables)
+        for name in vars_t:
+            # an identifier is what the expression tokenizer reads as one
+            match = _TOKEN_RE.fullmatch(name)
+            if match is None or match.lastgroup != "ident":
+                raise ValueError(
+                    f"invalid variable name {name!r}: expected a letter or '_', "
+                    "then letters, digits or '_'"
+                )
         return cls(vars_t, tuple(parse_polynomial(e, vars_t) for e in exprs))
 
     def is_zero(self) -> bool:

@@ -53,6 +53,14 @@ Scalar = Fraction | int
 
 _ZERO = Fraction(0)
 
+# Cap on the size of the full first-integral search, bounded before assembly as
+# its n(n + 3)/2 columns times (n + 1) T, a bound on the matrix's nonzeros (each
+# of the T terms of f enters n + 1 columns).  On a 2-vCPU machine under Python
+# 3.11, sparse systems cost about 0.04 us per unit and dense ones up to 0.8, so
+# the cap admits sparse n = 39 (0.16 s) and dense n = 14 (1.7 s) and refuses
+# the next sizes.
+MAX_SEARCH_SIZE = 4_000_000
+
 
 def _fraction(value: Scalar) -> Fraction:
     """`value` as a Fraction, kept as is when it already is one."""
@@ -269,14 +277,24 @@ def find_quadratic_first_integrals(
 
     Without a filter, returns the full exact null-space basis (each element
     gcd-normalized with positive leading coefficient) and the first basis
-    element as representative candidate.  With signature_filter
-    "positive-diagonal", restricts to diagonal quadratic forms and decides
-    exactly whether the solution space meets the open positive-coefficient
-    orthant, returning a strictly positive witness if so.
+    element as representative candidate; a search whose size bound exceeds
+    `MAX_SEARCH_SIZE` raises ValueError before any work starts.  With
+    signature_filter "positive-diagonal", restricts to diagonal quadratic
+    forms and decides exactly whether the solution space meets the open
+    positive-coefficient orthant, returning a strictly positive witness if so.
     """
     if signature_filter not in (None, "positive-diagonal"):
         raise ValueError(f"unknown signature filter {signature_filter!r}")
     diagonal_only = signature_filter is not None
+    if not diagonal_only:
+        n, total = system.dim, sum(len(component.terms()) for component in system.components)
+        size = n * (n + 3) // 2 * (n + 1) * total
+        if size > MAX_SEARCH_SIZE:
+            raise ValueError(
+                f"full first-integral search of size {size} (n = {n} variables, "
+                f"T = {total} terms, n(n + 3)/2 * (n + 1) T) is above "
+                f"MAX_SEARCH_SIZE = {MAX_SEARCH_SIZE}"
+            )
     columns = _lie_derivative_columns(system, diagonal_only)
     rows = coefficient_matrix(columns)
     if diagonal_only:
@@ -659,25 +677,21 @@ def generate_shifted_system(
 def equilibria_on_line_check(params: BinaryFormParams) -> bool:
     """Check the off-origin equilibrium set of an ellipse_hyperbola instance.
 
-    For k != 0 != l the set is the line y = (k/l) x; if one parameter
-    vanishes it degenerates to a coordinate axis, and for k = l = 0 the whole
-    plane is stationary.  Returns True when both components vanish
-    identically on that set.
+    The set is the line l y = k x (an axis when k or l is 0), or the whole
+    plane for k = l = 0; returns True when both components vanish on it.
+    A quadratic form vanishes on a line through the origin exactly when it
+    vanishes at one nonzero point of it, so the check is that every term has
+    degree 2 and both components are zero at (l, k).
     """
     if params.family != "ellipse_hyperbola":
         raise ValueError("equilibrium line analysis applies to ellipse_hyperbola only")
-    if params.k != 0 and params.l != 0:
-        line = Polynomial.variable(2, 0) * (params.k / params.l)
-        substitution = {1: line}
-    elif params.l == 0 and params.k != 0:
-        substitution = {0: Fraction(0)}
-    elif params.k == 0 and params.l != 0:
-        substitution = {1: Fraction(0)}
-    else:
-        substitution = {}
+    components = generate_binary_form_system(params).components
+    if params.k == params.l == 0:
+        return all(component.is_zero() for component in components)
     return all(
-        component.substitute(substitution).is_zero()
-        for component in generate_binary_form_system(params).components
+        all(sum(expts) == 2 for expts in component.terms())
+        and component.evaluate((params.l, params.k)) == 0
+        for component in components
     )
 
 
@@ -699,22 +713,20 @@ class DiagonalCollapseResult:
 
 
 def diagonal_collapse_check(system: PolynomialSystem) -> DiagonalCollapseResult:
-    report = negative_cross_effect(system)
-    if not report.is_kinetic:
-        return DiagonalCollapseResult(False, True, system.is_zero(), None, None)
-    conservation = kinetic_conservation(system)
-    if conservation is None:
-        return DiagonalCollapseResult(False, True, system.is_zero(), None, None)
-    integral_report = find_quadratic_first_integrals(system, "positive-diagonal")
-    if not integral_report.found:
-        return DiagonalCollapseResult(False, True, system.is_zero(), conservation, None)
+    # each hypothesis is tested only when the one before it holds
+    conservation = integral = None
+    if negative_cross_effect(system).is_kinetic:
+        conservation = kinetic_conservation(system)
+    if conservation is not None:
+        integral = find_quadratic_first_integrals(system, "positive-diagonal").candidate
+    applies = integral is not None
     zero = system.is_zero()
     return DiagonalCollapseResult(
-        applies=True,
-        consistent=zero,
+        applies=applies,
+        consistent=zero or not applies,
         is_zero=zero,
         conservation=conservation,
-        integral=integral_report.candidate,
+        integral=integral,
     )
 
 
@@ -841,6 +853,10 @@ def no_periodic_orbit_certificate(
 
 # -- logarithmic first integral (planar predator-prey) ----------------------
 
+# The multipliers y (x - 1) of f_1 and x (y - 1) of f_2 in the log-integral identity.
+_LOG_MULTIPLIERS = ({(1, 1): 1, (0, 1): -1}, {(1, 1): 1, (1, 0): -1})
+
+
 def lotka_volterra_log_check(system: PolynomialSystem) -> bool:
     """Does x + y - ln x - ln y stay constant along the flow?
 
@@ -850,12 +866,13 @@ def lotka_volterra_log_check(system: PolynomialSystem) -> bool:
     """
     if system.dim != 2:
         raise ValueError("log-integral check is for planar systems")
-    x = Polynomial.variable(2, 0)
-    y = Polynomial.variable(2, 1)
-    one = Polynomial.constant(2, 1)
-    f1, f2 = system.components
-    expr = y * (x - one) * f1 + x * (y - one) * f2
-    return expr.is_zero()
+    sums: dict[Exponents, Fraction] = {}
+    for multiplier, component in zip(_LOG_MULTIPLIERS, system.components):
+        for (i, j), c in multiplier.items():
+            for (a, b), coeff in component.terms().items():
+                key = (i + a, j + b)
+                sums[key] = sums.get(key, 0) + c * coeff
+    return not any(sums.values())
 
 
 _QUAD_MONOMIALS = [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]
@@ -873,7 +890,7 @@ def solve_log_integral_family() -> list[PolynomialSystem]:
     # (f_1's coefficient of x^a y^b) or x (y - 1) for k = 1 (f_2's)
     columns = [
         {(i + a, j + b): c for (i, j), c in multiplier.items()}
-        for multiplier in ({(1, 1): 1, (0, 1): -1}, {(1, 1): 1, (1, 0): -1})
+        for multiplier in _LOG_MULTIPLIERS
         for a, b in _QUAD_MONOMIALS
     ]
     basis = nullspace_basis(coefficient_matrix(columns), len(columns))

@@ -210,6 +210,38 @@ def test_check_no_periodic_beyond_the_theorems(tmp_path, capsys):
         assert data["first_integral"] is None
 
 
+@pytest.mark.parametrize(
+    "text, invariant, code, tail",
+    [
+        pytest.param(
+            LIMIT_CYCLE_4D_TEXT, "w^2", 1,
+            ["  supplied first integral verified but not used: the rule for n >= 4 "
+             "accepts none, as a level set has dimension 3 or more"],
+            id="4d",
+        ),
+        pytest.param(
+            SADDLE_3D_TEXT, "x^2 - y^2", 1,
+            ["  supplied first integral verified but not used: the rule for n = 3 accepts "
+             "only a nonzero linear form or a positive-definite form with no linear part"],
+            id="3d",
+        ),
+        pytest.param(
+            "vars x y z\ny*z\nx*z\n-x*z - y*z\n", "x^2 - y^2", 0,
+            ["  supplied first integral verified but not used: the rule for n = 3 accepts "
+             "only a nonzero linear form or a positive-definite form with no linear part",
+             "  first integral known: yes"],
+            id="3d-linear-found",
+        ),
+    ],
+)
+def test_check_no_periodic_names_the_rule_for_a_supplied_integral(
+    tmp_path, capsys, text, invariant, code, tail
+):
+    path = write(tmp_path, "sys.txt", text)
+    assert main(["check", path, "--property", "no-periodic", "--invariant", invariant]) == code
+    assert capsys.readouterr().out.splitlines()[3:] == tail
+
+
 def test_check_stoich_requires_network(system_file, capsys):
     assert main(["check", system_file, "--property", "conserve-stoich"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -599,6 +631,11 @@ def test_nested_constant_power_exits_2(tmp_path, capsys):
             "invalid rate parameter '-2'",
             id="bad-rate",
         ),
+        pytest.param(
+            '{"reactant": {"A": "1", "B": "0"}, "product": {"B": "1"}, "rate": "1"}',
+            "stoichiometric coefficient must be positive, got 0",
+            id="zero-coefficient",
+        ),
     ],
 )
 def test_json_step_faults_name_the_step(tmp_path, capsys, step, message):
@@ -609,6 +646,103 @@ def test_json_step_faults_name_the_step(tmp_path, capsys, step, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: network JSON step 2: {message}\n"
+
+
+def _sparse_text(n):
+    names = [f"x{i}" for i in range(n)]
+    components = [
+        f"{names[i]}*{names[(i + 1) % n]} - {names[(i + 2) % n]}^2 + {names[i]}" for i in range(n)
+    ]
+    return "vars " + " ".join(names) + "\n" + "\n".join(components) + "\n"
+
+
+def _dense_text(n):
+    names = [f"x{i}" for i in range(n)]
+    square = "(" + " + ".join(f"{i + 1}*{name}" for i, name in enumerate(names)) + " + 1)^2"
+    return "vars " + " ".join(names) + "\n" + "\n".join([square] * n) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, n", [(_sparse_text(100), 100), (_dense_text(18), 18)], ids=["sparse", "dense"]
+)
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_full_search_refuses_oversized_systems(tmp_path, capsys, text, n, command):
+    path = write(tmp_path, "big.txt", text)
+    argv = (
+        ["check", path, "--property", "qfi"]
+        if command == "check"
+        else ["simulate", path, "--x0", ",".join(["1"] * n), "--invariant", "auto"]
+    )
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: full first-integral search of size ")
+    assert captured.err.endswith(" is above MAX_SEARCH_SIZE = 4000000\n")
+
+
+INVALID_NAME = "expected a letter or '_', then letters, digits or '_'"
+
+# Arguments ({file} is the input), input text or None, exit code, and the exact
+# last line of stderr, or of stdout when the call succeeds.
+MESSAGE_CASES = [
+    ("variable-name-text", ["check", "{file}", "--property", "qfi", "--json"],
+     "vars 1x y\n0\ny\n", 2, f"error: invalid variable name '1x': {INVALID_NAME}"),
+    ("variable-name-json", ["check", "{file}", "--property", "kinetic"],
+     '{"variables": ["x*y", "z"], "components": ["0", "0"]}', 2,
+     f"error: invalid variable name 'x*y': {INVALID_NAME}"),
+    ("division-by-zero", ["check", "{file}", "--property", "kinetic"],
+     "vars x\n1/0*x\n", 2, "error: division by zero in coefficient"),
+    ("empty-expression", ["check", "{file}", "--property", "kinetic"],
+     '{"variables": ["x"], "components": [" "]}', 2, "error: empty polynomial expression"),
+    ("no-vars-names", ["check", "{file}", "--property", "kinetic"],
+     "vars\n", 2, 'error: system must start with a "vars x y ..." line'),
+    ("duplicate-vars", ["check", "{file}", "--property", "kinetic"],
+     "vars x x\n0\n0\n", 2, "error: duplicate variable names in vars line"),
+    ("component-count", ["check", "{file}", "--property", "kinetic"],
+     "vars x y\n0\n", 2, "error: expected 2 component lines, found 1"),
+    ("no-reactions", ["parse", "{file}"],
+     "# nothing here\n", 2, "error: line 1, column 1: no reactions found"),
+    ("no-arrow", ["parse", "{file}"],
+     "A + B\n", 2, "error: line 1, column 5: chain needs at least one arrow"),
+    ("expected-arrow", ["parse", "{file}"],
+     "A ->[1] B C\n", 2, "error: line 1, column 11: expected an arrow, found 'C'"),
+    ("expected-rate", ["parse", "{file}"],
+     "A ->[,] B\n", 2, "error: line 1, column 6: expected rate, found ','"),
+    ("unexpected-number", ["parse", "{file}"],
+     "A + 2 ->[1] B\n", 2, "error: line 1, column 5: unexpected number '2'"),
+    ("params-binding", ["odes", "{file}", "--params", "a2"],
+     EXAMPLE_NETWORK_TEXT, 2, "error: parameter binding 'a2' must look like name=value"),
+    ("json-kind", ["parse", "{file}"],
+     '{"steps": []}', 2, "error: {file}: JSON has neither 'species' nor 'variables'"),
+    ("invariant-degree", ["check", "{file}", "--property", "no-periodic", "--invariant", "x^3"],
+     KINETIC_SYSTEM_TEXT, 2, "error: invariant 'x^3' has degree > 2"),
+    ("binary-family-options", ["generate", "--family", "ellipse-hyperbola", "--a", "1"],
+     None, 2, "error: family ellipse-hyperbola needs --a and --b"),
+    ("mixed-sign-options", ["generate", "--family", "mixed-sign", "--plus-weights", "1"],
+     None, 2, "error: mixed-sign family needs --plus-weights, --minus-weights, "
+     "--coupling, --rho-plus and --rho-minus"),
+    ("parse-degenerate", ["parse", "{file}"],
+     '{"species": ["A", "B", "C"], "steps": '
+     '[{"reactant": {"A": "1"}, "product": {"B": "1"}, "rate": "1"}]}',
+     0, "note: network is degenerate (C)"),
+    ("realize-degenerate", ["realize", "{file}"],
+     "vars x y\n0\n0\n", 0, "note: degenerate realization (zero system or unused species)"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, line",
+    [pytest.param(*case[1:], id=case[0]) for case in MESSAGE_CASES],
+)
+def test_messages(tmp_path, capsys, argv, text, code, line):
+    path = write(tmp_path, "input", text) if text is not None else None
+    assert main([arg.format(file=path) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert (captured.err if code == 2 else captured.out).splitlines()[-1] == line.format(file=path)
+    if code == 2:
+        assert captured.out == ""
 
 
 def test_warnings_are_one_line_each(tmp_path, capsys):

@@ -19,7 +19,7 @@ from crnkit import (
     parse_network,
 )
 from crnkit.network import Complex, ReactionNetwork, ReactionStep
-from crnkit.poly import parse_system
+from crnkit.poly import parse_polynomial, parse_system
 from crnkit.qfi import QuadraticCandidate
 
 from .conftest import LIMIT_CYCLE_4D_TEXT, SADDLE_3D_TEXT
@@ -335,6 +335,23 @@ def test_no_periodic_orbit_in_three_dimensions_needs_disk_level_sets():
     cert = no_periodic_orbit_certificate(decay)
     assert cert.verdict == "yes"
     assert cert.first_integral.render(decay.variables) == "x - y"
+    # a supplied linear integral is used as given
+    linear = QuadraticCandidate(((0,) * 3,) * 3, (2, -2, 0))
+    assert no_periodic_orbit_certificate(decay, linear).first_integral is linear
+    # a linear part plus a nonzero form is not accepted, so the search runs
+    mixed = QuadraticCandidate.from_polynomial(parse_polynomial("(x - y)^2 + x - y", decay.variables))
+    cert = no_periodic_orbit_certificate(decay, mixed)
+    assert cert.verdict == "yes"
+    assert cert.first_integral.render(decay.variables) == "x - y"
+
+
+def test_no_periodic_orbit_uses_supplied_planar_integral():
+    # Bendixson: for n <= 2 any verified integral is used, not the search's
+    system = PolynomialSystem.from_strings(("x", "y"), ["-x", "x"])
+    invariant = QuadraticCandidate(((0, 0), (0, 0)), (3, 3))
+    cert = no_periodic_orbit_certificate(system, invariant)
+    assert cert.verdict == "yes"
+    assert cert.first_integral is invariant
 
 
 def test_no_periodic_orbit_rejects_bad_invariant(example_system):

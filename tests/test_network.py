@@ -12,7 +12,7 @@ from crnkit import (
     ReactionNetwork,
     parse_network,
 )
-from crnkit.network import Complex, ReactionStep
+from crnkit.network import Complex, ReactionStep, resolve_rate
 from crnkit.poly import MAX_DEGREE
 
 from .support import random_network
@@ -124,6 +124,18 @@ def test_duplicate_symbolic_steps_merge():
     assert len(net.steps) == 1
     assert net.steps[0].rate == "k1+k2"
     assert set(net.rate_parameters()) == {"k1", "k2"}
+    # a numeric rate merged with a symbolic one keeps its text
+    with pytest.warns(UserWarning):
+        net = parse_network("A ->[1/2] B\nA ->[k] B")
+    assert net.steps[0].rate == "1/2+k"
+    assert resolve_rate(net.steps[0].rate, {"k": Fraction(1)}) == Fraction(3, 2)
+
+
+def test_rate_sums_in_text():
+    net = parse_network("A ->[k1 + 2] B; B ->[1 + 1/2] A")
+    assert net.steps[0].rate == "k1+2"
+    assert resolve_rate(net.steps[0].rate, {"k1": Fraction(1)}) == 3
+    assert net.steps[1].rate == Fraction(3, 2)
 
 
 def test_self_loop_rejected():

@@ -75,17 +75,6 @@ def _eval_float(p: Polynomial, point) -> float:
     return total
 
 
-def test_substitute_scalar():
-    p = X * X + Y * 3
-    assert p.substitute({0: Fraction(2)}) == Polynomial.constant(2, 4) + Y * 3
-
-
-def test_substitute_polynomial():
-    p = X * Y
-    # y := 2x turns xy into 2x^2
-    assert p.substitute({1: X * 2}) == Polynomial.monomial(2, (2, 0), 2)
-
-
 def test_evaluate_exact():
     p = X * X * Fraction(1, 2) + Y
     assert p.evaluate([Fraction(3), Fraction(1, 4)]) == Fraction(19, 4)
@@ -196,6 +185,12 @@ def test_system_text_round_trip():
 def test_system_json_round_trip(example_system):
     data = example_system.to_dict()
     assert PolynomialSystem.from_dict(data) == example_system
+
+
+def test_parse_system_rejects_an_empty_description():
+    # the CLI reads a file as a system only after a "vars" line, so test it here
+    with pytest.raises(ValueError, match="^empty system description$"):
+        parse_system("# only a comment\n\n")
 
 
 def test_system_dimension_mismatch():

@@ -847,7 +847,7 @@ def test_binary_families_are_complete(family):
         _assert_complete(params.invariant(), units, [name != "s" for name in free])
 
 
-@pytest.mark.parametrize("n, draws", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("n, draws", [(2, 3), (3, 2), (4, 1)])
 def test_diagonal_family_is_complete(n, draws):
     rng = random.Random(n)
     slots = [(m, p) for m in range(n) for p in range(n) if m != p]
@@ -921,6 +921,23 @@ def test_equilibria_on_line():
     assert equilibria_on_line_check(origin_only)
 
 
+@pytest.mark.parametrize(
+    "k, l, fx",
+    [
+        (1, 1, "x^2"),  # does not vanish at (l, k) = (1, 1)
+        (1, 1, "x^2 - y"),  # vanishes at (1, 1) but not on the line y = x
+        (2, 0, "y^2 - 4"),  # vanishes at (0, 2) but not on the axis x = 0
+        (0, 0, "x*y"),  # k = l = 0 needs both components zero
+    ],
+)
+def test_equilibria_on_line_check_can_fail(monkeypatch, k, l, fx):
+    # the evaluation is a proof: a field that is not a pair of quadratic forms
+    # vanishing at (l, k) fails it
+    monkeypatch.setattr(crnkit.qfi, "generate_binary_form_system", lambda params: sys2(fx, "0"))
+    params = BinaryFormParams(family="ellipse_hyperbola", a=F(2), b=F(1), c=F(3), k=F(k), l=F(l))
+    assert not equilibria_on_line_check(params)
+
+
 def test_equilibria_check_rejects_other_families():
     params = BinaryFormParams(family="rank_one", a=F(1), b=F(1))
     with pytest.raises(ValueError):
@@ -940,10 +957,34 @@ def test_diagonal_collapse_non_conserving_instance(example_system):
     assert result.consistent
 
 
+def test_diagonal_collapse_non_kinetic(monkeypatch):
+    # later hypotheses are not tested once one fails
+    def not_called(system):
+        raise AssertionError("kinetic_conservation called for a non-kinetic system")
+
+    monkeypatch.setattr(crnkit.qfi, "kinetic_conservation", not_called)
+    result = diagonal_collapse_check(sys2("y", "-x"))
+    assert result == crnkit.qfi.DiagonalCollapseResult(False, True, False, None, None)
+
+
 def test_diagonal_collapse_conserving_without_integral(cascade_system):
     result = diagonal_collapse_check(cascade_system)
     assert not result.applies
     assert result.consistent
+
+
+# -- size of the full search --------------------------------------------------
+
+def test_full_search_size_bound_is_exact(monkeypatch):
+    # n = 2 and T = 4 terms: 5 columns times (n + 1) T = 12
+    system = sys2("y^2 - x*y", "x^2 - x*y")
+    monkeypatch.setattr(crnkit.qfi, "MAX_SEARCH_SIZE", 60)
+    assert find_quadratic_first_integrals(system).found
+    monkeypatch.setattr(crnkit.qfi, "MAX_SEARCH_SIZE", 59)
+    with pytest.raises(ValueError, match=r"of size 60 \(n = 2 variables, T = 4 terms"):
+        find_quadratic_first_integrals(system)
+    # the positive-diagonal search is not bounded by it
+    assert find_quadratic_first_integrals(system, "positive-diagonal").found
 
 
 # -- logarithmic Lotka-Volterra integral ------------------------------------
