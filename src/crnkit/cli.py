@@ -142,13 +142,18 @@ def _read_invariant(text: str, system: PolynomialSystem) -> QuadraticCandidate:
 _encode = functools.partial(json.dumps, indent=2, sort_keys=True)
 
 
-def _emit(args, payload: dict, lines: list[str], files: dict[str, str | dict]) -> None:
+def _emit(args, payload: dict, lines, files: dict[str, str | dict]) -> None:
     """Print the text lines or the JSON report; write --out and its manifest.
 
-    `files` maps extra --out files to their text, or to dicts encoded like the report.
+    `lines` is a list of text lines, or a function that builds them, called
+    only when they are printed.  `files` maps extra --out files to their
+    text, or to dicts encoded like the report.
     """
     report = _encode(payload) if args.json or args.out else None
-    print(report if args.json else "\n".join(lines))
+    if args.json:
+        print(report)
+    else:
+        print("\n".join(lines() if callable(lines) else lines))
     if not args.out:
         return
     outdir = Path(args.out)
@@ -175,21 +180,26 @@ def _emit(args, payload: dict, lines: list[str], files: dict[str, str | dict]) -
 
 # -- subcommands ------------------------------------------------------------
 #
-# Each returns (exit code, JSON payload, text lines, extra --out files).
+# Each returns (exit code, JSON payload, text lines, extra --out files); text
+# that costs a rendering comes as a function, which `_emit` calls only to print.
 
 def cmd_parse(args):
     network = _load_network(args)
-    lines = [f"species: {' '.join(network.species)}", network.render()]
-    if not network.is_proper:
-        unused = ", ".join(network.unused_species()) or "no steps"
-        lines.append(f"note: network is degenerate ({unused})")
+
+    def lines():
+        text = [f"species: {' '.join(network.species)}", network.render()]
+        if not network.is_proper:
+            unused = ", ".join(network.unused_species()) or "no steps"
+            text.append(f"note: network is degenerate ({unused})")
+        return text
+
     payload = network.to_dict()
     return 0, payload, lines, {"network.json": payload}
 
 
 def cmd_odes(args):
     system = induced_kinetic_ode(_load_network(args), _parse_params(args.params))
-    return 0, system.to_dict(), [system.render()], {}
+    return 0, system.to_dict(), lambda: [system.render()], {}
 
 
 # -- check: each property maps (target, args) to (holds, payload, text lines)
@@ -365,14 +375,17 @@ def cmd_generate(args):
         "realization": network.to_dict(),
         "checks": checks,
     }
-    rendered = network.render()
-    lines = [
-        f"system: {system.render()}",
-        f"invariant: {payload['invariant']}",
-        "realization:",
-        "  " + rendered.replace("\n", "\n  ") if rendered else "  (no steps)",
-        "verified: " + " ".join(f"{k}={_verdict(v)}" for k, v in checks.items()),
-    ]
+
+    def lines():
+        rendered = network.render()
+        return [
+            f"system: {system.render()}",
+            f"invariant: {payload['invariant']}",
+            "realization:",
+            "  " + rendered.replace("\n", "\n  ") if rendered else "  (no steps)",
+            "verified: " + " ".join(f"{k}={_verdict(v)}" for k, v in checks.items()),
+        ]
+
     return 0, payload, lines, {}
 
 
@@ -384,14 +397,19 @@ def cmd_realize(args):
         lines = [f"realizable: {_verdict(False)}"]
         lines += ["  " + v.describe(system.variables) for v in exc.report.violations]
         return 1, {"realizable": False, **exc.report.to_dict()}, lines, {}
-    payload = {"realizable": True, "proper": network.is_proper, **network.to_dict()}
-    lines = [
-        f"species: {' '.join(network.species)}",
-        network.render() if network.steps else "(no steps)",
-    ]
-    if not network.is_proper:
-        lines.append("note: degenerate realization (zero system or unused species)")
-    return 0, payload, lines, {"network.json": network.to_dict()}
+    as_dict = network.to_dict()
+    payload = {"realizable": True, "proper": network.is_proper, **as_dict}
+
+    def lines():
+        text = [
+            f"species: {' '.join(network.species)}",
+            network.render() if network.steps else "(no steps)",
+        ]
+        if not network.is_proper:
+            text.append("note: degenerate realization (zero system or unused species)")
+        return text
+
+    return 0, payload, lines, {"network.json": as_dict}
 
 
 def cmd_simulate(args):

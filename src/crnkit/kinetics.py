@@ -17,14 +17,19 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .network import (
+    SMALL_FRACTIONS,
     Complex,
+    NetworkValidationError,
     ReactionNetwork,
     ReactionStep,
     UnboundParameterError,
+    check_species_names,
     resolve_rate,
 )
 from .numbers import format_rational
-from .poly import Exponents, Polynomial, PolynomialSystem
+from .poly import MAX_DEGREE, Exponents, Polynomial, PolynomialSystem
+
+_ONE, _MINUS_ONE = SMALL_FRACTIONS[1], Fraction(-1)
 
 
 def ode_variable_names(species: Sequence[str]) -> tuple[str, ...]:
@@ -155,20 +160,39 @@ def canonical_realization(system: PolynomialSystem) -> ReactionNetwork:
     cross-effect condition guarantees alpha_m >= 1).  Steps are ordered by
     component, then by descending graded-lex monomial.  The zero system maps
     to a network with no steps, flagged improper.
+
+    Every value is built through the trusted constructors: entries come
+    sorted and positive, the two complexes differ by +-e_m, the rate is
+    |c| > 0, and distinct (component, monomial) pairs give distinct steps.
+    What the system does not guarantee is checked: a monomial's degree
+    against MAX_DEGREE (the reactant's degree, as `ReactionStep` checks it)
+    and the species names.
     """
     report = negative_cross_effect(system)
     if not report.is_kinetic:
         raise NotKineticError(report)
     species = species_names_for_variables(system.variables)
+    reactants: dict[Exponents, Complex] = {}
     steps: list[ReactionStep] = []
     for index, component in enumerate(system.components):
         for expts, coeff in component.sorted_terms():
-            reactant = {i: Fraction(e) for i, e in enumerate(expts) if e}
-            product = dict(reactant)
-            product[index] = product.get(index, 0) + (1 if coeff > 0 else -1)
-            steps.append(
-                ReactionStep(
-                    Complex.from_mapping(reactant), Complex.from_mapping(product), abs(coeff)
+            reactant = reactants.get(expts)
+            if reactant is None:
+                degree = sum(expts)
+                if degree > MAX_DEGREE:
+                    raise NetworkValidationError(
+                        f"reactant complex of degree {degree} is above MAX_DEGREE = {MAX_DEGREE}"
+                    )
+                reactant = reactants[expts] = Complex._from_clean(
+                    tuple((i, SMALL_FRACTIONS[e]) for i, e in enumerate(expts) if e)
                 )
+            positive = coeff.numerator > 0
+            shifted = list(expts)
+            shifted[index] += 1 if positive else -1
+            product = Complex._from_clean(
+                tuple((i, SMALL_FRACTIONS[e]) for i, e in enumerate(shifted) if e)
             )
-    return ReactionNetwork(species, steps)
+            rate, change = (coeff, _ONE) if positive else (-coeff, _MINUS_ONE)
+            steps.append(ReactionStep._from_clean(reactant, product, rate, {index: change}))
+    check_species_names(species)
+    return ReactionNetwork._from_clean(species, tuple(steps))

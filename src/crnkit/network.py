@@ -17,6 +17,12 @@ are positive rationals; reactant-side coefficients must be integers so the
 mass-action monomials stay polynomial.  Duplicate (reactant, product) pairs
 are merged by summing rates, with a warning, since they are indistinguishable
 in the induced dynamics.
+
+`Complex`, `ReactionStep` and `ReactionNetwork` check every value they are
+given.  Code that builds values valid by construction (the text parser's
+complexes, the canonical realization) uses their private `_from_clean`
+constructors instead, which store what they are given as is; each states
+its contract.
 """
 
 from __future__ import annotations
@@ -30,12 +36,23 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix
-from .numbers import format_rational, parse_rational
+from .numbers import MAX_EXPONENT, format_rational, parse_rational
 from .poly import MAX_DEGREE
 
 Rate = Fraction | str
 
 _SPECIES_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+
+# Fraction(i) for every coefficient a realization can store (0..MAX_DEGREE + 1),
+# shared so that building a complex creates no Fraction for a small integer.
+SMALL_FRACTIONS = tuple(Fraction(i) for i in range(MAX_DEGREE + 2))
+
+
+def _as_fraction(value: int | Fraction) -> Fraction:
+    """A non-negative int or a Fraction as a Fraction, small ints from the table."""
+    if type(value) is int:
+        return SMALL_FRACTIONS[value] if value < len(SMALL_FRACTIONS) else Fraction(value)
+    return value
 
 
 class NetworkSyntaxError(ValueError):
@@ -78,6 +95,13 @@ class Complex:
         object.__setattr__(
             self, "entries", tuple(sorted(self.entries, key=lambda e: e[0]))
         )
+
+    @classmethod
+    def _from_clean(cls, entries: tuple[tuple[int, Fraction], ...]) -> "Complex":
+        """Trusted constructor: `entries` sorted by distinct index, each a positive Fraction."""
+        cpx = object.__new__(cls)
+        object.__setattr__(cpx, "entries", entries)
+        return cpx
 
     @classmethod
     def from_mapping(cls, coeffs: Mapping[int, Fraction | int]) -> "Complex":
@@ -187,6 +211,21 @@ class ReactionStep:
             change[index] = change[index] - coeff if index in change else -coeff
         object.__setattr__(self, "_net_change", {i: c for i, c in change.items() if c})
 
+    @classmethod
+    def _from_clean(
+        cls, reactant: Complex, product: Complex, rate: Fraction, net_change: dict[int, Fraction]
+    ) -> "ReactionStep":
+        """Trusted constructor for a step that passes every check of `__post_init__`.
+
+        `net_change` must be the unshared dict `__post_init__` would build.
+        """
+        step = object.__new__(cls)
+        object.__setattr__(step, "reactant", reactant)
+        object.__setattr__(step, "product", product)
+        object.__setattr__(step, "rate", rate)
+        object.__setattr__(step, "_net_change", net_change)
+        return step
+
     @property
     def net_change(self) -> Mapping[int, Fraction]:
         """Product minus reactant as a read-only sparse row, built with the step.
@@ -204,6 +243,13 @@ class ReactionStep:
         )
 
 
+def check_species_names(species: Iterable[str]) -> None:
+    """Raise NetworkValidationError for the first name that is not a species name."""
+    for name in species:
+        if not _SPECIES_RE.match(name):
+            raise NetworkValidationError(f"invalid species name {name!r}")
+
+
 class ReactionNetwork:
     """Ordered species plus reaction steps; duplicates merged on build."""
 
@@ -211,9 +257,7 @@ class ReactionNetwork:
         species = tuple(species)
         if len(set(species)) != len(species):
             raise NetworkValidationError("duplicate species names")
-        for name in species:
-            if not _SPECIES_RE.match(name):
-                raise NetworkValidationError(f"invalid species name {name!r}")
+        check_species_names(species)
         merged: dict[tuple[Complex, Complex], ReactionStep] = {}
         for step in steps:
             hi = max(step.reactant.max_index(), step.product.max_index())
@@ -233,6 +277,17 @@ class ReactionNetwork:
             merged[key] = step
         self.species = species
         self.steps = tuple(merged.values())
+
+    @classmethod
+    def _from_clean(
+        cls, species: tuple[str, ...], steps: tuple[ReactionStep, ...]
+    ) -> "ReactionNetwork":
+        """Trusted constructor: distinct valid species names, and distinct steps
+        (no two with the same reactant and product) over their indices."""
+        network = object.__new__(cls)
+        network.species = species
+        network.steps = steps
+        return network
 
     # -- structure ---------------------------------------------------------
 
@@ -429,8 +484,19 @@ class _LineParser:
             self.species_order.append(name)
         return self.species_index[name]
 
+    def number(self, tok) -> int | Fraction:
+        """A number token's value: an int for plain digits, else parse_rational's.
+
+        Digit strings longer than MAX_EXPONENT go through parse_rational too,
+        which refuses those whose decimal exponent is above the bound.
+        """
+        text = tok[1]
+        if text.isdecimal() and len(text) <= MAX_EXPONENT:
+            return int(text)
+        return parse_rational(text)
+
     def parse_complex(self) -> Complex:
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, int | Fraction] = {}
         first = True
         while True:
             tok = self.peek()
@@ -438,7 +504,7 @@ class _LineParser:
                 self.error("expected a complex")
             if tok[0] == "number":
                 self.take()
-                value = parse_rational(tok[1])
+                value = self.number(tok)
                 nxt = self.peek()
                 if nxt is not None and nxt[0] == "ident":
                     if value <= 0:
@@ -448,16 +514,16 @@ class _LineParser:
                         )
                     name_tok = self.take()
                     idx = self.species_id(name_tok[1])
-                    coeffs[idx] = coeffs.get(idx, Fraction(0)) + value
+                    coeffs[idx] = coeffs.get(idx, 0) + value
                 elif value == 0 and first and not coeffs:
                     # bare "0" is the empty complex
-                    return Complex.from_mapping({})
+                    return Complex._from_clean(())
                 else:
                     self.error(f"unexpected number {tok[1]!r}", tok[2])
             elif tok[0] == "ident":
                 self.take()
                 idx = self.species_id(tok[1])
-                coeffs[idx] = coeffs.get(idx, Fraction(0)) + 1
+                coeffs[idx] = coeffs.get(idx, 0) + 1
             else:
                 self.error(f"expected species term, found {tok[1]!r}", tok[2])
             first = False
@@ -465,24 +531,32 @@ class _LineParser:
             if nxt is not None and nxt[0] == "plus":
                 self.take()
                 continue
-            return Complex.from_mapping(coeffs)
+            # merged per species, every sum positive
+            return Complex._from_clean(
+                tuple((i, _as_fraction(c)) for i, c in sorted(coeffs.items()))
+            )
 
     def parse_rate(self) -> Rate:
+        """A Fraction when every part is a number, else the parts joined by '+'."""
         parts: list[str] = []
+        total: int | Fraction = 0
+        numeric = True
         while True:
             tok = self.take()
             if tok[0] == "number":
-                value = parse_rational(tok[1])
+                value = self.number(tok)
                 if value <= 0:
                     self.error(f"rate must be positive, got {tok[1]}", tok[2])
+                total += value
                 parts.append(tok[1])
             elif tok[0] == "ident":
+                numeric = False
                 parts.append(tok[1])
             else:
                 self.error(f"expected rate, found {tok[1]!r}", tok[2])
             nxt = self.peek()
             if nxt is None or nxt[0] != "plus":
-                return _parse_rate_text("+".join(parts))
+                return _as_fraction(total) if numeric else "+".join(parts)
             self.take()
 
     def parse_chain(self) -> list[ReactionStep]:

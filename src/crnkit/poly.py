@@ -15,9 +15,11 @@ key is a tuple of `dim` non-negative ints, and every value is a nonzero
 
 The parser bounds exact expansion: before each `*` and `**` it checks the
 degree and a bound on the term count of the result against `MAX_DEGREE`
-and `MAX_TERMS`, so no expansion starts that could exceed them.  It also
-refuses parentheses nested deeper than `MAX_NESTING`, and a power of a
-constant whose numerator or denominator could exceed `MAX_COEFFICIENT_BITS`.
+and `MAX_TERMS`, and the sum of the term-count bounds of every expansion
+so far against `MAX_PARSE_TERMS`, so no expansion starts that could exceed
+them.  It also refuses parentheses nested deeper than `MAX_NESTING`, and a
+power of a constant whose numerator or denominator could exceed
+`MAX_COEFFICIENT_BITS`.
 """
 
 from __future__ import annotations
@@ -36,9 +38,11 @@ Exponents = tuple[int, ...]
 Scalar = Union[Fraction, int]
 
 # Caps on what the parser may expand: the total degree of any product or
-# power (and any exponent), and a bound on its number of terms.
+# power (and any exponent), a bound on its number of terms, and the sum of
+# those bounds over one parse.
 MAX_DEGREE = 100
 MAX_TERMS = 2_000
+MAX_PARSE_TERMS = 5_000
 # Cap on parenthesis nesting, which the recursive-descent parser recurses on.
 MAX_NESTING = 100
 # Cap on the bit length of the numerator and denominator of a power of a
@@ -377,6 +381,7 @@ class _PolyParser:
         self.dim = len(variables)
         self.pos = 0
         self.depth = 0
+        self.expanded = 0  # summed term-count bounds of the expansions so far
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -397,6 +402,12 @@ class _PolyParser:
         if terms > MAX_TERMS:
             raise PolynomialParseError(
                 f"expansion could reach {terms} terms, above MAX_TERMS = {MAX_TERMS}"
+            )
+        self.expanded += terms
+        if self.expanded > MAX_PARSE_TERMS:
+            raise PolynomialParseError(
+                f"expansions could reach {self.expanded} terms in total, above "
+                f"MAX_PARSE_TERMS = {MAX_PARSE_TERMS}"
             )
 
     def product(self, left: Polynomial, right: Polynomial) -> Polynomial:

@@ -19,7 +19,12 @@ from crnkit import (
     compile_rhs,
 )
 from crnkit.linalg import PositivityResult, _reduce, check_proof, positive_vector_in_span
-from crnkit.kinetics import ode_variable_names
+from crnkit.kinetics import (
+    NotKineticError,
+    negative_cross_effect,
+    ode_variable_names,
+    species_names_for_variables,
+)
 from crnkit.sim import CLAMP_TOLERANCE
 from crnkit.network import Complex, ReactionStep, resolve_rate
 
@@ -116,6 +121,27 @@ def reference_induced_ode(network: ReactionNetwork, params=None) -> PolynomialSy
                 bucket[mono] = bucket.get(mono, Fraction(0)) + gamma * k
     components = tuple(Polynomial(m, t) for t in terms)
     return PolynomialSystem(ode_variable_names(network.species), components)
+
+
+def reference_realization(system: PolynomialSystem) -> ReactionNetwork:
+    """Oracle for `canonical_realization`: the same one-step-per-term network,
+    built from mappings through the checking public constructors."""
+    report = negative_cross_effect(system)
+    if not report.is_kinetic:
+        raise NotKineticError(report)
+    species = species_names_for_variables(system.variables)
+    steps: list[ReactionStep] = []
+    for index, component in enumerate(system.components):
+        for expts, coeff in component.sorted_terms():
+            reactant = {i: Fraction(e) for i, e in enumerate(expts) if e}
+            product_ = dict(reactant)
+            product_[index] = product_.get(index, 0) + (1 if coeff > 0 else -1)
+            steps.append(
+                ReactionStep(
+                    Complex.from_mapping(reactant), Complex.from_mapping(product_), abs(coeff)
+                )
+            )
+    return ReactionNetwork(species, steps)
 
 
 def random_kinetic_system(rng: random.Random) -> PolynomialSystem:

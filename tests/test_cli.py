@@ -498,6 +498,11 @@ def test_simulate_rejects_too_many_samples(system_file, capsys):
     [
         ("vars x\nx^100000000000\n", "MAX_DEGREE"),
         ("vars x y z\n(x+y+z+1)^50\nx\ny\n", "MAX_TERMS"),
+        pytest.param(
+            "vars x y\n" + " + ".join(["(x+y+1)^2*(x+y+1)^2"] * 200) + "\nx\n",
+            "MAX_PARSE_TERMS",
+            id="summed-MAX_PARSE_TERMS",
+        ),
         ("100000000000A ->[1] B\n", "MAX_DEGREE"),
         pytest.param(
             '{"species": ["A", "B"], "steps": [{"reactant": {"A": "100000000000"}, '

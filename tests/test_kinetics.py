@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -18,8 +19,8 @@ from crnkit import (
     ode_variable_names,
     parse_network,
 )
-from crnkit.network import Complex, ReactionNetwork, ReactionStep
-from crnkit.poly import parse_polynomial, parse_system
+from crnkit.network import Complex, NetworkValidationError, ReactionNetwork, ReactionStep
+from crnkit.poly import MAX_DEGREE, parse_polynomial, parse_system
 from crnkit.qfi import QuadraticCandidate
 
 from .conftest import LIMIT_CYCLE_4D_TEXT, SADDLE_3D_TEXT
@@ -29,6 +30,7 @@ from .support import (
     random_kinetic_system,
     random_network,
     reference_induced_ode,
+    reference_realization,
 )
 
 F = Fraction
@@ -238,6 +240,69 @@ def test_realization_round_trip_randomized():
         system = random_kinetic_system(rng)
         network = canonical_realization(system)
         assert induced_kinetic_ode(network) == system
+
+
+def assert_same_realization(network, reference):
+    """Equal networks, serializations and net changes, also after a pickle round
+    trip, with every value a Fraction."""
+    for built in (network, pickle.loads(pickle.dumps(network))):
+        assert built == reference
+        assert built.to_json() == reference.to_json()
+        for step, ref in zip(built.steps, reference.steps, strict=True):
+            assert dict(step.net_change) == dict(ref.net_change)
+            assert type(step.rate) is Fraction
+            values = [c for _, c in step.reactant.entries + step.product.entries]
+            assert all(type(c) is Fraction for c in [*values, *step.net_change.values()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), upper=st.booleans())
+@example(seed=0, upper=False)
+def test_realization_matches_reference(seed, upper):
+    system = random_kinetic_system(random.Random(seed))
+    if upper:
+        # uppercase variables are kept as species names as they are
+        system = PolynomialSystem(tuple(v.upper() for v in system.variables), system.components)
+    assert_same_realization(canonical_realization(system), reference_realization(system))
+
+
+def test_realization_matches_reference_at_max_degree():
+    top = Polynomial.monomial(2, (MAX_DEGREE, 0))
+    system = PolynomialSystem(("x", "y"), (top, -Polynomial.monomial(2, (0, MAX_DEGREE))))
+    network = canonical_realization(system)
+    assert_same_realization(network, reference_realization(system))
+    assert network.steps[0].product.entries == ((0, Fraction(MAX_DEGREE + 1)),)
+
+
+@pytest.mark.parametrize(
+    "system, error, message",
+    [
+        (
+            PolynomialSystem(
+                ("x", "y"),
+                (Polynomial.monomial(2, (MAX_DEGREE + 1, 0)), Polynomial.zero(2)),
+            ),
+            NetworkValidationError,
+            f"reactant complex of degree {MAX_DEGREE + 1} is above MAX_DEGREE = {MAX_DEGREE}",
+        ),
+        (
+            PolynomialSystem.from_strings(("_x",), ["_x"]),
+            NetworkValidationError,
+            "invalid species name '_x'",
+        ),
+        (
+            PolynomialSystem.from_strings(("x", "y"), ["-y", "x"]),
+            NotKineticError,
+            "system is not kinetic: component 1: term -1*y has no x factor",
+        ),
+    ],
+    ids=["degree", "species-name", "not-kinetic"],
+)
+def test_realization_refusals_match_reference(system, error, message):
+    for realize in (canonical_realization, reference_realization):
+        with pytest.raises(error) as info:
+            realize(system)
+        assert str(info.value) == message
 
 
 def test_realization_rejects_non_kinetic(oscillator_system):

@@ -5,6 +5,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crnkit import (
     NetworkSyntaxError,
@@ -255,3 +256,104 @@ def test_unused_species_and_proper():
     assert not net.is_proper
     full = parse_network("A ->[1] B")
     assert full.is_proper
+
+
+# -- the parser against the public constructors -------------------------------
+
+F = Fraction
+
+# spellings of "value times species {s}" in a complex
+COEFFICIENT_SPELLINGS = {
+    F(1): ["{s}", "1{s}", "1.0{s}"],
+    F(2): ["2{s}", "2.0{s}", "4/2{s}", "{s} + {s}"],
+    F(1, 2): ["1/2{s}", "0.5{s}"],
+    F(3, 2): ["3/2{s}", "1.5{s}", "{s} + 1/2{s}"],
+}
+RATE_SPELLINGS = [("1+2", F(3)), ("0.5", F(1, 2)), ("3/4", F(3, 4)), ("7", F(7)),
+                  ("k", "k"), ("k+1", "k+1")]
+
+
+@st.composite
+def spelled_networks(draw):
+    """(text, species, steps): network text with mixed spellings of each value,
+    the species in order of first appearance, and the (reactant, product, rate)
+    triples it denotes, duplicates included, keyed by species name."""
+    names = draw(st.permutations(["A", "B", "C2", "Xy"]))[: draw(st.integers(1, 4))]
+    species: list[str] = []
+
+    def spell(coeffs):
+        parts = []
+        for name in draw(st.permutations(sorted(coeffs))):
+            if name not in species:
+                species.append(name)
+            spelling = draw(st.sampled_from(COEFFICIENT_SPELLINGS[coeffs[name]]))
+            parts.append(spelling.format(s=name))
+        return " + ".join(parts) or "0"
+
+    def complexes(values):
+        return st.dictionaries(st.sampled_from(names), st.sampled_from(values), max_size=2)
+
+    integral, rational = complexes([F(1), F(2)]), complexes(sorted(COEFFICIENT_SPELLINGS))
+    lines, steps = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        reactant = draw(integral)
+        arrow = draw(st.sampled_from(["->", "<-", "<=>"]))
+        product = draw(integral if arrow == "<=>" else rational)
+        if reactant == product:
+            continue
+        for _ in range(draw(st.sampled_from([1, 1, 2]))):  # 2: a duplicate step
+            (k, rate), (kb, back) = draw(st.tuples(*[st.sampled_from(RATE_SPELLINGS)] * 2))
+            if arrow == "->":
+                lines.append(f"{spell(reactant)} ->[{k}] {spell(product)}")
+            elif arrow == "<-":
+                lines.append(f"{spell(product)} <-[{k}] {spell(reactant)}")
+            else:
+                lines.append(f"{spell(reactant)} <=>[{k},{kb}] {spell(product)}")
+            steps.append((reactant, product, rate))
+            if arrow == "<=>":
+                steps.append((product, reactant, back))
+    return "\n".join(lines), species, steps
+
+
+def build_publicly(species, steps):
+    index = {name: i for i, name in enumerate(species)}
+
+    def complex_(coeffs):
+        return Complex(tuple((index[name], c) for name, c in coeffs.items()))
+
+    built = [ReactionStep(complex_(r), complex_(p), k) for r, p, k in steps]
+    return ReactionNetwork(species, built)
+
+
+def warned(build):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = build()
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=150, deadline=None)
+@given(spelled=spelled_networks())
+def test_parser_matches_public_constructors(spelled):
+    text, species, steps = spelled
+    if not steps:
+        return
+    parsed, parse_warnings = warned(lambda: parse_network(text))
+    expected, expected_warnings = warned(lambda: build_publicly(species, steps))
+    assert parse_warnings == expected_warnings
+    rebuilt = ReactionNetwork.from_dict(json.loads(parsed.to_json()))
+    for other in (expected, rebuilt):
+        assert parsed == other
+        assert parsed.to_json() == other.to_json()
+        assert [dict(s.net_change) for s in parsed.steps] == [
+            dict(s.net_change) for s in other.steps
+        ]
+    for step in parsed.steps:
+        assert type(step.rate) in (Fraction, str)
+        values = [c for _, c in step.reactant.entries + step.product.entries]
+        assert all(type(c) is Fraction for c in [*values, *step.net_change.values()])
+
+
+def test_parser_duplicate_warning_text():
+    _, messages = warned(lambda: parse_network("2A ->[1+2] B\nA + A ->[k] 1.0B"))
+    assert messages == ["duplicate step 2A ->[k] B merged by summing rates"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crnkit import Polynomial, PolynomialParseError, PolynomialSystem, parse_polynomial, parse_system
-from crnkit.poly import MAX_DEGREE, MAX_NESTING
+from crnkit.poly import MAX_DEGREE, MAX_NESTING, MAX_PARSE_TERMS
 
 from .support import random_polynomial
 
@@ -141,6 +141,21 @@ def test_parse_refuses_oversized_expansion(text, limit):
     start = time.perf_counter()
     with pytest.raises(PolynomialParseError, match=f"above {limit} = "):
         parse_polynomial(text, ("x", "y", "z"))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_caps_the_summed_expansion_work():
+    # each copy charges its term-count bounds: 6 per square, 15 for the product
+    copy, charge = "(x + y + 1)^2 * (x + y + 1)^2", 6 + 6 + 15
+    fits = MAX_PARSE_TERMS // charge
+    assert parse_polynomial(" + ".join([copy] * fits), ("x", "y")) == Polynomial(
+        2, {e: fits * c for e, c in parse_polynomial(copy, ("x", "y")).terms().items()}
+    )
+    start = time.perf_counter()
+    # refused at the first square past the cap, before its expansion
+    message = f"reach {fits * charge + 6} terms in total, above MAX_PARSE_TERMS = "
+    with pytest.raises(PolynomialParseError, match=message):
+        parse_polynomial(" + ".join([copy] * (fits + 1)), ("x", "y"))
     assert time.perf_counter() - start < 1.0
 
 
