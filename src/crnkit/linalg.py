@@ -14,10 +14,10 @@ vector as coprime integers with a positive first nonzero entry.  Whether a
 subspace contains a strictly positive vector is decided by a fraction-free
 integer phase-1 simplex over the reduced span: the same elimination step
 pivots a tableau with one variable per pivot of the span and one constraint
-per other coordinate.  The congruence-based inertia of symmetric matrices
-works on lists of Fractions.  All decisions are exact; infeasible
-positivity queries come with a separating certificate that is verified
-before being returned.
+per other coordinate.  The inertia of a symmetric matrix is counted by
+congruence with the same step, over integer rows too.  All decisions are
+exact; infeasible positivity queries come with a separating certificate
+that is verified before being returned.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Mapping, Sequence
 
-Matrix = list[list[Fraction]]
 SparseRow = Mapping[int, Fraction | int]
 
 
@@ -42,10 +41,6 @@ class ProofCheckError(AssertionError):
 def check_proof(condition: bool, message: str) -> None:
     if not condition:
         raise ProofCheckError(message)
-
-
-def _copy_matrix(rows: Sequence[Sequence[Fraction]]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -355,54 +350,47 @@ def symmetric_inertia(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, int, i
     """(positive, zero, negative) eigenvalue counts of a symmetric matrix.
 
     Computed exactly by congruence (repeated Schur complements), which
-    preserves inertia by Sylvester's law.
+    preserves inertia by Sylvester's law, over primitive integer rows R that
+    stay positive multiples of the rows of the current Schur complement S: a
+    pivot row is negated when its diagonal entry is negative, before
+    `_eliminate` clears its column.  An all-zero row of S is a zero
+    eigenvalue.  When S has a zero diagonal, a nonzero S[i][j] gives row
+    i += row j, column i += column j, which makes S[i][i] = 2 S[i][j]; on R,
+    row i becomes |R[j][i]| row i + |R[i][j]| row j.
     """
     n = len(matrix)
-    a = _copy_matrix(matrix)
     for i in range(n):
-        if len(a[i]) != n:
+        if len(matrix[i]) != n:
             raise ValueError("matrix is not square")
         for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
+            if matrix[i][j] != matrix[j][i]:
                 raise ValueError("matrix is not symmetric")
-    active = list(range(n))
-    pos = neg = zero = 0
-    while active:
-        piv = next((i for i in active if a[i][i] != 0), None)
+    rows = {i: _integer_row(dict(enumerate(row))) for i, row in enumerate(matrix)}
+    rows = {i: row for i, row in rows.items() if row}
+    pos = neg = 0
+    while rows:
+        piv = next((i for i, row in rows.items() if i in row), None)
         if piv is None:
-            pair = next(
-                (
-                    (i, j)
-                    for idx, i in enumerate(active)
-                    for j in active[idx + 1 :]
-                    if a[i][j] != 0
-                ),
-                None,
-            )
-            if pair is None:
-                zero += len(active)
-                break
-            i, j = pair
-            for t in active:
-                a[i][t] = a[i][t] + a[j][t]
-            for t in active:
-                a[t][i] = a[t][i] + a[t][j]
-            piv = i
-        d = a[piv][piv]
-        if d > 0:
+            piv, row = next(iter(rows.items()))
+            j = next(iter(row))
+            partner = rows[j]
+            a, b = abs(partner[piv]), abs(row[j])
+            keys = row.keys() | partner.keys()
+            combined = {t: a * row.get(t, 0) + b * partner.get(t, 0) for t in keys}
+            rows[piv] = {t: v for t, v in combined.items() if v}
+            for row in rows.values():
+                if j in row:
+                    row[piv] = row.get(piv, 0) + row[j]
+                    if not row[piv]:
+                        del row[piv]
+        pivot_row = rows.pop(piv)
+        if pivot_row[piv] > 0:
             pos += 1
         else:
             neg += 1
-        active.remove(piv)
-        col = {i: a[i][piv] for i in active}
-        for i in active:
-            if col[i] == 0:
-                continue
-            f = col[i] / d
-            for j in active:
-                a[i][j] -= f * a[piv][j]
-        for i in active:
-            for j in active:
-                if i < j:
-                    a[j][i] = a[i][j]
-    return pos, zero, neg
+            pivot_row = {t: -v for t, v in pivot_row.items()}
+        rows = {
+            i: _eliminate(row, pivot_row, piv) if piv in row else row for i, row in rows.items()
+        }
+        rows = {i: row for i, row in rows.items() if row}
+    return pos, n - pos - neg, neg

@@ -35,11 +35,11 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix
 from .numbers import MAX_EXPONENT, format_rational, parse_rational
 from .poly import MAX_DEGREE
 
 Rate = Fraction | str
+Matrix = list[list[Fraction]]
 
 _SPECIES_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 

@@ -15,11 +15,12 @@ key is a tuple of `dim` non-negative ints, and every value is a nonzero
 
 The parser bounds exact expansion: before each `*` and `**` it checks the
 degree and a bound on the term count of the result against `MAX_DEGREE`
-and `MAX_TERMS`, and the sum of the term-count bounds of every expansion
-so far against `MAX_PARSE_TERMS`, so no expansion starts that could exceed
-them.  It also refuses parentheses nested deeper than `MAX_NESTING`, and a
-power of a constant whose numerator or denominator could exceed
-`MAX_COEFFICIENT_BITS`.
+and `MAX_TERMS`, and the sum of the term-count bounds above 1 of every
+expansion so far against `MAX_PARSE_TERMS`, so no expansion starts that
+could exceed them.  A product or power of single terms expands nothing and
+is not charged; instead the numerator and denominator of its coefficient
+are bounded by `MAX_COEFFICIENT_BITS`.  It also refuses parentheses nested
+deeper than `MAX_NESTING`.
 """
 
 from __future__ import annotations
@@ -39,16 +40,17 @@ Scalar = Union[Fraction, int]
 
 # Caps on what the parser may expand: the total degree of any product or
 # power (and any exponent), a bound on its number of terms, and the sum of
-# those bounds over one parse.
+# those bounds above 1 over one parse.
 MAX_DEGREE = 100
 MAX_TERMS = 2_000
 MAX_PARSE_TERMS = 5_000
 # Cap on parenthesis nesting, which the recursive-descent parser recurses on.
 MAX_NESTING = 100
-# Cap on the bit length of the numerator and denominator of a power of a
-# constant: nested constant powers would otherwise multiply it by up to
-# MAX_DEGREE per level.  It admits every literal parse_rational accepts
-# (10^1000 has 3,322 bits).
+# Cap on the bit length of the numerator and denominator of the coefficient
+# of a product or power of single terms, which nothing else charges: nested
+# constant powers would multiply it by up to MAX_DEGREE per level, and a
+# chain like 3*3*...*3 grows it in time quadratic in its length.  It admits
+# every literal parse_rational accepts (10^1000 has 3,322 bits).
 MAX_COEFFICIENT_BITS = 10_000
 
 
@@ -60,7 +62,7 @@ def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
 def accumulate_terms(
     sums: dict[Exponents, Fraction],
     terms: Mapping[Exponents, Fraction],
-    scale: Fraction | None = None,
+    scale: Scalar | None = None,
     shift: int | None = None,
 ) -> None:
     """Add scale * x_shift * f to the term sums, for f given by its terms.
@@ -200,17 +202,8 @@ class Polynomial:
         if rhs is None:
             return NotImplemented
         terms = dict(self._terms)
-        for expts, coeff in rhs._terms.items():
-            old = terms.get(expts)
-            if old is None:
-                terms[expts] = coeff
-            else:
-                total = old + coeff
-                if total:
-                    terms[expts] = total
-                else:
-                    del terms[expts]
-        return Polynomial._from_clean(self.dim, terms)
+        accumulate_terms(terms, rhs._terms)
+        return Polynomial._from_clean(self.dim, {e: c for e, c in terms.items() if c})
 
     __radd__ = __add__
 
@@ -374,6 +367,11 @@ def _tokenize_poly(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _bits(value: Fraction) -> int:
+    """Bit length of the larger of the numerator and denominator of `value`."""
+    return max(value.numerator.bit_length(), value.denominator.bit_length())
+
+
 class _PolyParser:
     def __init__(self, tokens: list[tuple[str, str, int]], variables: Sequence[str]):
         self.tokens = tokens
@@ -394,7 +392,7 @@ class _PolyParser:
         return tok
 
     def check_expansion(self, degree: int, terms: int):
-        """Refuse an expansion of this degree or term-count bound."""
+        """Refuse an expansion of this degree or term-count bound; charge a bound above 1."""
         if degree > MAX_DEGREE:
             raise PolynomialParseError(
                 f"expansion would reach degree {degree}, above MAX_DEGREE = {MAX_DEGREE}"
@@ -403,20 +401,32 @@ class _PolyParser:
             raise PolynomialParseError(
                 f"expansion could reach {terms} terms, above MAX_TERMS = {MAX_TERMS}"
             )
-        self.expanded += terms
-        if self.expanded > MAX_PARSE_TERMS:
+        if terms > 1:
+            self.expanded += terms
+            if self.expanded > MAX_PARSE_TERMS:
+                raise PolynomialParseError(
+                    f"expansions could reach {self.expanded} terms in total, above "
+                    f"MAX_PARSE_TERMS = {MAX_PARSE_TERMS}"
+                )
+
+    @staticmethod
+    def check_coefficient(kind: str, bits: int):
+        """Refuse a coefficient whose bit-length bound exceeds MAX_COEFFICIENT_BITS."""
+        if bits > MAX_COEFFICIENT_BITS:
             raise PolynomialParseError(
-                f"expansions could reach {self.expanded} terms in total, above "
-                f"MAX_PARSE_TERMS = {MAX_PARSE_TERMS}"
+                f"{kind} could reach {bits} bits, above "
+                f"MAX_COEFFICIENT_BITS = {MAX_COEFFICIENT_BITS}"
             )
 
     def product(self, left: Polynomial, right: Polynomial) -> Polynomial:
         if not left.is_zero() and not right.is_zero():
             degree = left.degree() + right.degree()
-            self.check_expansion(
-                degree,
-                min(len(left.terms()) * len(right.terms()), comb(degree + self.dim, self.dim)),
-            )
+            count = len(left.terms()) * len(right.terms())
+            self.check_expansion(degree, min(count, comb(degree + self.dim, self.dim)))
+            if count == 1:
+                (a,) = left.terms().values()
+                (b,) = right.terms().values()
+                self.check_coefficient("single-term product", _bits(a) + _bits(b))
         return left * right
 
     def power(self, base: Polynomial, exponent: int) -> Polynomial:
@@ -425,14 +435,10 @@ class _PolyParser:
                 f"exponent {exponent} is above MAX_DEGREE = {MAX_DEGREE}"
             )
         terms = len(base.terms())
-        if terms == 1 and base.degree() == 0:
-            value = base.coefficient((0,) * self.dim)
-            bits = exponent * max(value.numerator.bit_length(), value.denominator.bit_length())
-            if bits > MAX_COEFFICIENT_BITS:
-                raise PolynomialParseError(
-                    f"constant power could reach {bits} bits, above "
-                    f"MAX_COEFFICIENT_BITS = {MAX_COEFFICIENT_BITS}"
-                )
+        if terms == 1:
+            (value,) = base.terms().values()
+            kind = "constant power" if base.degree() == 0 else "single-term power"
+            self.check_coefficient(kind, exponent * _bits(value))
         if terms:
             degree = exponent * base.degree()
             # a^n has at most one term per multiset of n of a's terms
@@ -465,20 +471,20 @@ class _PolyParser:
         return result
 
     def parse_sum(self) -> Polynomial:
-        sign = 1
+        scale = None
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] in "+-":
             self.take()
-            sign = -1 if tok[1] == "-" else 1
-        total = self.parse_product() * sign
+            scale = -1 if tok[1] == "-" else None
+        sums: dict[Exponents, Fraction] = {}
         while True:
+            accumulate_terms(sums, self.parse_product()._terms, scale)
             tok = self.peek()
             if tok is None or tok[0] != "op" or tok[1] not in "+-":
                 break
             self.take()
-            sign = -1 if tok[1] == "-" else 1
-            total = total + self.parse_product() * sign
-        return total
+            scale = -1 if tok[1] == "-" else None
+        return Polynomial._from_clean(self.dim, {e: c for e, c in sums.items() if c})
 
     def parse_product(self) -> Polynomial:
         result = self.parse_factor()

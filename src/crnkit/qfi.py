@@ -866,13 +866,11 @@ def lotka_volterra_log_check(system: PolynomialSystem) -> bool:
     """
     if system.dim != 2:
         raise ValueError("log-integral check is for planar systems")
-    sums: dict[Exponents, Fraction] = {}
-    for multiplier, component in zip(_LOG_MULTIPLIERS, system.components):
-        for (i, j), c in multiplier.items():
-            for (a, b), coeff in component.terms().items():
-                key = (i + a, j + b)
-                sums[key] = sums.get(key, 0) + c * coeff
-    return not any(sums.values())
+    first, second = (
+        Polynomial(2, multiplier) * component
+        for multiplier, component in zip(_LOG_MULTIPLIERS, system.components)
+    )
+    return (first + second).is_zero()
 
 
 _QUAD_MONOMIALS = [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]

@@ -325,6 +325,63 @@ def dense_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     return mat, pivots
 
 
+def reference_inertia(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
+    """(positive, zero, negative) eigenvalue counts by dense Fraction Schur complements.
+
+    Checks the shape and symmetry as `linalg.symmetric_inertia` does.  A zero
+    diagonal is handled by the congruence row i += row j, column i += column j.
+    """
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    for i in range(n):
+        if len(a[i]) != n:
+            raise ValueError("matrix is not square")
+        for j in range(i + 1, n):
+            if a[i][j] != a[j][i]:
+                raise ValueError("matrix is not symmetric")
+    active = list(range(n))
+    pos = neg = zero = 0
+    while active:
+        piv = next((i for i in active if a[i][i] != 0), None)
+        if piv is None:
+            pair = next(
+                (
+                    (i, j)
+                    for idx, i in enumerate(active)
+                    for j in active[idx + 1 :]
+                    if a[i][j] != 0
+                ),
+                None,
+            )
+            if pair is None:
+                zero += len(active)
+                break
+            i, j = pair
+            for t in active:
+                a[i][t] = a[i][t] + a[j][t]
+            for t in active:
+                a[t][i] = a[t][i] + a[t][j]
+            piv = i
+        d = a[piv][piv]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(piv)
+        col = {i: a[i][piv] for i in active}
+        for i in active:
+            if col[i] == 0:
+                continue
+            f = col[i] / d
+            for j in active:
+                a[i][j] -= f * a[piv][j]
+        for i in active:
+            for j in active:
+                if i < j:
+                    a[j][i] = a[i][j]
+    return pos, zero, neg
+
+
 def primitive_integer_vector(values) -> tuple[Fraction, ...]:
     """Scale a rational vector to coprime integers, preserving direction.
 

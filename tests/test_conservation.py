@@ -8,9 +8,14 @@ from hypothesis import given, settings, strategies as st
 from crnkit import (
     Complex,
     ConservationVector,
+    DiagonalParams,
+    Polynomial,
+    PolynomialSystem,
+    QuadraticCandidate,
     ReactionNetwork,
     ReactionStep,
     find_quadratic_first_integrals,
+    generate_diagonal_system,
     induced_kinetic_ode,
     is_first_integral,
     kinetic_conservation,
@@ -24,6 +29,7 @@ from crnkit import (
 from .support import (
     dense_conservation_rows,
     dense_positive_kernel_vector,
+    dense_rref,
     random_network,
     reference_induced_ode,
 )
@@ -175,3 +181,81 @@ def test_decisions_survive_species_permutation_and_rate_scaling(seed, conserving
     expected = _decisions(network)
     assert _decisions(_permuted(network, perm)) == expected
     assert _decisions(_rescaled(network, factor)) == expected
+
+
+def _moved(values, perm):
+    """`values` with entry i moved to position perm[i]."""
+    out = [None] * len(values)
+    for i, value in enumerate(values):
+        out[perm[i]] = value
+    return out
+
+
+def _permuted_system(system, perm):
+    """The same system with variable i moved to position perm[i]."""
+    components = [
+        Polynomial(system.dim, {tuple(_moved(e, perm)): c for e, c in component.terms().items()})
+        for component in system.components
+    ]
+    return PolynomialSystem(_moved(system.variables, perm), _moved(components, perm))
+
+
+def _permuted_candidate(candidate, perm):
+    q = _moved([_moved(row, perm) for row in candidate.q], perm)
+    return QuadraticCandidate(q, _moved(candidate.linear, perm), candidate.constant)
+
+
+def _span(candidates):
+    """The row space of the candidates' coefficient vectors, as its reduced basis."""
+    reduced, pivots = dense_rref([c.coefficient_vector() for c in candidates])
+    return reduced[: len(pivots)]
+
+
+def _check_permuted_system(system, perm, seen):
+    """Check that the kinetic and positive-diagonal witnesses of `system` and its
+    full first-integral span permute with its variables; returns the permuted
+    system."""
+    moved_system = _permuted_system(system, perm)
+    kinetic = kinetic_conservation(system)
+    if kinetic is not None:
+        seen["kinetic"] += 1
+        moved = ConservationVector(_moved(kinetic.rho, perm), "kinetic")
+        assert verify_conservation(moved, moved_system)
+    diagonal = find_quadratic_first_integrals(system, "positive-diagonal")
+    if diagonal.found:
+        seen["diagonal"] += 1
+        moved = _permuted_candidate(diagonal.candidate, perm)
+        assert is_first_integral(moved, moved_system)
+        assert moved.signature() == "positive-definite diagonal"
+    # a basis is in reduced form, which depends on the column order
+    basis = find_quadratic_first_integrals(system).basis
+    seen["span"] += bool(basis)
+    moved_basis = find_quadratic_first_integrals(moved_system).basis
+    assert _span([_permuted_candidate(c, perm) for c in basis]) == _span(moved_basis)
+    return moved_system
+
+
+def test_witnesses_and_integral_spans_permute_with_the_variables():
+    rng = random.Random(19)
+    seen = {"stoichiometric": 0, "kinetic": 0, "diagonal": 0, "span": 0}
+    for i in range(150):
+        network = random_network(rng, conserving=bool(i % 2))
+        perm = list(range(network.num_species))
+        rng.shuffle(perm)
+        moved_network = _permuted(network, perm)
+        moved_system = _check_permuted_system(induced_kinetic_ode(network), perm, seen)
+        assert induced_kinetic_ode(moved_network) == moved_system
+        stoich = stoichiometric_conservation(network)
+        if stoich is not None:
+            seen["stoichiometric"] += 1
+            moved = ConservationVector(_moved(stoich.rho, perm), "stoichiometric")
+            assert verify_conservation(moved, moved_network)
+    # the diagonal family has positive-diagonal first integrals by construction
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        weights = [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)]
+        coupling = [[0 if p == m else rng.randint(0, 3) for p in range(n)] for m in range(n)]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        _check_permuted_system(generate_diagonal_system(DiagonalParams(weights, coupling)), perm, seen)
+    assert all(seen.values()), seen

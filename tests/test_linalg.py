@@ -19,6 +19,7 @@ from .support import (
     dense_rref,
     leading_sign_normalized,
     matvec,
+    reference_inertia,
     rref,
     sparse_rows,
     split_positive_vector_in_span,
@@ -371,3 +372,67 @@ def test_inertia_randomized_against_sympy():
         )
         s_neg = n - s_pos - s_zero
         assert (pos, zero, neg) == (s_pos, s_zero, s_neg)
+
+
+# small rationals, ints and Fractions mixed
+INERTIA_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric matrices of order 0 to 9: dense or sparse, with a zero
+    diagonal, of low rank (a signed sum of k < n squares), or all zero."""
+    n = draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(["dense", "sparse", "zero diagonal", "low rank", "zero"]))
+    m = [[0] * n for _ in range(n)]
+    if kind == "low rank":
+        for _ in range(draw(st.integers(0, max(n - 1, 0)))):
+            v = draw(st.lists(INERTIA_ENTRIES, min_size=n, max_size=n))
+            sign = draw(st.sampled_from([1, -1]))
+            for i in range(n):
+                for j in range(n):
+                    m[i][j] += sign * v[i] * v[j]
+        return m
+    if kind == "zero":
+        return m
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and kind == "zero diagonal":
+                continue
+            if kind == "sparse" and draw(st.integers(0, 3)):
+                continue
+            m[i][j] = m[j][i] = draw(INERTIA_ENTRIES)
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+def test_inertia_matches_the_dense_fraction_reference(m):
+    pos, zero, neg = symmetric_inertia(m)
+    assert (pos, zero, neg) == reference_inertia(m)
+    assert pos + zero + neg == len(m)
+
+
+def test_inertia_of_all_zero_and_empty_matrices():
+    assert symmetric_inertia([]) == (0, 0, 0)
+    for n in range(1, 4):
+        assert symmetric_inertia([[F(0)] * n for _ in range(n)]) == (0, n, 0)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1, 2, 3], [2, 1]], "not square"),
+        ([[1, 2], [3]], "not symmetric"),  # row 0 is checked against column 0 first
+        ([[1, 2], [2]], "not square"),
+        ([[1, 2], [2, 1], [0, 0]], "not square"),
+        ([[0, 1, 2], [1, 0, 3], [2, 4, 0]], "not symmetric"),
+    ],
+)
+def test_inertia_refuses_bad_shapes_in_order(matrix, message):
+    for inertia in (symmetric_inertia, reference_inertia):
+        with pytest.raises(ValueError, match=f"matrix is {message}"):
+            inertia(matrix)

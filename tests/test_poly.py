@@ -1,14 +1,21 @@
+import importlib.util
 import random
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crnkit import Polynomial, PolynomialParseError, PolynomialSystem, parse_polynomial, parse_system
-from crnkit.poly import MAX_DEGREE, MAX_NESTING, MAX_PARSE_TERMS
+from crnkit.numbers import format_rational
+from crnkit.poly import MAX_COEFFICIENT_BITS, MAX_DEGREE, MAX_NESTING, MAX_PARSE_TERMS
 
+from .conftest import LIMIT_CYCLE_4D_TEXT, SADDLE_3D_TEXT
 from .support import random_polynomial
+
+ROOT = Path(__file__).resolve().parent.parent
 
 X = Polynomial.variable(2, 0)
 Y = Polynomial.variable(2, 1)
@@ -178,6 +185,88 @@ def test_parse_constant_power_cap():
         with pytest.raises(PolynomialParseError, match="above MAX_COEFFICIENT_BITS = "):
             parse_polynomial(text, names)
         assert time.perf_counter() - start < 1.0
+
+
+def test_single_term_products_are_capped_by_coefficient_bits():
+    # the k-th factor of 2*2*...*2 multiplies 2^(k-1) (k bits) by 2 (2 bits),
+    # so that product could reach k + 2 bits
+    fits = MAX_COEFFICIENT_BITS - 2
+    names = ("x",)
+    assert parse_polynomial("*".join(["2"] * fits), names) == Polynomial.constant(1, 2**fits)
+    message = (
+        f"single-term product could reach {MAX_COEFFICIENT_BITS + 1} bits, "
+        f"above MAX_COEFFICIENT_BITS = {MAX_COEFFICIENT_BITS}"
+    )
+    with pytest.raises(PolynomialParseError, match=message):
+        parse_polynomial("*".join(["2"] * (fits + 1)), names)
+    start = time.perf_counter()
+    with pytest.raises(PolynomialParseError, match="single-term product could reach"):
+        parse_polynomial("*".join(["3"] * 200_000), names)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_single_term_powers_are_capped_by_coefficient_bits():
+    # (2^100 x)^e has a coefficient of at most e * 101 bits
+    names = ("x",)
+    assert parse_polynomial("((2)^100*x)^99", names) == Polynomial(
+        1, {(99,): Fraction(2) ** 9900}
+    )
+    with pytest.raises(PolynomialParseError, match="single-term power could reach 10100 bits"):
+        parse_polynomial("((2)^100*x)^100", names)
+
+
+def test_written_out_terms_are_not_charged():
+    # 5,000 terms c*x^i*y^j: each `*` and `^` multiplies single terms
+    rng = random.Random(5)
+    monomials = [(i, j) for i in range(100) for j in range(100 - i)][:5000]
+    terms = {
+        m: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5)) for m in monomials
+    }
+    text = " + ".join(
+        f"{format_rational(c)}*x^{i}*y^{j}" for (i, j), c in terms.items()
+    ).replace("+ -", "- ")
+    assert parse_polynomial(text, ("x", "y")) == Polynomial(2, terms)
+
+
+def _sympy_terms(sympy, parser, text: str, variables) -> dict:
+    """The terms of `text` expanded by sympy, keyed by exponent tuple."""
+    transformations = parser.standard_transformations + (
+        parser.implicit_multiplication,
+        parser.convert_xor,
+        parser.rationalize,
+    )
+    symbols = {name: sympy.Symbol(name) for name in variables}
+    expr = parser.parse_expr(text, local_dict=symbols, transformations=transformations)
+    poly = sympy.Poly(expr, *symbols.values())
+    return {e: Fraction(int(c.p), int(c.q)) for e, c in poly.as_dict().items()}
+
+
+def _system_texts():
+    """The system texts of the README, the test fixtures and perfbench's cli pool."""
+    texts = re.findall(r"```\n(vars [^`]*)```", (ROOT / "README.md").read_text())
+    texts += [LIMIT_CYCLE_4D_TEXT, SADDLE_3D_TEXT]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    kinds = ("check-kinetic", "realize", "check-qfi", "check-qfi-diagonal",
+             "check-log-lv", "check-no-periodic", "simulate")
+    texts += [workloads.cli_item(i, kind)["text"] for kind in kinds for i in range(60)]
+    return texts
+
+
+def test_system_texts_parse_as_sympy_expands_them():
+    sympy = pytest.importorskip("sympy")
+    parser = pytest.importorskip("sympy.parsing.sympy_parser")
+    texts = _system_texts()
+    assert len(texts) == 1 + 2 + 7 * 60
+    for text in texts:
+        system = parse_system(text)
+        lines = [line.split("#", 1)[0].strip() for line in text.splitlines()]
+        lines = [line for line in lines if line][1:]
+        for line, component in zip(lines, system.components, strict=True):
+            assert dict(component.terms()) == _sympy_terms(sympy, parser, line, system.variables), line
 
 
 def test_system_from_strings_and_render():
