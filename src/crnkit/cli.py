@@ -80,7 +80,13 @@ def _parse_params(items: list[str] | None) -> dict[str, Fraction]:
 
 
 def _parse_vector(text: str) -> list[Fraction]:
-    return [parse_rational(p) for p in text.split(",") if p.strip()]
+    """Comma-separated rationals; a blank text is the empty vector."""
+    if not text.strip():
+        return []
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise ValueError(f"blank entry in comma-separated list {text!r}")
+    return [parse_rational(p) for p in parts]
 
 
 def _parse_matrix(text: str) -> list[list[Fraction]]:
@@ -492,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--property",
         required=True,
-        choices=["kinetic", "conserve-stoich", "conserve-kinetic", "qfi", "log-lv", "no-periodic"],
+        choices=list(_CHECKS),
     )
     p.add_argument("--params", nargs="*", metavar="NAME=VALUE")
     p.add_argument("--candidate", metavar="RHO", help="comma-separated conservation vector to verify")

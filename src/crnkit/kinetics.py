@@ -19,15 +19,15 @@ from typing import Mapping, Sequence
 from .network import (
     SMALL_FRACTIONS,
     Complex,
-    NetworkValidationError,
     ReactionNetwork,
     ReactionStep,
     UnboundParameterError,
+    check_reactant_degree,
     check_species_names,
     resolve_rate,
 )
 from .numbers import format_rational
-from .poly import MAX_DEGREE, Exponents, Polynomial, PolynomialSystem
+from .poly import Exponents, Polynomial, PolynomialSystem
 
 _ONE, _MINUS_ONE = SMALL_FRACTIONS[1], Fraction(-1)
 
@@ -164,9 +164,9 @@ def canonical_realization(system: PolynomialSystem) -> ReactionNetwork:
     Every value is built through the trusted constructors: entries come
     sorted and positive, the two complexes differ by +-e_m, the rate is
     |c| > 0, and distinct (component, monomial) pairs give distinct steps.
-    What the system does not guarantee is checked: a monomial's degree
-    against MAX_DEGREE (the reactant's degree, as `ReactionStep` checks it)
-    and the species names.
+    What the system does not guarantee is checked: a monomial's degree, by
+    the `check_reactant_degree` that `ReactionStep` uses, and the species
+    names.
     """
     report = negative_cross_effect(system)
     if not report.is_kinetic:
@@ -178,11 +178,7 @@ def canonical_realization(system: PolynomialSystem) -> ReactionNetwork:
         for expts, coeff in component.sorted_terms():
             reactant = reactants.get(expts)
             if reactant is None:
-                degree = sum(expts)
-                if degree > MAX_DEGREE:
-                    raise NetworkValidationError(
-                        f"reactant complex of degree {degree} is above MAX_DEGREE = {MAX_DEGREE}"
-                    )
+                check_reactant_degree(sum(expts))
                 reactant = reactants[expts] = Complex._from_clean(
                     tuple((i, SMALL_FRACTIONS[e]) for i, e in enumerate(expts) if e)
                 )

@@ -363,6 +363,8 @@ def symmetric_inertia(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, int, i
         if len(matrix[i]) != n:
             raise ValueError("matrix is not square")
         for j in range(i + 1, n):
+            if len(matrix[j]) <= i:
+                raise ValueError("matrix is not square")
             if matrix[i][j] != matrix[j][i]:
                 raise ValueError("matrix is not symmetric")
     rows = {i: _integer_row(dict(enumerate(row))) for i, row in enumerate(matrix)}

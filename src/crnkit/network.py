@@ -201,11 +201,7 @@ class ReactionStep:
                 "reactant-side coefficients must be nonnegative integers"
             )
         # reactant coefficients become the exponents of the rate monomial
-        degree = sum(c.numerator for _, c in self.reactant.entries)
-        if degree > MAX_DEGREE:
-            raise NetworkValidationError(
-                f"reactant complex of degree {degree} is above MAX_DEGREE = {MAX_DEGREE}"
-            )
+        check_reactant_degree(sum(c.numerator for _, c in self.reactant.entries))
         change = dict(self.product.entries)
         for index, coeff in self.reactant.entries:
             change[index] = change[index] - coeff if index in change else -coeff
@@ -240,6 +236,14 @@ class ReactionStep:
         return (
             f"{self.reactant.render(species)} ->[{format_rate(self.rate)}] "
             f"{self.product.render(species)}"
+        )
+
+
+def check_reactant_degree(degree: int) -> None:
+    """Raise NetworkValidationError for a reactant complex of degree above MAX_DEGREE."""
+    if degree > MAX_DEGREE:
+        raise NetworkValidationError(
+            f"reactant complex of degree {degree} is above MAX_DEGREE = {MAX_DEGREE}"
         )
 
 

@@ -14,13 +14,12 @@ key is a tuple of `dim` non-negative ints, and every value is a nonzero
 `Fraction`.
 
 The parser bounds exact expansion: before each `*` and `**` it checks the
-degree and a bound on the term count of the result against `MAX_DEGREE`
-and `MAX_TERMS`, and the sum of the term-count bounds above 1 of every
-expansion so far against `MAX_PARSE_TERMS`, so no expansion starts that
-could exceed them.  A product or power of single terms expands nothing and
-is not charged; instead the numerator and denominator of its coefficient
-are bounded by `MAX_COEFFICIENT_BITS`.  It also refuses parentheses nested
-deeper than `MAX_NESTING`.
+degree, a bound on the term count and a bound on the coefficient height
+(`_height`) of the result against `MAX_DEGREE`, `MAX_TERMS` and
+`MAX_COEFFICIENT_BITS`, and the sum of the term-count bounds above 1 of
+every expansion so far against `MAX_PARSE_TERMS`, so no expansion starts
+that could exceed them.  It also refuses parentheses nested deeper than
+`MAX_NESTING`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import add
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence, Union
@@ -46,11 +45,11 @@ MAX_TERMS = 2_000
 MAX_PARSE_TERMS = 5_000
 # Cap on parenthesis nesting, which the recursive-descent parser recurses on.
 MAX_NESTING = 100
-# Cap on the bit length of the numerator and denominator of the coefficient
-# of a product or power of single terms, which nothing else charges: nested
-# constant powers would multiply it by up to MAX_DEGREE per level, and a
-# chain like 3*3*...*3 grows it in time quadratic in its length.  It admits
-# every literal parse_rational accepts (10^1000 has 3,322 bits).
+# Cap on the coefficient height (`_height`) of every product and power.
+# Nested constant powers would multiply it by up to MAX_DEGREE per level, a
+# chain like 3*3*...*3 grows it in time quadratic in its length, and a power
+# of a sum multiplies the heights of its terms.  It admits every literal
+# parse_rational accepts (10^1000 has 3,322 bits).
 MAX_COEFFICIENT_BITS = 10_000
 
 
@@ -367,9 +366,17 @@ def _tokenize_poly(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _bits(value: Fraction) -> int:
-    """Bit length of the larger of the numerator and denominator of `value`."""
-    return max(value.numerator.bit_length(), value.denominator.bit_length())
+def _height(poly: Polynomial) -> int:
+    """Bit length of the largest of D and every |c*D|, D the lcm of the denominators."""
+    den = 1
+    for c in poly._terms.values():
+        den = lcm(den, c.denominator)
+    top = den
+    for c in poly._terms.values():
+        scaled = abs(c.numerator) * (den // c.denominator)
+        if scaled > top:
+            top = scaled
+    return top.bit_length()
 
 
 class _PolyParser:
@@ -391,8 +398,8 @@ class _PolyParser:
         self.pos += 1
         return tok
 
-    def check_expansion(self, degree: int, terms: int):
-        """Refuse an expansion of this degree or term-count bound; charge a bound above 1."""
+    def admit(self, kind: str, degree: int, terms: int, bits: int):
+        """Refuse a result of this kind above a cap; charge a term bound above 1."""
         if degree > MAX_DEGREE:
             raise PolynomialParseError(
                 f"expansion would reach degree {degree}, above MAX_DEGREE = {MAX_DEGREE}"
@@ -408,10 +415,6 @@ class _PolyParser:
                     f"expansions could reach {self.expanded} terms in total, above "
                     f"MAX_PARSE_TERMS = {MAX_PARSE_TERMS}"
                 )
-
-    @staticmethod
-    def check_coefficient(kind: str, bits: int):
-        """Refuse a coefficient whose bit-length bound exceeds MAX_COEFFICIENT_BITS."""
         if bits > MAX_COEFFICIENT_BITS:
             raise PolynomialParseError(
                 f"{kind} could reach {bits} bits, above "
@@ -421,12 +424,15 @@ class _PolyParser:
     def product(self, left: Polynomial, right: Polynomial) -> Polynomial:
         if not left.is_zero() and not right.is_zero():
             degree = left.degree() + right.degree()
-            count = len(left.terms()) * len(right.terms())
-            self.check_expansion(degree, min(count, comb(degree + self.dim, self.dim)))
-            if count == 1:
-                (a,) = left.terms().values()
-                (b,) = right.terms().values()
-                self.check_coefficient("single-term product", _bits(a) + _bits(b))
+            t_left, t_right = len(left._terms), len(right._terms)
+            count = t_left * t_right
+            # over D_left*D_right, a coefficient sums min(t_left, t_right) products at most
+            self.admit(
+                "single-term product" if count == 1 else "product",
+                degree,
+                min(count, comb(degree + self.dim, self.dim)),
+                _height(left) + _height(right) + (min(t_left, t_right) - 1).bit_length(),
+            )
         return left * right
 
     def power(self, base: Polynomial, exponent: int) -> Polynomial:
@@ -435,16 +441,16 @@ class _PolyParser:
                 f"exponent {exponent} is above MAX_DEGREE = {MAX_DEGREE}"
             )
         terms = len(base.terms())
-        if terms == 1:
-            (value,) = base.terms().values()
-            kind = "constant power" if base.degree() == 0 else "single-term power"
-            self.check_coefficient(kind, exponent * _bits(value))
         if terms:
             degree = exponent * base.degree()
-            # a^n has at most one term per multiset of n of a's terms
-            self.check_expansion(
+            kind = "power" if terms > 1 else "single-term power" if base.degree() else "constant power"
+            # a^n has at most one term per multiset of n of a's terms, and its
+            # numerators over D^n are at most (terms * max |c*D|)^n
+            self.admit(
+                kind,
                 degree,
                 min(comb(exponent + terms - 1, terms - 1), comb(degree + self.dim, self.dim)),
+                exponent * (_height(base) + (terms - 1).bit_length()),
             )
         return base**exponent
 

@@ -207,32 +207,21 @@ def is_first_integral(candidate: QuadraticCandidate, system: PolynomialSystem) -
 
 # -- exhaustive search ------------------------------------------------------
 
-def _lie_derivative_columns(
-    system: PolynomialSystem, diagonal_only: bool
-) -> list[Mapping[Exponents, Fraction]]:
+def _lie_derivative_columns(system: PolynomialSystem) -> list[Mapping[Exponents, Fraction]]:
     """Coefficients of the Lie derivative of each unit candidate.
 
     Columns follow `coefficient_vector` order: x_i^2 gives 2 x_i f_i, the
     off-diagonal unit 2 x_i x_j (i < j) gives 2 x_j f_i + 2 x_i f_j, and the
     linear unit x_i gives f_i.  Constants are excluded: they never influence
     the Lie derivative, and reported candidates pin the constant to zero.
-    With diagonal_only every column is x_i^2's, so the common factor 2 is
-    dropped; the null space is the same.
     """
     n = system.dim
     f = [component.terms() for component in system.components]
-    if diagonal_only:
-        columns = []
-        for i in range(n):
-            column: dict[Exponents, Fraction] = {}
-            accumulate_terms(column, f[i], shift=i)
-            columns.append(column)
-        return columns
     twice = [{e: 2 * c for e, c in terms.items()} for terms in f]
     quadratic = []
     for i in range(n):
         for j in range(i, n):
-            column = {}
+            column: dict[Exponents, Fraction] = {}
             accumulate_terms(column, twice[i], shift=j)
             if j != i:
                 accumulate_terms(column, twice[j], shift=i)
@@ -240,10 +229,8 @@ def _lie_derivative_columns(
     return quadratic + f
 
 
-def _candidate(weights: Sequence[Fraction], dim: int, diagonal_only: bool) -> QuadraticCandidate:
+def _candidate(weights: Sequence[Fraction], dim: int) -> QuadraticCandidate:
     """The candidate with these weights on the unit candidates."""
-    if diagonal_only:
-        return QuadraticCandidate.diagonal(weights)
     q = [[Fraction(0)] * dim for _ in range(dim)]
     rest = iter(weights)
     for i in range(dim):
@@ -285,8 +272,7 @@ def find_quadratic_first_integrals(
     """
     if signature_filter not in (None, "positive-diagonal"):
         raise ValueError(f"unknown signature filter {signature_filter!r}")
-    diagonal_only = signature_filter is not None
-    if not diagonal_only:
+    if signature_filter is None:
         n, total = system.dim, sum(len(component.terms()) for component in system.components)
         size = n * (n + 3) // 2 * (n + 1) * total
         if size > MAX_SEARCH_SIZE:
@@ -295,15 +281,21 @@ def find_quadratic_first_integrals(
                 f"T = {total} terms, n(n + 3)/2 * (n + 1) T) is above "
                 f"MAX_SEARCH_SIZE = {MAX_SEARCH_SIZE}"
             )
-    columns = _lie_derivative_columns(system, diagonal_only)
-    rows = coefficient_matrix(columns)
-    if diagonal_only:
-        weights, witness = positive_kernel_vector(rows, len(columns))
+        columns = _lie_derivative_columns(system)
+        weights = nullspace_basis(coefficient_matrix(columns), len(columns))
+        basis = tuple(_candidate(w, n) for w in weights)
+        candidate = basis[0] if basis else None
     else:
-        weights = nullspace_basis(rows, len(columns))
-        witness = weights[0] if weights else None
-    basis = tuple(_candidate(w, system.dim, diagonal_only) for w in weights)
-    candidate = None if witness is None else _candidate(witness, system.dim, diagonal_only)
+        # x_i^2 has Lie derivative 2 x_i f_i; without the common factor 2 the
+        # null space is the same
+        columns = []
+        for i, component in enumerate(system.components):
+            column: dict[Exponents, Fraction] = {}
+            accumulate_terms(column, component.terms(), shift=i)
+            columns.append(column)
+        weights, witness = positive_kernel_vector(coefficient_matrix(columns), system.dim)
+        basis = tuple(QuadraticCandidate.diagonal(w) for w in weights)
+        candidate = None if witness is None else QuadraticCandidate.diagonal(witness)
     return FirstIntegralReport(
         found=candidate is not None,
         candidate=candidate,

@@ -597,6 +597,34 @@ def test_nonfinite_and_huge_numbers_exit_2(system_file, network_file, cascade_fi
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["simulate", "{system}", "--x0", "1,,2"], "1,,2"),
+        (["check", "{network}", "--property", "conserve-stoich", "--candidate", "1,1,"], "1,1,"),
+        (["generate", "--family", "diagonal", "--weights", " ,1,1", "--coupling", "0,1;1,0"],
+         " ,1,1"),
+        (["generate", "--family", "diagonal", "--weights", "1,1", "--coupling", "0,1;,1,0"],
+         ",1,0"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_blank_vector_entries_exit_2(system_file, network_file, capsys, argv, text):
+    # dropping the blank entry would leave a vector of the expected length
+    files = {"system": system_file, "network": network_file}
+    assert main([arg.format(**files) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: blank entry in comma-separated list {text!r}\n"
+
+
+def test_an_empty_vector_is_an_empty_block(capsys):
+    argv = ["generate", "--family", "mixed-sign", "--plus-weights", "1,1", "--minus-weights", "",
+            "--coupling", ";", "--rho-plus", "1,1", "--rho-minus", "", "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["system"]["components"] == ["0", "0", "0"]
+
+
 def test_deeply_nested_component_exits_2(tmp_path, capsys):
     path = write(tmp_path, "nest.txt", "vars x\n" + "(" * 400 + "x" + ")" * 400 + "\n")
     assert main(["check", path, "--property", "kinetic"]) == 2

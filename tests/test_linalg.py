@@ -436,3 +436,10 @@ def test_inertia_refuses_bad_shapes_in_order(matrix, message):
     for inertia in (symmetric_inertia, reference_inertia):
         with pytest.raises(ValueError, match=f"matrix is {message}"):
             inertia(matrix)
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2], []], [[1, 2, 3], [2, 1, 0], [3]]])
+def test_inertia_refuses_a_row_too_short_for_the_symmetry_check(matrix):
+    # row 0 is compared with column 0 before the short row's length is checked
+    with pytest.raises(ValueError, match="matrix is not square"):
+        symmetric_inertia(matrix)

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import random
 import re
 import time
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from crnkit import Polynomial, PolynomialParseError, PolynomialSystem, parse_polynomial, parse_system
 from crnkit.numbers import format_rational
-from crnkit.poly import MAX_COEFFICIENT_BITS, MAX_DEGREE, MAX_NESTING, MAX_PARSE_TERMS
+from crnkit.poly import MAX_COEFFICIENT_BITS, MAX_DEGREE, MAX_NESTING, MAX_PARSE_TERMS, _PolyParser
+from crnkit.poly import _height as poly_height
 
 from .conftest import LIMIT_CYCLE_4D_TEXT, SADDLE_3D_TEXT
 from .support import random_polynomial
@@ -213,6 +215,80 @@ def test_single_term_powers_are_capped_by_coefficient_bits():
     )
     with pytest.raises(PolynomialParseError, match="single-term power could reach 10100 bits"):
         parse_polynomial("((2)^100*x)^100", names)
+
+
+def _height(p: Polynomial) -> int:
+    """Bit length of the largest of D and every |c*D|, D the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in p.terms().values()))
+    return max([den] + [int(abs(c * den)) for c in p.terms().values()]).bit_length()
+
+
+def _bits(value: Fraction) -> int:
+    return max(value.numerator.bit_length(), value.denominator.bit_length())
+
+
+class _BoundRecorder(_PolyParser):
+    """A parser that records the height bound of its last product or power."""
+
+    def admit(self, kind, degree, terms, bits):
+        self.bits = bits
+
+
+_BIG = st.one_of(st.integers(1, 9), st.integers(1, 2**200))
+_TERM_MAPS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.builds(lambda n, d, s: Fraction(s * n, d), _BIG, _BIG, st.sampled_from((-1, 1))),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=_TERM_MAPS, q=_TERM_MAPS, exponent=st.integers(1, 6))
+def test_height_bounds_hold_for_products_and_powers(p, q, exponent):
+    p, q = Polynomial(2, p), Polynomial(2, q)
+    parser = _BoundRecorder([], ("x", "y"))
+    assert poly_height(p) == _height(p)
+    product = parser.product(p, q)
+    assert product == p * q and _height(product) <= parser.bits
+    if len(p.terms()) == len(q.terms()) == 1:
+        (a,), (b,) = p.terms().values(), q.terms().values()
+        assert parser.bits == _bits(a) + _bits(b)
+    power = parser.power(p, exponent)
+    assert power == p**exponent and _height(power) <= parser.bits
+    if len(p.terms()) == 1:
+        (a,) = p.terms().values()
+        assert parser.bits == exponent * _bits(a)
+
+
+def _power_of_two(k: int) -> str:
+    return "*".join(["(2)^100"] * (k // 100) + [f"(2)^{k % 100}"])
+
+
+def test_multi_term_products_and_powers_are_capped_by_coefficient_height():
+    names = ("x", "y")
+    # (c x + 1)(c' y + 1) has height at most bits(c) + bits(c') + 1
+    c, twice_c = _power_of_two(4998), _power_of_two(4999)
+    assert parse_polynomial(f"({c}*x + 1)*({twice_c}*y + 1)", names) == (
+        (2**4998 * X + 1) * (2**4999 * Y + 1)
+    )
+    message = "product could reach 10001 bits, above MAX_COEFFICIENT_BITS = "
+    with pytest.raises(PolynomialParseError, match="^" + re.escape(message)):
+        parse_polynomial(f"({twice_c}*x + 1)*({twice_c}*y + 1)", names)
+    # (c x + 1)^e has height at most e * (bits(c) + 1)
+    assert parse_polynomial(f"({_power_of_two(198)}*x + 1)^50", names) == (2**198 * X + 1) ** 50
+    with pytest.raises(PolynomialParseError, match=r"^power could reach 10050 bits"):
+        parse_polynomial(f"({_power_of_two(199)}*x + 1)^50", names)
+
+
+def test_power_of_a_sum_with_a_huge_coefficient_is_refused_at_once():
+    # c = 2^9800 in 98 factors; expanding would build 441 terms of up to 392,001 bits
+    c = "*".join(["(2)^100"] * 98)
+    start = time.perf_counter()
+    message = "power could reach 196040 bits, above MAX_COEFFICIENT_BITS = "
+    with pytest.raises(PolynomialParseError, match=re.escape(message)):
+        parse_polynomial(f"({c}*x + 1)^20*({c}*y + 1)^20", ("x", "y"))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_written_out_terms_are_not_charged():
