@@ -6,15 +6,18 @@ skipped, and a nonzero value in a column outside 0..ncols-1 is a ValueError.
 `coefficient_matrix` builds such rows, and the elimination reads only their
 nonzero entries, never a dense row.
 
-Null-space bases come from one fraction-free Gauss-Jordan elimination over
-sparse integer rows: each row is scaled to coprime integers, rows are
-combined by integer cross-multiplication and divided by the gcd of their
-entries, and only the results are turned back into Fractions: each basis
-vector as coprime integers with a positive first nonzero entry.  Whether a
-subspace contains a strictly positive vector is decided by a fraction-free
-integer phase-1 simplex over the reduced span: the same elimination step
-pivots a tableau with one variable per pivot of the span and one constraint
-per other coordinate.  The inertia of a symmetric matrix is counted by
+Null-space bases come from one fraction-free elimination over sparse
+integer rows: each row is scaled to coprime integers, rows are combined by
+integer cross-multiplication and divided by the gcd of their entries, and
+only the results are turned back into Fractions: each basis vector as
+coprime integers with a positive first nonzero entry.  A forward pass
+brings the rows to echelon form, which already gives the rank; a back pass
+that clears the pivot columns above each pivot runs only when the kernel
+is nonempty, or when a caller reads the reduced rows.  Whether a subspace
+contains a strictly positive vector is decided by a fraction-free integer
+phase-1 simplex over the reduced span: the same elimination step pivots a
+tableau with one variable per pivot of the span and one constraint per
+other coordinate.  The inertia of a symmetric matrix is counted by
 congruence with the same step, over integer rows too.  All decisions are
 exact; infeasible positivity queries come with a separating certificate
 that is verified before being returned.
@@ -56,6 +59,8 @@ def _integer_row(row: SparseRow) -> dict[int, int]:
     entries = {j: v for j, v in row.items() if v}
     if not entries:
         return entries
+    if all(type(v) is int for v in entries.values()):
+        return _primitive(entries)
     den = lcm(*(v.denominator for v in entries.values()))
     return _primitive(
         {j: v.numerator * (den // v.denominator) for j, v in entries.items()}
@@ -63,8 +68,8 @@ def _integer_row(row: SparseRow) -> dict[int, int]:
 
 
 def coefficient_matrix(
-    columns: Sequence[Mapping[Hashable, Fraction]],
-) -> list[dict[int, Fraction]]:
+    columns: Sequence[Mapping[Hashable, Fraction | int]],
+) -> list[dict[int, Fraction | int]]:
     """Sparse rows of the matrix whose column j holds the entries of `columns[j]`.
 
     One row per key occurring in some column (a monomial, a species, any
@@ -73,7 +78,7 @@ def coefficient_matrix(
     echelon form), which does not depend on it.  Values are copied as
     given, zeros included; the elimination skips them.
     """
-    rows: dict[Hashable, dict[int, Fraction]] = {}
+    rows: dict[Hashable, dict[int, Fraction | int]] = {}
     for j, column in enumerate(columns):
         for key, coeff in column.items():
             row = rows.get(key)
@@ -107,13 +112,16 @@ def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict
 def _reduce(
     rows: Sequence[SparseRow], ncols: int
 ) -> tuple[list[dict[int, int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination over sparse integer rows.
+    """Fraction-free forward elimination over sparse integer rows.
 
     Returns one primitive integer row per pivot and the pivot columns, in
-    column order.  Row i is nonzero in column pivots[i] and zero in every
-    other pivot column, so dividing it by that entry gives row i of the
-    reduced row echelon form.  The reduced form is unique, so which row
-    supplies a pivot is free: the sparsest one, which keeps fill-in low.
+    column order: a row echelon form, in which row i is nonzero in column
+    pivots[i] and zero in every column left of it.  Each column is met by
+    one scan of the rows not yet placed: the sparsest row nonzero there
+    becomes its pivot row, which keeps fill-in low, and the column is
+    cleared from the others.  Rows above a pivot keep their entries in its
+    column; `_back_substitute` clears them when a caller needs the reduced
+    form.
     """
     pending = []
     for row in rows:
@@ -125,31 +133,43 @@ def _reduce(
     for col in range(ncols):
         if not pending:
             break
-        index = min(
-            (i for i, row in enumerate(pending) if col in row),
-            key=lambda i: len(pending[i]),
-            default=None,
-        )
-        if index is None:
-            continue
-        pivot_row = pending.pop(index)
+        hits = []
         remaining = []
         for row in pending:
-            if col in row:
+            (hits if col in row else remaining).append(row)
+        if not hits:
+            continue
+        pivot_row = min(hits, key=len)
+        for row in hits:
+            if row is not pivot_row:
                 row = _eliminate(row, pivot_row, col)
-            if row:
-                remaining.append(row)
+                if row:
+                    remaining.append(row)
         pending = remaining
-        for i, row in enumerate(placed):
-            if col in row:
-                placed[i] = _eliminate(row, pivot_row, col)
         placed.append(pivot_row)
         pivots.append(col)
-    # a column outside 0..ncols-1 is never a pivot: where the input is nonzero
-    # in one, a pending or placed row still is
+    # the rows span the input's row space, so a nonzero input entry in a
+    # column outside 0..ncols-1 leaves one in a pending or placed row
     if pending or any(min(row) < 0 or max(row) >= ncols for row in placed):
         raise ValueError(f"column index out of range for {ncols} columns")
     return placed, pivots
+
+
+def _back_substitute(placed: list[dict[int, int]], pivots: list[int]) -> None:
+    """Turn `_reduce`'s echelon rows into reduced rows, in place.
+
+    Clears each pivot column from the rows above it, last pivot first, so a
+    pivot row is already clear of the later pivot columns when it is used.
+    Afterwards row i is zero in every pivot column but pivots[i], and
+    dividing it by that entry gives row i of the reduced row echelon form.
+    That form is unique, so the rows do not depend on which row supplied a
+    pivot, up to sign.
+    """
+    for k in range(len(pivots) - 1, 0, -1):
+        col, pivot_row = pivots[k], placed[k]
+        for i in range(k):
+            if col in placed[i]:
+                placed[i] = _eliminate(placed[i], pivot_row, col)
 
 
 def nullspace_basis(rows: Sequence[SparseRow], ncols: int) -> list[list[Fraction]]:
@@ -165,6 +185,9 @@ def nullspace_basis(rows: Sequence[SparseRow], ncols: int) -> list[list[Fraction
     of j, so that entry is the one of the leftmost such pivot, or column j.
     """
     placed, pivots = _reduce(rows, ncols)
+    if len(pivots) == ncols:
+        return []
+    _back_substitute(placed, pivots)
     pivot_set = set(pivots)
     zero = Fraction(0)
     basis = []
@@ -284,17 +307,18 @@ def positive_vector_in_span(
 ) -> PositivityResult:
     """Decide whether span(vectors) meets the open positive orthant.
 
-    `_reduce` turns the vectors into primitive integer rows R_i with pivot
-    columns p_i, so the span is {sum_i mu_i R_i / R_i[p_i]}, whose
-    coordinate p_i is mu_i.  With mu = 1 + s and s >= 0 the pivot
-    coordinates are at least 1, and each other coordinate j asks
-    sum_i s_i a_ji >= L - sum_i a_ji, where a_ji = L R_i[j] / R_i[p_i] and
-    L = lcm |R_i[p_i]| make the constraints integral.  `_phase1` decides
-    them.  A feasible s gives a witness with every entry >= 1, returned
-    scaled to coprime integers.  Otherwise its dual values z >= 0 give the
-    certificate y: y_j = z_j on the constrained coordinates and
-    y_{p_i} = -sum_j z_j R_i[j] / R_i[p_i].  It is nonnegative, nonzero and
-    orthogonal to every spanning vector, so no positive combination exists.
+    `_reduce` and `_back_substitute` turn the vectors into reduced
+    primitive integer rows R_i with pivot columns p_i, so the span is
+    {sum_i mu_i R_i / R_i[p_i]}, whose coordinate p_i is mu_i.  With
+    mu = 1 + s and s >= 0 the pivot coordinates are at least 1, and each
+    other coordinate j asks sum_i s_i a_ji >= L - sum_i a_ji, where
+    a_ji = L R_i[j] / R_i[p_i] and L = lcm |R_i[p_i]| make the constraints
+    integral.  `_phase1` decides them.  A feasible s gives a witness with
+    every entry >= 1, returned scaled to coprime integers.  Otherwise its
+    dual values z >= 0 give the certificate y: y_j = z_j on the constrained
+    coordinates and y_{p_i} = -sum_j z_j R_i[j] / R_i[p_i].  It is
+    nonnegative, nonzero and orthogonal to every spanning vector, so no
+    positive combination exists.
     Both proofs are checked before they are returned.
     """
     if dim <= 0:
@@ -303,6 +327,7 @@ def positive_vector_in_span(
         if len(v) != dim:
             raise ValueError("spanning vector has wrong length")
     placed, pivots = _reduce([dict(enumerate(v)) for v in vectors], dim)
+    _back_substitute(placed, pivots)
     scale = lcm(*(row[p] for row, p in zip(placed, pivots)))
     pivot_set = set(pivots)
     constrained = [j for j in range(dim) if j not in pivot_set]

@@ -59,8 +59,8 @@ def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
 
 
 def accumulate_terms(
-    sums: dict[Exponents, Fraction],
-    terms: Mapping[Exponents, Fraction],
+    sums: dict[Exponents, Scalar],
+    terms: Mapping[Exponents, Scalar],
     scale: Scalar | None = None,
     shift: int | None = None,
 ) -> None:

@@ -9,8 +9,9 @@ scaled by b_i.  No gradient or product polynomial is built.  Since the Lie
 derivative is bilinear in (V, f), the search for first integrals is an exact
 null-space computation over a matrix assembled by the same shift rule: each
 unit candidate's column is f_i, or f_i and f_j shifted by one variable and
-doubled (the positive-diagonal search drops the factor 2 that every one of
-its columns carries).  Strict sign conditions (for instance a
+doubled (the full search first scales f to integer coefficients, and the
+positive-diagonal search drops the factor 2 that every one of its columns
+carries).  Strict sign conditions (for instance a
 positive-definite diagonal V) are decided over that null space by
 `positive_kernel_vector`, the routine the conservation searches use.
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .conservation import (
@@ -207,21 +209,26 @@ def is_first_integral(candidate: QuadraticCandidate, system: PolynomialSystem) -
 
 # -- exhaustive search ------------------------------------------------------
 
-def _lie_derivative_columns(system: PolynomialSystem) -> list[Mapping[Exponents, Fraction]]:
-    """Coefficients of the Lie derivative of each unit candidate.
+def _lie_derivative_columns(system: PolynomialSystem) -> list[Mapping[Exponents, int]]:
+    """Coefficients of the Lie derivative of each unit candidate, times one integer.
 
     Columns follow `coefficient_vector` order: x_i^2 gives 2 x_i f_i, the
     off-diagonal unit 2 x_i x_j (i < j) gives 2 x_j f_i + 2 x_i f_j, and the
     linear unit x_i gives f_i.  Constants are excluded: they never influence
     the Lie derivative, and reported candidates pin the constant to zero.
+    f is scaled by the lcm of its coefficient denominators, so the columns
+    are built in int arithmetic; one positive factor on every column leaves
+    the null space unchanged.
     """
     n = system.dim
     f = [component.terms() for component in system.components]
+    den = lcm(*(c.denominator for terms in f for c in terms.values()))
+    f = [{e: c.numerator * (den // c.denominator) for e, c in terms.items()} for terms in f]
     twice = [{e: 2 * c for e, c in terms.items()} for terms in f]
     quadratic = []
     for i in range(n):
         for j in range(i, n):
-            column: dict[Exponents, Fraction] = {}
+            column: dict[Exponents, int] = {}
             accumulate_terms(column, twice[i], shift=j)
             if j != i:
                 accumulate_terms(column, twice[j], shift=i)

@@ -37,6 +37,9 @@ MAX_SAMPLES = 10**6
 # `0.0 <= x <= MAX_FLOAT` holds exactly for the finite x >= 0 (and -0.0)
 MAX_FLOAT = sys.float_info.max
 _BLOW_UP = "state became nonfinite (blow-up)"
+# Most terms of one `+` chain in generated code.  CPython's compiler recurses
+# once per `+`, and a chain of about 3,000 terms exhausts its recursion limit.
+SUM_CHUNK = 1000
 
 
 class SimulationError(RuntimeError):
@@ -144,6 +147,22 @@ def _compile(signature: str, lines: Sequence[str], **namespace) -> Callable:
     return namespace[signature.partition("(")[0]]
 
 
+def _sum(name: str, terms: Sequence[str]) -> tuple[list[str], str]:
+    """(lines, expression) for the left-to-right float sum of `terms`.
+
+    Up to SUM_CHUNK terms the expression is the one chain `t1 + ... + tk`,
+    with no lines.  A longer sum binds `name` a chunk at a time,
+    `name = t1 + ... + tk` then `name = name + tk+1 + ...`, which does the
+    same additions in the same order, and the expression is `name`.
+    """
+    if len(terms) <= SUM_CHUNK:
+        return [], " + ".join(terms)
+    lines = [f"{name} = {' + '.join(terms[:SUM_CHUNK])}"]
+    for start in range(SUM_CHUNK, len(terms), SUM_CHUNK):
+        lines.append(f"{name} = {name} + {' + '.join(terms[start:start + SUM_CHUNK])}")
+    return lines, name
+
+
 def _unpack(names: Sequence[str], value: str) -> str:
     """`a, b, = value`, or the bare expression when there is nothing to bind."""
     return f"{', '.join(names)}, = {value}" if names else value
@@ -157,8 +176,9 @@ def compile_rhs(system: PolynomialSystem) -> Callable[[Sequence[float]], list[fl
     share one evaluator.
     """
     n = system.dim
+    sums = []
     exprs = []
-    for var, component in zip(system.variables, system.components):
+    for k, (var, component) in enumerate(zip(system.variables, system.components)):
         parts = []
         for expts, coeff in component.sorted_terms():
             value = _to_float(
@@ -173,9 +193,11 @@ def compile_rhs(system: PolynomialSystem) -> Callable[[Sequence[float]], list[fl
                 elif e > 1:
                     factors.append(f"x{i}**{e}")
             parts.append("*".join(factors))
-        exprs.append(" + ".join(parts) if parts else "0.0")
+        lines, expr = _sum(f"s{k}", parts)
+        sums += lines
+        exprs.append(expr or "0.0")
     unpack = _unpack([f"x{i}" for i in range(n)], "state")
-    return _compile("_rhs(state)", [unpack, f"return [{', '.join(exprs)}]"])
+    return _compile("_rhs(state)", [unpack, *sums, f"return [{', '.join(exprs)}]"])
 
 
 @lru_cache(maxsize=32)
@@ -235,8 +257,8 @@ def compile_invariant(candidate: QuadraticCandidate) -> Callable[[Sequence[float
     lines = [_unpack([f"x{i}" for i in range(n)], "state"), f"total = {constant!r}"] + terms
     if len(terms) < n * (n + 1):
         unread = [i for i in range(n) if not (linear[i] or any(q[i]) or any(row[i] for row in q))]
-        finite = "total - total" + "".join(f" + (x{i} - x{i})" for i in unread)
-        lines += [f"if {finite} != 0.0:", "    return dense(state)"]
+        chunks, finite = _sum("finite", ["total - total"] + [f"(x{i} - x{i})" for i in unread])
+        lines += chunks + [f"if {finite} != 0.0:", "    return dense(state)"]
     return _compile("_invariant(state)", lines + ["return total"], dense=dense)
 
 

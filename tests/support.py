@@ -18,13 +18,23 @@ from crnkit import (
     Trajectory,
     compile_rhs,
 )
-from crnkit.linalg import PositivityResult, _reduce, check_proof, positive_vector_in_span
+from crnkit.linalg import (
+    PositivityResult,
+    SparseRow,
+    _back_substitute,
+    _eliminate,
+    _integer_row,
+    _reduce,
+    check_proof,
+    positive_vector_in_span,
+)
 from crnkit.kinetics import (
     NotKineticError,
     negative_cross_effect,
     ode_variable_names,
     species_names_for_variables,
 )
+from crnkit.poly import accumulate_terms
 from crnkit.sim import CLAMP_TOLERANCE
 from crnkit.network import Complex, ReactionStep, resolve_rate
 
@@ -284,6 +294,23 @@ def unit_lie_derivative_matrix(
     return [[poly.coefficient(mono) for poly in lies] for mono in monomials]
 
 
+def fraction_lie_derivative_columns(system: PolynomialSystem) -> list[dict]:
+    """Oracle for `qfi._lie_derivative_columns`: the same columns, unscaled,
+    in Fraction arithmetic."""
+    n = system.dim
+    f = [component.terms() for component in system.components]
+    twice = [{e: 2 * c for e, c in terms.items()} for terms in f]
+    quadratic = []
+    for i in range(n):
+        for j in range(i, n):
+            column: dict = {}
+            accumulate_terms(column, twice[i], shift=j)
+            if j != i:
+                accumulate_terms(column, twice[j], shift=i)
+            quadratic.append(column)
+    return quadratic + f
+
+
 def combine_units(units: list[QuadraticCandidate], weights) -> QuadraticCandidate:
     dim = units[0].dim
     q = [[Fraction(0)] * dim for _ in range(dim)]
@@ -462,7 +489,8 @@ def dense_conservation_rows(
 # -- exact linear algebra: test-only helpers and the old positivity solver ---
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and the list of pivot columns, read off `_reduce`.
+    """Reduced row echelon form and the list of pivot columns, read off
+    `_reduce` followed by `_back_substitute`.
 
     The reduced matrix has as many rows as the input, zero rows last.
     """
@@ -470,6 +498,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         return [], []
     ncols = len(rows[0])
     placed, pivots = _reduce(sparse_rows(rows), ncols)
+    _back_substitute(placed, pivots)
     zero = Fraction(0)
     reduced = [
         [Fraction(row[j], row[col]) if j in row else zero for j in range(ncols)]
@@ -477,6 +506,51 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     ]
     reduced.extend([zero] * ncols for _ in range(len(rows) - len(placed)))
     return reduced, pivots
+
+
+def gauss_jordan_reduce(
+    rows: Sequence[SparseRow], ncols: int
+) -> tuple[list[dict[int, int]], list[int]]:
+    """Oracle for `_reduce` followed by `_back_substitute`: one fraction-free
+    Gauss-Jordan pass, in which each new pivot also clears its column from
+    every row already placed, with the pivot chosen by a separate scan.
+
+    Returns one primitive integer row per pivot, zero in every other pivot
+    column, and the pivot columns, in column order.
+    """
+    pending = []
+    for row in rows:
+        entries = _integer_row(row)
+        if entries:
+            pending.append(entries)
+    placed: list[dict[int, int]] = []
+    pivots: list[int] = []
+    for col in range(ncols):
+        if not pending:
+            break
+        index = min(
+            (i for i, row in enumerate(pending) if col in row),
+            key=lambda i: len(pending[i]),
+            default=None,
+        )
+        if index is None:
+            continue
+        pivot_row = pending.pop(index)
+        remaining = []
+        for row in pending:
+            if col in row:
+                row = _eliminate(row, pivot_row, col)
+            if row:
+                remaining.append(row)
+        pending = remaining
+        for i, row in enumerate(placed):
+            if col in row:
+                placed[i] = _eliminate(row, pivot_row, col)
+        placed.append(pivot_row)
+        pivots.append(col)
+    if pending or any(min(row) < 0 or max(row) >= ncols for row in placed):
+        raise ValueError(f"column index out of range for {ncols} columns")
+    return placed, pivots
 
 
 def split_positive_vector_in_span(
@@ -597,6 +671,24 @@ def left_sum(values) -> float:
     for value in values:
         total += value
     return total
+
+
+def left_to_right_rhs(system: PolynomialSystem, state: Sequence[float]) -> list[float]:
+    """Oracle for `compile_rhs`: each component's terms in `sorted_terms`
+    order, each term c * x_i * x_j**e factor by factor, summed left to right."""
+    values = []
+    for component in system.components:
+        total = None
+        for expts, coeff in component.sorted_terms():
+            term = float(coeff)
+            for x, e in zip(state, expts):
+                if e == 1:
+                    term = term * x
+                elif e > 1:
+                    term = term * x**e
+            total = term if total is None else total + term
+        values.append(0.0 if total is None else total)
+    return values
 
 
 def rk4_step(rhs, state, h):

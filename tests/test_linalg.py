@@ -7,8 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crnkit.linalg
 from crnkit.linalg import (
     ProofCheckError,
+    _back_substitute,
+    _integer_row,
+    _reduce,
     nullspace_basis,
     positive_vector_in_span,
     symmetric_inertia,
@@ -17,6 +21,7 @@ from crnkit.linalg import (
 from .support import (
     dense_nullspace_basis,
     dense_rref,
+    gauss_jordan_reduce,
     leading_sign_normalized,
     matvec,
     reference_inertia,
@@ -128,6 +133,90 @@ def test_elimination_matches_dense_fraction_oracle(matrix):
     ]
     entries = [x for row in reduced for x in row] + [x for vec in basis for x in vec]
     assert all(type(x) is Fraction for x in entries)
+
+
+_SPARSE_ENTRIES = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.sampled_from([10007, 65537, 2**61 - 1])),
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse rows of int and Fraction entries over 1-9 columns: tall, wide or
+    rank-deficient, with zero, duplicate and combined rows, explicit zeros, and
+    now and then an entry in a column outside 0..ncols-1."""
+    ncols = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from(["tall", "wide", "deficient"]))
+    count = {"tall": ncols + 3, "wide": max(1, ncols - 2), "deficient": max(1, ncols // 2)}[shape]
+    column = st.integers(0, ncols - 1)
+    rows = [
+        draw(st.dictionaries(column, _SPARSE_ENTRIES, max_size=min(ncols, 4)))
+        for _ in range(draw(st.integers(0, count)))
+    ]
+    if shape == "tall" and draw(st.booleans()):
+        rows += [{j: 1} for j in range(ncols)]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            rows.append({})
+        elif kind == 1 and rows:
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c, d = draw(_SPARSE_ENTRIES), draw(_SPARSE_ENTRIES)
+            rows.append({j: c * a.get(j, 0) + d * b.get(j, 0) for j in a.keys() | b.keys()})
+    draw(st.randoms()).shuffle(rows)
+    if rows and draw(st.integers(0, 7)) == 0:
+        outside = draw(st.sampled_from([-1, ncols, ncols + 3]))
+        draw(st.sampled_from(rows))[outside] = draw(st.sampled_from([0, 1, F(-2, 3)]))
+    return rows, ncols
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix=sparse_matrices())
+def test_kernel_matches_the_gauss_jordan_oracle(matrix):
+    """Forward elimination plus the back pass where it is needed gives what one
+    Gauss-Jordan pass gave: pivots, reduced rows up to sign, bases, witnesses,
+    certificates and errors."""
+    rows, ncols = matrix
+    expected = _outcome(gauss_jordan_reduce, rows, ncols)
+    got = _outcome(_reduce, rows, ncols)
+    if expected[0] == "ValueError":
+        assert got == expected
+    else:
+        (placed, pivots), (oracle_rows, oracle_pivots) = got, expected
+        assert pivots == oracle_pivots
+        _back_substitute(placed, pivots)
+        for row, oracle_row in zip(placed, oracle_rows):
+            assert row == oracle_row or row == {j: -v for j, v in oracle_row.items()}
+
+    basis = _outcome(nullspace_basis, rows, ncols)
+    vectors = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    positivity = _outcome(positive_vector_in_span, vectors, ncols)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crnkit.linalg, "_reduce", gauss_jordan_reduce)
+        mp.setattr(crnkit.linalg, "_back_substitute", lambda placed, pivots: None)
+        assert basis == _outcome(nullspace_basis, rows, ncols)
+        assert positivity == _outcome(positive_vector_in_span, vectors, ncols)
+
+
+@given(st.dictionaries(st.integers(0, 8), st.integers(-(2**70), 2**70), max_size=6))
+def test_integer_rows_take_the_same_path_as_equal_fraction_rows(row):
+    """An int row goes straight to its primitive form; the equal Fraction row,
+    through its common denominator, reaches the same one."""
+    as_fractions = {j: Fraction(v) for j, v in row.items()}
+    assert _integer_row(row) == _integer_row(as_fractions)
+    scaled = {j: Fraction(v, 7) for j, v in row.items()}
+    assert _integer_row(row) == _integer_row(scaled)
 
 
 def test_rref_fixed_cases_against_sympy():

@@ -43,6 +43,7 @@ from .support import (
     SMALL_FRACTIONS,
     arithmetic_lie_derivative,
     combine_units,
+    fraction_lie_derivative_columns,
     leading_sign_normalized,
     sparse_rows,
     unit_candidates,
@@ -389,6 +390,49 @@ def test_cascade_full_basis_is_pinned(rational_rates):
     digest, rendered = CASCADE_BASES[rational_rates]
     assert [c.render(system.variables) for c in basis] == rendered
     assert hashlib.sha256(repr(basis).encode()).hexdigest() == digest
+
+
+_COPRIME_DENOMINATORS = [3, 10007, 65537, 999983, 2**61 - 1]
+
+
+@st.composite
+def rational_rate_systems(draw):
+    """Systems in 1-4 variables whose coefficients, of both signs, have large
+    coprime denominators.  A third conserve a positive-diagonal V and a third
+    a shifted V = (x + a)^2 + (y + b)^2, whose quadratic and linear parts
+    tie the two kinds of column together."""
+    positive = st.builds(
+        F, st.integers(1, 10**12), st.sampled_from(_COPRIME_DENOMINATORS)
+    )
+    kind = draw(st.sampled_from(["diagonal", "shifted", "random"]))
+    if kind == "shifted":
+        return generate_shifted_system(*(draw(positive) for _ in range(4)))
+    dim = draw(st.integers(1, 4))
+    if dim >= 2 and kind == "diagonal":
+        coupling = tuple(
+            tuple(F(0) if i == j else draw(st.one_of(st.just(F(0)), positive)) for j in range(dim))
+            for i in range(dim)
+        )
+        weights = tuple(draw(positive) for _ in range(dim))
+        return generate_diagonal_system(DiagonalParams(weights, coupling))
+    signed = st.builds(lambda sign, v: sign * v, st.sampled_from([1, -1]), positive)
+    exponents = st.tuples(*[st.integers(0, 2)] * dim).filter(lambda e: sum(e) <= 3)
+    component = st.dictionaries(exponents, st.one_of(signed, st.sampled_from(SMALL_FRACTIONS)), max_size=4)
+    names = tuple(f"x{i}" for i in range(dim))
+    return PolynomialSystem(names, tuple(Polynomial(dim, draw(component)) for _ in range(dim)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=rational_rate_systems())
+def test_integer_columns_give_the_basis_of_the_fraction_columns(system):
+    """Scaling f by the lcm of its denominators builds the columns in ints,
+    and the search reports the same basis as from the unscaled Fraction columns."""
+    columns = crnkit.qfi._lie_derivative_columns(system)
+    assert all(type(v) is int for column in columns for v in column.values())
+    report = find_quadratic_first_integrals(system)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crnkit.qfi, "_lie_derivative_columns", fraction_lie_derivative_columns)
+        assert repr(find_quadratic_first_integrals(system)) == repr(report)
 
 
 def test_search_makes_no_lie_derivative_call(monkeypatch, example_system, cascade_system):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -28,6 +29,7 @@ from .support import (
     SMALL_FRACTIONS,
     SMALL_POSITIVE,
     dense_invariant,
+    left_to_right_rhs,
     random_polynomial,
     reference_integrate,
 )
@@ -491,3 +493,102 @@ def test_cli_rkf45_ends_when_its_error_estimate_is_nan(tmp_path):
     )
     assert result.returncode == 1
     assert result.stderr.startswith("simulation aborted: step size underflow")
+
+
+# -- long sums ---------------------------------------------------------------------
+
+def _long_system(count: int) -> PolynomialSystem:
+    """dx/dt with `count` distinct terms in x, y, z (graded, degree up to 48
+    for 20,000), dy/dt = -y, dz/dt = 0."""
+
+    def exponents():
+        degree = 0
+        while True:
+            for a in range(degree, -1, -1):
+                for b in range(degree - a, -1, -1):
+                    yield a, b, degree - a - b
+            degree += 1
+
+    terms = {e: F(k % 7 + 1, k % 5 + 1) for k, e in zip(range(count), exponents())}
+    return PolynomialSystem(
+        ("x", "y", "z"),
+        (Polynomial(3, terms), Polynomial(3, {(0, 1, 0): F(-1)}), Polynomial(3, {})),
+    )
+
+
+@pytest.mark.parametrize("count", [3_000, 20_000])
+def test_long_sums_compile_and_match_the_reference(count):
+    """A `+` chain of about 3,000 terms exceeds the compiler's recursion limit;
+    the generated sum comes in chunks with the same additions in the same order."""
+    system = _long_system(count)
+    rhs = compile_rhs(system)
+    for state in ([0.5, 0.5, 0.5], [0.9, 0.1, 0.3], [0.0, 1.0, -0.0]):
+        assert repr(rhs(state)) == repr(left_to_right_rhs(system, state))
+    methods = ["rk4_fixed", "rkf45_adaptive"] if count < 10_000 else ["rk4_fixed"]
+    for method in methods:
+        case = (system, [0.5, 0.5, 0.5], SimConfig(method=method, step=1e-3, t_end=0.005), None)
+        assert _outcome(integrate, *case) == _outcome(reference_integrate, *case)
+
+
+def test_cli_simulates_a_component_of_3000_written_out_terms(tmp_path, capsys):
+    from crnkit.cli import main
+
+    system = _long_system(3_000)
+    path = tmp_path / "long.txt"
+    path.write_text("vars x y z\n" + "\n".join(c.render(system.variables) for c in system.components))
+    code = main(["simulate", str(path), "--x0", "0.5,0.5,0.5", "--t-end", "0.01", "--json"])
+    assert code == 0, capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["samples"] == 11
+
+
+def test_sums_up_to_the_chunk_size_stay_one_chain(monkeypatch):
+    sources = []
+    compile_lines = crnkit.sim._compile
+    monkeypatch.setattr(
+        crnkit.sim, "_compile", lambda sig, lines, **ns: sources.append(lines) or compile_lines(sig, lines, **ns)
+    )
+    chunk = crnkit.sim.SUM_CHUNK
+    for count in (chunk, chunk + 1):
+        compile_rhs.__wrapped__(_long_system(count))
+    one_chain, chunked = sources
+    assert len(one_chain) == 2 and one_chain[1].count(" + ") == chunk - 1
+    assert chunked[1].startswith("s0 = ") and chunked[1].count(" + ") == chunk - 1
+    assert chunked[2].startswith("s0 = s0 + ") and chunked[2].count(" + ") == 1
+    assert chunked[3] == "return [s0, -1.0*x1, 0.0]"
+
+
+@st.composite
+def chunked_cases(draw):
+    dim = draw(st.integers(1, 5))
+    exponents = st.tuples(*[st.integers(0, 2)] * dim)
+    component = st.dictionaries(exponents, st.sampled_from(SMALL_FRACTIONS), max_size=8)
+    system = PolynomialSystem(
+        tuple(f"x{i}" for i in range(dim)),
+        tuple(Polynomial(dim, draw(component)) for _ in range(dim)),
+    )
+    entry = st.sampled_from([F(0)] * 6 + SMALL_FRACTIONS)
+    q = [[F(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            q[i][j] = q[j][i] = draw(entry)
+    invariant = QuadraticCandidate(q, tuple(draw(entry) for _ in range(dim)), draw(entry))
+    value = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([math.inf, -math.inf, math.nan, -0.0]))
+    points = draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    return system, invariant, points, draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=chunked_cases())
+def test_chunked_sums_keep_every_float_addition(case):
+    """With chunks of 1-3 terms, the generated right-hand side and invariant
+    give the same floats as the single chains, nonfinite states included."""
+    system, invariant, points, chunk = case
+    whole_rhs = compile_rhs.__wrapped__(system)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crnkit.sim, "SUM_CHUNK", chunk)
+        chunked_rhs = compile_rhs.__wrapped__(system)
+        chunked_invariant = compile_invariant.__wrapped__(invariant)
+    dense = dense_invariant(invariant)
+    for point in points:
+        assert repr(chunked_rhs(point)) == repr(whole_rhs(point))
+        assert repr(chunked_invariant(point)) == repr(dense(point))
