@@ -167,25 +167,49 @@ def resolve_rate(rate: Rate, binding: Mapping[str, Fraction] | None = None) -> F
     return total
 
 
+def _rate_values(rate: str, parts: Sequence[str]) -> list[Fraction | None]:
+    """Per part of `rate`: a literal's value, or None for a parameter name.
+
+    A part that starts with a digit is a literal, which parse_rational must
+    read as greater than 0; any other part must be a parameter name.
+    Raises NetworkValidationError for any other part.
+    """
+    values: list[Fraction | None] = []
+    for part in parts:
+        if not part:
+            raise NetworkValidationError(f"invalid rate {rate!r}")
+        if not part[:1].isdigit():
+            if not _SPECIES_RE.fullmatch(part):
+                raise NetworkValidationError(f"invalid rate parameter {part!r}")
+            values.append(None)
+            continue
+        try:
+            value = parse_rational(part)
+        except ValueError as exc:
+            raise NetworkValidationError(str(exc)) from None
+        if value <= 0:
+            raise NetworkValidationError(f"rate must be positive, got {part}")
+        values.append(value)
+    return values
+
+
 def _parse_rate_text(text: str) -> Rate:
+    """A JSON rate: the sum when every part is a literal, else the parts joined by '+'."""
     parts = [p.strip() for p in text.split("+")]
-    if any(not p for p in parts):
-        raise ValueError(f"invalid rate {text!r}")
-    numeric = all(p[:1].isdigit() for p in parts)
-    if numeric:
-        total = sum((parse_rational(p) for p in parts), Fraction(0))
-        if total <= 0:
-            raise ValueError(f"rate must be positive, got {text!r}")
-        return total
-    for p in parts:
-        if not p[:1].isdigit() and not _SPECIES_RE.match(p):
-            raise ValueError(f"invalid rate parameter {p!r}")
-    return "+".join(parts)
+    values = _rate_values(text, parts)
+    if None in values:
+        return "+".join(parts)
+    return sum(values, Fraction(0))
 
 
 @dataclass(frozen=True)
 class ReactionStep:
-    """One irreversible reaction: reactant complex -> product complex."""
+    """One irreversible reaction: reactant complex -> product complex.
+
+    The rate is a Fraction greater than 0 (an int is stored as one) or a str
+    of parts joined by '+', each a parameter name or a literal that
+    parse_rational reads as greater than 0.
+    """
 
     reactant: Complex
     product: Complex
@@ -194,8 +218,17 @@ class ReactionStep:
     def __post_init__(self):
         if self.reactant == self.product:
             raise NetworkValidationError("step has identical reactant and product")
-        if isinstance(self.rate, Fraction) and self.rate <= 0:
-            raise NetworkValidationError(f"rate must be positive, got {self.rate}")
+        if type(self.rate) is int:
+            object.__setattr__(self, "rate", Fraction(self.rate))
+        if isinstance(self.rate, Fraction):
+            if self.rate <= 0:
+                raise NetworkValidationError(f"rate must be positive, got {self.rate}")
+        elif isinstance(self.rate, str):
+            _rate_values(self.rate, self.rate.split("+"))
+        else:
+            raise NetworkValidationError(
+                f"rate must be a Fraction, an int or a str, got {type(self.rate).__name__}"
+            )
         if not self.reactant.is_integral():
             raise NetworkValidationError(
                 "reactant-side coefficients must be nonnegative integers"

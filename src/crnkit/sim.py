@@ -11,7 +11,9 @@ integrating a system again reuses its evaluators.  When a
 quadratic invariant is attached, its value is recorded along the trajectory
 so conservation drift can be reported.  For positive-definite diagonal
 invariants an optional level-set projection rescales the state back onto the
-initial level surface after every step.
+initial level surface after every step.  A state that is not finite, before
+or after projection, aborts the run, so the invariant is evaluated at finite
+states only.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ MAX_SAMPLES = 10**6
 # `0.0 <= x <= MAX_FLOAT` holds exactly for the finite x >= 0 (and -0.0)
 MAX_FLOAT = sys.float_info.max
 _BLOW_UP = "state became nonfinite (blow-up)"
-# Most terms of one `+` chain in generated code.  CPython's compiler recurses
-# once per `+`, and a chain of about 3,000 terms exhausts its recursion limit.
+# Most terms of one `+` chain in a generated right-hand side component.  CPython's
+# compiler recurses once per `+`, and a chain of about 3,000 terms exhausts its
+# recursion limit.
 SUM_CHUNK = 1000
 
 
@@ -50,7 +53,7 @@ class SimulationError(RuntimeError):
         self.last_time = last_time
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Integration settings.
 
@@ -59,7 +62,8 @@ class SimConfig:
     projection is "off" or "level_set".  An "rk4_fixed" run may take at most
     MAX_FIXED_STEPS steps (t_end / step) and store at most MAX_SAMPLES
     samples (t_end / (step * stride)); an RKF45 run aborts when it would
-    store more.
+    store more.  The fields are checked once, on construction, so they
+    cannot be assigned afterwards; `dataclasses.replace` builds a checked copy.
     """
 
     method: str = "rk4_fixed"
@@ -99,12 +103,8 @@ class SimConfig:
 class Trajectory:
     """Sampled solution with optional invariant values and positivity log.
 
-    `rejected_steps` counts RKF45 steps retried with a smaller step size;
-    `forced_accepts` counts RKF45 steps kept with their error above tolerance
-    because the step size had reached its floor (1e-12 * t_end); when the
-    error estimate is finite, the step size that follows is below the floor
-    and the run aborts there with "step size underflow".  Both are
-    step-control statistics, not samples, and stay out of the repr.
+    `rejected_steps` counts RKF45 steps retried with a smaller step size.
+    It is a step-control statistic, not a sample, and stays out of the repr.
     """
 
     variables: tuple[str, ...]
@@ -113,7 +113,6 @@ class Trajectory:
     invariant_values: list[float] | None = None
     positivity_events: list[tuple[float, int, float]] = field(default_factory=list)
     rejected_steps: int = field(default=0, repr=False)
-    forced_accepts: int = field(default=0, repr=False)
 
     def write_csv(self, stream: TextIO):
         header = ["t"] + list(self.variables)
@@ -150,8 +149,9 @@ def _compile(signature: str, lines: Sequence[str], **namespace) -> Callable:
 def _sum(name: str, terms: Sequence[str]) -> tuple[list[str], str]:
     """(lines, expression) for the left-to-right float sum of `terms`.
 
-    Up to SUM_CHUNK terms the expression is the one chain `t1 + ... + tk`,
-    with no lines.  A longer sum binds `name` a chunk at a time,
+    `compile_rhs` builds each component with it.  Up to SUM_CHUNK terms the
+    expression is the one chain `t1 + ... + tk`, with no lines.  A longer
+    sum binds `name` a chunk at a time,
     `name = t1 + ... + tk` then `name = name + tk+1 + ...`, which does the
     same additions in the same order, and the expression is `name`.
     """
@@ -213,17 +213,15 @@ def compile_invariant(candidate: QuadraticCandidate) -> Callable[[Sequence[float
             total = 0.0
             total += 1.0 * x0 * x0
             total += 1.0 * x1 * x1
-            if total - total != 0.0:
-                return dense(state)
             return total
 
     The order is that of the dense double loop: the constant, then per i the
     linear term and the row-i terms q[i][j] * x_i * x_j.  Entries that are
-    zero as floats are left out: a zero term adds +-0.0, which leaves a sum
-    that did not start from -0.0 unchanged while the state is finite.  When
-    the total or a component that no kept term reads is not finite, the
-    dense loop itself is evaluated (0.0 * inf is nan), so values are
-    bit-identical to the dense loop in every case.
+    zero as floats are left out.  At a finite state a zero term adds +-0.0,
+    and a float sum is -0.0 only when both addends are, so leaving it out
+    changes the total only when the sum starts from a -0.0 constant; then
+    every entry is kept.  The value is bit-identical to the dense loop at
+    every finite state, the only states `integrate` evaluates it at.
     """
     n = candidate.dim
     constant = _to_float(candidate.constant, lambda: "constant term of the invariant")
@@ -235,31 +233,16 @@ def compile_invariant(candidate: QuadraticCandidate) -> Callable[[Sequence[float
         [_to_float(v, lambda: f"coefficient q[{i}][{j}] of the invariant") for j, v in enumerate(row)]
         for i, row in enumerate(candidate.q)
     ]
-
-    def dense(state: Sequence[float]) -> float:
-        total = constant
-        for i in range(n):
-            xi = state[i]
-            total += linear[i] * xi
-            for j in range(n):
-                total += q[i][j] * xi * state[j]
-        return total
-
     # a -0.0 constant is the one start where adding +0.0 changes the sum
     keep_zeros = constant == 0 and math.copysign(1.0, constant) < 0
-    terms = []
+    lines = [_unpack([f"x{i}" for i in range(n)], "state"), f"total = {constant!r}"]
     for i in range(n):
         if linear[i] or keep_zeros:
-            terms.append(f"total += {linear[i]!r} * x{i}")
+            lines.append(f"total += {linear[i]!r} * x{i}")
         for j in range(n):
             if q[i][j] or keep_zeros:
-                terms.append(f"total += {q[i][j]!r} * x{i} * x{j}")
-    lines = [_unpack([f"x{i}" for i in range(n)], "state"), f"total = {constant!r}"] + terms
-    if len(terms) < n * (n + 1):
-        unread = [i for i in range(n) if not (linear[i] or any(q[i]) or any(row[i] for row in q))]
-        chunks, finite = _sum("finite", ["total - total"] + [f"(x{i} - x{i})" for i in unread])
-        lines += chunks + [f"if {finite} != 0.0:", "    return dense(state)"]
-    return _compile("_invariant(state)", lines + ["return total"], dense=dense)
+                lines.append(f"total += {q[i][j]!r} * x{i} * x{j}")
+    return _compile("_invariant(state)", lines + ["return total"])
 
 
 _RKF_A = (
@@ -336,6 +319,12 @@ def _step_function(method: str, n: int) -> Callable:
     return _compile("_step(rhs, state, h)", [_unpack([f"x{i}" for i in range(n)], "state")] + body)
 
 
+def _nonfinite(state: Sequence[float]) -> bool:
+    """True when some component of state is nan or infinite."""
+    # the sum of finite floats is finite or overflows; a nonfinite one is nan or inf
+    return not math.isfinite(sum(state)) and not all(map(math.isfinite, state))
+
+
 def integrate(
     system: PolynomialSystem,
     x0: Sequence[float],
@@ -346,7 +335,11 @@ def integrate(
 
     States are kept in the closed positive orthant: overshoot below zero by
     at most CLAMP_TOLERANCE is clamped (and logged as a positivity event);
-    anything larger aborts with SimulationError, as does a nonfinite state.
+    anything larger aborts with SimulationError, as does a nonfinite state,
+    before or after level-set projection.  At the RKF45 step-size floor
+    (1e-12 * t_end) a step above tolerance is kept; the step size that
+    follows is below the floor, so the run aborts after it with "step size
+    underflow".
     """
     n = system.dim
     if len(x0) != n:
@@ -371,7 +364,7 @@ def integrate(
     step = _step_function(config.method, n)
     v_func = compile_invariant(invariant) if invariant is not None else None
     v0 = v_func(state) if v_func is not None else None
-    # `not V <= 0`: a nan V projects the state to nan, which the next step aborts on
+    # `not V <= 0`: a nan V projects the state to nan, which aborts the step
     project = config.projection == "level_set" and not v0 <= 0
 
     times = [0.0]
@@ -390,7 +383,7 @@ def integrate(
         h = config.step
         h_min = 0.0  # a fixed step never shrinks
     t = 0.0
-    accepted = rejected = forced = 0
+    accepted = rejected = 0
     while t < end:
         step_h = t_end - t
         if not step_h < h:  # min(h, t_end - t), which keeps h on a tie
@@ -406,17 +399,14 @@ def integrate(
                 h = step_h * min(5.0, max(0.2, factor))
             else:
                 h = step_h * 5.0
-            if not error <= bound:
-                if step_h > h_min:
-                    rejected += 1
-                    if h < h_min:
-                        raise SimulationError("step size underflow", t)
-                    continue
-                forced += 1
+            if not error <= bound and step_h > h_min:
+                rejected += 1
+                if h < h_min:
+                    raise SimulationError("step size underflow", t)
+                continue
         new_t = t + step_h
         if not inside:
-            # the sum of finite floats is finite or overflows; a nonfinite one is nan or inf
-            if not math.isfinite(sum(new_state)) and not all(map(math.isfinite, new_state)):
+            if _nonfinite(new_state):
                 raise SimulationError(_BLOW_UP, t)
             if min(new_state, default=0.0) < 0:
                 for i, value in enumerate(new_state):
@@ -432,6 +422,8 @@ def integrate(
             if not current <= 0:
                 ratio = math.sqrt(v0 / current)
                 new_state = [ratio * v for v in new_state]
+                if _nonfinite(new_state):
+                    raise SimulationError(_BLOW_UP, t)
         t = new_t
         state = new_state
         accepted += 1
@@ -454,7 +446,6 @@ def integrate(
         invariant_values=values,
         positivity_events=events,
         rejected_steps=rejected,
-        forced_accepts=forced,
     )
 
 

@@ -749,7 +749,7 @@ def reference_integrate(
     invariant: QuadraticCandidate | None = None,
 ) -> Trajectory:
     """Oracle for `integrate` on valid input: closures, list copies and the
-    per-component steps above, counting rejected and forced RKF45 steps."""
+    per-component steps above, counting rejected RKF45 steps."""
     state = [float(v) for v in x0]
     rhs = compile_rhs(system)
     v_func = dense_invariant(invariant) if invariant is not None else None
@@ -777,14 +777,17 @@ def reference_integrate(
                 adjusted[i] = 0.0
         return adjusted
 
-    def project(new_state):
+    def project(new_state, t_old):
         if config.projection != "level_set" or v0 is None or v0 <= 0:
             return new_state
         current = v_func(new_state)
         if current <= 0:
             return new_state
         scale = math.sqrt(v0 / current)
-        return [scale * v for v in new_state]
+        projected = [scale * v for v in new_state]
+        if not all(map(math.isfinite, projected)):
+            raise SimulationError("state became nonfinite (blow-up)", t_old)
+        return projected
 
     def record(t, accepted_steps, final):
         if final or accepted_steps % config.stride == 0:
@@ -808,7 +811,7 @@ def reference_integrate(
             except OverflowError:
                 raise SimulationError("state became nonfinite (blow-up)", t) from None
             new_t = t + step_h
-            state = project(check_state(new_state, new_t, t))
+            state = project(check_state(new_state, new_t, t), t)
             t = new_t
             accepted += 1
             record(t, accepted, final=t >= t_end - eps)
@@ -825,10 +828,8 @@ def reference_integrate(
                 1.0, max((abs(v) for v in state), default=1.0)
             )
             if error <= scale or step_h <= h_min:
-                if not error <= scale:
-                    traj.forced_accepts += 1
                 new_t = t + step_h
-                state = project(check_state(new_state, new_t, t))
+                state = project(check_state(new_state, new_t, t), t)
                 t = new_t
                 accepted += 1
                 record(t, accepted, final=t >= t_end - eps)

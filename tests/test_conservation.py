@@ -259,3 +259,32 @@ def test_witnesses_and_integral_spans_permute_with_the_variables():
         rng.shuffle(perm)
         _check_permuted_system(generate_diagonal_system(DiagonalParams(weights, coupling)), perm, seen)
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda: ConservationVector((Fraction(1),), "dynamic"),
+            "unknown conservation mode 'dynamic'",
+            id="mode",
+        ),
+        pytest.param(
+            lambda: stoichiometric_residual([Fraction(1)], parse_network("A ->[1] B")),
+            "vector length 1 does not match 2 species",
+            id="stoichiometric-length",
+        ),
+        pytest.param(
+            lambda: kinetic_residual(
+                [Fraction(1)], PolynomialSystem.from_strings(("x", "y"), ["y", "-x"])
+            ),
+            "vector length 1 does not match 2 variables",
+            id="kinetic-length",
+        ),
+    ],
+)
+def test_malformed_conservation_input_is_refused(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

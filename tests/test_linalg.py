@@ -532,3 +532,17 @@ def test_inertia_refuses_a_row_too_short_for_the_symmetry_check(matrix):
     # row 0 is compared with column 0 before the short row's length is checked
     with pytest.raises(ValueError, match="matrix is not square"):
         symmetric_inertia(matrix)
+
+
+@pytest.mark.parametrize(
+    "vectors, dim, message",
+    [
+        pytest.param([], 0, "dimension must be positive", id="dimension"),
+        pytest.param([[F(1), F(2)]], 3, "spanning vector has wrong length", id="length"),
+    ],
+)
+def test_malformed_span_input_is_refused(vectors, dim, message):
+    with pytest.raises(ValueError) as info:
+        positive_vector_in_span(vectors, dim)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

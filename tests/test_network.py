@@ -357,3 +357,143 @@ def test_parser_matches_public_constructors(spelled):
 def test_parser_duplicate_warning_text():
     _, messages = warned(lambda: parse_network("2A ->[1+2] B\nA + A ->[k] 1.0B"))
     assert messages == ["duplicate step 2A ->[k] B merged by summing rates"]
+
+
+# -- rates: one rule for every spelling -------------------------------------------
+
+A = Complex(((0, Fraction(1)),))
+B = Complex(((1, Fraction(1)),))
+
+
+def _json_network(rate) -> dict:
+    return {"species": ["A", "B"], "steps": [{"reactant": {"A": "1"}, "product": {"B": "1"}, "rate": rate}]}
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        ("", "invalid rate ''"),
+        ("k++1", "invalid rate 'k++1'"),
+        ("k+", "invalid rate 'k+'"),
+        ("k+-1", "invalid rate parameter '-1'"),
+        ("k+.5", "invalid rate parameter '.5'"),
+        ("k\n", "invalid rate parameter 'k\\n'"),
+        ("2k+k", "invalid rational literal '2k'"),
+        ("1/0+k", "invalid rational literal '1/0'"),
+        ("0+k", "rate must be positive, got 0"),
+        ("k+1/-2", "rate must be positive, got 1/-2"),
+        (-2, "rate must be positive, got -2"),
+        (Fraction(0), "rate must be positive, got 0"),
+        (2.0, "rate must be a Fraction, an int or a str, got float"),
+        (True, "rate must be a Fraction, an int or a str, got bool"),
+    ],
+)
+def test_step_refuses_a_rate_outside_the_part_rule(rate, message):
+    with pytest.raises(NetworkValidationError) as info:
+        ReactionStep(A, B, rate)
+    assert str(info.value) == message
+
+
+def test_step_keeps_rates_inside_the_part_rule():
+    rate = ReactionStep(A, B, 2).rate
+    assert rate == 2 and type(rate) is Fraction
+    for rate in ("k", "k1+2", "1/2+k+2.5e-3", "k_2+k"):
+        assert ReactionStep(A, B, rate).rate == rate
+    assert resolve_rate(ReactionStep(A, B, "1/2+k").rate, {"k": Fraction(1)}) == Fraction(3, 2)
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        ("2k+k", "invalid rational literal '2k'"),
+        ("1/0+k", "invalid rational literal '1/0'"),
+        ("0+1", "rate must be positive, got 0"),
+        ("0+k", "rate must be positive, got 0"),
+        ("k + -1", "invalid rate parameter '-1'"),
+        ("k++1", "invalid rate 'k++1'"),
+    ],
+)
+def test_json_refuses_a_rate_outside_the_part_rule(rate, message):
+    with pytest.raises(NetworkValidationError) as info:
+        ReactionNetwork.from_dict(_json_network(rate))
+    assert str(info.value) == f"network JSON step 1: {message}"
+
+
+@pytest.mark.parametrize(
+    "rate, expected",
+    [(1e-07, Fraction(1, 10**7)), (3, Fraction(3)), ("1/2 + 1/3", Fraction(5, 6)), ("k + 2", "k+2")],
+)
+def test_json_loads_rates_inside_the_part_rule(rate, expected):
+    assert ReactionNetwork.from_dict(_json_network(rate)).steps[0].rate == expected
+
+
+def test_cli_parse_refuses_a_rate_it_could_not_resolve(tmp_path, capsys):
+    from crnkit.cli import main
+
+    path = tmp_path / "rates.json"
+    path.write_text(json.dumps(_json_network("2k+k")))
+    assert main(["parse", str(path)]) == 2
+    assert capsys.readouterr().err == "error: network JSON step 1: invalid rational literal '2k'\n"
+
+
+# -- malformed input: each refusal with its type and message ---------------------
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(
+            lambda: Complex(((0, Fraction(1)), (0, Fraction(2)))),
+            NetworkValidationError,
+            "species index 0 repeated in complex",
+            id="repeated-index",
+        ),
+        pytest.param(
+            lambda: parse_network("A + ->[1] B"),
+            NetworkSyntaxError,
+            "line 1, column 5: expected species term, found '->['",
+            id="species-term",
+        ),
+        pytest.param(
+            lambda: parse_network("A ->[1"),
+            NetworkSyntaxError,
+            "line 1, column 6: unexpected end of line",
+            id="end-of-line",
+        ),
+        pytest.param(
+            lambda: parse_network("0A ->[1] B"),
+            NetworkSyntaxError,
+            "line 1, column 1: stoichiometric coefficient must be positive, got 0",
+            id="zero-coefficient",
+        ),
+        pytest.param(
+            lambda: ReactionStep(A, B, Fraction(-1, 2)),
+            NetworkValidationError,
+            "rate must be positive, got -1/2",
+            id="negative-rate",
+        ),
+        pytest.param(
+            lambda: ReactionNetwork(("A", "A"), ()),
+            NetworkValidationError,
+            "duplicate species names",
+            id="duplicate-species",
+        ),
+        pytest.param(
+            lambda: ReactionNetwork(("A",), (ReactionStep(A, B, Fraction(1)),)),
+            NetworkValidationError,
+            "species index 1 out of range for 1 species",
+            id="index-out-of-range",
+        ),
+        pytest.param(
+            lambda: ReactionNetwork.from_dict({"species": ["A"]}),
+            ValueError,
+            "network JSON needs 'species' and 'steps'",
+            id="json-keys",
+        ),
+    ],
+)
+def test_malformed_network_input_is_refused(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -474,3 +474,68 @@ def test_arithmetic_results_are_clean(case, scalar):
     assert not (p + (-p)).terms()
     assert not (p - p).terms()
     assert not (p * 0).terms()
+
+
+# -- malformed input: each refusal with its type and message ---------------------
+
+_EMPTY_2D = Polynomial(2, {})
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(
+            lambda: parse_polynomial("x $ y", ("x", "y")),
+            PolynomialParseError,
+            "unexpected character '$' at column 3",
+            id="character",
+        ),
+        pytest.param(
+            lambda: parse_polynomial("x )", ("x", "y")),
+            PolynomialParseError,
+            "unexpected token ')' at column 3",
+            id="trailing-token",
+        ),
+        pytest.param(
+            lambda: parse_polynomial("*x", ("x", "y")),
+            PolynomialParseError,
+            "unexpected token '*' at column 1",
+            id="factor-token",
+        ),
+        pytest.param(
+            lambda: parse_polynomial("(x / y)", ("x", "y")),
+            PolynomialParseError,
+            "expected ')' at column 4",
+            id="closing-parenthesis",
+        ),
+        pytest.param(
+            lambda: parse_polynomial("2/x", ("x", "y")),
+            PolynomialParseError,
+            "expected denominator at column 3",
+            id="denominator",
+        ),
+        pytest.param(
+            lambda: PolynomialSystem(("x", "y"), (_EMPTY_2D,)),
+            ValueError,
+            "1 components for 2 variables",
+            id="component-count",
+        ),
+        pytest.param(
+            lambda: PolynomialSystem(("x", "x"), (_EMPTY_2D, _EMPTY_2D)),
+            ValueError,
+            "duplicate variable names",
+            id="duplicate-variables",
+        ),
+        pytest.param(
+            lambda: PolynomialSystem.from_dict({"variables": ["x"]}),
+            ValueError,
+            "system JSON needs 'variables' and 'components'",
+            id="json-keys",
+        ),
+    ],
+)
+def test_malformed_polynomial_input_is_refused(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -1083,3 +1083,17 @@ def test_log_family_against_sympy():
     substituted = [expr.subs(t, 1) for expr in sol]
     # matches {xy - x, -xy + y} written in the 12-coefficient layout
     assert substituted == [0, 1, 0, -1, 0, 0, 0, -1, 0, 0, 1, 0]
+
+
+@pytest.mark.parametrize(
+    "q, linear, message",
+    [
+        pytest.param(((F(1), F(0)),), (F(0),), "Q must be square", id="square"),
+        pytest.param(((F(1),),), (F(0), F(0)), "linear part length must match Q", id="linear"),
+    ],
+)
+def test_malformed_candidate_is_refused(q, linear, message):
+    with pytest.raises(ValueError) as info:
+        QuadraticCandidate(q, linear)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
