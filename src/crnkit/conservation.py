@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .linalg import SparseRow, coefficient_matrix, nullspace_basis, positive_vector_in_span
 from .network import ReactionNetwork
-from .numbers import format_rational
 from .poly import Exponents, Polynomial, PolynomialSystem, accumulate_terms
 
 
@@ -33,12 +32,6 @@ class ConservationVector:
             raise ValueError(f"unknown conservation mode {self.mode!r}")
         if not self.rho or any(v <= 0 for v in self.rho):
             raise ValueError("conservation vector must be strictly positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "rho": [format_rational(v) for v in self.rho],
-        }
 
 
 def stoichiometric_residual(

@@ -18,6 +18,12 @@ mass-action monomials stay polynomial.  Duplicate (reactant, product) pairs
 are merged by summing rates, with a warning, since they are indistinguishable
 in the induced dynamics.
 
+A species name and a rate parameter name match `_NAME_RE` whole, so a
+trailing newline is refused; the text tokenizer reads the same pattern.  A
+str rate, in a `ReactionStep` or in JSON, is read by `_read_rate` alone:
+each "+"-separated part is a literal greater than 0 or a parameter name.
+A JSON rate is a string or a number, read as its decimal text.
+
 `Complex`, `ReactionStep` and `ReactionNetwork` check every value they are
 given.  Code that builds values valid by construction (the text parser's
 complexes, the canonical realization) uses their private `_from_clean`
@@ -41,7 +47,9 @@ from .poly import MAX_DEGREE
 Rate = Fraction | str
 Matrix = list[list[Fraction]]
 
-_SPECIES_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+# A species name or a rate parameter name, matched only with fullmatch.
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_SPACED_PLUS_RE = re.compile(r"\s*\+\s*")
 
 # Fraction(i) for every coefficient a realization can store (0..MAX_DEGREE + 1),
 # shared so that building a complex creates no Fraction for a small integer.
@@ -136,16 +144,10 @@ class Complex:
         return " + ".join(parts)
 
 
-def _rate_parts(rate: Rate) -> list[str]:
-    if isinstance(rate, Fraction):
-        return [format_rational(rate)]
-    return rate.split("+")
-
-
 def _merge_rates(a: Rate, b: Rate) -> Rate:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
-    return "+".join(_rate_parts(a) + _rate_parts(b))
+    return f"{format_rate(a)}+{format_rate(b)}"
 
 
 def format_rate(rate: Rate) -> str:
@@ -157,31 +159,30 @@ def resolve_rate(rate: Rate, binding: Mapping[str, Fraction] | None = None) -> F
     if isinstance(rate, Fraction):
         return rate
     total = Fraction(0)
-    for part in _rate_parts(rate):
-        if part[:1].isdigit():
-            total += parse_rational(part)
-        else:
+    for part in _read_rate(rate):
+        if isinstance(part, str):
             if binding is None or part not in binding:
                 raise UnboundParameterError(part)
-            total += Fraction(binding[part])
+            part = Fraction(binding[part])
+        total += part
     return total
 
 
-def _rate_values(rate: str, parts: Sequence[str]) -> list[Fraction | None]:
-    """Per part of `rate`: a literal's value, or None for a parameter name.
+def _read_rate(rate: str) -> list[Fraction | str]:
+    """Per '+'-separated part of `rate`: a literal's value, or a parameter's name.
 
     A part that starts with a digit is a literal, which parse_rational must
     read as greater than 0; any other part must be a parameter name.
     Raises NetworkValidationError for any other part.
     """
-    values: list[Fraction | None] = []
-    for part in parts:
+    parts: list[Fraction | str] = []
+    for part in rate.split("+"):
         if not part:
             raise NetworkValidationError(f"invalid rate {rate!r}")
         if not part[:1].isdigit():
-            if not _SPECIES_RE.fullmatch(part):
+            if not _NAME_RE.fullmatch(part):
                 raise NetworkValidationError(f"invalid rate parameter {part!r}")
-            values.append(None)
+            parts.append(part)
             continue
         try:
             value = parse_rational(part)
@@ -189,17 +190,8 @@ def _rate_values(rate: str, parts: Sequence[str]) -> list[Fraction | None]:
             raise NetworkValidationError(str(exc)) from None
         if value <= 0:
             raise NetworkValidationError(f"rate must be positive, got {part}")
-        values.append(value)
-    return values
-
-
-def _parse_rate_text(text: str) -> Rate:
-    """A JSON rate: the sum when every part is a literal, else the parts joined by '+'."""
-    parts = [p.strip() for p in text.split("+")]
-    values = _rate_values(text, parts)
-    if None in values:
-        return "+".join(parts)
-    return sum(values, Fraction(0))
+        parts.append(value)
+    return parts
 
 
 @dataclass(frozen=True)
@@ -224,7 +216,7 @@ class ReactionStep:
             if self.rate <= 0:
                 raise NetworkValidationError(f"rate must be positive, got {self.rate}")
         elif isinstance(self.rate, str):
-            _rate_values(self.rate, self.rate.split("+"))
+            _read_rate(self.rate)
         else:
             raise NetworkValidationError(
                 f"rate must be a Fraction, an int or a str, got {type(self.rate).__name__}"
@@ -283,7 +275,7 @@ def check_reactant_degree(degree: int) -> None:
 def check_species_names(species: Iterable[str]) -> None:
     """Raise NetworkValidationError for the first name that is not a species name."""
     for name in species:
-        if not _SPECIES_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise NetworkValidationError(f"invalid species name {name!r}")
 
 
@@ -354,8 +346,8 @@ class ReactionNetwork:
         names: list[str] = []
         for step in self.steps:
             if isinstance(step.rate, str):
-                for part in _rate_parts(step.rate):
-                    if not part[:1].isdigit() and part not in names:
+                for part in _read_rate(step.rate):
+                    if isinstance(part, str) and part not in names:
                         names.append(part)
         return tuple(names)
 
@@ -410,8 +402,8 @@ class ReactionNetwork:
             ],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ReactionNetwork":
@@ -446,8 +438,17 @@ class ReactionNetwork:
             for key in ("reactant", "product"):
                 if not isinstance(raw[key], Mapping):
                     raise ValueError(f"{where} {key!r} must map species names to coefficients")
+            value = raw["rate"]
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ValueError(
+                    f"{where} 'rate' must be a string or a number, got {type(value).__name__}"
+                )
             try:
-                rate = _parse_rate_text(str(raw["rate"]))
+                # whitespace around the parts is dropped; all literals make one sum
+                rate = _SPACED_PLUS_RE.sub("+", str(value).strip())
+                parts = _read_rate(rate)
+                if all(isinstance(part, Fraction) for part in parts):
+                    rate = sum(parts, Fraction(0))
                 steps.append(
                     ReactionStep(read_complex(raw["reactant"]), read_complex(raw["product"]), rate)
                 )
@@ -460,12 +461,12 @@ class ReactionNetwork:
 # -- text parsing -----------------------------------------------------------
 
 _NET_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
+    rf"""(?P<ws>\s+)
       | (?P<both>\<\=\>\[)
       | (?P<bwd>\<\-\[)
       | (?P<fwd>\-\>\[)
       | (?P<number>\d+(?:\.\d+)?(?:/\d+)?)
-      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<ident>{_NAME_RE.pattern})
       | (?P<plus>\+)
       | (?P<comma>,)
       | (?P<rbracket>\])
@@ -525,12 +526,16 @@ class _LineParser:
         """A number token's value: an int for plain digits, else parse_rational's.
 
         Digit strings longer than MAX_EXPONENT go through parse_rational too,
-        which refuses those whose decimal exponent is above the bound.
+        which refuses those whose decimal exponent is above the bound.  A
+        literal it refuses is a NetworkSyntaxError at the token.
         """
         text = tok[1]
         if text.isdecimal() and len(text) <= MAX_EXPONENT:
             return int(text)
-        return parse_rational(text)
+        try:
+            return parse_rational(text)
+        except ValueError as exc:
+            self.error(str(exc), tok[2])
 
     def parse_complex(self) -> Complex:
         coeffs: dict[int, int | Fraction] = {}

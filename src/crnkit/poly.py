@@ -18,8 +18,9 @@ degree, a bound on the term count and a bound on the coefficient height
 (`_height`) of the result against `MAX_DEGREE`, `MAX_TERMS` and
 `MAX_COEFFICIENT_BITS`, and the sum of the term-count bounds above 1 of
 every expansion so far against `MAX_PARSE_TERMS`, so no expansion starts
-that could exceed them.  It also refuses parentheses nested deeper than
-`MAX_NESTING`.
+that could exceed them.  That sum runs over one input: an expression, or
+every component of a system, which one parser reads in turn.  It also
+refuses parentheses nested deeper than `MAX_NESTING`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import add
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .numbers import format_rational, parse_rational
 
@@ -39,7 +40,7 @@ Scalar = Union[Fraction, int]
 
 # Caps on what the parser may expand: the total degree of any product or
 # power (and any exponent), a bound on its number of terms, and the sum of
-# those bounds above 1 over one parse.
+# those bounds above 1 over one input (an expression or a whole system).
 MAX_DEGREE = 100
 MAX_TERMS = 2_000
 MAX_PARSE_TERMS = 5_000
@@ -172,9 +173,6 @@ class Polynomial:
 
     def monomials(self) -> set[Exponents]:
         return set(self._terms)
-
-    def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
-        return iter(self.sorted_terms())
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -380,11 +378,11 @@ def _height(poly: Polynomial) -> int:
 
 
 class _PolyParser:
-    def __init__(self, tokens: list[tuple[str, str, int]], variables: Sequence[str]):
-        self.tokens = tokens
+    """Reads expressions over `variables`, all charged to one MAX_PARSE_TERMS budget."""
+
+    def __init__(self, variables: Sequence[str]):
         self.index = {name: i for i, name in enumerate(variables)}
         self.dim = len(variables)
-        self.pos = 0
         self.depth = 0
         self.expanded = 0  # summed term-count bounds of the expansions so far
 
@@ -467,7 +465,11 @@ class _PolyParser:
             return self.power(base, int(exp_tok[1]))
         return base
 
-    def parse(self) -> Polynomial:
+    def parse(self, text: str) -> Polynomial:
+        self.tokens = _tokenize_poly(text)
+        if not self.tokens:
+            raise PolynomialParseError("empty polynomial expression")
+        self.pos = 0
         result = self.parse_sum()
         tok = self.peek()
         if tok is not None:
@@ -555,10 +557,7 @@ class _PolyParser:
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse an expression like "2*y^2 - 3*x*y" over the given variables."""
-    tokens = _tokenize_poly(text)
-    if not tokens:
-        raise PolynomialParseError("empty polynomial expression")
-    return _PolyParser(tokens, variables).parse()
+    return _PolyParser(variables).parse(text)
 
 
 # -- systems ---------------------------------------------------------------
@@ -591,7 +590,7 @@ class PolynomialSystem:
 
     @classmethod
     def from_strings(cls, variables: Sequence[str], exprs: Sequence[str]) -> "PolynomialSystem":
-        """Parse each expression over `variables`, each of which must be an identifier."""
+        """Parse each expression over `variables` (identifiers) on one MAX_PARSE_TERMS budget."""
         vars_t = tuple(variables)
         for name in vars_t:
             # an identifier is what the expression tokenizer reads as one
@@ -601,7 +600,8 @@ class PolynomialSystem:
                     f"invalid variable name {name!r}: expected a letter or '_', "
                     "then letters, digits or '_'"
                 )
-        return cls(vars_t, tuple(parse_polynomial(e, vars_t) for e in exprs))
+        parser = _PolyParser(vars_t)
+        return cls(vars_t, tuple(parser.parse(e) for e in exprs))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)

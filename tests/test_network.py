@@ -10,8 +10,12 @@ from hypothesis import given, settings, strategies as st
 from crnkit import (
     NetworkSyntaxError,
     NetworkValidationError,
+    PolynomialSystem,
     ReactionNetwork,
+    UnboundParameterError,
+    canonical_realization,
     parse_network,
+    parse_polynomial,
 )
 from crnkit.network import Complex, ReactionStep, resolve_rate
 from crnkit.poly import MAX_DEGREE
@@ -496,4 +500,179 @@ def test_malformed_network_input_is_refused(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert type(info.value) is error
+    assert str(info.value) == message
+
+
+# -- one reader per input rule ---------------------------------------------------
+
+BIG = "1" + "0" * 1001  # a digit string longer than MAX_EXPONENT, above its bound
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("A ->[1/0] B", 1, 6, "invalid rational literal '1/0'"),
+        ("1/0A ->[1] B", 1, 1, "invalid rational literal '1/0'"),
+        ("A ->[k] 2/0B", 1, 9, "invalid rational literal '2/0'"),
+        ("A ->[k] B\nB <=>[2, k+3/0] C", 2, 12, "invalid rational literal '3/0'"),
+        (f"A ->[{BIG}] B", 1, 6,
+         f"rational literal '{BIG}' has decimal exponent 1001, outside +-MAX_EXPONENT = 1000"),
+        (f"A ->[1] B; {BIG}C ->[1] B", 1, 12,
+         f"rational literal '{BIG}' has decimal exponent 1001, outside +-MAX_EXPONENT = 1000"),
+    ],
+    ids=["rate", "coefficient", "product", "second-line", "long-rate", "long-coefficient"],
+)
+def test_dsl_literal_errors_carry_their_location(text, line, column, message):
+    with pytest.raises(NetworkSyntaxError) as info:
+        parse_network(text)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value) == f"line {line}, column {column}: {message}"
+
+
+def test_cli_exits_2_on_a_dsl_literal_error(tmp_path, capsys):
+    from crnkit.cli import main
+
+    path = tmp_path / "bad.txt"
+    path.write_text("A ->[1/0] B\n")
+    assert main(["parse", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 1, column 6: invalid rational literal '1/0'\n"
+
+
+NAMES = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
+# literal parts of a symbolic rate, spelled as the text format reads them
+LITERAL_PARTS = st.sampled_from(["1", "2", "7", "1/2", "3/4", "0.5", "2.25", "10"])
+JSON_NUMBERS = st.one_of(
+    st.integers(1, 1000), st.floats(1e-6, 1e6), st.sampled_from([1e-07, 0.1, 2.5])
+)
+
+
+@st.composite
+def json_networks(draw):
+    """A network document whose steps may repeat, with literal, symbolic and
+    numeric rates; the species are listed in order of first appearance."""
+    names = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    coefficient = st.sampled_from(["1", "2", "1/2", "3/2"])
+
+    def complex_(values):
+        return draw(st.dictionaries(st.sampled_from(names), values, max_size=2))
+
+    def rate():
+        kind = draw(st.sampled_from(["literal", "symbolic", "number"]))
+        if kind == "number":
+            return draw(JSON_NUMBERS)
+        parts = draw(st.lists(st.one_of(LITERAL_PARTS, NAMES), min_size=1, max_size=3))
+        if kind == "symbolic":
+            parts.append(draw(NAMES))
+        return draw(st.sampled_from(["+", " + "])).join(parts)
+
+    steps = []
+    for _ in range(draw(st.integers(1, 5))):
+        reactant, product = complex_(st.sampled_from(["1", "2"])), complex_(coefficient)
+        if reactant == product:
+            continue
+        for _ in range(draw(st.sampled_from([1, 1, 2]))):  # 2: a step that merges
+            steps.append({"reactant": reactant, "product": product, "rate": rate()})
+    return {"species": names, "steps": steps}
+
+
+def by_first_appearance(document):
+    """The document with its species reordered as render() first writes them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        net = ReactionNetwork.from_dict(document)
+    order = []
+    for step in net.steps:
+        for index, _ in step.reactant.entries + step.product.entries:
+            if net.species[index] not in order:
+                order.append(net.species[index])
+    return {"species": order, "steps": document["steps"]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(document=json_networks())
+def test_json_networks_round_trip_through_text(document):
+    if not document["steps"]:
+        return
+    document = by_first_appearance(document)
+    net, messages = warned(lambda: ReactionNetwork.from_dict(document))
+    assert len(messages) == len(document["steps"]) - len(net.steps)
+    again = parse_network(net.render())
+    assert again == net
+    assert again.to_dict() == net.to_dict()
+    assert ReactionNetwork.from_dict(json.loads(net.to_json())) == net
+
+
+@pytest.mark.parametrize(
+    "rate, name", [(True, "bool"), (None, "NoneType"), ([1], "list"), ({"k": 1}, "dict")]
+)
+def test_json_refuses_a_rate_that_is_neither_string_nor_number(rate, name):
+    with pytest.raises(ValueError) as info:
+        ReactionNetwork.from_dict(_json_network(rate))
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"network JSON step 1 'rate' must be a string or a number, got {name}"
+
+
+@pytest.mark.parametrize(
+    "rate, expected", [(1, Fraction(1)), (1e-07, Fraction(1, 10**7)), ("k + 2", "k+2"),
+                       ("1/2+k", "1/2+k")]
+)
+def test_json_rates_keep_their_reading(rate, expected):
+    loaded = ReactionNetwork.from_dict(_json_network(rate)).steps[0].rate
+    assert loaded == expected and type(loaded) is type(expected)
+
+
+def test_names_with_a_trailing_newline_are_refused():
+    document = _json_network("1")
+    document["species"] = ["A\n", "B"]
+    document["steps"][0]["reactant"] = {"A\n": "1"}
+    with pytest.raises(NetworkValidationError, match=r"^invalid species name 'A\\n'$"):
+        ReactionNetwork.from_dict(document)
+    with pytest.raises(NetworkValidationError, match=r"^invalid species name 'A\\n'$"):
+        ReactionNetwork(("A\n", "B"), (ReactionStep(A, B, 1),))
+    system = PolynomialSystem(("x\n",), (parse_polynomial("-x", ("x",)),))
+    with pytest.raises(NetworkValidationError, match=r"^invalid species name 'X\\n'$"):
+        canonical_realization(system)
+
+
+@st.composite
+def rate_texts(draw):
+    """(text, literal values, names) of a valid str rate, parts in order."""
+    literals = st.sampled_from([("3", F(3)), ("1/2", F(1, 2)), ("0.25", F(1, 4)),
+                                ("2.5e-3", F(1, 400)), ("6/4", F(3, 2)), ("007", F(7))])
+    parts = draw(st.lists(st.one_of(literals, NAMES), min_size=1, max_size=5))
+    text = "+".join(p if isinstance(p, str) else p[0] for p in parts)
+    return text, [p[1] for p in parts if not isinstance(p, str)], [
+        p for p in parts if isinstance(p, str)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rates=st.lists(rate_texts(), min_size=1, max_size=4), seed=st.integers(0, 2**16))
+def test_rates_resolve_and_list_their_parameters_by_one_reading(rates, seed):
+    rng = random.Random(seed)
+    steps, expected_names = [], []
+    for number, (text, values, names) in enumerate(rates):
+        binding = {name: F(rng.randint(1, 9), rng.randint(1, 9)) for name in names}
+        expected = sum(values, F(0)) + sum(binding[name] for name in names)
+        assert resolve_rate(text, binding) == expected
+        if names:
+            with pytest.raises(UnboundParameterError):
+                resolve_rate(text, {})
+        # species i -> i + 1 keeps every step distinct
+        steps.append(ReactionStep(Complex(((number, F(1)),)), Complex(((number + 1, F(1)),)), text))
+        for name in names:
+            if name not in expected_names:
+                expected_names.append(name)
+    net = ReactionNetwork([f"S{i}" for i in range(len(rates) + 1)], steps)
+    assert net.rate_parameters() == tuple(expected_names)
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [("0+k", "rate must be positive, got 0"), ("k\n", "invalid rate parameter 'k\\n'"),
+     ("k++1", "invalid rate 'k++1'"), ("2k", "invalid rational literal '2k'")],
+)
+def test_resolve_rate_refuses_a_malformed_string(rate, message):
+    with pytest.raises(NetworkValidationError) as info:
+        resolve_rate(rate, {"k": F(1)})
     assert str(info.value) == message

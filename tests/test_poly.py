@@ -168,6 +168,25 @@ def test_parse_caps_the_summed_expansion_work():
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_system_shares_one_expansion_budget():
+    # each line charges one product of two 44-term sums, 1,936 terms
+    line = "*".join(
+        "(" + " + ".join(f"{name}^{i}" for i in range(1, 45)) + ")" for name in ("x", "y")
+    )
+    names = ("x", "y", "z")
+    product = parse_polynomial(line, names)
+    assert len(product.terms()) == 44 * 44
+    assert PolynomialSystem.from_strings(names, [line, line, "z"]).components[:2] == (
+        product,
+        product,
+    )
+    message = f"reach {3 * 44 * 44} terms in total, above MAX_PARSE_TERMS = {MAX_PARSE_TERMS}$"
+    with pytest.raises(PolynomialParseError, match=message):
+        PolynomialSystem.from_strings(names, [line] * 3)
+    with pytest.raises(PolynomialParseError, match=message):
+        parse_system("vars x y z\n" + "\n".join([line] * 3) + "\n")
+
+
 def test_parse_nesting_cap():
     names = ("x",)
     nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
@@ -247,7 +266,7 @@ _TERM_MAPS = st.dictionaries(
 @given(p=_TERM_MAPS, q=_TERM_MAPS, exponent=st.integers(1, 6))
 def test_height_bounds_hold_for_products_and_powers(p, q, exponent):
     p, q = Polynomial(2, p), Polynomial(2, q)
-    parser = _BoundRecorder([], ("x", "y"))
+    parser = _BoundRecorder(("x", "y"))
     assert poly_height(p) == _height(p)
     product = parser.product(p, q)
     assert product == p * q and _height(product) <= parser.bits
