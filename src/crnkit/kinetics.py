@@ -78,7 +78,8 @@ def induced_kinetic_ode(
         mono = tuple(exponents)
         for index, change in step.net_change.items():
             bucket = terms[index]
-            bucket[mono] = bucket.get(mono, 0) + change * k
+            old = bucket.get(mono)
+            bucket[mono] = change * k if old is None else old + change * k
     # opposite steps cancel: drop the zero sums
     components = tuple(
         Polynomial._from_clean(m, {e: c for e, c in t.items() if c}) for t in terms

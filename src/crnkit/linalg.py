@@ -3,14 +3,16 @@
 A linear constraint is a sparse row: a mapping from column index to
 coefficient (an int or a Fraction).  Absent columns are 0, zero values are
 skipped, and a nonzero value in a column outside 0..ncols-1 is a ValueError.
-`coefficient_matrix` builds such rows, and the elimination reads only their
-nonzero entries, never a dense row.
+`coefficient_matrix` builds such rows from columns of term maps (the
+first-integral search builds its integer rows itself), and the elimination
+reads only their nonzero entries, never a dense row.
 
 Null-space bases come from one fraction-free elimination over sparse
-integer rows: each row is scaled to coprime integers, rows are combined by
-integer cross-multiplication and divided by the gcd of their entries, and
-only the results are turned back into Fractions: each basis vector as
-coprime integers with a positive first nonzero entry.  A forward pass
+integer rows: each input row is copied, scaled to coprime integers, and
+from then on updated in place, combined with a pivot row by integer
+cross-multiplication and divided by the gcd of its entries, so no input is
+written to.  Only the results are turned back into Fractions: each basis
+vector as coprime integers with a positive first nonzero entry.  A forward pass
 brings the rows to echelon form, which already gives the rank; a back pass
 that clears the pivot columns above each pivot runs only when the kernel
 is nonempty, or when a caller reads the reduced rows.  Whether a subspace
@@ -47,15 +49,16 @@ def check_proof(condition: bool, message: str) -> None:
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """The row divided by its content (the gcd of its entries)."""
+    """Divide `row` by its content (the gcd of its entries) in place; return it."""
     g = gcd(*row.values())
-    if g == 1:
-        return row
-    return {j: v // g for j, v in row.items()}
+    if g > 1:
+        for j in row:
+            row[j] //= g
+    return row
 
 
 def _integer_row(row: SparseRow) -> dict[int, int]:
-    """Nonzero entries of a sparse row scaled to coprime integers."""
+    """Nonzero entries of a sparse row scaled to coprime integers, in a new dict."""
     entries = {j: v for j, v in row.items() if v}
     if not entries:
         return entries
@@ -92,21 +95,24 @@ def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict
     """Clear column `col` of `row` against `pivot_row`, fraction-free.
 
     Computes (p/g) row - (a/g) pivot_row with p, a the two entries in `col`
-    and g = gcd(p, a), then divides out the content of the result.
+    and g = gcd(p, a), then divides out the content of the result.  Updates
+    `row` and returns it; callers pass rows they own.
     """
     p = pivot_row[col]
     a = row[col]
     g = gcd(p, a)
     p //= g
     a //= g
-    out = {j: v * p for j, v in row.items()} if p != 1 else dict(row)
+    if p != 1:
+        for j in row:
+            row[j] *= p
     for j, v in pivot_row.items():
-        value = out.get(j, 0) - a * v
+        value = row.get(j, 0) - a * v
         if value:
-            out[j] = value
+            row[j] = value
         else:
-            del out[j]
-    return _primitive(out) if out else out
+            del row[j]
+    return _primitive(row)
 
 
 def _reduce(

@@ -444,11 +444,18 @@ class ReactionNetwork:
                     f"{where} 'rate' must be a string or a number, got {type(value).__name__}"
                 )
             try:
-                # whitespace around the parts is dropped; all literals make one sum
-                rate = _SPACED_PLUS_RE.sub("+", str(value).strip())
-                parts = _read_rate(rate)
-                if all(isinstance(part, Fraction) for part in parts):
-                    rate = sum(parts, Fraction(0))
+                if isinstance(value, str):
+                    # whitespace around the parts is dropped; all literals make one sum
+                    rate = _SPACED_PLUS_RE.sub("+", value.strip())
+                    parts = _read_rate(rate)
+                    if all(isinstance(part, Fraction) for part in parts):
+                        rate = sum(parts, Fraction(0))
+                else:
+                    # a number is one literal, read from its decimal text
+                    try:
+                        rate = parse_rational(str(value))
+                    except ValueError as exc:
+                        raise NetworkValidationError(str(exc)) from None
                 steps.append(
                     ReactionStep(read_complex(raw["reactant"]), read_complex(raw["product"]), rate)
                 )

@@ -9,10 +9,13 @@ scaled by b_i.  No gradient or product polynomial is built.  Since the Lie
 derivative is bilinear in (V, f), the search for first integrals is an exact
 null-space computation over a matrix assembled by the same shift rule: each
 unit candidate's column is f_i, or f_i and f_j shifted by one variable and
-doubled (the full search first scales f to integer coefficients, and the
-positive-diagonal search drops the factor 2 that every one of its columns
-carries).  Strict sign conditions (for instance a
-positive-definite diagonal V) are decided over that null space by
+doubled.  One builder, `_lie_derivative_rows`, writes it in one pass over
+the terms of f, straight into integer rows: f is scaled by the lcm of its
+coefficient denominators, and a row is keyed by an int code of its
+monomial, to which a shift adds a power of the code's base, so no exponent
+tuple is built.  The full search passes it every unit candidate, the
+positive-diagonal search the x_i^2 units only.  Strict sign conditions (for
+instance a positive-definite diagonal V) are decided over that null space by
 `positive_kernel_vector`, the routine the conservation searches use.
 
 The generators in this module produce, for each supported shape of V, the
@@ -33,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Mapping, NamedTuple, Sequence
+from operator import mul
+from typing import Callable, NamedTuple, Sequence
 
 from .conservation import (
     ConservationVector,
@@ -57,10 +61,11 @@ _ZERO = Fraction(0)
 
 # Cap on the size of the full first-integral search, bounded before assembly as
 # its n(n + 3)/2 columns times (n + 1) T, a bound on the matrix's nonzeros (each
-# of the T terms of f enters n + 1 columns).  On a 2-vCPU machine under Python
-# 3.11, sparse systems cost about 0.04 us per unit and dense ones up to 0.8, so
-# the cap admits sparse n = 39 (0.16 s) and dense n = 14 (1.7 s) and refuses
-# the next sizes.
+# of the T terms of f enters n + 1 columns).  On a 2-vCPU x86-64 machine under
+# Python 3.11 (best of 5-8 runs), sparse systems (3 terms a component) cost about
+# 0.02 us per unit and dense ones (components (sum_i c_i x_i + m)^2) about 0.6 at
+# n = 14, more for larger n, so the cap admits sparse n = 39 (0.07 s) and dense
+# n = 14 (1.8 s) and refuses the next sizes.
 MAX_SEARCH_SIZE = 4_000_000
 
 
@@ -209,31 +214,54 @@ def is_first_integral(candidate: QuadraticCandidate, system: PolynomialSystem) -
 
 # -- exhaustive search ------------------------------------------------------
 
-def _lie_derivative_columns(system: PolynomialSystem) -> list[Mapping[Exponents, int]]:
-    """Coefficients of the Lie derivative of each unit candidate, times one integer.
+def _lie_derivative_rows(
+    system: PolynomialSystem, units: Sequence[tuple[int, ...]]
+) -> list[dict[int, int]]:
+    """Sparse integer rows of the matrix whose column c is the Lie derivative of units[c].
 
-    Columns follow `coefficient_vector` order: x_i^2 gives 2 x_i f_i, the
-    off-diagonal unit 2 x_i x_j (i < j) gives 2 x_j f_i + 2 x_i f_j, and the
-    linear unit x_i gives f_i.  Constants are excluded: they never influence
-    the Lie derivative, and reported candidates pin the constant to zero.
-    f is scaled by the lcm of its coefficient denominators, so the columns
-    are built in int arithmetic; one positive factor on every column leaves
-    the null space unchanged.
+    A unit (i, j), i <= j, is the candidate with q_ij = q_ji = 1: x_i^2,
+    whose Lie derivative is 2 x_i f_i, or 2 x_i x_j, whose Lie derivative
+    is 2 x_j f_i + 2 x_i f_j.  A unit (i,) is the linear candidate x_i,
+    whose Lie derivative is f_i.  There is one row per monomial these reach.
+    Constants are not units: they never influence the Lie derivative, and
+    reported candidates pin the constant to zero.
+
+    f is scaled once by the lcm of its coefficient denominators, so every
+    entry is an int; one positive factor on every column leaves the null
+    space unchanged.  A row is keyed by its monomial's code sum_k e_k B^k
+    with B = D + 2 for D the largest total degree in f: every exponent of a
+    term of f is at most D, so after one shift at most D + 1 < B, and the
+    base-B digits give back the exponents.  So the codes of distinct
+    monomials differ, and multiplying by x_k adds B^k to a code.
     """
     n = system.dim
     f = [component.terms() for component in system.components]
     den = lcm(*(c.denominator for terms in f for c in terms.values()))
-    f = [{e: c.numerator * (den // c.denominator) for e, c in terms.items()} for terms in f]
-    twice = [{e: 2 * c for e, c in terms.items()} for terms in f]
-    quadratic = []
-    for i in range(n):
-        for j in range(i, n):
-            column: dict[Exponents, int] = {}
-            accumulate_terms(column, twice[i], shift=j)
+    base = max((sum(e) for terms in f for e in terms), default=0) + 2
+    step = [base**k for k in range(n)]
+    # per component i: (column, code shift, factor) of each unit that reads f_i
+    reads: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for column, unit in enumerate(units):
+        if len(unit) == 1:
+            reads[unit[0]].append((column, 0, 1))
+        else:
+            i, j = unit
+            reads[i].append((column, step[j], 2))
             if j != i:
-                accumulate_terms(column, twice[j], shift=i)
-            quadratic.append(column)
-    return quadratic + f
+                reads[j].append((column, step[i], 2))
+    rows: dict[int, dict[int, int]] = {}
+    for terms, uses in zip(f, reads):
+        for expts, coeff in terms.items():
+            code = sum(map(mul, expts, step))
+            value = coeff.numerator * (den // coeff.denominator)
+            for column, shift, factor in uses:
+                key = code + shift
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = {column: factor * value}
+                else:
+                    row[column] = row.get(column, 0) + factor * value
+    return list(rows.values())
 
 
 def _candidate(weights: Sequence[Fraction], dim: int) -> QuadraticCandidate:
@@ -288,19 +316,13 @@ def find_quadratic_first_integrals(
                 f"T = {total} terms, n(n + 3)/2 * (n + 1) T) is above "
                 f"MAX_SEARCH_SIZE = {MAX_SEARCH_SIZE}"
             )
-        columns = _lie_derivative_columns(system)
-        weights = nullspace_basis(coefficient_matrix(columns), len(columns))
+        units = [(i, j) for i in range(n) for j in range(i, n)] + [(i,) for i in range(n)]
+        weights = nullspace_basis(_lie_derivative_rows(system, units), len(units))
         basis = tuple(_candidate(w, n) for w in weights)
         candidate = basis[0] if basis else None
     else:
-        # x_i^2 has Lie derivative 2 x_i f_i; without the common factor 2 the
-        # null space is the same
-        columns = []
-        for i, component in enumerate(system.components):
-            column: dict[Exponents, Fraction] = {}
-            accumulate_terms(column, component.terms(), shift=i)
-            columns.append(column)
-        weights, witness = positive_kernel_vector(coefficient_matrix(columns), system.dim)
+        units = [(i, i) for i in range(system.dim)]
+        weights, witness = positive_kernel_vector(_lie_derivative_rows(system, units), len(units))
         basis = tuple(QuadraticCandidate.diagonal(w) for w in weights)
         candidate = None if witness is None else QuadraticCandidate.diagonal(witness)
     return FirstIntegralReport(

@@ -295,8 +295,9 @@ def unit_lie_derivative_matrix(
 
 
 def fraction_lie_derivative_columns(system: PolynomialSystem) -> list[dict]:
-    """Oracle for `qfi._lie_derivative_columns`: the same columns, unscaled,
-    in Fraction arithmetic."""
+    """Oracle for `qfi._lie_derivative_rows`: the Lie derivative of every unit
+    candidate, in `coefficient_vector` order, as a column keyed by exponent
+    tuples, unscaled, in Fraction arithmetic."""
     n = system.dim
     f = [component.terms() for component in system.components]
     twice = [{e: 2 * c for e, c in terms.items()} for terms in f]

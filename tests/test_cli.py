@@ -669,6 +669,21 @@ def test_nested_constant_power_exits_2(tmp_path, capsys):
             "stoichiometric coefficient must be positive, got 0",
             id="zero-coefficient",
         ),
+        pytest.param(
+            '{"reactant": {"A": "1"}, "product": {"B": "1"}, "rate": NaN}',
+            "invalid rational literal 'nan'",
+            id="nan-rate",
+        ),
+        pytest.param(
+            '{"reactant": {"A": "1"}, "product": {"B": "1"}, "rate": -Infinity}',
+            "invalid rational literal '-inf'",
+            id="negative-infinite-rate",
+        ),
+        pytest.param(
+            '{"reactant": {"A": "1"}, "product": {"B": "1"}, "rate": -2}',
+            "rate must be positive, got -2",
+            id="negative-number-rate",
+        ),
     ],
 )
 def test_json_step_faults_name_the_step(tmp_path, capsys, step, message):

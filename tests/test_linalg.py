@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import subprocess
@@ -8,6 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crnkit.linalg
+from crnkit import (
+    find_quadratic_first_integrals,
+    induced_kinetic_ode,
+    kinetic_conservation,
+    stoichiometric_conservation,
+)
 from crnkit.linalg import (
     ProofCheckError,
     _back_substitute,
@@ -24,6 +31,7 @@ from .support import (
     gauss_jordan_reduce,
     leading_sign_normalized,
     matvec,
+    random_network,
     reference_inertia,
     rref,
     sparse_rows,
@@ -217,6 +225,50 @@ def test_integer_rows_take_the_same_path_as_equal_fraction_rows(row):
     assert _integer_row(row) == _integer_row(as_fractions)
     scaled = {j: Fraction(v, 7) for j, v in row.items()}
     assert _integer_row(row) == _integer_row(scaled)
+
+
+@st.composite
+def primitive_int_inputs(draw):
+    """Primitive int rows over 1-6 columns, a symmetric int matrix, and a seed
+    for `random_network`."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.integers(-6, 6).filter(bool)
+    raw = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry, min_size=1), max_size=7))
+    rows = [{j: v // math.gcd(*row.values()) for j, v in row.items()} for row in raw]
+    size = draw(st.integers(1, 5))
+    upper = [[draw(st.integers(-3, 3)) for _ in range(size)] for _ in range(size)]
+    symmetric = [[upper[min(i, j)][max(i, j)] for j in range(size)] for i in range(size)]
+    return rows, ncols, symmetric, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(primitive_int_inputs())
+def test_exact_routines_leave_their_inputs_alone(case):
+    """The elimination updates the rows it is given, so every routine must
+    pass it copies: inputs that are already primitive int rows come back
+    equal to deep copies taken before the call."""
+    rows, ncols, symmetric, seed = case
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    before = copy.deepcopy((rows, dense, symmetric))
+    nullspace_basis(rows, ncols)
+    positive_vector_in_span(dense, ncols)
+    symmetric_inertia(symmetric)
+    assert (rows, dense, symmetric) == before
+
+    network = random_network(random.Random(seed), conserving=seed % 2 == 0)
+    system = induced_kinetic_ode(network)
+    before = copy.deepcopy((
+        [dict(step.net_change) for step in network.steps],
+        [dict(component.terms()) for component in system.components],
+    ))
+    stoichiometric_conservation(network)
+    kinetic_conservation(system)
+    find_quadratic_first_integrals(system)
+    find_quadratic_first_integrals(system, "positive-diagonal")
+    assert (
+        [dict(step.net_change) for step in network.steps],
+        [dict(component.terms()) for component in system.components],
+    ) == before
 
 
 def test_rref_fixed_cases_against_sympy():

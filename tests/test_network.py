@@ -425,10 +425,41 @@ def test_json_refuses_a_rate_outside_the_part_rule(rate, message):
 
 @pytest.mark.parametrize(
     "rate, expected",
-    [(1e-07, Fraction(1, 10**7)), (3, Fraction(3)), ("1/2 + 1/3", Fraction(5, 6)), ("k + 2", "k+2")],
+    [(1e-07, Fraction(1, 10**7)), (3, Fraction(3)), ("1/2 + 1/3", Fraction(5, 6)), ("k + 2", "k+2"),
+     (1e20, Fraction(10**20)), (2.5e-300, Fraction(25, 10**301)), (10**30, Fraction(10**30))],
 )
 def test_json_loads_rates_inside_the_part_rule(rate, expected):
     assert ReactionNetwork.from_dict(_json_network(rate)).steps[0].rate == expected
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        (float("nan"), "invalid rational literal 'nan'"),
+        (float("inf"), "invalid rational literal 'inf'"),
+        (float("-inf"), "invalid rational literal '-inf'"),
+        (-1, "rate must be positive, got -1"),
+        (0.0, "rate must be positive, got 0"),
+    ],
+)
+def test_json_number_rate_is_one_literal(rate, message):
+    """A JSON number is read as one literal, never split on the '+' of its
+    exponent nor taken for a parameter name."""
+    with pytest.raises(NetworkValidationError) as info:
+        ReactionNetwork.from_dict(_json_network(rate))
+    assert str(info.value) == f"network JSON step 1: {message}"
+
+
+def test_cli_parse_reads_a_json_number_rate_as_one_literal(tmp_path, capsys):
+    from crnkit.cli import main
+
+    path = tmp_path / "rates.json"
+    path.write_text('{"species": ["A", "B"], "steps": [{"reactant": {"A": 1}, "product": {"B": 1}, "rate": 1e20}]}')
+    assert main(["parse", str(path)]) == 0
+    assert "A ->[100000000000000000000] B" in capsys.readouterr().out
+    path.write_text('{"species": ["A", "B"], "steps": [{"reactant": {"A": 1}, "product": {"B": 1}, "rate": Infinity}]}')
+    assert main(["parse", str(path)]) == 2
+    assert capsys.readouterr().err == "error: network JSON step 1: invalid rational literal 'inf'\n"
 
 
 def test_cli_parse_refuses_a_rate_it_could_not_resolve(tmp_path, capsys):

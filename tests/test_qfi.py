@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -36,7 +37,7 @@ from crnkit import (
     solve_log_integral_family,
 )
 from crnkit.linalg import _phase1, coefficient_matrix, nullspace_basis, positive_vector_in_span
-from crnkit.poly import accumulate_terms
+from crnkit.poly import MAX_DEGREE, accumulate_terms
 
 from .conftest import CATALYTIC_CASCADE_TEXT
 from .support import (
@@ -45,6 +46,7 @@ from .support import (
     combine_units,
     fraction_lie_derivative_columns,
     leading_sign_normalized,
+    primitive_integer_vector,
     sparse_rows,
     unit_candidates,
     unit_lie_derivative_matrix,
@@ -422,17 +424,43 @@ def rational_rate_systems(draw):
     return PolynomialSystem(names, tuple(Polynomial(dim, draw(component)) for _ in range(dim)))
 
 
+def _primitive_rows(rows, ncols):
+    """The multiset of the rows, each as a primitive integer vector."""
+    return Counter(primitive_integer_vector([row.get(c, 0) for c in range(ncols)]) for row in rows)
+
+
+_TOP_TERMS = st.none() | st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([-2, -1, 1, 3]))
+
+
 @settings(max_examples=150, deadline=None)
-@given(system=rational_rate_systems())
-def test_integer_columns_give_the_basis_of_the_fraction_columns(system):
-    """Scaling f by the lcm of its denominators builds the columns in ints,
-    and the search reports the same basis as from the unscaled Fraction columns."""
-    columns = crnkit.qfi._lie_derivative_columns(system)
-    assert all(type(v) is int for column in columns for v in column.values())
-    report = find_quadratic_first_integrals(system)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(crnkit.qfi, "_lie_derivative_columns", fraction_lie_derivative_columns)
-        assert repr(find_quadratic_first_integrals(system)) == repr(report)
+@given(system=rational_rate_systems(), top=_TOP_TERMS)
+def test_integer_columns_give_the_basis_of_the_fraction_columns(system, top):
+    """The rows built in ints from monomial codes are positive multiples of
+    the rows of the unscaled Fraction columns, and the search reports the
+    same answers from either.  A term c x_k^MAX_DEGREE, when drawn, puts the
+    top digit B - 1 of the code in use once shifted by x_k."""
+    n = system.dim
+    if top is not None:
+        i, k, c = top
+        expts = tuple(MAX_DEGREE if t == k % n else 0 for t in range(n))
+        components = list(system.components)
+        components[i % n] = components[i % n] + Polynomial(n, {expts: c})
+        system = PolynomialSystem(system.variables, tuple(components))
+    columns = fraction_lie_derivative_columns(system)
+    units = [(i, j) for i in range(n) for j in range(i, n)] + [(i,) for i in range(n)]
+
+    def oracle_rows(system, chosen):
+        return coefficient_matrix([columns[units.index(unit)] for unit in chosen])
+
+    for signature_filter, chosen in ((None, units), ("positive-diagonal", [(i, i) for i in range(n)])):
+        rows = crnkit.qfi._lie_derivative_rows(system, chosen)
+        assert all(type(v) is int for row in rows for v in row.values())
+        expected = oracle_rows(system, chosen)
+        assert _primitive_rows(rows, len(chosen)) == _primitive_rows(expected, len(chosen))
+        report = find_quadratic_first_integrals(system, signature_filter)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(crnkit.qfi, "_lie_derivative_rows", oracle_rows)
+            assert repr(find_quadratic_first_integrals(system, signature_filter)) == repr(report)
 
 
 def test_search_makes_no_lie_derivative_call(monkeypatch, example_system, cascade_system):
