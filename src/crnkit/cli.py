@@ -312,6 +312,12 @@ def cmd_check(args):
     return (0 if holds else 1), {"property": args.property, **payload}, lines, {}
 
 
+def _scalar(args, name: str, default: Fraction = Fraction(0)) -> Fraction:
+    """A scalar option: `default` when absent, else parse_rational of its text."""
+    raw = getattr(args, name)
+    return default if raw is None else parse_rational(raw)
+
+
 def _generate_family(args):
     """Build the requested family instance: (system, invariant, conservation or None)."""
     fam = args.family
@@ -337,28 +343,21 @@ def _generate_family(args):
             tuple(tuple(row) for row in _parse_matrix(args.coupling)),
             tuple(_parse_vector(args.rho_plus)),
             tuple(_parse_vector(args.rho_minus)),
-            parse_rational(args.rho_z) if args.rho_z else Fraction(1),
+            _scalar(args, "rho_z", Fraction(1)),
         )
         return generate_mixed_sign_system(params), params.invariant(), params.conservation()
     if fam == "shifted":
-        values = {}
-        for name in ("A", "B", "a", "b"):
-            raw = getattr(args, "rate_A" if name == "A" else "rate_B" if name == "B" else f"shift_{name}")
-            values[name] = parse_rational(raw) if raw else Fraction(0)
-        system = generate_shifted_system(values["A"], values["B"], values["a"], values["b"])
-        return system, QuadraticCandidate.shifted_sum_of_squares(values["a"], values["b"]), None
+        A, B, a, b = (_scalar(args, name) for name in ("rate_A", "rate_B", "shift_a", "shift_b"))
+        system = generate_shifted_system(A, B, a, b)
+        return system, QuadraticCandidate.shifted_sum_of_squares(a, b), None
     # binary-form families
     if args.a is None or args.b is None:
         raise ValueError(f"family {fam} needs --a and --b")
-    kwargs = {}
-    for name in ("c", "k", "l", "m", "n", "r", "s"):
-        raw = getattr(args, name)
-        if raw is not None:
-            kwargs[name] = parse_rational(raw)
+    kwargs = {name: _scalar(args, name) for name in ("c", "k", "l", "m", "n", "r", "s")}
     params = BinaryFormParams(
         family=fam.replace("-", "_"),
-        a=parse_rational(args.a),
-        b=parse_rational(args.b),
+        a=_scalar(args, "a"),
+        b=_scalar(args, "b"),
         **kwargs,
     )
     return generate_binary_form_system(params), params.invariant(), None

@@ -21,7 +21,10 @@ in the induced dynamics.
 A species name and a rate parameter name match `_NAME_RE` whole, so a
 trailing newline is refused; the text tokenizer reads the same pattern.  A
 str rate, in a `ReactionStep` or in JSON, is read by `_read_rate` alone:
-each "+"-separated part is a literal greater than 0 or a parameter name.
+each "+"-separated part is a literal greater than 0 or a parameter name,
+and a literal is read by `numbers.read_literal`, as a number token is.
+`ReactionStep` alone decides a rate's stored form (see its docstring), so
+a rendered network always parses back to itself.
 A JSON rate is a string or a number, read as its decimal text.
 
 `Complex`, `ReactionStep` and `ReactionNetwork` check every value they are
@@ -41,7 +44,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .numbers import MAX_EXPONENT, format_rational, parse_rational
+from .numbers import DECIMAL, format_rational, parse_rational, read_literal
 from .poly import MAX_DEGREE
 
 Rate = Fraction | str
@@ -144,12 +147,6 @@ class Complex:
         return " + ".join(parts)
 
 
-def _merge_rates(a: Rate, b: Rate) -> Rate:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    return f"{format_rate(a)}+{format_rate(b)}"
-
-
 def format_rate(rate: Rate) -> str:
     return format_rational(rate) if isinstance(rate, Fraction) else rate
 
@@ -168,14 +165,14 @@ def resolve_rate(rate: Rate, binding: Mapping[str, Fraction] | None = None) -> F
     return total
 
 
-def _read_rate(rate: str) -> list[Fraction | str]:
+def _read_rate(rate: str) -> list[int | Fraction | str]:
     """Per '+'-separated part of `rate`: a literal's value, or a parameter's name.
 
-    A part that starts with a digit is a literal, which parse_rational must
+    A part that starts with a digit is a literal, which read_literal must
     read as greater than 0; any other part must be a parameter name.
     Raises NetworkValidationError for any other part.
     """
-    parts: list[Fraction | str] = []
+    parts: list[int | Fraction | str] = []
     for part in rate.split("+"):
         if not part:
             raise NetworkValidationError(f"invalid rate {rate!r}")
@@ -185,7 +182,7 @@ def _read_rate(rate: str) -> list[Fraction | str]:
             parts.append(part)
             continue
         try:
-            value = parse_rational(part)
+            value = read_literal(part)
         except ValueError as exc:
             raise NetworkValidationError(str(exc)) from None
         if value <= 0:
@@ -200,7 +197,10 @@ class ReactionStep:
 
     The rate is a Fraction greater than 0 (an int is stored as one) or a str
     of parts joined by '+', each a parameter name or a literal that
-    parse_rational reads as greater than 0.
+    read_literal reads as greater than 0.  A str rate is stored as the sum
+    of its parts, a Fraction, when every part is a literal, and otherwise
+    as its parts in their order with each literal written by
+    format_rational, so `render()` writes a rate the text format reads.
     """
 
     reactant: Complex
@@ -216,7 +216,14 @@ class ReactionStep:
             if self.rate <= 0:
                 raise NetworkValidationError(f"rate must be positive, got {self.rate}")
         elif isinstance(self.rate, str):
-            _read_rate(self.rate)
+            parts = _read_rate(self.rate)
+            if any(isinstance(part, str) for part in parts):
+                rate = "+".join(
+                    part if isinstance(part, str) else format_rational(part) for part in parts
+                )
+            else:
+                rate = sum(parts, Fraction(0))
+            object.__setattr__(self, "rate", rate)
         else:
             raise NetworkValidationError(
                 f"rate must be a Fraction, an int or a str, got {type(self.rate).__name__}"
@@ -301,7 +308,9 @@ class ReactionNetwork:
                     stacklevel=2,
                 )
                 step = ReactionStep(
-                    step.reactant, step.product, _merge_rates(merged[key].rate, step.rate)
+                    step.reactant,
+                    step.product,
+                    f"{format_rate(merged[key].rate)}+{format_rate(step.rate)}",
                 )
             merged[key] = step
         self.species = species
@@ -444,21 +453,18 @@ class ReactionNetwork:
                     f"{where} 'rate' must be a string or a number, got {type(value).__name__}"
                 )
             try:
+                reactant = read_complex(raw["reactant"])
+                product = read_complex(raw["product"])
                 if isinstance(value, str):
-                    # whitespace around the parts is dropped; all literals make one sum
+                    # whitespace around the parts is dropped
                     rate = _SPACED_PLUS_RE.sub("+", value.strip())
-                    parts = _read_rate(rate)
-                    if all(isinstance(part, Fraction) for part in parts):
-                        rate = sum(parts, Fraction(0))
                 else:
                     # a number is one literal, read from its decimal text
                     try:
                         rate = parse_rational(str(value))
                     except ValueError as exc:
                         raise NetworkValidationError(str(exc)) from None
-                steps.append(
-                    ReactionStep(read_complex(raw["reactant"]), read_complex(raw["product"]), rate)
-                )
+                steps.append(ReactionStep(reactant, product, rate))
             except ValueError as exc:
                 # the step's own faults keep their type and gain its number
                 raise type(exc)(f"{where}: {exc}") from None
@@ -472,7 +478,7 @@ _NET_TOKEN_RE = re.compile(
       | (?P<both>\<\=\>\[)
       | (?P<bwd>\<\-\[)
       | (?P<fwd>\-\>\[)
-      | (?P<number>\d+(?:\.\d+)?(?:/\d+)?)
+      | (?P<number>{DECIMAL}(?:/\d+)?)
       | (?P<ident>{_NAME_RE.pattern})
       | (?P<plus>\+)
       | (?P<comma>,)
@@ -530,17 +536,10 @@ class _LineParser:
         return self.species_index[name]
 
     def number(self, tok) -> int | Fraction:
-        """A number token's value: an int for plain digits, else parse_rational's.
-
-        Digit strings longer than MAX_EXPONENT go through parse_rational too,
-        which refuses those whose decimal exponent is above the bound.  A
-        literal it refuses is a NetworkSyntaxError at the token.
-        """
-        text = tok[1]
-        if text.isdecimal() and len(text) <= MAX_EXPONENT:
-            return int(text)
+        """A number token's value by read_literal; a literal it refuses is a
+        NetworkSyntaxError at the token."""
         try:
-            return parse_rational(text)
+            return read_literal(tok[1])
         except ValueError as exc:
             self.error(str(exc), tok[2])
 

@@ -1,4 +1,11 @@
-"""Small helpers for exact rational arithmetic shared across the toolkit."""
+"""Small helpers for exact rational arithmetic shared across the toolkit.
+
+`parse_rational` reads the rational literals of CLI options and JSON
+numbers.  The network and polynomial text formats spell a number with
+`DECIMAL` (the network format adds an optional "/digits"), and
+`read_literal` is the one reader of such a token and of the literal parts
+of a rate.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +16,9 @@ from fractions import Fraction
 # Bound on the decimal exponent of a literal: "1e1000000" would otherwise
 # expand to a 3.3-million-bit integer.
 MAX_EXPONENT = 1000
+
+# The unsigned decimal number of the text formats' tokenizers.
+DECIMAL = r"\d+(?:\.\d+)?"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -40,9 +50,17 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(value)
 
 
+def read_literal(text: str) -> int | Fraction:
+    """A number token's value: an int for plain digits, else parse_rational's.
+
+    Digit strings longer than MAX_EXPONENT go through parse_rational too,
+    which refuses those whose decimal exponent is above the bound.
+    """
+    if text.isdecimal() and len(text) <= MAX_EXPONENT:
+        return int(text)
+    return parse_rational(text)
+
+
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "p" or "p/q"."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))

@@ -33,7 +33,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
-from .numbers import format_rational, parse_rational
+from .numbers import DECIMAL, format_rational, read_literal
 
 Exponents = tuple[int, ...]
 Scalar = Union[Fraction, int]
@@ -335,8 +335,8 @@ class Polynomial:
 # -- parsing ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<number>\d+(?:\.\d+)?)
+    rf"""(?P<ws>\s+)
+      | (?P<number>{DECIMAL})
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<op>[-+*/^()])
     """,
@@ -462,7 +462,7 @@ class _PolyParser:
                 raise PolynomialParseError(
                     f"expected integer exponent at column {exp_tok[2] + 1}"
                 )
-            return self.power(base, int(exp_tok[1]))
+            return self.power(base, int(read_literal(exp_tok[1])))
         return base
 
     def parse(self, text: str) -> Polynomial:
@@ -528,7 +528,7 @@ class _PolyParser:
                 )
             return self.parse_power(inner)
         if tok[0] == "number":
-            value = parse_rational(tok[1])
+            value = read_literal(tok[1])
             nxt = self.peek()
             if nxt and nxt[0] == "op" and nxt[1] == "/":
                 self.take()
@@ -537,10 +537,10 @@ class _PolyParser:
                     raise PolynomialParseError(
                         f"expected denominator at column {den_tok[2] + 1}"
                     )
-                den = parse_rational(den_tok[1])
+                den = read_literal(den_tok[1])
                 if den == 0:
                     raise PolynomialParseError("division by zero in coefficient")
-                value = value / den
+                value = Fraction(value, den)
             return Polynomial.constant(self.dim, value)
         if tok[0] == "ident":
             name = tok[1]

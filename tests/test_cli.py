@@ -321,6 +321,18 @@ def test_generate_missing_arguments(capsys):
     assert "--weights" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "family, option",
+    [("shifted", "--rate-A"), ("shifted", "--rate-B"), ("shifted", "--shift-a"),
+     ("shifted", "--shift-b"), ("mixed-sign", "--rho-z"), ("ellipse-hyperbola", "--c")],
+)
+def test_generate_refuses_an_empty_scalar_option(family, option, capsys):
+    # an empty value is read like any other, not taken for the default
+    argv = next(case for case in GENERATE_CASES if case[1] == family)
+    assert main(["generate", *argv, option, ""]) == 2
+    assert capsys.readouterr().err == "error: invalid rational literal ''\n"
+
+
 # -- realize ----------------------------------------------------------------
 
 def test_realize_kinetic_system(system_file, capsys):

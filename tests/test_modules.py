@@ -42,9 +42,8 @@ def _pattern_literal(node) -> str | None:
     return None
 
 
-def test_no_compiled_pattern_ends_in_a_dollar():
-    # "$" also matches before a trailing newline; names are matched with fullmatch
-    found = []
+def _compiled_patterns():
+    """(module file name, line, pattern node) of every re.compile call in the package."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if (
@@ -55,7 +54,32 @@ def test_no_compiled_pattern_ends_in_a_dollar():
                 and node.func.value.id == "re"
                 and node.args
             ):
-                pattern = _pattern_literal(node.args[0])
-                if pattern is not None and pattern.rstrip().endswith("$"):
-                    found.append(f"{path.name}:{node.lineno}")
+                yield path.name, node.lineno, node.args[0]
+
+
+def test_no_compiled_pattern_ends_in_a_dollar():
+    # "$" also matches before a trailing newline; names are matched with fullmatch
+    found = []
+    for name, line, node in _compiled_patterns():
+        pattern = _pattern_literal(node)
+        if pattern is not None and pattern.rstrip().endswith("$"):
+            found.append(f"{name}:{line}")
+    assert found == []
+
+
+def test_only_numbers_spells_the_decimal_number():
+    # the text formats build their number tokens from numbers.DECIMAL
+    found = []
+    for name, line, node in _compiled_patterns():
+        if name == "numbers.py":
+            continue
+        # every literal piece of an f-string, or the one piece of a plain literal
+        pieces = node.values if isinstance(node, ast.JoinedStr) else [node]
+        for piece in pieces:
+            if (
+                isinstance(piece, ast.Constant)
+                and isinstance(piece.value, str)
+                and r"\d+(?:\.\d+)?" in piece.value
+            ):
+                found.append(f"{name}:{line}")
     assert found == []

@@ -17,6 +17,7 @@ from crnkit import (
     parse_network,
     parse_polynomial,
 )
+from crnkit import network
 from crnkit.network import Complex, ReactionStep, resolve_rate
 from crnkit.poly import MAX_DEGREE
 
@@ -401,8 +402,9 @@ def test_step_refuses_a_rate_outside_the_part_rule(rate, message):
 def test_step_keeps_rates_inside_the_part_rule():
     rate = ReactionStep(A, B, 2).rate
     assert rate == 2 and type(rate) is Fraction
-    for rate in ("k", "k1+2", "1/2+k+2.5e-3", "k_2+k"):
+    for rate in ("k", "k1+2", "k_2+k"):
         assert ReactionStep(A, B, rate).rate == rate
+    assert ReactionStep(A, B, "1/2+k+2.5e-3").rate == "1/2+k+1/400"
     assert resolve_rate(ReactionStep(A, B, "1/2+k").rate, {"k": Fraction(1)}) == Fraction(3, 2)
 
 
@@ -631,6 +633,53 @@ def test_json_networks_round_trip_through_text(document):
     assert again == net
     assert again.to_dict() == net.to_dict()
     assert ReactionNetwork.from_dict(json.loads(net.to_json())) == net
+
+
+# literal spellings parse_rational reads but the text format's number token
+# does not, with their values
+SPELLED_LITERALS = {"2.5e-3": F(1, 400), "1_000": F(1000), "0.50": F(1, 2), "007": F(7),
+                    "6/4": F(3, 2), "1.": F(1), "1 /2": F(1, 2), "3": F(3)}
+SPELLED_RATES = st.lists(st.one_of(st.sampled_from(sorted(SPELLED_LITERALS)), NAMES),
+                         min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rates=st.lists(SPELLED_RATES, min_size=1, max_size=6),
+    merges=st.lists(st.integers(0, 5), max_size=3),
+    built_by=st.sampled_from(["step", "json"]),
+)
+def test_stored_rates_round_trip_whatever_their_spelling(rates, merges, built_by):
+    # rates[i] are the parts of the rate of S_i -> S_{i+1}; a merge repeats one of those steps
+    chosen = list(enumerate(rates))
+    chosen += [(i % len(rates), rates[(i + 1) % len(rates)]) for i in merges]
+    species = [f"S{i}" for i in range(len(rates) + 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if built_by == "step":
+            net = ReactionNetwork(species, [
+                ReactionStep(Complex(((i, F(1)),)), Complex(((i + 1, F(1)),)), "+".join(parts))
+                for i, parts in chosen
+            ])
+        else:
+            net = ReactionNetwork.from_dict({"species": species, "steps": [
+                {"reactant": {f"S{i}": 1}, "product": {f"S{i + 1}": 1}, "rate": "+".join(parts)}
+                for i, parts in chosen
+            ]})
+    binding = {name: F(len(name), 3) for parts in rates for name in parts}
+    for i, step in enumerate(net.steps):
+        parts = [part for j, merged in chosen if j == i for part in merged]
+        if all(part in SPELLED_LITERALS for part in parts):
+            assert type(step.rate) is F
+        else:
+            # each stored part is a token the text format reads as a number or a name
+            for part in step.rate.split("+"):
+                token = network._NET_TOKEN_RE.fullmatch(part)
+                assert token is not None and token.lastgroup in ("number", "ident"), part
+        expected = sum(SPELLED_LITERALS.get(part) or binding[part] for part in parts)
+        assert resolve_rate(step.rate, binding) == expected
+    assert parse_network(net.render()) == net
+    assert ReactionNetwork.from_dict(net.to_dict()) == net
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crnkit.numbers import MAX_EXPONENT, format_rational, parse_rational
+from crnkit.numbers import DECIMAL, MAX_EXPONENT, format_rational, parse_rational, read_literal
 
 from .support import leading_sign_normalized, primitive_integer_vector
 
@@ -53,6 +54,37 @@ def test_parse_refuses_exponent_beyond_limit(big):
     with pytest.raises(ValueError, match=f"outside \\+-MAX_EXPONENT = {MAX_EXPONENT}"):
         parse_rational(big)
     assert time.perf_counter() - start < 0.1
+
+
+def _reading(read, text):
+    """read(text) as a value, or the text of the error it raises."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+# Digit strings on both sides of MAX_EXPONENT digits, with and without
+# leading zeros, and decimals and ratios built from them.
+LONG_TOKENS = [
+    "0", "0" * (MAX_EXPONENT + 5), "0" * (MAX_EXPONENT + 5) + "7",
+    *("9" * n for n in (MAX_EXPONENT - 1, MAX_EXPONENT, MAX_EXPONENT + 1, MAX_EXPONENT + 2)),
+    "1" + "0" * MAX_EXPONENT + ".5",
+    "0." + "0" * MAX_EXPONENT + "1", "0." + "0" * (MAX_EXPONENT - 2) + "1",
+    "1/" + "3" * (MAX_EXPONENT + 2), "9" * (MAX_EXPONENT + 2) + "/2", "5/0", "0/0",
+]
+
+
+@pytest.mark.parametrize("text", LONG_TOKENS, ids=range(len(LONG_TOKENS)))
+def test_read_literal_agrees_with_parse_rational_on_long_tokens(text):
+    assert _reading(read_literal, text) == _reading(parse_rational, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.from_regex(rf"{DECIMAL}(?:/\d+)?", fullmatch=True))
+def test_read_literal_agrees_with_parse_rational_on_number_tokens(text):
+    # every token either tokenizer reads as a number, Unicode digits included
+    assert _reading(read_literal, text) == _reading(parse_rational, text)
 
 
 def test_format_round_trip():

@@ -115,6 +115,34 @@ def test_parse_implicit_multiplication_and_powers():
     assert parse_polynomial("3/2 x", names) == X * Fraction(3, 2)
 
 
+@pytest.mark.parametrize(
+    "text, coefficient",
+    [("1/2*x", Fraction(1, 2)), ("3/6*y", Fraction(1, 2)), ("1/3*x", Fraction(1, 3)),
+     ("1.5/2.5", Fraction(3, 5)), ("0.1/3 y", Fraction(1, 30)), ("7", Fraction(7))],
+)
+def test_parse_coefficients_stay_exact_fractions(text, coefficient):
+    # a quotient of two int tokens is a Fraction, not a float
+    (value,) = parse_polynomial(text, ("x", "y")).terms().values()
+    assert value == coefficient and type(value) is Fraction
+
+
+def test_parse_reads_exponents_and_coefficients_one_way():
+    # a long exponent is refused by the literal bound, not by int()'s digit limit
+    long = "1" * 5000
+    for text in (f"x^{long}", f"{long}*x"):
+        with pytest.raises(ValueError) as info:
+            parse_polynomial(text, ("x",))
+        assert str(info.value).endswith("has decimal exponent 4999, outside +-MAX_EXPONENT = 1000")
+    assert parse_polynomial("x^" + "0" * 3000 + "2", ("x",)) == parse_polynomial("x^2", ("x",))
+
+
+def test_parse_refuses_a_zero_denominator():
+    for text in ("2/0", "2/0*x", "1.5/0.0"):
+        with pytest.raises(PolynomialParseError) as info:
+            parse_polynomial(text, ("x",))
+        assert str(info.value) == "division by zero in coefficient"
+
+
 def test_parse_unknown_variable():
     with pytest.raises(PolynomialParseError, match="unknown variable"):
         parse_polynomial("x + q", ("x", "y"))
