@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 from .network import (
     SMALL_FRACTIONS,
     Complex,
+    NetworkValidationError,
     ReactionNetwork,
     ReactionStep,
     UnboundParameterError,
@@ -26,8 +27,8 @@ from .network import (
     check_species_names,
     resolve_rate,
 )
-from .numbers import format_rational
-from .poly import Exponents, Polynomial, PolynomialSystem
+from .numbers import LITERAL_BOUND, format_rational, outside_literal_bound
+from .poly import Exponents, Polynomial, PolynomialSystem, grlex_key
 
 _ONE, _MINUS_ONE = SMALL_FRACTIONS[1], Fraction(-1)
 
@@ -60,26 +61,32 @@ def induced_kinetic_ode(
 ) -> PolynomialSystem:
     """Mass-action ODE system of a network, with all rates bound to rationals.
 
-    Raises UnboundParameterError for unbound symbolic rates and ValueError for
-    nonpositive bound values.
+    A Fraction rate is used as it is: `ReactionStep` has checked it is > 0.
+    A str rate names a parameter, so it is resolved against `params`:
+    UnboundParameterError for an unbound name, ValueError when the bound sum
+    is not > 0.  A net change of +-1 contributes +-k as is.
     """
     m = network.num_species
     variables = ode_variable_names(network.species)
     terms: list[dict[Exponents, Fraction]] = [dict() for _ in range(m)]
     for step in network.steps:
-        k = resolve_rate(step.rate, params)
-        if k <= 0:
-            raise ValueError(
-                f"rate of step {step.render(network.species)} resolves to {k}; must be positive"
-            )
+        k = step.rate
+        if isinstance(k, str):
+            k = resolve_rate(k, params)
+            if k <= 0:
+                raise ValueError(
+                    f"rate of step {step.render(network.species)} resolves to {k}; "
+                    "must be positive"
+                )
         exponents = [0] * m
         for index, coeff in step.reactant.entries:
-            exponents[index] = int(coeff)
+            exponents[index] = coeff.numerator
         mono = tuple(exponents)
         for index, change in step.net_change.items():
+            term = k if change == 1 else -k if change == -1 else change * k
             bucket = terms[index]
             old = bucket.get(mono)
-            bucket[mono] = change * k if old is None else old + change * k
+            bucket[mono] = term if old is None else old + term
     # opposite steps cancel: drop the zero sums
     components = tuple(
         Polynomial._from_clean(m, {e: c for e, c in t.items() if c}) for t in terms
@@ -133,12 +140,21 @@ class CrossEffectReport:
 
 
 def negative_cross_effect(system: PolynomialSystem) -> CrossEffectReport:
-    """Find every negative term of f_m whose monomial has x_m-exponent zero."""
+    """Find every negative term of f_m whose monomial has x_m-exponent zero.
+
+    Violations come by component, then in descending graded-lex order of
+    their monomials.  Each component's terms are scanned unsorted, and only
+    the violations found are sorted.
+    """
     violations = []
     for m, component in enumerate(system.components):
-        for expts, coeff in component.sorted_terms():
-            if coeff < 0 and expts[m] == 0:
-                violations.append(CrossEffectViolation(m, expts, coeff))
+        found = [
+            (expts, coeff)
+            for expts, coeff in component.terms().items()
+            if expts[m] == 0 and coeff < 0
+        ]
+        found.sort(key=lambda term: grlex_key(term[0]), reverse=True)
+        violations.extend(CrossEffectViolation(m, expts, coeff) for expts, coeff in found)
     return CrossEffectReport(system.variables, tuple(violations))
 
 
@@ -166,8 +182,9 @@ def canonical_realization(system: PolynomialSystem) -> ReactionNetwork:
     sorted and positive, the two complexes differ by +-e_m, the rate is
     |c| > 0, and distinct (component, monomial) pairs give distinct steps.
     What the system does not guarantee is checked: a monomial's degree, by
-    the `check_reactant_degree` that `ReactionStep` uses, and the species
-    names.
+    the `check_reactant_degree` that `ReactionStep` uses, each |c| against
+    the literal bound `ReactionStep` applies (NetworkValidationError), and
+    the species names.
     """
     report = negative_cross_effect(system)
     if not report.is_kinetic:
@@ -190,6 +207,11 @@ def canonical_realization(system: PolynomialSystem) -> ReactionNetwork:
                 tuple((i, SMALL_FRACTIONS[e]) for i, e in enumerate(shifted) if e)
             )
             rate, change = (coeff, _ONE) if positive else (-coeff, _MINUS_ONE)
+            if rate.numerator >= LITERAL_BOUND or rate.denominator >= LITERAL_BOUND:
+                mono = Polynomial.monomial(system.dim, expts).render(system.variables)
+                raise NetworkValidationError(
+                    outside_literal_bound(f"component {index + 1}: coefficient of {mono}")
+                )
             steps.append(ReactionStep._from_clean(reactant, product, rate, {index: change}))
     check_species_names(species)
     return ReactionNetwork._from_clean(species, tuple(steps))

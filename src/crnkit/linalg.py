@@ -10,12 +10,15 @@ reads only their nonzero entries, never a dense row.
 Null-space bases come from one fraction-free elimination over sparse
 integer rows: each input row is copied, scaled to coprime integers, and
 from then on updated in place, combined with a pivot row by integer
-cross-multiplication and divided by the gcd of its entries, so no input is
-written to.  Only the results are turned back into Fractions: each basis
-vector as coprime integers with a positive first nonzero entry.  A forward pass
-brings the rows to echelon form, which already gives the rank; a back pass
-that clears the pivot columns above each pivot runs only when the kernel
-is nonempty, or when a caller reads the reduced rows.  Whether a subspace
+cross-multiplication, so no input is written to.  A row is divided by the
+gcd of its entries (its content) only after a step that scaled it, where
+it is placed as a pivot row, and where the back pass finishes it: every
+row is a positive multiple of its primitive form, and every placed row is
+primitive.  Only the results are turned back into Fractions: each basis
+vector as coprime integers with a positive first nonzero entry.  A forward
+pass brings the rows to echelon form, which already gives the rank; a back
+pass that clears the pivot columns above each pivot runs only when the
+kernel is nonempty, or when a caller reads the reduced rows.  Whether a subspace
 contains a strictly positive vector is decided by a fraction-free integer
 phase-1 simplex over the reduced span: the same elimination step pivots a
 tableau with one variable per pivot of the span and one constraint per
@@ -95,8 +98,10 @@ def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict
     """Clear column `col` of `row` against `pivot_row`, fraction-free.
 
     Computes (p/g) row - (a/g) pivot_row with p, a the two entries in `col`
-    and g = gcd(p, a), then divides out the content of the result.  Updates
-    `row` and returns it; callers pass rows they own.
+    and g = gcd(p, a).  The content of the result is divided out only when
+    |p/g| != 1, that is when `row` was scaled, so the result is a positive
+    multiple of the primitive one; callers make a row primitive where they
+    place it.  Updates `row` and returns it; callers pass rows they own.
     """
     p = pivot_row[col]
     a = row[col]
@@ -112,7 +117,7 @@ def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict
             row[j] = value
         else:
             del row[j]
-    return _primitive(row)
+    return row if p == 1 or p == -1 else _primitive(row)
 
 
 def _reduce(
@@ -124,10 +129,12 @@ def _reduce(
     column order: a row echelon form, in which row i is nonzero in column
     pivots[i] and zero in every column left of it.  Each column is met by
     one scan of the rows not yet placed: the sparsest row nonzero there
-    becomes its pivot row, which keeps fill-in low, and the column is
-    cleared from the others.  Rows above a pivot keep their entries in its
-    column; `_back_substitute` clears them when a caller needs the reduced
-    form.
+    becomes its pivot row, which keeps fill-in low, and is made primitive,
+    and the column is cleared from the others.  A row not yet placed is a
+    positive multiple of its primitive form, which `_eliminate` divides
+    out only after scaling it.  Rows above a pivot keep their entries in
+    its column; `_back_substitute` clears them when a caller needs the
+    reduced form.
     """
     pending = []
     for row in rows:
@@ -145,7 +152,7 @@ def _reduce(
             (hits if col in row else remaining).append(row)
         if not hits:
             continue
-        pivot_row = min(hits, key=len)
+        pivot_row = _primitive(min(hits, key=len))
         for row in hits:
             if row is not pivot_row:
                 row = _eliminate(row, pivot_row, col)
@@ -165,17 +172,20 @@ def _back_substitute(placed: list[dict[int, int]], pivots: list[int]) -> None:
     """Turn `_reduce`'s echelon rows into reduced rows, in place.
 
     Clears each pivot column from the rows above it, last pivot first, so a
-    pivot row is already clear of the later pivot columns when it is used.
-    Afterwards row i is zero in every pivot column but pivots[i], and
-    dividing it by that entry gives row i of the reduced row echelon form.
-    That form is unique, so the rows do not depend on which row supplied a
-    pivot, up to sign.
+    pivot row is already clear of the later pivot columns when it is used,
+    and is made primitive then; the first row is made primitive last.
+    Afterwards row i is primitive and zero in every pivot column but
+    pivots[i], and dividing it by that entry gives row i of the reduced row
+    echelon form.  That form is unique, so the rows do not depend on which
+    row supplied a pivot, up to sign.
     """
     for k in range(len(pivots) - 1, 0, -1):
-        col, pivot_row = pivots[k], placed[k]
+        col, pivot_row = pivots[k], _primitive(placed[k])
         for i in range(k):
             if col in placed[i]:
                 placed[i] = _eliminate(placed[i], pivot_row, col)
+    if placed:
+        _primitive(placed[0])
 
 
 def nullspace_basis(rows: Sequence[SparseRow], ncols: int) -> list[list[Fraction]]:
@@ -243,11 +253,11 @@ def _phase1(
     basic variable, which ranks after every column and is dropped once it
     leaves the basis; any other starts with t_j basic, its row negated so
     that t_j has coefficient +1.  Every tableau row and the objective row
-    (the reduced costs of the sum of the artificials) is kept a primitive
-    integer row that is a positive multiple of the textbook row, so signs
-    and ratios are the textbook ones: pivoting is `_eliminate`, and ratios
-    are compared by cross-multiplication.  Bland's rule picks the entering
-    and leaving variables, so the method terminates.
+    (the reduced costs of the sum of the artificials) is kept an integer
+    row that is a positive multiple of the textbook row, not necessarily
+    primitive, so signs and ratios are the textbook ones: pivoting is
+    `_eliminate`, and ratios are compared by cross-multiplication.  Bland's
+    rule picks the entering and leaving variables, so the method terminates.
 
     Returns (s, None) with s a feasible point, or (None, z): z >= 0 holds
     the reduced costs of the surplus columns, a positive multiple of dual
@@ -381,8 +391,8 @@ def symmetric_inertia(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, int, i
     """(positive, zero, negative) eigenvalue counts of a symmetric matrix.
 
     Computed exactly by congruence (repeated Schur complements), which
-    preserves inertia by Sylvester's law, over primitive integer rows R that
-    stay positive multiples of the rows of the current Schur complement S: a
+    preserves inertia by Sylvester's law, over integer rows R that stay
+    positive multiples of the rows of the current Schur complement S: a
     pivot row is negated when its diagonal entry is negative, before
     `_eliminate` clears its column.  An all-zero row of S is a zero
     eigenvalue.  When S has a zero diagonal, a nonzero S[i][j] gives row

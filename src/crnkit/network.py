@@ -44,7 +44,14 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .numbers import DECIMAL, format_rational, parse_rational, read_literal
+from .numbers import (
+    DECIMAL,
+    LITERAL_BOUND,
+    format_rational,
+    outside_literal_bound,
+    parse_rational,
+    read_literal,
+)
 from .poly import MAX_DEGREE
 
 Rate = Fraction | str
@@ -99,10 +106,17 @@ class Complex:
             if index in seen:
                 raise NetworkValidationError(f"species index {index} repeated in complex")
             seen.add(index)
+            if not isinstance(coeff, (int, Fraction)):
+                raise NetworkValidationError(
+                    f"stoichiometric coefficient must be a Fraction or an int, "
+                    f"got {type(coeff).__name__}"
+                )
             if coeff <= 0:
                 raise NetworkValidationError(
                     f"stoichiometric coefficient must be positive, got {coeff}"
                 )
+            if coeff.numerator >= LITERAL_BOUND or coeff.denominator >= LITERAL_BOUND:
+                raise NetworkValidationError(outside_literal_bound("stoichiometric coefficient"))
         object.__setattr__(
             self, "entries", tuple(sorted(self.entries, key=lambda e: e[0]))
         )
@@ -200,7 +214,9 @@ class ReactionStep:
     read_literal reads as greater than 0.  A str rate is stored as the sum
     of its parts, a Fraction, when every part is a literal, and otherwise
     as its parts in their order with each literal written by
-    format_rational, so `render()` writes a rate the text format reads.
+    format_rational.  A Fraction rate, given or summed, must have a
+    numerator and a denominator below LITERAL_BOUND, as every coefficient
+    of a `Complex` must, so `render()` writes a rate the text format reads.
     """
 
     reactant: Complex
@@ -210,24 +226,28 @@ class ReactionStep:
     def __post_init__(self):
         if self.reactant == self.product:
             raise NetworkValidationError("step has identical reactant and product")
-        if type(self.rate) is int:
-            object.__setattr__(self, "rate", Fraction(self.rate))
-        if isinstance(self.rate, Fraction):
-            if self.rate <= 0:
-                raise NetworkValidationError(f"rate must be positive, got {self.rate}")
-        elif isinstance(self.rate, str):
-            parts = _read_rate(self.rate)
+        rate = self.rate
+        if type(rate) is int:
+            rate = Fraction(rate)
+        elif isinstance(rate, str):
+            parts = _read_rate(rate)
             if any(isinstance(part, str) for part in parts):
                 rate = "+".join(
                     part if isinstance(part, str) else format_rational(part) for part in parts
                 )
             else:
                 rate = sum(parts, Fraction(0))
-            object.__setattr__(self, "rate", rate)
-        else:
+        elif not isinstance(rate, Fraction):
             raise NetworkValidationError(
-                f"rate must be a Fraction, an int or a str, got {type(self.rate).__name__}"
+                f"rate must be a Fraction, an int or a str, got {type(rate).__name__}"
             )
+        if isinstance(rate, Fraction):
+            if rate <= 0:
+                raise NetworkValidationError(f"rate must be positive, got {rate}")
+            # a sum of parts, or a value built in Python, may need longer literals
+            if rate.numerator >= LITERAL_BOUND or rate.denominator >= LITERAL_BOUND:
+                raise NetworkValidationError(outside_literal_bound("rate"))
+        object.__setattr__(self, "rate", rate)
         if not self.reactant.is_integral():
             raise NetworkValidationError(
                 "reactant-side coefficients must be nonnegative integers"
@@ -301,18 +321,20 @@ class ReactionNetwork:
                 raise NetworkValidationError(
                     f"species index {hi} out of range for {len(species)} species"
                 )
+            # one hash of the key; it is reassigned only for a duplicate
             key = (step.reactant, step.product)
-            if key in merged:
+            size = len(merged)
+            kept = merged.setdefault(key, step)
+            if len(merged) == size:
                 warnings.warn(
                     f"duplicate step {step.render(species)} merged by summing rates",
                     stacklevel=2,
                 )
-                step = ReactionStep(
+                merged[key] = ReactionStep(
                     step.reactant,
                     step.product,
-                    f"{format_rate(merged[key].rate)}+{format_rate(step.rate)}",
+                    f"{format_rate(kept.rate)}+{format_rate(step.rate)}",
                 )
-            merged[key] = step
         self.species = species
         self.steps = tuple(merged.values())
 
@@ -483,24 +505,29 @@ _NET_TOKEN_RE = re.compile(
       | (?P<plus>\+)
       | (?P<comma>,)
       | (?P<rbracket>\])
+      | (?P<unexpected>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def _tokenize_line(line: str, line_no: int, start: int, end: int) -> list[tuple[str, str, int]]:
-    """Tokens of line[start:end], with 1-based columns counted from the line start."""
+    """Tokens of line[start:end], with 1-based columns counted from the line start.
+
+    The last-resort `unexpected` group matches any one character, so the
+    matches cover the text without gaps and the first character no other
+    group reads is refused at its column.
+    """
     tokens = []
-    pos = start
-    while pos < end:
-        m = _NET_TOKEN_RE.match(line, pos, end)
-        if m is None:
+    for m in _NET_TOKEN_RE.finditer(line, start, end):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "unexpected":
             raise NetworkSyntaxError(
-                f"unexpected character {line[pos]!r}", line_no, pos + 1
+                f"unexpected character {m.group()!r}", line_no, m.start() + 1
             )
-        pos = m.end()
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), m.start() + 1))
+        tokens.append((kind, m.group(), m.start() + 1))
     return tokens
 
 
@@ -544,41 +571,50 @@ class _LineParser:
             self.error(str(exc), tok[2])
 
     def parse_complex(self) -> Complex:
+        """A complex read from the current token on, walking the tokens by index."""
+        tokens, pos, count = self.tokens, self.pos, len(self.tokens)
         coeffs: dict[int, int | Fraction] = {}
         first = True
         while True:
-            tok = self.peek()
-            if tok is None:
+            if pos == count:
                 self.error("expected a complex")
+            tok = tokens[pos]
+            pos += 1
             if tok[0] == "number":
-                self.take()
                 value = self.number(tok)
-                nxt = self.peek()
-                if nxt is not None and nxt[0] == "ident":
+                if pos < count and tokens[pos][0] == "ident":
                     if value <= 0:
                         self.error(
                             f"stoichiometric coefficient must be positive, got {tok[1]}",
                             tok[2],
                         )
-                    name_tok = self.take()
-                    idx = self.species_id(name_tok[1])
-                    coeffs[idx] = coeffs.get(idx, 0) + value
-                elif value == 0 and first and not coeffs:
+                    name = tokens[pos][1]
+                    pos += 1
+                elif value == 0 and first:
                     # bare "0" is the empty complex
+                    self.pos = pos
                     return Complex._from_clean(())
                 else:
                     self.error(f"unexpected number {tok[1]!r}", tok[2])
             elif tok[0] == "ident":
-                self.take()
-                idx = self.species_id(tok[1])
-                coeffs[idx] = coeffs.get(idx, 0) + 1
+                value, name = 1, tok[1]
             else:
                 self.error(f"expected species term, found {tok[1]!r}", tok[2])
+            idx = self.species_id(name)
+            old = coeffs.get(idx)
+            if old is None:
+                coeffs[idx] = value
+            else:
+                # one literal keeps the bound; a sum of several may not
+                value += old
+                if value.numerator >= LITERAL_BOUND or value.denominator >= LITERAL_BOUND:
+                    self.error(outside_literal_bound("stoichiometric coefficient"), tok[2])
+                coeffs[idx] = value
             first = False
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "plus":
-                self.take()
+            if pos < count and tokens[pos][0] == "plus":
+                pos += 1
                 continue
+            self.pos = pos
             # merged per species, every sum positive
             return Complex._from_clean(
                 tuple((i, _as_fraction(c)) for i, c in sorted(coeffs.items()))

@@ -4,7 +4,9 @@
 numbers.  The network and polynomial text formats spell a number with
 `DECIMAL` (the network format adds an optional "/digits"), and
 `read_literal` is the one reader of such a token and of the literal parts
-of a rate.
+of a rate.  Every value these read has a numerator and a denominator below
+LITERAL_BOUND, and so does every rate and coefficient a network stores, so
+whatever a network holds is written with literals the text format reads.
 """
 
 from __future__ import annotations
@@ -17,6 +19,19 @@ from fractions import Fraction
 # expand to a 3.3-million-bit integer.
 MAX_EXPONENT = 1000
 
+# A rational literal's numerator and denominator, and those of every rate and
+# coefficient a network stores, are below this: at most MAX_EXPONENT + 1 digits.
+LITERAL_BOUND = 10 ** (MAX_EXPONENT + 1)
+
+
+def outside_literal_bound(what: str) -> str:
+    """The message for a value whose numerator or denominator is not below LITERAL_BOUND."""
+    return (
+        f"{what} has a numerator or denominator of more than {MAX_EXPONENT + 1} digits, "
+        f"outside +-MAX_EXPONENT = {MAX_EXPONENT}"
+    )
+
+
 # The unsigned decimal number of the text formats' tokenizers.
 DECIMAL = r"\d+(?:\.\d+)?"
 
@@ -27,15 +42,21 @@ def parse_rational(text: str) -> Fraction:
     Decimal literals are converted exactly (0.1 becomes 1/10, not the nearest
     binary float).  Infinities and NaNs are invalid, and so are literals
     whose decimal exponent (the power of ten of the leading digit) lies
-    outside +-MAX_EXPONENT.
+    outside +-MAX_EXPONENT, and literals with a numerator or denominator
+    (either integer of "p/q" as written, else those of the exact value)
+    whose size is not below LITERAL_BOUND.
     """
     s = text.strip()
     if "/" in s:
         num, _, den = s.partition("/")
         try:
-            return Fraction(int(num.strip()), int(den.strip()))
+            p, q = int(num.strip()), int(den.strip())
+            value = Fraction(p, q)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"invalid rational literal {text!r}") from exc
+        if not (-LITERAL_BOUND < p < LITERAL_BOUND and -LITERAL_BOUND < q < LITERAL_BOUND):
+            raise ValueError(outside_literal_bound(f"rational literal {text!r}"))
+        return value
     try:
         value = Decimal(s)
     except (InvalidOperation, ValueError) as exc:
@@ -47,7 +68,12 @@ def parse_rational(text: str) -> Fraction:
             f"rational literal {text!r} has decimal exponent {value.adjusted()}, "
             f"outside +-MAX_EXPONENT = {MAX_EXPONENT}"
         )
-    return Fraction(value)
+    result = Fraction(value)
+    if not (
+        -LITERAL_BOUND < result.numerator < LITERAL_BOUND and result.denominator < LITERAL_BOUND
+    ):
+        raise ValueError(outside_literal_bound(f"rational literal {text!r}"))
+    return result
 
 
 def read_literal(text: str) -> int | Fraction:

@@ -22,7 +22,6 @@ from crnkit.linalg import (
     PositivityResult,
     SparseRow,
     _back_substitute,
-    _eliminate,
     _integer_row,
     _reduce,
     check_proof,
@@ -509,6 +508,22 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return reduced, pivots
 
 
+def _fraction_free_step(
+    row: dict[int, int], pivot_row: dict[int, int], col: int
+) -> dict[int, int]:
+    """(p/g) row - (a/g) pivot_row with p, a the entries in `col` and
+    g = gcd(p, a), as a new primitive row: the textbook fraction-free step."""
+    p, a = pivot_row[col], row[col]
+    g = math.gcd(p, a)
+    combined = {
+        j: (p // g) * row.get(j, 0) - (a // g) * pivot_row.get(j, 0)
+        for j in row.keys() | pivot_row.keys()
+    }
+    combined = {j: v for j, v in combined.items() if v}
+    content = math.gcd(*combined.values()) or 1
+    return {j: v // content for j, v in combined.items()}
+
+
 def gauss_jordan_reduce(
     rows: Sequence[SparseRow], ncols: int
 ) -> tuple[list[dict[int, int]], list[int]]:
@@ -516,8 +531,10 @@ def gauss_jordan_reduce(
     Gauss-Jordan pass, in which each new pivot also clears its column from
     every row already placed, with the pivot chosen by a separate scan.
 
-    Returns one primitive integer row per pivot, zero in every other pivot
-    column, and the pivot columns, in column order.
+    Every row is primitive at every step, by its own fraction-free step,
+    independent of the kernel's.  Returns one primitive integer row per
+    pivot, zero in every other pivot column, and the pivot columns, in
+    column order.
     """
     pending = []
     for row in rows:
@@ -540,13 +557,13 @@ def gauss_jordan_reduce(
         remaining = []
         for row in pending:
             if col in row:
-                row = _eliminate(row, pivot_row, col)
+                row = _fraction_free_step(row, pivot_row, col)
             if row:
                 remaining.append(row)
         pending = remaining
         for i, row in enumerate(placed):
             if col in row:
-                placed[i] = _eliminate(row, pivot_row, col)
+                placed[i] = _fraction_free_step(row, pivot_row, col)
         placed.append(pivot_row)
         pivots.append(col)
     if pending or any(min(row) < 0 or max(row) >= ncols for row in placed):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crnkit import (
+    CrossEffectReport,
+    CrossEffectViolation,
     NotKineticError,
     Polynomial,
     PolynomialSystem,
@@ -29,6 +31,7 @@ from .support import (
     plant_cross_effect_violation,
     random_kinetic_system,
     random_network,
+    random_polynomial,
     reference_induced_ode,
     reference_realization,
 )
@@ -119,6 +122,67 @@ def test_induction_matches_per_species_reference(network):
     assert induced_kinetic_ode(network, params) == reference_induced_ode(network, params)
 
 
+@st.composite
+def mass_action_networks(draw):
+    """1-4 species; reactant coefficients 1-3, product coefficients that may be
+    fractional, catalysts, net changes of +-1 and others, and rates that are
+    rationals, parameters or sums of both."""
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+    rate = st.sampled_from([F(1), F(3), F(2, 7), "k", "k+1/2", "k+j", "2+j"])
+    steps = {}
+    for _ in range(draw(st.integers(1, 7))):
+        reactant = draw(st.dictionaries(index, st.sampled_from([F(1), F(2), F(3)]), max_size=2))
+        product = draw(
+            st.dictionaries(index, st.sampled_from([F(1), F(1, 2), F(5, 3), F(2), F(3)]), max_size=2)
+        )
+        if draw(st.booleans()):
+            catalyst = draw(index)
+            amount = reactant.setdefault(catalyst, draw(st.sampled_from([F(1), F(2)])))
+            product[catalyst] = amount
+        r, p = Complex.from_mapping(reactant), Complex.from_mapping(product)
+        if r != p and sum(reactant.values()) <= MAX_DEGREE:
+            steps[(r, p)] = ReactionStep(r, p, draw(rate))
+    return ReactionNetwork(tuple("ABCD"[:n]), tuple(steps.values()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    network=mass_action_networks(),
+    k=st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+    j=st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+)
+def test_induction_matches_the_reference_on_every_step_shape(network, k, j):
+    """Fraction rates are used as stored and +-1 changes add +-k as is: the
+    induced system equals the per-species reference that resolves every rate."""
+    params = {"k": k, "j": j}
+    assert induced_kinetic_ode(network, params) == reference_induced_ode(network, params)
+
+
+@pytest.mark.parametrize(
+    "text, params, message",
+    [
+        ("A ->[k] B", {"k": F(0)}, "rate of step A ->[k] B resolves to 0; must be positive"),
+        ("A ->[k] B", {"k": F(-1, 2)}, "rate of step A ->[k] B resolves to -1/2; must be positive"),
+        (
+            "2A ->[k+1] B",
+            {"k": F(-1)},
+            "rate of step 2A ->[k+1] B resolves to 0; must be positive",
+        ),
+    ],
+)
+def test_a_parameter_bound_to_a_nonpositive_value_is_refused(text, params, message):
+    with pytest.raises(ValueError) as info:
+        induced_kinetic_ode(parse_network(text), params)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+def test_fraction_rates_ignore_the_binding():
+    system = induced_kinetic_ode(parse_network("A ->[2] B"), {"k": F(-1)})
+    assert system == PolynomialSystem.from_strings(("a", "b"), ["-2*a", "2*a"])
+
+
 # -- negative cross-effect --------------------------------------------------
 
 def test_induced_odes_are_kinetic_randomized():
@@ -205,6 +269,43 @@ def test_kinetic_slice_is_nonnegative_randomized():
             for exps, coeff in component.sorted_terms():
                 if exps[m] == 0:
                     assert coeff > 0
+
+
+def reference_cross_effect(system: PolynomialSystem) -> CrossEffectReport:
+    """Oracle for `negative_cross_effect`: each component's terms walked in
+    descending graded-lex order."""
+    return CrossEffectReport(
+        system.variables,
+        tuple(
+            CrossEffectViolation(m, expts, coeff)
+            for m, component in enumerate(system.components)
+            for expts, coeff in component.sorted_terms()
+            if coeff < 0 and expts[m] == 0
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), planted=st.integers(0, 5), dense=st.booleans())
+def test_cross_effect_report_matches_the_sorted_walk(seed, planted, dense):
+    """Violations are found in unsorted term order and then sorted: the report,
+    its order and its JSON equal those of the sorted walk, for kinetic systems
+    with 0-5 planted violations and for dense systems with many."""
+    rng = random.Random(seed)
+    if dense:
+        dim = rng.randint(1, 4)
+        system = PolynomialSystem(
+            tuple("xyzw"[:dim]), tuple(random_polynomial(rng, dim, 3, 8) for _ in range(dim))
+        )
+    else:
+        system = random_kinetic_system(rng)
+    for _ in range(planted):
+        system, _, _ = plant_cross_effect_violation(rng, system)
+    report, expected = negative_cross_effect(system), reference_cross_effect(system)
+    assert report.violations == expected.violations
+    assert report.to_dict() == expected.to_dict()
+    if not dense:
+        assert report.is_kinetic == (planted == 0)
 
 
 def test_report_json(example_system, oscillator_system):

@@ -217,6 +217,45 @@ def test_kernel_matches_the_gauss_jordan_oracle(matrix):
         assert positivity == _outcome(positive_vector_in_span, vectors, ncols)
 
 
+@st.composite
+def unit_ratio_inputs(draw):
+    """A 0-9 by 1-8 matrix and a symmetric matrix of order 1-7, with entries in
+    -2..2, so that most pivot ratios are units and most steps scale no row."""
+    ncols = draw(st.integers(1, 8))
+    entry = st.integers(-2, 2)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=9))
+    size = draw(st.integers(1, 7))
+    upper = [[draw(entry) for _ in range(size)] for _ in range(size)]
+    symmetric = [[upper[min(i, j)][max(i, j)] for j in range(size)] for i in range(size)]
+    return rows, ncols, symmetric
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_ratio_inputs())
+def test_rows_are_primitive_where_they_are_placed(case):
+    """A step whose pivot ratio is a unit leaves the content in the row, so
+    `_reduce` makes each row primitive where it places it and `_back_substitute`
+    where it finishes it; the answers still match the dense oracles."""
+    rows, ncols, symmetric = case
+    placed, pivots = _reduce(sparse_rows(rows), ncols)
+    assert all(math.gcd(*row.values()) == 1 for row in placed)
+    _back_substitute(placed, pivots)
+    assert all(math.gcd(*row.values()) == 1 for row in placed)
+    assert all(
+        row[col] and all(j == col or j not in pivots for j in row)
+        for row, col in zip(placed, pivots)
+    )
+
+    assert nullspace_basis(sparse_rows(rows), ncols) == [
+        list(leading_sign_normalized(vec))
+        for vec in dense_nullspace_basis(frac_matrix(rows), ncols)
+    ]
+    result = positive_vector_in_span(rows, ncols)
+    assert result.feasible == split_positive_vector_in_span(rows, ncols).feasible
+    assert_positivity_proof(result, rows, ncols)
+    assert symmetric_inertia(symmetric) == reference_inertia(symmetric)
+
+
 @given(st.dictionaries(st.integers(0, 8), st.integers(-(2**70), 2**70), max_size=6))
 def test_integer_rows_take_the_same_path_as_equal_fraction_rows(row):
     """An int row goes straight to its primitive form; the equal Fraction row,

@@ -16,9 +16,11 @@ from crnkit import (
     canonical_realization,
     parse_network,
     parse_polynomial,
+    parse_system,
 )
 from crnkit import network
 from crnkit.network import Complex, ReactionStep, resolve_rate
+from crnkit.numbers import MAX_EXPONENT
 from crnkit.poly import MAX_DEGREE
 
 from .support import random_network
@@ -364,6 +366,42 @@ def test_parser_duplicate_warning_text():
     assert messages == ["duplicate step 2A ->[k] B merged by summing rates"]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("A ->[1] B; $C ->[1] D", "line 1, column 12: unexpected character '$'"),
+        ("A ->[1] B;\t; C ->[1] D@", "line 1, column 23: unexpected character '@'"),
+        ("A\t@ ->[1] B", "line 1, column 3: unexpected character '@'"),
+        ("A ->[1]\tB\t\u00e9", "line 1, column 11: unexpected character '\u00e9'"),
+        ("A ->[1] B + \u00e9", "line 1, column 13: unexpected character '\u00e9'"),
+        ("A ->[1] B!", "line 1, column 10: unexpected character '!'"),
+        ("A ->[1] B ->[2] C #ok\nC ->[1] D%", "line 2, column 10: unexpected character '%'"),
+    ],
+)
+def test_an_unexpected_character_is_refused_at_its_column(text, message):
+    """After ';', after a tab, non-ASCII, and at the end of a line."""
+    with pytest.raises(NetworkSyntaxError) as info:
+        parse_network(text)
+    assert str(info.value) == message
+
+
+def test_merged_duplicates_keep_their_warnings_and_rate_order():
+    net, messages = warned(
+        lambda: parse_network("A ->[k2] B\nC ->[1] D\nA ->[k1] B; A ->[3] B\nC ->[1/2] D")
+    )
+    assert net.render() == "A ->[k2+k1+3] B\nC ->[3/2] D"
+    assert messages == [
+        "duplicate step A ->[k1] B merged by summing rates",
+        "duplicate step A ->[3] B merged by summing rates",
+        "duplicate step C ->[1/2] D merged by summing rates",
+    ]
+    # the same step object given twice is a duplicate too
+    step = ReactionStep(Complex(((0, Fraction(1)),)), Complex(((1, Fraction(1)),)), "k")
+    net, messages = warned(lambda: ReactionNetwork(["A", "B"], [step, step, step]))
+    assert net.render() == "A ->[k+k+k] B"
+    assert messages == ["duplicate step A ->[k] B merged by summing rates"] * 2
+
+
 # -- rates: one rule for every spelling -------------------------------------------
 
 A = Complex(((0, Fraction(1)),))
@@ -569,6 +607,101 @@ def test_cli_exits_2_on_a_dsl_literal_error(tmp_path, capsys):
     path.write_text("A ->[1/0] B\n")
     assert main(["parse", str(path)]) == 2
     assert capsys.readouterr().err == "error: line 1, column 6: invalid rational literal '1/0'\n"
+
+
+# -- the literal bound: what a network stores, its text can spell -----------------
+
+TOP = 10 ** (MAX_EXPONENT + 1)  # the least integer the literal bound refuses
+WIDE = "a numerator or denominator of more than 1001 digits, outside +-MAX_EXPONENT = 1000"
+
+
+@pytest.mark.parametrize("rate", [Fraction(TOP - 1), Fraction(1, TOP - 1), Fraction(TOP - 1, TOP - 2)])
+def test_values_inside_the_literal_bound_round_trip_through_text(rate):
+    a, b = Complex(((0, Fraction(1)),)), Complex(((1, rate),))
+    net = ReactionNetwork(["A", "B"], [ReactionStep(a, b, rate)])
+    assert parse_network(net.render()) == net
+    assert ReactionNetwork.from_dict(json.loads(net.to_json())) == net
+
+
+def _refusal(build) -> str:
+    with pytest.raises(NetworkValidationError) as info:
+        build()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("value", [Fraction(TOP), Fraction(1, TOP), Fraction(TOP + 1, 2)])
+def test_python_built_values_outside_the_literal_bound_are_refused(value):
+    a, b = Complex(((0, Fraction(1)),)), Complex(((1, Fraction(1)),))
+    assert _refusal(lambda: ReactionStep(a, b, value)) == f"rate has {WIDE}"
+    assert _refusal(lambda: Complex(((1, value),))) == f"stoichiometric coefficient has {WIDE}"
+    # a sum of parts inside the bound, and a merge, are held to it too
+    half = Fraction(TOP // 2 + 1)
+    assert _refusal(lambda: ReactionStep(a, b, f"{half}+{half}")) == f"rate has {WIDE}"
+    with pytest.warns(UserWarning):
+        merged = _refusal(
+            lambda: ReactionNetwork(["A", "B"], [ReactionStep(a, b, half), ReactionStep(a, b, half)])
+        )
+    assert merged == f"rate has {WIDE}"
+
+
+@pytest.mark.parametrize("coeff, kind", [(1.5, "float"), ("2", "str"), (None, "NoneType")])
+def test_a_coefficient_must_be_rational(coeff, kind):
+    """A float, a str or None is refused by its type, before any comparison."""
+    assert _refusal(lambda: Complex(((0, coeff),))) == (
+        f"stoichiometric coefficient must be a Fraction or an int, got {kind}"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, column, literal",
+    [
+        (f"A ->[{TOP}/1] B", 6, f"{TOP}/1"),
+        (f"A ->[1] {TOP}/3B", 9, f"{TOP}/3"),
+        (f"A ->[k + 2/{TOP}] B", 10, f"2/{TOP}"),
+        ("A ->[1] 1." + "0" * MAX_EXPONENT + "1B", 9, "1." + "0" * MAX_EXPONENT + "1"),
+    ],
+    ids=["rate", "coefficient", "rate-part", "long-decimal"],
+)
+def test_dsl_literals_outside_the_literal_bound_are_refused(text, column, literal):
+    with pytest.raises(NetworkSyntaxError) as info:
+        parse_network(text)
+    assert str(info.value) == f"line 1, column {column}: rational literal {literal!r} has {WIDE}"
+
+
+def test_dsl_sums_outside_the_literal_bound_are_refused():
+    nines = "9" * (MAX_EXPONENT + 1)  # TOP - 1, inside the bound
+    with pytest.raises(NetworkSyntaxError) as info:
+        parse_network(f"A ->[1] {nines}B + {nines}B")
+    assert str(info.value) == f"line 1, column {1014}: stoichiometric coefficient has {WIDE}"
+    with pytest.raises(NetworkSyntaxError) as info:
+        parse_network(f"A ->[{nines} + {nines}] B")
+    assert str(info.value) == f"line 1, column 3: rate has {WIDE}"
+
+
+@pytest.mark.parametrize("where", ["rate", "coefficient"])
+def test_json_literals_outside_the_literal_bound_are_refused(where):
+    doc = _json_network(f"{TOP}/1" if where == "rate" else "1")
+    if where == "coefficient":
+        doc["steps"][0]["product"]["B"] = f"{TOP}/1"
+    with pytest.raises(ValueError) as info:
+        ReactionNetwork.from_dict(doc)
+    assert str(info.value) == f"network JSON step 1: rational literal '{TOP}/1' has {WIDE}"
+
+
+def test_realize_refuses_a_coefficient_outside_the_literal_bound(tmp_path, capsys):
+    from crnkit.cli import main
+
+    nines = "9" * 900
+    system = parse_system(f"vars x y\n{nines}*{nines}*y - x\nx - y\n")
+    assert _refusal(lambda: canonical_realization(system)) == (
+        f"component 1: coefficient of y has {WIDE}"
+    )
+    path = tmp_path / "sys.txt"
+    path.write_text(f"vars x y\n{nines}*{nines}*y - x\nx - y\n")
+    assert main(["realize", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: component 1: coefficient of y has {WIDE}\n"
 
 
 NAMES = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)

@@ -56,6 +56,36 @@ def test_parse_refuses_exponent_beyond_limit(big):
     assert time.perf_counter() - start < 0.1
 
 
+TOP = 10 ** (MAX_EXPONENT + 1)  # the least integer the literal bound refuses
+NINES = "9" * (MAX_EXPONENT + 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"{TOP}/1", f"1/{TOP}", f"-{TOP}/7", f"{TOP}/{TOP}", f" {TOP} / 3 ",
+     "1." + "0" * MAX_EXPONENT + "1", "9.99e-1000", f"{NINES}.5"],
+    ids=["numerator", "denominator", "negative", "both", "spaced", "long-decimal", "small",
+         "nines-and-a-half"],
+)
+def test_parse_refuses_parts_outside_the_literal_bound(text):
+    """Either integer of "p/q" as written, or a part of a decimal's exact value."""
+    with pytest.raises(ValueError) as info:
+        parse_rational(text)
+    assert str(info.value) == (
+        f"rational literal {text!r} has a numerator or denominator of more than "
+        f"{MAX_EXPONENT + 1} digits, outside +-MAX_EXPONENT = {MAX_EXPONENT}"
+    )
+
+
+def test_parse_admits_parts_up_to_the_literal_bound():
+    assert parse_rational(f"{NINES}/{NINES}") == 1
+    assert parse_rational(f"-{NINES}/7") == Fraction(1 - TOP, 7)
+    assert parse_rational(f"1/{NINES}") == Fraction(1, TOP - 1)
+    assert parse_rational(NINES) == TOP - 1
+    assert parse_rational(f"{NINES[:-1]}.5") == Fraction(2 * (TOP // 10 - 1) + 1, 2)
+    assert parse_rational("9.9e-999") == Fraction(99, 10**1000)
+
+
 def _reading(read, text):
     """read(text) as a value, or the text of the error it raises."""
     try:
