@@ -6,17 +6,24 @@ polynomial system conserves mass kinetically when some strictly positive rho
 makes sum_m rho_m f_m the zero polynomial.  The first implies the second for
 the induced ODE, but not conversely; both searches reduce to finding a
 strictly positive vector in an exactly computed null space.
+
+Every polynomial integral search takes its constraint rows from one
+builder, `lie_derivative_rows`: the column of a unit candidate is its Lie
+derivative, one row per monomial.  A kinetic conservation law rho . x is
+the linear-unit case, whose columns are the f_i themselves; the quadratic
+first-integral searches in `qfi` pass it their quadratic units too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .linalg import SparseRow, coefficient_matrix, nullspace_basis, positive_vector_in_span
+from .linalg import SparseRow, nullspace_basis, positive_vector_in_span
 from .network import ReactionNetwork
-from .poly import Exponents, Polynomial, PolynomialSystem, accumulate_terms
+from .poly import MAX_DEGREE, Exponents, Polynomial, PolynomialSystem, accumulate_terms
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,57 @@ def kinetic_residual(rho: Sequence[Fraction], system: PolynomialSystem) -> Polyn
     return Polynomial._from_clean(system.dim, {e: c for e, c in sums.items() if c})
 
 
+def lie_derivative_rows(
+    system: PolynomialSystem, units: Sequence[tuple[int, ...]]
+) -> list[dict[int, int]]:
+    """Sparse integer rows of the matrix whose column c is the Lie derivative of units[c].
+
+    A unit (i,) is the linear candidate x_i, whose Lie derivative is f_i.
+    A unit (i, j), i <= j, is the quadratic candidate with q_ij = q_ji = 1:
+    x_i^2, whose Lie derivative is 2 x_i f_i, or 2 x_i x_j, whose Lie
+    derivative is 2 x_j f_i + 2 x_i f_j.  There is one row per monomial
+    these reach.  Constants are not units: they never influence the Lie
+    derivative, and reported candidates pin the constant to zero.
+
+    f is scaled once by the lcm of its coefficient denominators, so every
+    entry is an int; one positive factor on every column leaves the null
+    space unchanged.  A row is keyed by its monomial's code, one byte per
+    variable (x_k's exponent in byte k), so multiplying by x_k adds
+    1 << 8 k to a code.  The codes of distinct monomials differ while every
+    exponent stays below 256 after one shift, which a total degree of at
+    most MAX_DEGREE guarantees; a system of higher degree raises ValueError.
+    """
+    n = system.dim
+    f = [component.terms() for component in system.components]
+    den = lcm(*(c.denominator for terms in f for c in terms.values()))
+    degree = max((sum(e) for terms in f for e in terms), default=0)
+    if degree > MAX_DEGREE:
+        raise ValueError(f"system of degree {degree} is above MAX_DEGREE = {MAX_DEGREE}")
+    # per component i: (column, code shift, factor) of each unit that reads f_i
+    reads: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for column, unit in enumerate(units):
+        if len(unit) == 1:
+            reads[unit[0]].append((column, 0, 1))
+        else:
+            i, j = unit
+            reads[i].append((column, 1 << 8 * j, 2))
+            if j != i:
+                reads[j].append((column, 1 << 8 * i, 2))
+    rows: dict[int, dict[int, int]] = {}
+    for terms, uses in zip(f, reads):
+        for expts, coeff in terms.items():
+            code = int.from_bytes(bytearray(expts), "little")
+            value = coeff.numerator * (den // coeff.denominator)
+            for column, shift, factor in uses:
+                key = code + shift
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = {column: factor * value}
+                else:
+                    row[column] = row.get(column, 0) + factor * value
+    return list(rows.values())
+
+
 def positive_kernel_vector(
     rows: Sequence[SparseRow], ncols: int
 ) -> tuple[list[list[Fraction]], tuple[Fraction, ...] | None]:
@@ -89,8 +147,12 @@ def stoichiometric_conservation(network: ReactionNetwork) -> ConservationVector 
 
 
 def kinetic_conservation(system: PolynomialSystem) -> ConservationVector | None:
-    """Search for strictly positive rho with sum_m rho_m f_m identically zero."""
-    rows = coefficient_matrix([component.terms() for component in system.components])
+    """Search for strictly positive rho with sum_m rho_m f_m identically zero.
+
+    The rows are those of the linear units x_0, ..., x_{n-1}; a system of
+    degree above MAX_DEGREE raises ValueError.
+    """
+    rows = lie_derivative_rows(system, [(i,) for i in range(system.dim)])
     _, witness = positive_kernel_vector(rows, system.dim)
     return None if witness is None else ConservationVector(witness, "kinetic")
 

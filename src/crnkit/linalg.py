@@ -3,9 +3,7 @@
 A linear constraint is a sparse row: a mapping from column index to
 coefficient (an int or a Fraction).  Absent columns are 0, zero values are
 skipped, and a nonzero value in a column outside 0..ncols-1 is a ValueError.
-`coefficient_matrix` builds such rows from columns of term maps (the
-first-integral search builds its integer rows itself), and the elimination
-reads only their nonzero entries, never a dense row.
+The elimination reads only their nonzero entries, never a dense row.
 
 Null-space bases come from one fraction-free elimination over sparse
 integer rows: each input row is copied, scaled to coprime integers, and
@@ -33,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Hashable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 SparseRow = Mapping[int, Fraction | int]
 
@@ -71,27 +69,6 @@ def _integer_row(row: SparseRow) -> dict[int, int]:
     return _primitive(
         {j: v.numerator * (den // v.denominator) for j, v in entries.items()}
     )
-
-
-def coefficient_matrix(
-    columns: Sequence[Mapping[Hashable, Fraction | int]],
-) -> list[dict[int, Fraction | int]]:
-    """Sparse rows of the matrix whose column j holds the entries of `columns[j]`.
-
-    One row per key occurring in some column (a monomial, a species, any
-    hashable), mapping j to that key's value in `columns[j]`, in no
-    particular order: callers use only the row space (null space, reduced
-    echelon form), which does not depend on it.  Values are copied as
-    given, zeros included; the elimination skips them.
-    """
-    rows: dict[Hashable, dict[int, Fraction | int]] = {}
-    for j, column in enumerate(columns):
-        for key, coeff in column.items():
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = {}
-            row[j] = coeff
-    return list(rows.values())
 
 
 def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[int, int]:

@@ -9,14 +9,18 @@ scaled by b_i.  No gradient or product polynomial is built.  Since the Lie
 derivative is bilinear in (V, f), the search for first integrals is an exact
 null-space computation over a matrix assembled by the same shift rule: each
 unit candidate's column is f_i, or f_i and f_j shifted by one variable and
-doubled.  One builder, `_lie_derivative_rows`, writes it in one pass over
-the terms of f, straight into integer rows: f is scaled by the lcm of its
-coefficient denominators, and a row is keyed by an int code of its
-monomial, to which a shift adds a power of the code's base, so no exponent
-tuple is built.  The full search passes it every unit candidate, the
-positive-diagonal search the x_i^2 units only.  Strict sign conditions (for
-instance a positive-definite diagonal V) are decided over that null space by
-`positive_kernel_vector`, the routine the conservation searches use.
+doubled.  One builder, `conservation.lie_derivative_rows`, writes it in one
+pass over the terms of f, straight into integer rows: f is scaled by the lcm
+of its coefficient denominators, and a row is keyed by an int code of its
+monomial, one byte per variable, to which a shift by x_k adds 1 << 8 k, so
+no exponent tuple is built.  That code bounds the exact searches to systems
+of total degree at most `MAX_DEGREE`; a higher degree raises ValueError.
+The full search passes it every unit candidate, the positive-diagonal search
+the x_i^2 units only, and the linear-integral search of
+`no_periodic_orbit_certificate` the x_i units only, as kinetic conservation
+does.  Strict sign conditions (for instance a positive-definite diagonal V)
+are decided over that null space by `positive_kernel_vector`, the routine
+the conservation searches use.
 
 The generators in this module produce, for each supported shape of V, the
 full coefficient family of kinetic quadratic systems conserving it; each
@@ -35,18 +39,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
 from .conservation import (
     ConservationVector,
     kinetic_conservation,
+    lie_derivative_rows,
     positive_kernel_vector,
     verify_conservation,
 )
 from .kinetics import negative_cross_effect
-from .linalg import check_proof, coefficient_matrix, nullspace_basis, symmetric_inertia
+from .linalg import check_proof, nullspace_basis, symmetric_inertia
 from .poly import (
     Exponents,
     Polynomial,
@@ -214,56 +218,6 @@ def is_first_integral(candidate: QuadraticCandidate, system: PolynomialSystem) -
 
 # -- exhaustive search ------------------------------------------------------
 
-def _lie_derivative_rows(
-    system: PolynomialSystem, units: Sequence[tuple[int, ...]]
-) -> list[dict[int, int]]:
-    """Sparse integer rows of the matrix whose column c is the Lie derivative of units[c].
-
-    A unit (i, j), i <= j, is the candidate with q_ij = q_ji = 1: x_i^2,
-    whose Lie derivative is 2 x_i f_i, or 2 x_i x_j, whose Lie derivative
-    is 2 x_j f_i + 2 x_i f_j.  A unit (i,) is the linear candidate x_i,
-    whose Lie derivative is f_i.  There is one row per monomial these reach.
-    Constants are not units: they never influence the Lie derivative, and
-    reported candidates pin the constant to zero.
-
-    f is scaled once by the lcm of its coefficient denominators, so every
-    entry is an int; one positive factor on every column leaves the null
-    space unchanged.  A row is keyed by its monomial's code sum_k e_k B^k
-    with B = D + 2 for D the largest total degree in f: every exponent of a
-    term of f is at most D, so after one shift at most D + 1 < B, and the
-    base-B digits give back the exponents.  So the codes of distinct
-    monomials differ, and multiplying by x_k adds B^k to a code.
-    """
-    n = system.dim
-    f = [component.terms() for component in system.components]
-    den = lcm(*(c.denominator for terms in f for c in terms.values()))
-    base = max((sum(e) for terms in f for e in terms), default=0) + 2
-    step = [base**k for k in range(n)]
-    # per component i: (column, code shift, factor) of each unit that reads f_i
-    reads: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for column, unit in enumerate(units):
-        if len(unit) == 1:
-            reads[unit[0]].append((column, 0, 1))
-        else:
-            i, j = unit
-            reads[i].append((column, step[j], 2))
-            if j != i:
-                reads[j].append((column, step[i], 2))
-    rows: dict[int, dict[int, int]] = {}
-    for terms, uses in zip(f, reads):
-        for expts, coeff in terms.items():
-            code = sum(map(mul, expts, step))
-            value = coeff.numerator * (den // coeff.denominator)
-            for column, shift, factor in uses:
-                key = code + shift
-                row = rows.get(key)
-                if row is None:
-                    rows[key] = {column: factor * value}
-                else:
-                    row[column] = row.get(column, 0) + factor * value
-    return list(rows.values())
-
-
 def _candidate(weights: Sequence[Fraction], dim: int) -> QuadraticCandidate:
     """The candidate with these weights on the unit candidates."""
     q = [[Fraction(0)] * dim for _ in range(dim)]
@@ -300,7 +254,8 @@ def find_quadratic_first_integrals(
     Without a filter, returns the full exact null-space basis (each element
     gcd-normalized with positive leading coefficient) and the first basis
     element as representative candidate; a search whose size bound exceeds
-    `MAX_SEARCH_SIZE` raises ValueError before any work starts.  With
+    `MAX_SEARCH_SIZE` raises ValueError before any work starts, and either
+    search raises it for a system of degree above `MAX_DEGREE`.  With
     signature_filter "positive-diagonal", restricts to diagonal quadratic
     forms and decides exactly whether the solution space meets the open
     positive-coefficient orthant, returning a strictly positive witness if so.
@@ -317,12 +272,12 @@ def find_quadratic_first_integrals(
                 f"MAX_SEARCH_SIZE = {MAX_SEARCH_SIZE}"
             )
         units = [(i, j) for i in range(n) for j in range(i, n)] + [(i,) for i in range(n)]
-        weights = nullspace_basis(_lie_derivative_rows(system, units), len(units))
+        weights = nullspace_basis(lie_derivative_rows(system, units), len(units))
         basis = tuple(_candidate(w, n) for w in weights)
         candidate = basis[0] if basis else None
     else:
         units = [(i, i) for i in range(system.dim)]
-        weights, witness = positive_kernel_vector(_lie_derivative_rows(system, units), len(units))
+        weights, witness = positive_kernel_vector(lie_derivative_rows(system, units), len(units))
         basis = tuple(QuadraticCandidate.diagonal(w) for w in weights)
         candidate = None if witness is None else QuadraticCandidate.diagonal(witness)
     return FirstIntegralReport(
@@ -809,7 +764,7 @@ def _disk_level_integral(
     """
     if invariant is not None and _has_disk_level_sets(invariant):
         return invariant
-    rows = coefficient_matrix([component.terms() for component in system.components])
+    rows = lie_derivative_rows(system, [(i,) for i in range(system.dim)])
     linear = nullspace_basis(rows, system.dim)
     if linear:
         return QuadraticCandidate(((_ZERO,) * system.dim,) * system.dim, linear[0])
@@ -906,13 +861,13 @@ def solve_log_integral_family() -> list[PolynomialSystem]:
     the family since it only flips the overall sign.
     """
     # column (k, a, b) holds the terms of x^a y^b times y (x - 1) for k = 0
-    # (f_1's coefficient of x^a y^b) or x (y - 1) for k = 1 (f_2's)
-    columns = [
-        {(i + a, j + b): c for (i, j), c in multiplier.items()}
-        for multiplier in _LOG_MULTIPLIERS
-        for a, b in _QUAD_MONOMIALS
-    ]
-    basis = nullspace_basis(coefficient_matrix(columns), len(columns))
+    # (f_1's coefficient of x^a y^b) or x (y - 1) for k = 1 (f_2's); one row
+    # per monomial of those products
+    rows: dict[Exponents, dict[int, int]] = {}
+    for column, (multiplier, (a, b)) in enumerate(product(_LOG_MULTIPLIERS, _QUAD_MONOMIALS)):
+        for (i, j), c in multiplier.items():
+            rows.setdefault((i + a, j + b), {})[column] = c
+    basis = nullspace_basis(list(rows.values()), 2 * len(_QUAD_MONOMIALS))
     systems = []
     for vec in basis:
         f1, f2 = (

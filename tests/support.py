@@ -22,7 +22,6 @@ from crnkit.linalg import (
     PositivityResult,
     SparseRow,
     _back_substitute,
-    _integer_row,
     _reduce,
     check_proof,
     positive_vector_in_span,
@@ -294,9 +293,9 @@ def unit_lie_derivative_matrix(
 
 
 def fraction_lie_derivative_columns(system: PolynomialSystem) -> list[dict]:
-    """Oracle for `qfi._lie_derivative_rows`: the Lie derivative of every unit
-    candidate, in `coefficient_vector` order, as a column keyed by exponent
-    tuples, unscaled, in Fraction arithmetic."""
+    """Oracle for `conservation.lie_derivative_rows`: the Lie derivative of
+    every unit candidate, in `coefficient_vector` order, as a column keyed by
+    exponent tuples, unscaled, in Fraction arithmetic."""
     n = system.dim
     f = [component.terms() for component in system.components]
     twice = [{e: 2 * c for e, c in terms.items()} for terms in f]
@@ -309,6 +308,21 @@ def fraction_lie_derivative_columns(system: PolynomialSystem) -> list[dict]:
                 accumulate_terms(column, twice[j], shift=i)
             quadratic.append(column)
     return quadratic + f
+
+
+def coefficient_matrix(columns: Sequence[dict]) -> list[dict[int, Fraction | int]]:
+    """Sparse rows of the matrix whose column j holds the entries of `columns[j]`.
+
+    One row per key occurring in some column (a monomial, any hashable),
+    mapping j to that key's value in `columns[j]`, in order of first
+    occurrence: the oracle for the rows `lie_derivative_rows` builds, and a
+    way to write a constraint matrix column by column.
+    """
+    rows: dict = {}
+    for j, column in enumerate(columns):
+        for key, coeff in column.items():
+            rows.setdefault(key, {})[j] = coeff
+    return list(rows.values())
 
 
 def combine_units(units: list[QuadraticCandidate], weights) -> QuadraticCandidate:
@@ -531,16 +545,19 @@ def gauss_jordan_reduce(
     Gauss-Jordan pass, in which each new pivot also clears its column from
     every row already placed, with the pivot chosen by a separate scan.
 
-    Every row is primitive at every step, by its own fraction-free step,
-    independent of the kernel's.  Returns one primitive integer row per
-    pivot, zero in every other pivot column, and the pivot columns, in
-    column order.
+    Every row is primitive at every step, read in by its own lcm scaling
+    and updated by its own fraction-free step, independent of the kernel's.
+    Returns one primitive integer row per pivot, zero in every other pivot
+    column, and the pivot columns, in column order.
     """
     pending = []
     for row in rows:
-        entries = _integer_row(row)
+        entries = {j: Fraction(v) for j, v in row.items() if v}
         if entries:
-            pending.append(entries)
+            den = math.lcm(*(v.denominator for v in entries.values()))
+            scaled = {j: v.numerator * (den // v.denominator) for j, v in entries.items()}
+            content = math.gcd(*scaled.values())
+            pending.append({j: v // content for j, v in scaled.items()})
     placed: list[dict[int, int]] = []
     pivots: list[int] = []
     for col in range(ncols):

@@ -83,3 +83,47 @@ def test_only_numbers_spells_the_decimal_number():
             ):
                 found.append(f"{name}:{line}")
     assert found == []
+
+
+def _is_call_of(node, *names: str) -> bool:
+    """Is `node` a call of a function named one of `names`, bare or as an attribute?"""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id in names) or (
+        isinstance(func, ast.Attribute) and func.attr in names
+    )
+
+
+# They pass their rows on, or build a matrix that is not a Lie derivative's: the
+# kernel search itself, the net changes of the stoichiometric search, and the
+# fixed 12-column identity of the log-integral family.
+OTHER_ROW_SOURCES = {"positive_kernel_vector", "stoichiometric_conservation", "solve_log_integral_family"}
+
+
+def test_integral_rows_come_from_one_builder():
+    # every polynomial integral search reads its rows from conservation.lie_derivative_rows
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(function, ast.FunctionDef) or function.name in OTHER_ROW_SOURCES:
+                continue
+            built = {
+                target.id
+                for node in ast.walk(function)
+                if isinstance(node, ast.Assign) and _is_call_of(node.value, "lie_derivative_rows")
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in ast.walk(function):
+                if not _is_call_of(node, "nullspace_basis", "positive_kernel_vector"):
+                    continue
+                rows = node.args[0] if node.args else next(
+                    (keyword.value for keyword in node.keywords if keyword.arg == "rows"), None
+                )
+                if not (
+                    _is_call_of(rows, "lie_derivative_rows")
+                    or (isinstance(rows, ast.Name) and rows.id in built)
+                ):
+                    found.append(f"{path.name}:{node.lineno} in {function.name}")
+    assert found == []

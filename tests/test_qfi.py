@@ -33,16 +33,19 @@ from crnkit import (
     lie_derivative,
     lotka_volterra_log_check,
     negative_cross_effect,
+    no_periodic_orbit_certificate,
     parse_network,
     solve_log_integral_family,
 )
-from crnkit.linalg import _phase1, coefficient_matrix, nullspace_basis, positive_vector_in_span
+from crnkit.conservation import lie_derivative_rows
+from crnkit.linalg import _phase1, nullspace_basis, positive_vector_in_span
 from crnkit.poly import MAX_DEGREE, accumulate_terms
 
 from .conftest import CATALYTIC_CASCADE_TEXT
 from .support import (
     SMALL_FRACTIONS,
     arithmetic_lie_derivative,
+    coefficient_matrix,
     combine_units,
     fraction_lie_derivative_columns,
     leading_sign_normalized,
@@ -436,9 +439,11 @@ _TOP_TERMS = st.none() | st.tuples(st.integers(0, 3), st.integers(0, 3), st.samp
 @given(system=rational_rate_systems(), top=_TOP_TERMS)
 def test_integer_columns_give_the_basis_of_the_fraction_columns(system, top):
     """The rows built in ints from monomial codes are positive multiples of
-    the rows of the unscaled Fraction columns, and the search reports the
-    same answers from either.  A term c x_k^MAX_DEGREE, when drawn, puts the
-    top digit B - 1 of the code in use once shifted by x_k."""
+    the rows of the unscaled Fraction columns, for the quadratic, the x_i^2
+    and the linear units, and both QFI searches, kinetic conservation and
+    the linear-integral search report the same answers from either.  A term
+    c x_k^MAX_DEGREE, when drawn, puts the largest exponent the one-byte
+    code must hold, MAX_DEGREE + 1, in use once shifted by x_k."""
     n = system.dim
     if top is not None:
         i, k, c = top
@@ -452,15 +457,54 @@ def test_integer_columns_give_the_basis_of_the_fraction_columns(system, top):
     def oracle_rows(system, chosen):
         return coefficient_matrix([columns[units.index(unit)] for unit in chosen])
 
-    for signature_filter, chosen in ((None, units), ("positive-diagonal", [(i, i) for i in range(n)])):
-        rows = crnkit.qfi._lie_derivative_rows(system, chosen)
+    for chosen in (units, [(i, i) for i in range(n)], [(i,) for i in range(n)]):
+        rows = lie_derivative_rows(system, chosen)
         assert all(type(v) is int for row in rows for v in row.values())
         expected = oracle_rows(system, chosen)
         assert _primitive_rows(rows, len(chosen)) == _primitive_rows(expected, len(chosen))
-        report = find_quadratic_first_integrals(system, signature_filter)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(crnkit.qfi, "_lie_derivative_rows", oracle_rows)
-            assert repr(find_quadratic_first_integrals(system, signature_filter)) == repr(report)
+
+    def answers():
+        return repr((
+            find_quadratic_first_integrals(system),
+            find_quadratic_first_integrals(system, "positive-diagonal"),
+            kinetic_conservation(system),
+            crnkit.qfi._disk_level_integral(system, None),
+        ))
+
+    report = answers()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crnkit.conservation, "lie_derivative_rows", oracle_rows)
+        mp.setattr(crnkit.qfi, "lie_derivative_rows", oracle_rows)
+        assert answers() == report
+
+
+def test_exact_searches_refuse_a_system_above_max_degree():
+    # a shift raises an exponent by one, and it must still fit the code's byte
+    assert MAX_DEGREE + 1 < 256
+    names = ("x", "y", "z")
+
+    def system_of_degree(degree):
+        top = Polynomial.monomial(3, (degree, 0, 0))
+        return PolynomialSystem(names, (-top, top, Polynomial.zero(3)))
+
+    above = system_of_degree(MAX_DEGREE + 1)
+    for search in (
+        kinetic_conservation,
+        find_quadratic_first_integrals,
+        lambda system: find_quadratic_first_integrals(system, "positive-diagonal"),
+        no_periodic_orbit_certificate,
+    ):
+        with pytest.raises(ValueError) as info:
+            search(above)
+        assert str(info.value) == f"system of degree {MAX_DEGREE + 1} is above MAX_DEGREE = 100"
+    at_cap = system_of_degree(MAX_DEGREE)
+    rho = kinetic_conservation(at_cap).rho
+    assert rho[0] == rho[1]
+    assert find_quadratic_first_integrals(at_cap).found
+    assert not find_quadratic_first_integrals(at_cap, "positive-diagonal").found
+    certificate = no_periodic_orbit_certificate(at_cap)
+    assert certificate.verdict == "yes"
+    assert certificate.first_integral.render(names) == "x + y"
 
 
 def test_search_makes_no_lie_derivative_call(monkeypatch, example_system, cascade_system):
