@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .linalg import SparseRow, nullspace_basis, positive_vector_in_span
 from .network import ReactionNetwork
-from .poly import MAX_DEGREE, Exponents, Polynomial, PolynomialSystem, accumulate_terms
+from .poly import Exponents, Polynomial, PolynomialSystem, accumulate_terms
 
 
 @dataclass(frozen=True)
@@ -79,22 +78,17 @@ def lie_derivative_rows(
     these reach.  Constants are not units: they never influence the Lie
     derivative, and reported candidates pin the constant to zero.
 
-    f is scaled once by the lcm of its coefficient denominators, so every
-    entry is an int; one positive factor on every column leaves the null
-    space unchanged.  A row is keyed by its monomial's code, one byte per
-    variable (x_k's exponent in byte k), so multiplying by x_k adds
-    1 << 8 k to a code.  The codes of distinct monomials differ while every
-    exponent stays below 256 after one shift, which a total degree of at
-    most MAX_DEGREE guarantees; a system of higher degree raises ValueError.
+    The terms of f come from `system.coded_terms`, built once per system:
+    f scaled by the lcm of its coefficient denominators, so every entry is
+    an int (one positive factor on every column leaves the null space
+    unchanged), and each monomial keyed by its code, one byte per variable
+    (x_k's exponent in byte k), so multiplying by x_k adds 1 << 8 k to a
+    code.  The codes of distinct monomials differ while every exponent
+    stays below 256 after one shift, which a total degree of at most
+    MAX_DEGREE guarantees; a system of higher degree raises ValueError.
     """
-    n = system.dim
-    f = [component.terms() for component in system.components]
-    den = lcm(*(c.denominator for terms in f for c in terms.values()))
-    degree = max((sum(e) for terms in f for e in terms), default=0)
-    if degree > MAX_DEGREE:
-        raise ValueError(f"system of degree {degree} is above MAX_DEGREE = {MAX_DEGREE}")
     # per component i: (column, code shift, factor) of each unit that reads f_i
-    reads: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    reads: list[list[tuple[int, int, int]]] = [[] for _ in range(system.dim)]
     for column, unit in enumerate(units):
         if len(unit) == 1:
             reads[unit[0]].append((column, 0, 1))
@@ -104,10 +98,8 @@ def lie_derivative_rows(
             if j != i:
                 reads[j].append((column, 1 << 8 * i, 2))
     rows: dict[int, dict[int, int]] = {}
-    for terms, uses in zip(f, reads):
-        for expts, coeff in terms.items():
-            code = int.from_bytes(bytearray(expts), "little")
-            value = coeff.numerator * (den // coeff.denominator)
+    for terms, uses in zip(system.coded_terms, reads):
+        for code, value in terms:
             for column, shift, factor in uses:
                 key = code + shift
                 row = rows.get(key)

@@ -13,6 +13,13 @@ given as is.  Its contract: the dict is not shared with anyone else, every
 key is a tuple of `dim` non-negative ints, and every value is a nonzero
 `Fraction`.
 
+`PolynomialSystem.coded_terms` is the integer form of a system's right-hand
+side that the exact searches read, built on first use and cached on the
+instance (a `functools.cached_property`, so `==`, `hash` and `repr` still
+see only the fields).  A system is immutable and the table is derived from
+its fields alone, so it never goes stale.  A system of degree above
+`MAX_DEGREE` caches nothing: every read raises the same ValueError.
+
 The parser bounds exact expansion: before each `*` and `**` it checks the
 degree, a bound on the term count and a bound on the coefficient height
 (`_height`) of the result against `MAX_DEGREE`, `MAX_TERMS` and
@@ -28,6 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm
 from operator import add
 from types import MappingProxyType
@@ -587,6 +595,29 @@ class PolynomialSystem:
     @property
     def dim(self) -> int:
         return len(self.variables)
+
+    @cached_property
+    def coded_terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per component, its (monomial code, int coefficient) pairs (see the module docstring).
+
+        A monomial's code holds x_k's exponent in byte k; the coefficients are
+        scaled by the lcm of all the system's denominators.  A system of total
+        degree above MAX_DEGREE raises ValueError on every read.
+        """
+        den = 1
+        coded = []
+        for component in self.components:
+            terms = []
+            for expts, coeff in component._terms.items():
+                if sum(expts) > MAX_DEGREE:
+                    degree = max(c.degree() for c in self.components)
+                    raise ValueError(f"system of degree {degree} is above MAX_DEGREE = {MAX_DEGREE}")
+                d = coeff.denominator
+                if den % d:
+                    den = lcm(den, d)
+                terms.append((int.from_bytes(expts, "little"), coeff.numerator, d))
+            coded.append(terms)
+        return tuple(tuple((code, num * (den // d)) for code, num, d in terms) for terms in coded)
 
     @classmethod
     def from_strings(cls, variables: Sequence[str], exprs: Sequence[str]) -> "PolynomialSystem":

@@ -13,14 +13,19 @@ doubled.  One builder, `conservation.lie_derivative_rows`, writes it in one
 pass over the terms of f, straight into integer rows: f is scaled by the lcm
 of its coefficient denominators, and a row is keyed by an int code of its
 monomial, one byte per variable, to which a shift by x_k adds 1 << 8 k, so
-no exponent tuple is built.  That code bounds the exact searches to systems
-of total degree at most `MAX_DEGREE`; a higher degree raises ValueError.
+no exponent tuple is built.  That encoding is built once per system, as
+`PolynomialSystem.coded_terms`, and every search on the system reads it.
+The code bounds the exact searches to systems of total degree at most
+`MAX_DEGREE`; a higher degree raises ValueError.
 The full search passes it every unit candidate, the positive-diagonal search
 the x_i^2 units only, and the linear-integral search of
 `no_periodic_orbit_certificate` the x_i units only, as kinetic conservation
 does.  Strict sign conditions (for instance a positive-definite diagonal V)
 are decided over that null space by `positive_kernel_vector`, the routine
-the conservation searches use.
+the conservation searches use.  Kernel weights become candidates through the
+trusted `QuadraticCandidate._from_clean(q, linear, constant)`, which stores
+tuples of `Fraction`s as is, Q already symmetric; the public constructor
+converts and checks every entry.
 
 The generators in this module produce, for each supported shape of V, the
 full coefficient family of kinetic quadratic systems conserving it; each
@@ -102,6 +107,20 @@ class QuadraticCandidate:
                 if q[i][j] != q[j][i]:
                     raise ValueError("Q must be symmetric")
 
+    @classmethod
+    def _from_clean(
+        cls,
+        q: tuple[tuple[Fraction, ...], ...],
+        linear: tuple[Fraction, ...],
+        constant: Fraction,
+    ) -> "QuadraticCandidate":
+        """Trusted constructor: store the fields as is (see the module docstring)."""
+        candidate = object.__new__(cls)
+        object.__setattr__(candidate, "q", q)
+        object.__setattr__(candidate, "linear", linear)
+        object.__setattr__(candidate, "constant", constant)
+        return candidate
+
     @property
     def dim(self) -> int:
         return len(self.q)
@@ -113,7 +132,7 @@ class QuadraticCandidate:
             tuple(_fraction(coeffs[i]) if i == j else _ZERO for j in range(n))
             for i in range(n)
         )
-        return cls(q, (_ZERO,) * n)
+        return cls._from_clean(q, (_ZERO,) * n, _ZERO)
 
     @classmethod
     def binary_form(cls, a: Scalar, b: Scalar, c: Scalar) -> "QuadraticCandidate":
@@ -220,12 +239,12 @@ def is_first_integral(candidate: QuadraticCandidate, system: PolynomialSystem) -
 
 def _candidate(weights: Sequence[Fraction], dim: int) -> QuadraticCandidate:
     """The candidate with these weights on the unit candidates."""
-    q = [[Fraction(0)] * dim for _ in range(dim)]
+    q = [[_ZERO] * dim for _ in range(dim)]
     rest = iter(weights)
     for i in range(dim):
         for j in range(i, dim):
             q[i][j] = q[j][i] = next(rest)
-    return QuadraticCandidate(q, tuple(rest))
+    return QuadraticCandidate._from_clean(tuple(map(tuple, q)), tuple(rest), _ZERO)
 
 
 @dataclass(frozen=True)
@@ -767,7 +786,8 @@ def _disk_level_integral(
     rows = lie_derivative_rows(system, [(i,) for i in range(system.dim)])
     linear = nullspace_basis(rows, system.dim)
     if linear:
-        return QuadraticCandidate(((_ZERO,) * system.dim,) * system.dim, linear[0])
+        n = system.dim
+        return QuadraticCandidate._from_clean(((_ZERO,) * n,) * n, tuple(linear[0]), _ZERO)
     return find_quadratic_first_integrals(system, "positive-diagonal").candidate
 
 

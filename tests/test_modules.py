@@ -127,3 +127,37 @@ def test_integral_rows_come_from_one_builder():
                 ):
                     found.append(f"{path.name}:{node.lineno} in {function.name}")
     assert found == []
+
+
+def _scoped_nodes(tree):
+    """(node, enclosing function name, enclosing class name) of every node below `tree`."""
+    stack = [(tree, None, None)]
+    while stack:
+        node, function, klass = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            yield child, function, klass
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stack.append((child, child.name, klass))
+            elif isinstance(child, ast.ClassDef):
+                stack.append((child, function, child.name))
+            else:
+                stack.append((child, function, klass))
+
+
+def test_one_integer_encoding_and_trusted_candidates_stay_in_place():
+    # the integer term table is read by the one row builder, and only qfi
+    # turns kernel weights into candidates without the validating constructor
+    readers, trusted = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, function, klass in _scoped_nodes(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "coded_terms":
+                readers.add(f"{path.name}:{function}")
+            if _is_call_of(node, "_from_clean") and isinstance(node.func, ast.Attribute):
+                receiver = node.func.value
+                owner = receiver.id if isinstance(receiver, ast.Name) else None
+                if owner == "cls":
+                    owner = klass
+                if owner == "QuadraticCandidate" and path.name != "qfi.py":
+                    trusted.append(f"{path.name}:{node.lineno} in {function}")
+    assert readers == {"conservation.py:lie_derivative_rows"}
+    assert trusted == []

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 import pytest
@@ -494,9 +495,11 @@ def test_exact_searches_refuse_a_system_above_max_degree():
         lambda system: find_quadratic_first_integrals(system, "positive-diagonal"),
         no_periodic_orbit_certificate,
     ):
-        with pytest.raises(ValueError) as info:
-            search(above)
-        assert str(info.value) == f"system of degree {MAX_DEGREE + 1} is above MAX_DEGREE = 100"
+        # a refusal is not cached: every call on the same system raises it again
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                search(above)
+            assert str(info.value) == f"system of degree {MAX_DEGREE + 1} is above MAX_DEGREE = 100"
     at_cap = system_of_degree(MAX_DEGREE)
     rho = kinetic_conservation(at_cap).rho
     assert rho[0] == rho[1]
@@ -505,6 +508,111 @@ def test_exact_searches_refuse_a_system_above_max_degree():
     certificate = no_periodic_orbit_certificate(at_cap)
     assert certificate.verdict == "yes"
     assert certificate.first_integral.render(names) == "x + y"
+
+
+def _exact_answers(system, order):
+    """Reprs of the exact searches on `system`, run in `order`, as a dict by search."""
+    searches = {
+        "kinetic": kinetic_conservation,
+        "full": find_quadratic_first_integrals,
+        "diagonal": lambda system: find_quadratic_first_integrals(system, "positive-diagonal"),
+        "disk": lambda system: crnkit.qfi._disk_level_integral(system, None),
+    }
+    return {name: repr(searches[name](system)) for name in order}
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=st.one_of(small_systems(), rational_rate_systems()))
+def test_cached_term_table_gives_the_answers_of_a_fresh_system(system):
+    """Each search reads the table the first search left on the system, in
+    either order, and answers as on a fresh copy that builds its own."""
+    def copy():
+        return PolynomialSystem(system.variables, system.components)
+
+    order = ["kinetic", "full", "diagonal", "disk"]
+    fresh = {name: _exact_answers(copy(), [name])[name] for name in order}
+    assert _exact_answers(copy(), order) == fresh
+    assert _exact_answers(copy(), order[::-1]) == fresh
+
+
+def test_term_table_is_built_once_per_system(monkeypatch, cascade_system):
+    builds = []
+    build = PolynomialSystem.coded_terms.func
+
+    def counted(system):
+        builds.append(system)
+        return build(system)
+
+    table = cached_property(counted)
+    table.__set_name__(PolynomialSystem, "coded_terms")
+    monkeypatch.setattr(PolynomialSystem, "coded_terms", table)
+    system = PolynomialSystem(cascade_system.variables, cascade_system.components)
+    kinetic_conservation(system)
+    find_quadratic_first_integrals(system)
+    find_quadratic_first_integrals(system, "positive-diagonal")
+    assert builds == [system]
+    assert system.__dict__["coded_terms"] is system.coded_terms
+
+
+def test_term_table_leaves_the_system_value_alone():
+    def build():
+        return PolynomialSystem.from_strings(("x", "y"), ["1/2*x - 1/3*y^2 + 5", "3/4*x*y - 7*y"])
+
+    system, other = build(), build()
+    before = (hash(system), repr(system), system.to_dict())
+    table = system.coded_terms
+    assert "coded_terms" in system.__dict__ and "coded_terms" not in other.__dict__
+    assert system == other and other == system
+    assert (hash(system), repr(system), system.to_dict()) == before
+    assert (hash(other), repr(other), other.to_dict()) == before
+    # one (code, int coefficient) pair per term, one byte of the code per variable
+    den = math.lcm(*(c.denominator for p in system.components for c in p.terms().values()))
+    for component, terms in zip(system.components, table):
+        assert sorted(terms) == sorted(
+            (int.from_bytes(bytes(e), "little"), int(c * den)) for e, c in component.terms().items()
+        )
+
+
+def _is_clean_candidate(candidate):
+    q, linear = candidate.q, candidate.linear
+    n = len(q)
+    return (
+        type(q) is tuple
+        and all(type(row) is tuple and len(row) == n for row in q)
+        and type(linear) is tuple
+        and len(linear) == n
+        and all(type(v) is Fraction for v in (*(v for row in q for v in row), *linear, candidate.constant))
+        and all(q[i][j] == q[j][i] for i in range(n) for j in range(n))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=st.one_of(small_systems(), rational_rate_systems()))
+def test_trusted_candidates_equal_the_validated_ones(system):
+    candidates = [crnkit.qfi._disk_level_integral(system, None)]
+    for signature_filter in (None, "positive-diagonal"):
+        report = find_quadratic_first_integrals(system, signature_filter)
+        candidates += [*report.basis, report.candidate]
+    for candidate in candidates:
+        if candidate is not None:
+            assert _is_clean_candidate(candidate)
+            validated = QuadraticCandidate(candidate.q, candidate.linear, candidate.constant)
+            assert candidate == validated
+            assert repr(candidate) == repr(validated)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[], [3], [0, -2], [F(1, 2), F(-3)], ["1/2", "-4", "0"], (1, F(2, 3), "5")]
+)
+def test_diagonal_candidate_equals_the_validated_one(coeffs):
+    candidate = QuadraticCandidate.diagonal(coeffs)
+    n = len(coeffs)
+    expected = QuadraticCandidate(
+        [[coeffs[i] if i == j else 0 for j in range(n)] for i in range(n)], [0] * n
+    )
+    assert _is_clean_candidate(candidate)
+    assert candidate == expected
+    assert repr(candidate) == repr(expected)
 
 
 def test_search_makes_no_lie_derivative_call(monkeypatch, example_system, cascade_system):
