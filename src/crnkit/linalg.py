@@ -6,14 +6,16 @@ skipped, and a nonzero value in a column outside 0..ncols-1 is a ValueError.
 The elimination reads only their nonzero entries, never a dense row.
 
 Null-space bases come from one fraction-free elimination over sparse
-integer rows: each input row is copied, scaled to coprime integers, and
-from then on updated in place, combined with a pivot row by integer
-cross-multiplication, so no input is written to.  A row is divided by the
-gcd of its entries (its content) only after a step that scaled it, where
-it is placed as a pivot row, and where the back pass finishes it: every
-row is a positive multiple of its primitive form, and every placed row is
-primitive.  Only the results are turned back into Fractions: each basis
-vector as coprime integers with a positive first nonzero entry.  A forward
+integer rows: the input is read in one pass per matrix, which copies each
+row, int rows as they are and others scaled by the lcm of their
+denominators, and from then on each row is updated in place, combined
+with a pivot row by integer cross-multiplication, so no input is written
+to.  A row is divided by the gcd of its entries (its content) only after
+a step that scaled it, where it is placed as a pivot row, and where the
+back pass finishes it, so every placed row is primitive.  A pivot row
+with one entry clears its column by deleting that entry.  Only the
+results are turned back into Fractions: each basis vector as coprime
+integers with a positive first nonzero entry.  A forward
 pass brings the rows to echelon form, which already gives the rank; a back
 pass that clears the pivot columns above each pivot runs only when the
 kernel is nonempty, or when a caller reads the reduced rows.  Whether a subspace
@@ -30,8 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 SparseRow = Mapping[int, Fraction | int]
 
@@ -58,17 +61,28 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _integer_row(row: SparseRow) -> dict[int, int]:
-    """Nonzero entries of a sparse row scaled to coprime integers, in a new dict."""
-    entries = {j: v for j, v in row.items() if v}
-    if not entries:
-        return entries
-    if all(type(v) is int for v in entries.values()):
-        return _primitive(entries)
-    den = lcm(*(v.denominator for v in entries.values()))
-    return _primitive(
-        {j: v.numerator * (den // v.denominator) for j, v in entries.items()}
-    )
+def _integer_rows(rows: Iterable[SparseRow]) -> list[dict[int, int]]:
+    """The nonzero entries of each sparse row as integers, in a new dict per row.
+
+    The value types of the whole matrix are read in one pass: when they are
+    all int, each row is copied as it is, without its zero entries.
+    Otherwise each row is scaled by the lcm of its entries' denominators.
+    No row is made primitive here; `_reduce` does that where it places one.
+    """
+    rows = list(rows)
+    if set(map(type, chain.from_iterable(row.values() for row in rows))) <= {int}:
+        return [
+            dict(row) if 0 not in row.values() else {j: v for j, v in row.items() if v}
+            for row in rows
+        ]
+    scaled = []
+    for row in rows:
+        entries = {j: v for j, v in row.items() if v}
+        if entries:
+            den = lcm(*(v.denominator for v in entries.values()))
+            entries = {j: v.numerator * (den // v.denominator) for j, v in entries.items()}
+        scaled.append(entries)
+    return scaled
 
 
 def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[int, int]:
@@ -78,8 +92,16 @@ def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict
     and g = gcd(p, a).  The content of the result is divided out only when
     |p/g| != 1, that is when `row` was scaled, so the result is a positive
     multiple of the primitive one; callers make a row primitive where they
-    place it.  Updates `row` and returns it; callers pass rows they own.
+    place it.  A pivot row whose one entry is p makes that combination p/g
+    times `row` without column `col`, so the entry is deleted and nothing
+    else is computed: a positive multiple again when p > 0, as in
+    `_phase1` and `symmetric_inertia`, and one up to sign otherwise, which
+    is all `_reduce` and `_back_substitute` need.  Updates `row` and
+    returns it; callers pass rows they own.
     """
+    if len(pivot_row) == 1:
+        del row[col]
+        return row
     p = pivot_row[col]
     a = row[col]
     g = gcd(p, a)
@@ -107,17 +129,16 @@ def _reduce(
     pivots[i] and zero in every column left of it.  Each column is met by
     one scan of the rows not yet placed: the sparsest row nonzero there
     becomes its pivot row, which keeps fill-in low, and is made primitive,
-    and the column is cleared from the others.  A row not yet placed is a
-    positive multiple of its primitive form, which `_eliminate` divides
-    out only after scaling it.  Rows above a pivot keep their entries in
-    its column; `_back_substitute` clears them when a caller needs the
-    reduced form.
+    and the column is cleared from the others.  Rows enter as
+    `_integer_rows` reads them, content and all: a row not yet placed is
+    a positive multiple of its primitive form, and `_eliminate` divides the
+    content out only after scaling the row, so the pivots and placed rows
+    are those of primitive input rows.  A pivot row with one entry, which
+    is then +-1, clears its column by deletion.  Rows above a pivot keep
+    their entries in its column; `_back_substitute` clears them when a
+    caller needs the reduced form.
     """
-    pending = []
-    for row in rows:
-        entries = _integer_row(row)
-        if entries:
-            pending.append(entries)
+    pending = [row for row in _integer_rows(rows) if row]
     placed: list[dict[int, int]] = []
     pivots: list[int] = []
     for col in range(ncols):
@@ -385,8 +406,8 @@ def symmetric_inertia(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, int, i
                 raise ValueError("matrix is not square")
             if matrix[i][j] != matrix[j][i]:
                 raise ValueError("matrix is not symmetric")
-    rows = {i: _integer_row(dict(enumerate(row))) for i, row in enumerate(matrix)}
-    rows = {i: row for i, row in rows.items() if row}
+    rows = _integer_rows(dict(enumerate(row)) for row in matrix)
+    rows = {i: row for i, row in enumerate(rows) if row}
     pos = neg = 0
     while rows:
         piv = next((i for i, row in rows.items() if i in row), None)

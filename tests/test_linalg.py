@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +14,15 @@ from crnkit import (
     find_quadratic_first_integrals,
     induced_kinetic_ode,
     kinetic_conservation,
+    parse_system,
     stoichiometric_conservation,
 )
+from crnkit.conservation import lie_derivative_rows
 from crnkit.linalg import (
     ProofCheckError,
     _back_substitute,
-    _integer_row,
+    _eliminate,
+    _integer_rows,
     _reduce,
     nullspace_basis,
     positive_vector_in_span,
@@ -26,6 +30,7 @@ from crnkit.linalg import (
 )
 
 from .support import (
+    combine_units,
     dense_nullspace_basis,
     dense_rref,
     gauss_jordan_reduce,
@@ -36,6 +41,8 @@ from .support import (
     rref,
     sparse_rows,
     split_positive_vector_in_span,
+    unit_candidates,
+    unit_lie_derivative_matrix,
 )
 
 
@@ -94,11 +101,17 @@ def test_nullspace_all_zero_rows_is_identity():
 
 
 def test_out_of_range_column_raises():
-    # a bad column is left alone in a pending row, kept in a placed row, or both
-    for row in ({3: F(1)}, {-1: F(2), 0: F(1)}, {1: F(1), 5: 3}, {0: F(1), -2: F(1, 2)}):
-        for rows in ([{0: F(1)}, row], [row], [row, dict(row)]):
-            with pytest.raises(ValueError, match="out of range"):
+    # a bad column is left alone in a pending row, kept in a placed row, or
+    # both, whether the matrix is read as ints or scaled from other values
+    bad_rows = (
+        {3: F(1)}, {-1: F(2), 0: F(1)}, {1: F(1), 5: 3}, {0: F(1), -2: F(1, 2)},
+        {3: 1}, {-1: 2, 0: 1}, {1: 1, 7: -4}, {0: True, -2: True},
+    )
+    for row in bad_rows:
+        for rows in ([{0: F(1)}, row], [{0: 1}, row], [row], [row, dict(row)]):
+            with pytest.raises(ValueError) as info:
                 nullspace_basis(rows, 3)
+            assert str(info.value) == "column index out of range for 3 columns"
     # a zero value is skipped wherever it is
     assert nullspace_basis([{2: F(1), 7: 0}, {}], 3) == frac_matrix([[1, 0, 0], [0, 1, 0]])
 
@@ -256,14 +269,159 @@ def test_rows_are_primitive_where_they_are_placed(case):
     assert symmetric_inertia(symmetric) == reference_inertia(symmetric)
 
 
-@given(st.dictionaries(st.integers(0, 8), st.integers(-(2**70), 2**70), max_size=6))
-def test_integer_rows_take_the_same_path_as_equal_fraction_rows(row):
-    """An int row goes straight to its primitive form; the equal Fraction row,
-    through its common denominator, reaches the same one."""
-    as_fractions = {j: Fraction(v) for j, v in row.items()}
-    assert _integer_row(row) == _integer_row(as_fractions)
-    scaled = {j: Fraction(v, 7) for j, v in row.items()}
-    assert _integer_row(row) == _integer_row(scaled)
+def _primitive_form(row):
+    return {j: v // math.gcd(*row.values()) for j, v in row.items()}
+
+
+def _inertia_matrix(rows, n):
+    """A symmetric matrix that carries `rows`: the first fills row and column 0,
+    the others the diagonal, one entry each."""
+    m = [[0] * n for _ in range(n)]
+    if rows:
+        for j in range(n):
+            m[0][j] = m[j][0] = rows[0].get(j, 0)
+    for i, row in enumerate(rows[1:], 1):
+        m[i][i] = row.get(i, 0)
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.dictionaries(st.integers(0, 8), st.integers(-(2**70), 2**70), max_size=6), max_size=4
+))
+def test_integer_rows_take_the_same_path_as_equal_fraction_rows(rows):
+    """An int row and its Fraction copy enter as equal int rows, and the copy
+    divided by 7 enters as a positive multiple of the same primitive row, so
+    all three give the same answers.  No row is made primitive on entry."""
+    as_fractions = [{j: Fraction(v) for j, v in row.items()} for row in rows]
+    scaled = [{j: Fraction(v, 7) for j, v in row.items()} for row in rows]
+    entered = _integer_rows(rows)
+    assert entered == [{j: v for j, v in row.items() if v} for row in rows]
+    assert _integer_rows(as_fractions) == entered
+    for row, scaled_row in zip(entered, _integer_rows(scaled)):
+        assert all(type(v) is int for v in scaled_row.values())
+        assert scaled_row.keys() == row.keys()
+        if row:
+            assert _primitive_form(scaled_row) == _primitive_form(row)
+            j = next(iter(row))
+            assert (scaled_row[j] > 0) == (row[j] > 0)
+
+    def answers(rows):
+        dense = [[row.get(j, 0) for j in range(9)] for row in rows]
+        return (
+            nullspace_basis(rows, 9),
+            positive_vector_in_span(dense, 9),
+            symmetric_inertia(_inertia_matrix(rows, 9)),
+        )
+
+    assert answers(rows) == answers(as_fractions) == answers(scaled)
+
+
+@pytest.mark.parametrize(
+    "text, zero_row, rendered",
+    [
+        # X -> 2X, Y -> 0: the two x*y terms of the x*y unit cancel
+        ("vars x y\nx\n-y\n", {1: 0}, ["2*x*y"]),
+        ("vars x y\nx + x*y\n-y\n", {1: 0, 3: 1}, []),
+    ],
+)
+def test_cancelled_builder_entries_reach_the_kernel_as_zeros(text, zero_row, rendered):
+    """The row builder leaves an entry whose terms cancel as an explicit 0;
+    the kernel drops it on entry and answers as the dense Fraction oracle."""
+    system = parse_system(text)
+    n = system.dim
+    units = [(i, j) for i in range(n) for j in range(i, n)] + [(i,) for i in range(n)]
+    assert zero_row in lie_derivative_rows(system, units)
+    basis = find_quadratic_first_integrals(system).basis
+    assert [c.render(system.variables) for c in basis] == rendered
+    candidates = unit_candidates(n, diagonal_only=False)
+    oracle = dense_nullspace_basis(unit_lie_derivative_matrix(system, candidates), len(candidates))
+    assert basis == tuple(combine_units(candidates, leading_sign_normalized(w)) for w in oracle)
+
+
+@st.composite
+def unit_row_matrices(draw):
+    """A 1-8 column matrix in which at least half the rows have one entry,
+    entries in -2..2, and a diagonal-heavy symmetric matrix of order 1-8."""
+    ncols = draw(st.integers(1, 8))
+    entry = st.integers(-2, 2).filter(bool)
+    column = st.integers(0, ncols - 1)
+    single = st.dictionaries(column, entry, min_size=1, max_size=1)
+    singles = draw(st.lists(single, min_size=1, max_size=8))
+    others = draw(st.lists(st.dictionaries(column, entry, max_size=ncols), max_size=len(singles)))
+    rows = singles + others
+    draw(st.randoms()).shuffle(rows)
+    size = draw(st.integers(1, 8))
+    symmetric = [[0] * size for _ in range(size)]
+    for i in range(size):
+        symmetric[i][i] = draw(st.integers(-2, 2))
+        for j in range(i + 1, size):
+            if draw(st.integers(0, 4)) == 0:
+                symmetric[i][j] = symmetric[j][i] = draw(entry)
+    return rows, ncols, symmetric
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_row_matrices())
+def test_unit_pivot_rows_give_the_oracle_answers(case):
+    """Pivot rows with one entry clear their column by deletion in the
+    forward and back passes, the phase-1 tableau and the inertia count."""
+    rows, ncols, symmetric = case
+    placed, pivots = _reduce(rows, ncols)
+    oracle_rows, oracle_pivots = gauss_jordan_reduce(rows, ncols)
+    assert pivots == oracle_pivots
+    _back_substitute(placed, pivots)
+    for row, oracle_row in zip(placed, oracle_rows):
+        assert row == oracle_row or row == {j: -v for j, v in oracle_row.items()}
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    result = positive_vector_in_span(dense, ncols)
+    assert result.feasible == split_positive_vector_in_span(dense, ncols).feasible
+    assert_positivity_proof(result, dense, ncols)
+    assert symmetric_inertia(symmetric) == reference_inertia(symmetric)
+
+
+@pytest.mark.parametrize("pivot", [1, -1, 3, -3])
+def test_a_unit_pivot_row_clears_its_column_by_deletion(pivot):
+    row = {0: 4, 2: 6, 5: -2}
+    assert _eliminate(row, {2: pivot}, 2) is row
+    assert row == {0: 4, 5: -2}
+
+
+_ACCEPTED_ROWS = [{0: 1, 1: -1, 3: 2}, {1: 2, 2: -2}, {0: 3, 2: 0, 3: 6}, {}]
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        pytest.param(lambda rows: (row for row in rows), id="generator"),
+        pytest.param(lambda rows: [MappingProxyType(row) for row in rows], id="mapping-proxy"),
+        pytest.param(
+            lambda rows: [{j: True if v == 1 else v for j, v in row.items()} for row in rows],
+            id="bool",
+        ),
+        pytest.param(
+            lambda rows: [{j: F(v) if j % 2 else v for j, v in row.items()} for row in rows],
+            id="mixed",
+        ),
+        pytest.param(
+            lambda rows: [{**row, 4: 0, 5: F(0)} for row in rows] + [{1: False}],
+            id="zeros",
+        ),
+    ],
+)
+def test_every_accepted_row_form_enters_as_plain_int_rows(variant):
+    """The entry pass reads the rows twice and every value's type at once; a
+    generator, read-only mappings, bool, mixed and zero values all enter as
+    the plain int rows do."""
+    expected = _integer_rows(_ACCEPTED_ROWS)
+    assert [row for row in _integer_rows(variant(_ACCEPTED_ROWS)) if row] == [
+        row for row in expected if row
+    ]
+    dense = [[row.get(j, 0) for j in range(6)] for row in _ACCEPTED_ROWS]
+    assert nullspace_basis(variant(_ACCEPTED_ROWS), 6) == [
+        list(leading_sign_normalized(vec)) for vec in dense_nullspace_basis(dense, 6)
+    ]
+    assert _reduce(variant(_ACCEPTED_ROWS), 6) == _reduce(_ACCEPTED_ROWS, 6)
 
 
 @st.composite

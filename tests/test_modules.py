@@ -161,3 +161,39 @@ def test_one_integer_encoding_and_trusted_candidates_stay_in_place():
                     trusted.append(f"{path.name}:{node.lineno} in {function}")
     assert readers == {"conservation.py:lie_derivative_rows"}
     assert trusted == []
+
+
+# The input matrix of each exact kernel entry point, by parameter name.
+KERNEL_INPUTS = {"_reduce": "rows", "symmetric_inertia": "matrix"}
+
+
+def test_kernel_input_rows_are_converted_only_by_integer_rows():
+    # one typed pass per matrix reads the kernel's input; the shape and
+    # symmetry checks of symmetric_inertia read it without converting it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = (
+                getattr(node, "name", None),
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+            )
+            if "_integer_row" in names:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} names _integer_row")
+    tree = ast.parse((PACKAGE / "linalg.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name, parameter in KERNEL_INPUTS.items():
+        function = functions[name]
+        assert function.args.args[0].arg == parameter
+        allowed = set()
+        for node in ast.walk(function):
+            if _is_call_of(node, "_integer_rows", "len") or isinstance(node, ast.Compare):
+                allowed.update(id(inner) for inner in ast.walk(node))
+        for node in ast.walk(function):
+            if isinstance(node, ast.Name) and node.id == parameter and id(node) not in allowed:
+                found.append(f"linalg.py:{node.lineno} in {name} reads {parameter}")
+    callers = {
+        function for node, function, _ in _scoped_nodes(tree) if _is_call_of(node, "_integer_rows")
+    }
+    assert callers == set(KERNEL_INPUTS)
+    assert found == []
