@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -546,6 +547,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--project", action="store_true", help="project back onto the initial level set")
     p.set_defaults(func=cmd_simulate)
 
+    # argparse reads "-1" and "-0.5" as values but "-1/2" and "-2,1" as
+    # unknown options; no option starts with "-<digit>", so every token that
+    # does is a value, e.g. "--s -1/2" or "--x0 -0.5,1"
+    for subparser in sub.choices.values():
+        subparser._negative_number_matcher = re.compile(r"^-\d")
     return parser
 
 

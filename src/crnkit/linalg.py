@@ -406,7 +406,7 @@ def symmetric_inertia(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, int, i
                 raise ValueError("matrix is not square")
             if matrix[i][j] != matrix[j][i]:
                 raise ValueError("matrix is not symmetric")
-    rows = _integer_rows(dict(enumerate(row)) for row in matrix)
+    rows = _integer_rows({j: v for j, v in enumerate(row) if v} for row in matrix)
     rows = {i: row for i, row in enumerate(rows) if row}
     pos = neg = 0
     while rows:

@@ -27,7 +27,11 @@ degree, a bound on the term count and a bound on the coefficient height
 every expansion so far against `MAX_PARSE_TERMS`, so no expansion starts
 that could exceed them.  That sum runs over one input: an expression, or
 every component of a system, which one parser reads in turn.  It also
-refuses parentheses nested deeper than `MAX_NESTING`.
+refuses parentheses nested deeper than `MAX_NESTING`.  Numbers and variable
+powers multiply as one term, a coefficient and exponents, with the checks
+that a product of two one-term polynomials gets and nothing charged to the
+budget; a product becomes a `Polynomial` only at its first parenthesized
+factor, and from there each factor is multiplied in turn.
 """
 
 from __future__ import annotations
@@ -385,6 +389,15 @@ def _height(poly: Polynomial) -> int:
     return top.bit_length()
 
 
+_ONE = Fraction(1)
+
+
+def _term_height(coeff: Fraction) -> int:
+    """`_height` of a one-term polynomial with coefficient `coeff`: the bit length of its
+    numerator's absolute value or of its denominator, whichever is larger."""
+    return max(abs(coeff.numerator), coeff.denominator).bit_length()
+
+
 class _PolyParser:
     """Reads expressions over `variables`, all charged to one MAX_PARSE_TERMS budget."""
 
@@ -442,10 +455,7 @@ class _PolyParser:
         return left * right
 
     def power(self, base: Polynomial, exponent: int) -> Polynomial:
-        if exponent > MAX_DEGREE:
-            raise PolynomialParseError(
-                f"exponent {exponent} is above MAX_DEGREE = {MAX_DEGREE}"
-            )
+        """base**exponent, for an exponent `parse_exponent` has read."""
         terms = len(base.terms())
         if terms:
             degree = exponent * base.degree()
@@ -460,18 +470,23 @@ class _PolyParser:
             )
         return base**exponent
 
-    def parse_power(self, base: Polynomial) -> Polynomial:
-        """`base`, raised to the exponent if `^ integer` follows."""
+    def parse_exponent(self) -> int | None:
+        """The integer after a `^`, or None when no `^` follows; none above MAX_DEGREE."""
         nxt = self.peek()
-        if nxt and nxt[0] == "op" and nxt[1] == "^":
-            self.take()
-            exp_tok = self.take()
-            if exp_tok[0] != "number" or "." in exp_tok[1]:
-                raise PolynomialParseError(
-                    f"expected integer exponent at column {exp_tok[2] + 1}"
-                )
-            return self.power(base, int(read_literal(exp_tok[1])))
-        return base
+        if not (nxt and nxt[0] == "op" and nxt[1] == "^"):
+            return None
+        self.take()
+        exp_tok = self.take()
+        if exp_tok[0] != "number" or "." in exp_tok[1]:
+            raise PolynomialParseError(
+                f"expected integer exponent at column {exp_tok[2] + 1}"
+            )
+        exponent = int(read_literal(exp_tok[1]))
+        if exponent > MAX_DEGREE:
+            raise PolynomialParseError(
+                f"exponent {exponent} is above MAX_DEGREE = {MAX_DEGREE}"
+            )
+        return exponent
 
     def parse(self, text: str) -> Polynomial:
         self.tokens = _tokenize_poly(text)
@@ -494,7 +509,7 @@ class _PolyParser:
             scale = -1 if tok[1] == "-" else None
         sums: dict[Exponents, Fraction] = {}
         while True:
-            accumulate_terms(sums, self.parse_product()._terms, scale)
+            accumulate_terms(sums, self.parse_product(), scale)
             tok = self.peek()
             if tok is None or tok[0] != "op" or tok[1] not in "+-":
                 break
@@ -502,23 +517,69 @@ class _PolyParser:
             scale = -1 if tok[1] == "-" else None
         return Polynomial._from_clean(self.dim, {e: c for e, c in sums.items() if c})
 
-    def parse_product(self) -> Polynomial:
-        result = self.parse_factor()
+    def parse_product(self) -> dict[Exponents, Fraction]:
+        """The terms of a product, its factors multiplied left to right.
+
+        Up to the first parenthesized factor the product is one term, and
+        each number or variable power multiplies its coefficient or its
+        exponents, with the checks `product` makes on two one-term operands;
+        from that factor on, `product` multiplies Polynomials.
+        """
+        # the product so far as one term (coeff None before the first factor),
+        # or as `poly` once a parenthesized factor has joined it
+        coeff, expts, degree, poly = None, [0] * self.dim, 0, None
         while True:
+            factor = self.parse_factor()
+            if poly is None and type(factor) is not Polynomial:
+                if type(factor) is tuple:  # x_index^e
+                    index, e = factor
+                    if coeff is None:
+                        coeff = _ONE
+                    elif coeff:  # x^e has height 1
+                        self.admit("single-term product", degree + e, 1, _term_height(coeff) + 1)
+                    expts[index] += e
+                    degree += e
+                elif coeff is None:
+                    coeff = factor
+                else:
+                    if coeff and factor:
+                        self.admit(
+                            "single-term product",
+                            degree,
+                            1,
+                            _term_height(coeff) + _term_height(factor),
+                        )
+                    coeff *= factor
+            else:
+                if type(factor) is not Polynomial:
+                    factor = self.factor_polynomial(factor)
+                if poly is None and coeff is not None:
+                    poly = Polynomial._from_clean(self.dim, {tuple(expts): coeff} if coeff else {})
+                poly = factor if poly is None else self.product(poly, factor)
             tok = self.peek()
             if tok is None:
                 break
             if tok[0] == "op" and tok[1] == "*":
                 self.take()
-                result = self.product(result, self.parse_factor())
-            elif tok[0] in ("number", "ident") or (tok[0] == "op" and tok[1] == "("):
-                # implicit multiplication, e.g. "2x", "x y" or "x(x + y)"
-                result = self.product(result, self.parse_factor())
-            else:
+            elif not (tok[0] in ("number", "ident") or (tok[0] == "op" and tok[1] == "(")):
+                # anything else ends the product; a number, a name or "(" is
+                # an implicit multiplication, e.g. "2x", "x y" or "x(x + y)"
                 break
-        return result
+        if poly is not None:
+            return poly._terms
+        return {tuple(expts): coeff} if coeff else {}
 
-    def parse_factor(self) -> Polynomial:
+    def factor_polynomial(self, factor: Fraction | tuple[int, int]) -> Polynomial:
+        """A number or variable-power factor of `parse_factor` as a Polynomial."""
+        if type(factor) is tuple:
+            index, exponent = factor
+            expts = [0] * self.dim
+            expts[index] = exponent
+            return Polynomial._from_clean(self.dim, {tuple(expts): _ONE})
+        return Polynomial._from_clean(self.dim, {(0,) * self.dim: factor} if factor else {})
+
+    def parse_factor(self) -> Polynomial | Fraction | tuple[int, int]:
+        """A parenthesized sum and its power, a number, or (index, exponent) of a variable power."""
         tok = self.take()
         if tok[0] == "op" and tok[1] == "(":
             if self.depth == MAX_NESTING:
@@ -534,7 +595,8 @@ class _PolyParser:
                 raise PolynomialParseError(
                     f"expected ')' at column {closing[2] + 1}"
                 )
-            return self.parse_power(inner)
+            exponent = self.parse_exponent()
+            return inner if exponent is None else self.power(inner, exponent)
         if tok[0] == "number":
             value = read_literal(tok[1])
             nxt = self.peek()
@@ -548,8 +610,8 @@ class _PolyParser:
                 den = read_literal(den_tok[1])
                 if den == 0:
                     raise PolynomialParseError("division by zero in coefficient")
-                value = Fraction(value, den)
-            return Polynomial.constant(self.dim, value)
+                return Fraction(value, den)
+            return Fraction(value)
         if tok[0] == "ident":
             name = tok[1]
             if name not in self.index:
@@ -557,7 +619,12 @@ class _PolyParser:
                 raise PolynomialParseError(
                     f"unknown variable {name!r} (known: {known})"
                 )
-            return self.parse_power(Polynomial.variable(self.dim, self.index[name]))
+            exponent = self.parse_exponent()
+            if exponent is None:
+                exponent = 1
+            else:
+                self.admit("single-term power", exponent, 1, exponent)
+            return self.index[name], exponent
         raise PolynomialParseError(
             f"unexpected token {tok[1]!r} at column {tok[2] + 1}"
         )

@@ -32,7 +32,17 @@ from crnkit.kinetics import (
     ode_variable_names,
     species_names_for_variables,
 )
-from crnkit.poly import accumulate_terms
+from crnkit.numbers import read_literal
+from crnkit.poly import (
+    MAX_COEFFICIENT_BITS,
+    MAX_DEGREE,
+    MAX_NESTING,
+    MAX_PARSE_TERMS,
+    MAX_TERMS,
+    PolynomialParseError,
+    _tokenize_poly,
+    accumulate_terms,
+)
 from crnkit.sim import CLAMP_TOLERANCE
 from crnkit.network import Complex, ReactionStep, resolve_rate
 
@@ -323,6 +333,208 @@ def coefficient_matrix(columns: Sequence[dict]) -> list[dict[int, Fraction | int
         for key, coeff in column.items():
             rows.setdefault(key, {})[j] = coeff
     return list(rows.values())
+
+
+def _reference_height(poly: Polynomial) -> int:
+    """Bit length of the largest of D and every |c*D|, D the lcm of the denominators."""
+    den = 1
+    for c in poly._terms.values():
+        den = math.lcm(den, c.denominator)
+    top = den
+    for c in poly._terms.values():
+        scaled = abs(c.numerator) * (den // c.denominator)
+        if scaled > top:
+            top = scaled
+    return top.bit_length()
+
+
+class ReferencePolyParser:
+    """The polynomial parser that builds one Polynomial per factor: the oracle of `_PolyParser`.
+
+    Every factor is a Polynomial and every `*` and `^` goes through `product`
+    and `power` with Polynomial arithmetic, so a new way of multiplying
+    single-term factors must give the same polynomial, the same refusal and
+    the same `expanded` charge.
+    """
+
+    def __init__(self, variables: Sequence[str]):
+        self.index = {name: i for i, name in enumerate(variables)}
+        self.dim = len(variables)
+        self.depth = 0
+        self.expanded = 0  # summed term-count bounds of the expansions so far
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise PolynomialParseError("unexpected end of expression")
+        self.pos += 1
+        return tok
+
+    def admit(self, kind: str, degree: int, terms: int, bits: int):
+        """Refuse a result of this kind above a cap; charge a term bound above 1."""
+        if degree > MAX_DEGREE:
+            raise PolynomialParseError(
+                f"expansion would reach degree {degree}, above MAX_DEGREE = {MAX_DEGREE}"
+            )
+        if terms > MAX_TERMS:
+            raise PolynomialParseError(
+                f"expansion could reach {terms} terms, above MAX_TERMS = {MAX_TERMS}"
+            )
+        if terms > 1:
+            self.expanded += terms
+            if self.expanded > MAX_PARSE_TERMS:
+                raise PolynomialParseError(
+                    f"expansions could reach {self.expanded} terms in total, above "
+                    f"MAX_PARSE_TERMS = {MAX_PARSE_TERMS}"
+                )
+        if bits > MAX_COEFFICIENT_BITS:
+            raise PolynomialParseError(
+                f"{kind} could reach {bits} bits, above "
+                f"MAX_COEFFICIENT_BITS = {MAX_COEFFICIENT_BITS}"
+            )
+
+    def product(self, left: Polynomial, right: Polynomial) -> Polynomial:
+        if not left.is_zero() and not right.is_zero():
+            degree = left.degree() + right.degree()
+            t_left, t_right = len(left._terms), len(right._terms)
+            count = t_left * t_right
+            # over D_left*D_right, a coefficient sums min(t_left, t_right) products at most
+            self.admit(
+                "single-term product" if count == 1 else "product",
+                degree,
+                min(count, math.comb(degree + self.dim, self.dim)),
+                _reference_height(left)
+                + _reference_height(right)
+                + (min(t_left, t_right) - 1).bit_length(),
+            )
+        return left * right
+
+    def power(self, base: Polynomial, exponent: int) -> Polynomial:
+        if exponent > MAX_DEGREE:
+            raise PolynomialParseError(
+                f"exponent {exponent} is above MAX_DEGREE = {MAX_DEGREE}"
+            )
+        terms = len(base.terms())
+        if terms:
+            degree = exponent * base.degree()
+            kind = "power" if terms > 1 else "single-term power" if base.degree() else "constant power"
+            # a^n has at most one term per multiset of n of a's terms, and its
+            # numerators over D^n are at most (terms * max |c*D|)^n
+            self.admit(
+                kind,
+                degree,
+                min(
+                    math.comb(exponent + terms - 1, terms - 1),
+                    math.comb(degree + self.dim, self.dim),
+                ),
+                exponent * (_reference_height(base) + (terms - 1).bit_length()),
+            )
+        return base**exponent
+
+    def parse_power(self, base: Polynomial) -> Polynomial:
+        """`base`, raised to the exponent if `^ integer` follows."""
+        nxt = self.peek()
+        if nxt and nxt[0] == "op" and nxt[1] == "^":
+            self.take()
+            exp_tok = self.take()
+            if exp_tok[0] != "number" or "." in exp_tok[1]:
+                raise PolynomialParseError(
+                    f"expected integer exponent at column {exp_tok[2] + 1}"
+                )
+            return self.power(base, int(read_literal(exp_tok[1])))
+        return base
+
+    def parse(self, text: str) -> Polynomial:
+        self.tokens = _tokenize_poly(text)
+        if not self.tokens:
+            raise PolynomialParseError("empty polynomial expression")
+        self.pos = 0
+        result = self.parse_sum()
+        tok = self.peek()
+        if tok is not None:
+            raise PolynomialParseError(
+                f"unexpected token {tok[1]!r} at column {tok[2] + 1}"
+            )
+        return result
+
+    def parse_sum(self) -> Polynomial:
+        scale = None
+        tok = self.peek()
+        if tok and tok[0] == "op" and tok[1] in "+-":
+            self.take()
+            scale = -1 if tok[1] == "-" else None
+        sums: dict = {}
+        while True:
+            accumulate_terms(sums, self.parse_product()._terms, scale)
+            tok = self.peek()
+            if tok is None or tok[0] != "op" or tok[1] not in "+-":
+                break
+            self.take()
+            scale = -1 if tok[1] == "-" else None
+        return Polynomial._from_clean(self.dim, {e: c for e, c in sums.items() if c})
+
+    def parse_product(self) -> Polynomial:
+        result = self.parse_factor()
+        while True:
+            tok = self.peek()
+            if tok is None:
+                break
+            if tok[0] == "op" and tok[1] == "*":
+                self.take()
+                result = self.product(result, self.parse_factor())
+            elif tok[0] in ("number", "ident") or (tok[0] == "op" and tok[1] == "("):
+                # implicit multiplication, e.g. "2x", "x y" or "x(x + y)"
+                result = self.product(result, self.parse_factor())
+            else:
+                break
+        return result
+
+    def parse_factor(self) -> Polynomial:
+        tok = self.take()
+        if tok[0] == "op" and tok[1] == "(":
+            if self.depth == MAX_NESTING:
+                raise PolynomialParseError(
+                    f"parentheses at column {tok[2] + 1} nest deeper than "
+                    f"MAX_NESTING = {MAX_NESTING}"
+                )
+            self.depth += 1
+            inner = self.parse_sum()
+            self.depth -= 1
+            closing = self.take()
+            if closing[0] != "op" or closing[1] != ")":
+                raise PolynomialParseError(
+                    f"expected ')' at column {closing[2] + 1}"
+                )
+            return self.parse_power(inner)
+        if tok[0] == "number":
+            value = read_literal(tok[1])
+            nxt = self.peek()
+            if nxt and nxt[0] == "op" and nxt[1] == "/":
+                self.take()
+                den_tok = self.take()
+                if den_tok[0] != "number":
+                    raise PolynomialParseError(
+                        f"expected denominator at column {den_tok[2] + 1}"
+                    )
+                den = read_literal(den_tok[1])
+                if den == 0:
+                    raise PolynomialParseError("division by zero in coefficient")
+                value = Fraction(value, den)
+            return Polynomial.constant(self.dim, value)
+        if tok[0] == "ident":
+            name = tok[1]
+            if name not in self.index:
+                known = ", ".join(self.index) or "(none)"
+                raise PolynomialParseError(
+                    f"unknown variable {name!r} (known: {known})"
+                )
+            return self.parse_power(Polynomial.variable(self.dim, self.index[name]))
+        raise PolynomialParseError(
+            f"unexpected token {tok[1]!r} at column {tok[2] + 1}"
+        )
 
 
 def combine_units(units: list[QuadraticCandidate], weights) -> QuadraticCandidate:

@@ -333,6 +333,40 @@ def test_generate_refuses_an_empty_scalar_option(family, option, capsys):
     assert capsys.readouterr().err == "error: invalid rational literal ''\n"
 
 
+NEGATIVE_VALUE_CASES = [
+    ["--family", "rank-one", "--a", "1", "--b", "1", "--k", "1", "--s", "-1/2"],
+    ["--family", "shifted", "--rate-A", "1", "--rate-B", "0", "--shift-a", "-1/2",
+     "--shift-b", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_VALUE_CASES, ids=lambda a: a[1])
+def test_negative_option_values_need_no_equals_sign(argv, capsys):
+    # argparse alone would take "-1/2" for an unknown option and refuse "--s -1/2"
+    assert main(["generate", *argv, "--json"]) == 0
+    spaced = capsys.readouterr()
+    at = argv.index("-1/2")
+    joined = [*argv[: at - 1], f"{argv[at - 1]}=-1/2", *argv[at + 1 :]]
+    assert main(["generate", *joined, "--json"]) == 0
+    assert capsys.readouterr() == spaced
+    assert all(json.loads(spaced.out)["checks"].values())
+
+
+def test_a_negative_weight_reaches_the_family_check(capsys):
+    argv = ["generate", "--family", "diagonal", "--weights", "-2,1", "--coupling", "0,1;1,0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: weights must be strictly positive\n"
+
+
+@pytest.mark.parametrize("tail", [["--s"], ["--s", "--json"]])
+def test_an_option_without_its_value_is_still_refused(tail, capsys):
+    argv = ["generate", "--family", "rank-one", "--a", "1", "--b", "1", "--k", "1", *tail]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --s: expected one argument\n")
+
+
 # -- realize ----------------------------------------------------------------
 
 def test_realize_kinetic_system(system_file, capsys):

@@ -9,13 +9,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crnkit.poly
 from crnkit import Polynomial, PolynomialParseError, PolynomialSystem, parse_polynomial, parse_system
 from crnkit.numbers import format_rational
 from crnkit.poly import MAX_COEFFICIENT_BITS, MAX_DEGREE, MAX_NESTING, MAX_PARSE_TERMS, _PolyParser
 from crnkit.poly import _height as poly_height
 
 from .conftest import LIMIT_CYCLE_4D_TEXT, SADDLE_3D_TEXT
-from .support import random_polynomial
+from .support import ReferencePolyParser, random_polynomial
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -349,6 +350,167 @@ def test_written_out_terms_are_not_charged():
         f"{format_rational(c)}*x^{i}*y^{j}" for (i, j), c in terms.items()
     ).replace("+ -", "- ")
     assert parse_polynomial(text, ("x", "y")) == Polynomial(2, terms)
+
+
+# -- single-term factors multiply as one term -----------------------------------
+
+def _outcomes(parser_class, texts, names=("x", "y", "z")):
+    """What one parser makes of `texts` in turn: each polynomial and the budget spent
+    so far, up to the first refusal, recorded as its type and message, and every
+    check the parser made, with its arguments, in order."""
+
+    class Recorded(parser_class):
+        def admit(self, *args):
+            checks.append(args)
+            super().admit(*args)
+
+    checks = []
+    parser = Recorded(names)
+    outcomes = []
+    for text in texts:
+        try:
+            poly = parser.parse(text)
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+            break
+        outcomes.append((poly, parser.expanded))
+    return outcomes, checks
+
+
+def _number_text(rng: random.Random) -> str:
+    draw = rng.random()
+    if draw < 0.5:
+        return str(rng.randint(0, 9))
+    if draw < 0.65:
+        return str(rng.randint(0, 2 ** rng.choice((8, 64, 400))))
+    if draw < 0.85:
+        return f"{rng.randint(0, 20)}/{rng.randint(0, 9)}"
+    return f"{rng.randint(0, 99)}.{rng.randint(0, 99)}"
+
+
+def _power_text(rng: random.Random, top: int) -> str:
+    draw = rng.random()
+    if draw < 0.5:
+        return ""
+    if draw < 0.8:
+        return f"^{rng.randint(0, 4)}"
+    if draw < 0.95:
+        return f"^{rng.randint(0, top)}"
+    return rng.choice(("^1.5", "^x", "^", "^-1"))
+
+
+def _expression_text(rng: random.Random, depth: int = 0) -> str:
+    """A sum of products of numbers, variable powers (exponents up to 120, names
+    now and then unknown) and parenthesized sums with small powers, with `*`,
+    a space or nothing between factors."""
+    text = rng.choice(("", "", "-", "+"))
+    for t in range(rng.randint(1, 3 if depth else 5)):
+        if t:
+            text += rng.choice((" + ", " - ", "-"))
+        for f in range(rng.randint(1, 4)):
+            if f:
+                glue = rng.choice(("*", "*", " * ", " "))
+                text += "" if text[-1].isdigit() and rng.random() < 0.2 else glue
+            draw = rng.random()
+            if draw < 0.4:
+                text += _number_text(rng)
+            elif draw < 0.85 or depth == 2:
+                text += rng.choice("xyz") if rng.random() < 0.98 else rng.choice(("q", "xx"))
+                text += _power_text(rng, 120)
+            else:
+                # a sum's powers stay small, so an admitted expansion stays cheap
+                text += f"({_expression_text(rng, depth + 1)}){_power_text(rng, 6)}"
+    return text
+
+
+def _edited(rng: random.Random, text: str) -> str:
+    """`text` with one or two characters inserted, deleted or replaced."""
+    for _ in range(rng.randint(1, 2)):
+        at = rng.randrange(len(text) + 1)
+        char = rng.choice("xyz0123456789+-*/^() .q")
+        edit = rng.random()
+        if edit < 0.4 or not text:
+            text = text[:at] + char + text[at:]
+        else:
+            at = min(at, len(text) - 1)
+            text = text[:at] + (char if edit < 0.7 else "") + text[at + 1 :]
+    return text
+
+
+def _expressions(seed: int) -> list[str]:
+    """One to three expressions, each edited with probability 0.4."""
+    rng = random.Random(seed)
+    texts = [_expression_text(rng) for _ in range(rng.choice((1, 1, 2, 3)))]
+    return [_edited(rng, text) if rng.random() < 0.4 else text for text in texts]
+
+
+# hypothesis draws only a seed: a plain generator writes the expressions many
+# times faster than drawing each choice through hypothesis would
+@settings(max_examples=1_000, deadline=None)
+@given(seed=st.integers(0, 2**64))
+def test_parser_matches_the_reference_parser(seed):
+    # one parser reads the texts in turn: the same polynomial and budget, or
+    # the same refusal, text after text, and the same checks in the same order
+    texts = _expressions(seed)
+    assert _outcomes(_PolyParser, texts) == _outcomes(ReferencePolyParser, texts), texts
+
+
+# (2^k - 1)(2^l - 1) has k + l bits, so these multiply to exactly 3 * 3000 + 1000
+_ODD_3000, _ODD_1000 = 2**3000 - 1, 2**1000 - 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0*x^200", "0*x^100*x^100", "x*0*y^101", "0x y z", "x^0", "x^0*y^0", "(0)^0", "(0^0)",
+        "0^0", "2x^0 y", "x^100*0", f"x^{MAX_DEGREE} y^0", f"x^{MAX_DEGREE}*1/2",
+        f"x^{MAX_DEGREE}*(1)", f"(x)^{MAX_DEGREE}*2", "(x + y)*2*x", "2*x*(x + y)*3*y",
+        "(x + y) 0 x^3", "x(0)^0 y", "1/2*(2)^100 x", "0/5*x", "3*0.5/2.5 x^2 y",
+        "*".join(["2"] * (MAX_COEFFICIENT_BITS - 2)), "*".join(["2"] * (MAX_COEFFICIENT_BITS - 1)),
+        "x*" + "*".join(["4"] * 5_000), "0*" + "*".join(["4"] * 5_000),
+        "(2)^100*" + "*".join(["3"] * 6_000) + "*x",
+        # a coefficient of exactly MAX_COEFFICIENT_BITS bits, then one more factor
+        f"{_ODD_3000}*{_ODD_3000}*{_ODD_3000}*{_ODD_1000}",
+        f"{_ODD_3000}*{_ODD_3000}*{_ODD_3000}*{_ODD_1000}*x",
+        f"{_ODD_3000}*{_ODD_3000}*{_ODD_3000}*{_ODD_1000}*1",
+        f"{_ODD_3000}*{_ODD_3000}*{_ODD_3000}*{_ODD_1000}*0",
+        f"1/{_ODD_3000}*1/{_ODD_3000}*1/{_ODD_3000}*1/{_ODD_1000}*y^0",
+        f"x^{MAX_DEGREE + 1}", f"(x + 1)^{MAX_DEGREE + 1}", "2^3", "(2^3)", "x^2^2",
+    ],
+    ids=lambda text: text if len(text) < 40 else f"{text[:12]}...{text[-8:]}({len(text)})",
+)
+def test_single_term_edge_cases_match_the_reference_parser(text):
+    assert _outcomes(_PolyParser, [text]) == _outcomes(ReferencePolyParser, [text])
+
+
+def test_written_out_terms_build_one_polynomial_per_component(monkeypatch):
+    text = "vars x y z\n3*x^2*y - 1/2*x*y^5 + 2 x z\n-x*y*z + 4/3 z^2 - 0.5\n0*y^3 + x^0 z\n"
+    lines = text.splitlines()[1:]
+    expected = [ReferencePolyParser(("x", "y", "z")).parse(line) for line in lines]
+    builds, parsers = [], []
+    init, from_clean = Polynomial.__init__, Polynomial._from_clean.__func__
+
+    def counted_init(self, *args, **kwargs):
+        builds.append("__init__")
+        init(self, *args, **kwargs)
+
+    def counted_from_clean(cls, dim, terms):
+        builds.append("_from_clean")
+        return from_clean(cls, dim, terms)
+
+    class RecordedParser(_PolyParser):
+        def __init__(self, variables):
+            super().__init__(variables)
+            parsers.append(self)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted_init)
+    monkeypatch.setattr(Polynomial, "_from_clean", classmethod(counted_from_clean))
+    monkeypatch.setattr(crnkit.poly, "_PolyParser", RecordedParser)
+    system = parse_system(text)
+    assert list(system.components) == expected
+    assert builds == ["_from_clean"] * len(lines)
+    (parser,) = parsers
+    assert parser.expanded == 0
 
 
 def _sympy_terms(sympy, parser, text: str, variables) -> dict:
