@@ -70,14 +70,34 @@ def _verdict(ok: bool, yes: str = "yes", no: str = "no") -> str:
     return text
 
 
-def _parse_params(items: list[str] | None) -> dict[str, Fraction]:
+def _parse_params(groups: list[list[str]] | None) -> dict[str, Fraction]:
+    """The bindings of the one --params; a second --params or a name bound twice is refused."""
+    if not groups:
+        return {}
+    if len(groups) > 1:
+        raise ValueError("--params is given more than once; give every binding in one --params")
     binding: dict[str, Fraction] = {}
-    for item in items or []:
+    for item in groups[0]:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise ValueError(f"parameter binding {item!r} must look like name=value")
-        binding[name.strip()] = parse_rational(value)
+        name = name.strip()
+        if name in binding:
+            raise ValueError(f"parameter {name!r} is bound more than once in --params")
+        binding[name] = parse_rational(value)
     return binding
+
+
+def _check_params(binding: dict[str, Fraction], target) -> None:
+    """Refuse a bound name no rate of the target uses; a polynomial system has no rates."""
+    if isinstance(target, ReactionNetwork):
+        used = target.rate_parameters()
+        for name in binding:
+            if name not in used:
+                raise ValueError(f"--params binds {name!r}, which no rate of the network uses")
+    elif binding:
+        name = next(iter(binding))
+        raise ValueError(f"--params binds {name!r}, but a polynomial system has no rate parameters")
 
 
 def _parse_vector(text: str) -> list[Fraction]:
@@ -134,6 +154,7 @@ def _load_network(args) -> ReactionNetwork:
 
 def _as_system(args, params: dict[str, Fraction]) -> PolynomialSystem:
     target = _load_target(args)
+    _check_params(params, target)
     if isinstance(target, ReactionNetwork):
         return induced_kinetic_ode(target, params)
     return target
@@ -205,7 +226,10 @@ def cmd_parse(args):
 
 
 def cmd_odes(args):
-    system = induced_kinetic_ode(_load_network(args), _parse_params(args.params))
+    network = _load_network(args)
+    params = _parse_params(args.params)
+    _check_params(params, network)
+    system = induced_kinetic_ode(network, params)
     return 0, system.to_dict(), lambda: [system.render()], {}
 
 
@@ -304,6 +328,7 @@ _CHECKS = {
 def cmd_check(args):
     target = _load_target(args)
     params = _parse_params(args.params)
+    _check_params(params, target)
     if args.property == "conserve-stoich":
         if not isinstance(target, ReactionNetwork):
             raise ValueError("conserve-stoich needs a reaction network")
@@ -490,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("odes", parents=[common], help="print the induced mass-action ODE")
     p.add_argument("target")
-    p.add_argument("--params", nargs="*", metavar="NAME=VALUE")
+    p.add_argument("--params", nargs="*", action="append", metavar="NAME=VALUE")
     p.set_defaults(func=cmd_odes)
 
     p = sub.add_parser("check", parents=[common], help="decide a property of a network or system")
@@ -500,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=list(_CHECKS),
     )
-    p.add_argument("--params", nargs="*", metavar="NAME=VALUE")
+    p.add_argument("--params", nargs="*", action="append", metavar="NAME=VALUE")
     p.add_argument("--candidate", metavar="RHO", help="comma-separated conservation vector to verify")
     p.add_argument(
         "--filter",
@@ -531,12 +556,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", parents=[common], help="canonical network realization of a system")
     p.add_argument("target")
-    p.add_argument("--params", nargs="*", metavar="NAME=VALUE")
+    p.add_argument("--params", nargs="*", action="append", metavar="NAME=VALUE")
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("simulate", parents=[common], help="integrate trajectories")
     p.add_argument("target")
-    p.add_argument("--params", nargs="*", metavar="NAME=VALUE")
+    p.add_argument("--params", nargs="*", action="append", metavar="NAME=VALUE")
     p.add_argument("--x0", required=True, metavar="V", help="comma-separated initial state")
     p.add_argument("--method", choices=["rk4", "rkf45"], default="rk4")
     p.add_argument("--dt", type=float, default=1e-3)

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .network import (
-    SMALL_FRACTIONS,
     Complex,
     NetworkValidationError,
     ReactionNetwork,
@@ -28,7 +27,7 @@ from .network import (
     resolve_rate,
 )
 from .numbers import LITERAL_BOUND, format_rational, outside_literal_bound
-from .poly import Exponents, Polynomial, PolynomialSystem, grlex_key
+from .poly import SMALL_FRACTIONS, Exponents, Polynomial, PolynomialSystem, grlex_key
 
 _ONE, _MINUS_ONE = SMALL_FRACTIONS[1], Fraction(-1)
 

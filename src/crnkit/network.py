@@ -28,10 +28,18 @@ a rendered network always parses back to itself.
 A JSON rate is a string or a number, read as its decimal text.
 
 `Complex`, `ReactionStep` and `ReactionNetwork` check every value they are
-given.  Code that builds values valid by construction (the text parser's
-complexes, the canonical realization) uses their private `_from_clean`
-constructors instead, which store what they are given as is; each states
-its contract.
+given.  Code that builds values valid by construction (the text parser, the
+canonical realization) uses their private `_from_clean` constructors
+instead, which store what they are given as is; each states its contract.
+
+The text parser reads each chain's tokens with the `numbers.Lexer` both
+text formats share, one `findall` per chain, and walks them by index.
+Columns are not kept: a refusal finds its token's column by reading the
+chain again, and a character no token starts with is refused before any
+other fault of its chain.  Each step passes `_checked_step`, the one owner
+of the checks `ReactionStep` makes, before `_from_clean` builds it, and the
+network is built with `_from_clean` unless two steps have the same reactant
+and product; then the public constructor merges them, with its warnings.
 """
 
 from __future__ import annotations
@@ -47,12 +55,13 @@ from typing import Iterable, Mapping, Sequence
 from .numbers import (
     DECIMAL,
     LITERAL_BOUND,
+    Lexer,
     format_rational,
     outside_literal_bound,
     parse_rational,
     read_literal,
 )
-from .poly import MAX_DEGREE
+from .poly import MAX_DEGREE, as_fraction
 
 Rate = Fraction | str
 Matrix = list[list[Fraction]]
@@ -60,18 +69,6 @@ Matrix = list[list[Fraction]]
 # A species name or a rate parameter name, matched only with fullmatch.
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _SPACED_PLUS_RE = re.compile(r"\s*\+\s*")
-
-# Fraction(i) for every coefficient a realization can store (0..MAX_DEGREE + 1),
-# shared so that building a complex creates no Fraction for a small integer.
-SMALL_FRACTIONS = tuple(Fraction(i) for i in range(MAX_DEGREE + 2))
-
-
-def _as_fraction(value: int | Fraction) -> Fraction:
-    """A non-negative int or a Fraction as a Fraction, small ints from the table."""
-    if type(value) is int:
-        return SMALL_FRACTIONS[value] if value < len(SMALL_FRACTIONS) else Fraction(value)
-    return value
-
 
 class NetworkSyntaxError(ValueError):
     """Malformed network text; carries 1-based line and column."""
@@ -224,48 +221,18 @@ class ReactionStep:
     rate: Rate
 
     def __post_init__(self):
-        if self.reactant == self.product:
-            raise NetworkValidationError("step has identical reactant and product")
-        rate = self.rate
-        if type(rate) is int:
-            rate = Fraction(rate)
-        elif isinstance(rate, str):
-            parts = _read_rate(rate)
-            if any(isinstance(part, str) for part in parts):
-                rate = "+".join(
-                    part if isinstance(part, str) else format_rational(part) for part in parts
-                )
-            else:
-                rate = sum(parts, Fraction(0))
-        elif not isinstance(rate, Fraction):
-            raise NetworkValidationError(
-                f"rate must be a Fraction, an int or a str, got {type(rate).__name__}"
-            )
-        if isinstance(rate, Fraction):
-            if rate <= 0:
-                raise NetworkValidationError(f"rate must be positive, got {rate}")
-            # a sum of parts, or a value built in Python, may need longer literals
-            if rate.numerator >= LITERAL_BOUND or rate.denominator >= LITERAL_BOUND:
-                raise NetworkValidationError(outside_literal_bound("rate"))
+        rate, net_change = _checked_step(self.reactant, self.product, self.rate)
         object.__setattr__(self, "rate", rate)
-        if not self.reactant.is_integral():
-            raise NetworkValidationError(
-                "reactant-side coefficients must be nonnegative integers"
-            )
-        # reactant coefficients become the exponents of the rate monomial
-        check_reactant_degree(sum(c.numerator for _, c in self.reactant.entries))
-        change = dict(self.product.entries)
-        for index, coeff in self.reactant.entries:
-            change[index] = change[index] - coeff if index in change else -coeff
-        object.__setattr__(self, "_net_change", {i: c for i, c in change.items() if c})
+        object.__setattr__(self, "_net_change", net_change)
 
     @classmethod
     def _from_clean(
-        cls, reactant: Complex, product: Complex, rate: Fraction, net_change: dict[int, Fraction]
+        cls, reactant: Complex, product: Complex, rate: Rate, net_change: dict[int, Fraction]
     ) -> "ReactionStep":
         """Trusted constructor for a step that passes every check of `__post_init__`.
 
-        `net_change` must be the unshared dict `__post_init__` would build.
+        `rate` must be the stored form and `net_change` the unshared dict that
+        `_checked_step` returns for the step.
         """
         step = object.__new__(cls)
         object.__setattr__(step, "reactant", reactant)
@@ -289,6 +256,45 @@ class ReactionStep:
             f"{self.reactant.render(species)} ->[{format_rate(self.rate)}] "
             f"{self.product.render(species)}"
         )
+
+
+def _checked_step(reactant: Complex, product: Complex, rate) -> tuple[Rate, dict[int, Fraction]]:
+    """A step's stored rate and net change, after every check `ReactionStep` makes.
+
+    The one owner of those checks, in their order: `__post_init__` calls it,
+    and so does the text parser before it builds a step with `_from_clean`.
+    Raises NetworkValidationError.
+    """
+    if reactant == product:
+        raise NetworkValidationError("step has identical reactant and product")
+    if type(rate) is int:
+        rate = Fraction(rate)
+    elif isinstance(rate, str):
+        parts = _read_rate(rate)
+        if any(isinstance(part, str) for part in parts):
+            rate = "+".join(
+                part if isinstance(part, str) else format_rational(part) for part in parts
+            )
+        else:
+            rate = sum(parts, Fraction(0))
+    elif not isinstance(rate, Fraction):
+        raise NetworkValidationError(
+            f"rate must be a Fraction, an int or a str, got {type(rate).__name__}"
+        )
+    if isinstance(rate, Fraction):
+        if rate <= 0:
+            raise NetworkValidationError(f"rate must be positive, got {rate}")
+        # a sum of parts, or a value built in Python, may need longer literals
+        if rate.numerator >= LITERAL_BOUND or rate.denominator >= LITERAL_BOUND:
+            raise NetworkValidationError(outside_literal_bound("rate"))
+    if not reactant.is_integral():
+        raise NetworkValidationError("reactant-side coefficients must be nonnegative integers")
+    # reactant coefficients become the exponents of the rate monomial
+    check_reactant_degree(sum(c.numerator for _, c in reactant.entries))
+    change = dict(product.entries)
+    for index, coeff in reactant.entries:
+        change[index] = change[index] - coeff if index in change else -coeff
+    return rate, {i: c for i, c in change.items() if c}
 
 
 def check_reactant_degree(degree: int) -> None:
@@ -495,186 +501,175 @@ class ReactionNetwork:
 
 # -- text parsing -----------------------------------------------------------
 
-_NET_TOKEN_RE = re.compile(
-    rf"""(?P<ws>\s+)
-      | (?P<both>\<\=\>\[)
-      | (?P<bwd>\<\-\[)
-      | (?P<fwd>\-\>\[)
-      | (?P<number>{DECIMAL}(?:/\d+)?)
-      | (?P<ident>{_NAME_RE.pattern})
-      | (?P<plus>\+)
-      | (?P<comma>,)
-      | (?P<rbracket>\])
-      | (?P<unexpected>.)
-    """,
-    re.VERBOSE | re.DOTALL,
+_NET_LEXER = Lexer(
+    r"<=>\[", r"<-\[", r"->\[", rf"{DECIMAL}(?:/\d+)?", _NAME_RE.pattern, r"[+,\]]"
 )
+_ARROWS = ("->[", "<-[", "<=>[")
 
 
-def _tokenize_line(line: str, line_no: int, start: int, end: int) -> list[tuple[str, str, int]]:
-    """Tokens of line[start:end], with 1-based columns counted from the line start.
+def _is_name(token: str) -> bool:
+    """Is `token` a name token?  Only a name starts with an ASCII letter."""
+    return token[0].isalpha() and token.isascii()
 
-    The last-resort `unexpected` group matches any one character, so the
-    matches cover the text without gaps and the first character no other
-    group reads is refused at its column.
+
+class _ChainError(Exception):
+    """A refusal inside one chain; its args are the message and the index of its token."""
+
+
+def _number(token: str, index: int) -> int | Fraction:
+    """A number token's value by read_literal; a literal it refuses is refused at the token."""
+    try:
+        return read_literal(token)
+    except ValueError as exc:
+        raise _ChainError(str(exc), index) from None
+
+
+def _parse_complex(
+    tokens: list[str], pos: int, species_index: dict[str, int], species_order: list[str]
+) -> tuple[Complex, tuple, int]:
+    """The complex from tokens[pos] on, a key of it made of ints and the position after it.
+
+    Equal complexes have equal keys: (index, coefficient) pairs in index
+    order, a coefficient kept as the int it was read as when it is one.
     """
-    tokens = []
-    for m in _NET_TOKEN_RE.finditer(line, start, end):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "unexpected":
-            raise NetworkSyntaxError(
-                f"unexpected character {m.group()!r}", line_no, m.start() + 1
-            )
-        tokens.append((kind, m.group(), m.start() + 1))
-    return tokens
-
-
-class _LineParser:
-    def __init__(self, tokens, line_no, species_index, species_order):
-        self.tokens = tokens
-        self.line_no = line_no
-        self.pos = 0
-        self.species_index = species_index
-        self.species_order = species_order
-
-    def error(self, message, column=None):
-        if column is None:
-            column = self.tokens[-1][2] if self.tokens else 1
-        raise NetworkSyntaxError(message, self.line_no, column)
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, kind=None):
-        tok = self.peek()
-        if tok is None:
-            self.error("unexpected end of line")
-        if kind is not None and tok[0] != kind:
-            self.error(f"expected {kind}, found {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def species_id(self, name: str) -> int:
-        if name not in self.species_index:
-            self.species_index[name] = len(self.species_order)
-            self.species_order.append(name)
-        return self.species_index[name]
-
-    def number(self, tok) -> int | Fraction:
-        """A number token's value by read_literal; a literal it refuses is a
-        NetworkSyntaxError at the token."""
-        try:
-            return read_literal(tok[1])
-        except ValueError as exc:
-            self.error(str(exc), tok[2])
-
-    def parse_complex(self) -> Complex:
-        """A complex read from the current token on, walking the tokens by index."""
-        tokens, pos, count = self.tokens, self.pos, len(self.tokens)
-        coeffs: dict[int, int | Fraction] = {}
-        first = True
-        while True:
-            if pos == count:
-                self.error("expected a complex")
-            tok = tokens[pos]
-            pos += 1
-            if tok[0] == "number":
-                value = self.number(tok)
-                if pos < count and tokens[pos][0] == "ident":
-                    if value <= 0:
-                        self.error(
-                            f"stoichiometric coefficient must be positive, got {tok[1]}",
-                            tok[2],
-                        )
-                    name = tokens[pos][1]
-                    pos += 1
-                elif value == 0 and first:
-                    # bare "0" is the empty complex
-                    self.pos = pos
-                    return Complex._from_clean(())
-                else:
-                    self.error(f"unexpected number {tok[1]!r}", tok[2])
-            elif tok[0] == "ident":
-                value, name = 1, tok[1]
-            else:
-                self.error(f"expected species term, found {tok[1]!r}", tok[2])
-            idx = self.species_id(name)
-            old = coeffs.get(idx)
-            if old is None:
-                coeffs[idx] = value
-            else:
-                # one literal keeps the bound; a sum of several may not
-                value += old
-                if value.numerator >= LITERAL_BOUND or value.denominator >= LITERAL_BOUND:
-                    self.error(outside_literal_bound("stoichiometric coefficient"), tok[2])
-                coeffs[idx] = value
-            first = False
-            if pos < count and tokens[pos][0] == "plus":
-                pos += 1
-                continue
-            self.pos = pos
-            # merged per species, every sum positive
-            return Complex._from_clean(
-                tuple((i, _as_fraction(c)) for i, c in sorted(coeffs.items()))
-            )
-
-    def parse_rate(self) -> Rate:
-        """A Fraction when every part is a number, else the parts joined by '+'."""
-        parts: list[str] = []
-        total: int | Fraction = 0
-        numeric = True
-        while True:
-            tok = self.take()
-            if tok[0] == "number":
-                value = self.number(tok)
+    count = len(tokens)
+    coeffs: dict[int, int | Fraction] = {}
+    first = True
+    while True:
+        if pos == count:
+            raise _ChainError("expected a complex", count - 1)
+        at = pos
+        token = tokens[pos]
+        pos += 1
+        if token[0].isdecimal():
+            value = _number(token, at)
+            if pos < count and _is_name(tokens[pos]):
                 if value <= 0:
-                    self.error(f"rate must be positive, got {tok[1]}", tok[2])
-                total += value
-                parts.append(tok[1])
-            elif tok[0] == "ident":
-                numeric = False
-                parts.append(tok[1])
+                    raise _ChainError(
+                        f"stoichiometric coefficient must be positive, got {token}", at
+                    )
+                name = tokens[pos]
+                pos += 1
+            elif value == 0 and first:
+                # bare "0" is the empty complex
+                return Complex._from_clean(()), (), pos
             else:
-                self.error(f"expected rate, found {tok[1]!r}", tok[2])
-            nxt = self.peek()
-            if nxt is None or nxt[0] != "plus":
-                return _as_fraction(total) if numeric else "+".join(parts)
-            self.take()
+                raise _ChainError(f"unexpected number {token!r}", at)
+        elif _is_name(token):
+            value, name = 1, token
+        else:
+            raise _ChainError(f"expected species term, found {token!r}", at)
+        index = species_index.get(name)
+        if index is None:
+            index = species_index[name] = len(species_order)
+            species_order.append(name)
+        old = coeffs.get(index)
+        if old is not None:
+            # one literal keeps the bound; a sum of several may not
+            value += old
+            if value.numerator >= LITERAL_BOUND or value.denominator >= LITERAL_BOUND:
+                raise _ChainError(outside_literal_bound("stoichiometric coefficient"), at)
+        coeffs[index] = value
+        first = False
+        if pos < count and tokens[pos] == "+":
+            pos += 1
+            continue
+        # merged per species, every sum positive
+        items = sorted(coeffs.items())
+        return Complex._from_clean(tuple((i, as_fraction(c)) for i, c in items)), tuple(items), pos
 
-    def parse_chain(self) -> list[ReactionStep]:
-        steps = []
-        left = self.parse_complex()
-        saw_arrow = False
-        while self.peek() is not None:
-            arrow = self.take()
-            if arrow[0] not in ("fwd", "bwd", "both"):
-                self.error(f"expected an arrow, found {arrow[1]!r}", arrow[2])
-            saw_arrow = True
-            if arrow[0] == "both":
-                kf = self.parse_rate()
-                self.take("comma")
-                kb = self.parse_rate()
-            else:
-                kf = self.parse_rate()
-                kb = None
-            self.take("rbracket")
-            right = self.parse_complex()
-            try:
-                if arrow[0] == "fwd":
-                    steps.append(ReactionStep(left, right, kf))
-                elif arrow[0] == "bwd":
-                    steps.append(ReactionStep(right, left, kf))
-                else:
-                    steps.append(ReactionStep(left, right, kf))
-                    steps.append(ReactionStep(right, left, kb))
-            except NetworkValidationError as exc:
-                self.error(str(exc), arrow[2])
-            left = right
-        if not saw_arrow:
-            self.error("chain needs at least one arrow")
-        return steps
+
+def _parse_rate(tokens: list[str], pos: int) -> tuple[Rate, int]:
+    """The rate from tokens[pos] on and the position after it: a Fraction when
+    every part is a number, else the parts joined by '+'."""
+    count = len(tokens)
+    parts: list[str] = []
+    total: int | Fraction = 0
+    numeric = True
+    while True:
+        if pos == count:
+            raise _ChainError("unexpected end of line", count - 1)
+        token = tokens[pos]
+        if token[0].isdecimal():
+            value = _number(token, pos)
+            if value <= 0:
+                raise _ChainError(f"rate must be positive, got {token}", pos)
+            total += value
+        elif _is_name(token):
+            numeric = False
+        else:
+            raise _ChainError(f"expected rate, found {token!r}", pos)
+        parts.append(token)
+        pos += 1
+        if pos == count or tokens[pos] != "+":
+            return (as_fraction(total) if numeric else "+".join(parts)), pos
+        pos += 1
+
+
+def _expect(tokens: list[str], pos: int, symbol: str, kind: str) -> int:
+    """The position after tokens[pos], which must be `symbol`."""
+    if pos == len(tokens):
+        raise _ChainError("unexpected end of line", pos - 1)
+    if tokens[pos] != symbol:
+        raise _ChainError(f"expected {kind}, found {tokens[pos]!r}", pos)
+    return pos + 1
+
+
+def _step(reactant: Complex, product: Complex, rate: Rate, arrow: int) -> ReactionStep:
+    """A step checked by `_checked_step`, refused at the token of its arrow."""
+    try:
+        rate, net_change = _checked_step(reactant, product, rate)
+    except NetworkValidationError as exc:
+        raise _ChainError(str(exc), arrow) from None
+    return ReactionStep._from_clean(reactant, product, rate, net_change)
+
+
+def _parse_chain(
+    tokens: list[str],
+    species_index: dict[str, int],
+    species_order: list[str],
+    steps: list[ReactionStep],
+    keys: set[tuple],
+) -> None:
+    """Append the steps of the chain `tokens` to `steps`, and their keys to `keys`."""
+    count = len(tokens)
+    left, left_key, pos = _parse_complex(tokens, 0, species_index, species_order)
+    if pos == count:
+        raise _ChainError("chain needs at least one arrow", count - 1)
+    while pos < count:
+        arrow_at = pos
+        arrow = tokens[pos]
+        if arrow not in _ARROWS:
+            raise _ChainError(f"expected an arrow, found {arrow!r}", pos)
+        forward, pos = _parse_rate(tokens, pos + 1)
+        if arrow == "<=>[":
+            backward, pos = _parse_rate(tokens, _expect(tokens, pos, ",", "comma"))
+        pos = _expect(tokens, pos, "]", "rbracket")
+        right, right_key, pos = _parse_complex(tokens, pos, species_index, species_order)
+        if arrow == "<-[":
+            steps.append(_step(right, left, forward, arrow_at))
+            keys.add((right_key, left_key))
+        else:
+            steps.append(_step(left, right, forward, arrow_at))
+            keys.add((left_key, right_key))
+            if arrow == "<=>[":
+                steps.append(_step(right, left, backward, arrow_at))
+                keys.add((right_key, left_key))
+        left, left_key = right, right_key
+
+
+def _syntax_error(
+    line: str, start: int, end: int, line_no: int, message: str, index: int
+) -> NetworkSyntaxError:
+    """The refusal of the chain line[start:end] at its token `index`.
+
+    A character no token starts with is refused before any other fault of
+    its chain, as a tokenizer that reads the whole chain first refuses it.
+    """
+    bad = _NET_LEXER.first_unexpected(line, start, end)
+    if bad is not None:
+        return NetworkSyntaxError(f"unexpected character {line[bad]!r}", line_no, bad + 1)
+    return NetworkSyntaxError(message, line_no, _NET_LEXER.column(line, index, start, end))
 
 
 def parse_network(text: str) -> ReactionNetwork:
@@ -686,18 +681,24 @@ def parse_network(text: str) -> ReactionNetwork:
     species_index: dict[str, int] = {}
     species_order: list[str] = []
     steps: list[ReactionStep] = []
+    keys: set[tuple] = set()
     any_content = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0]
+        line = raw.split("#", 1)[0]
         start = 0
-        for piece in stripped.split(";"):
+        for piece in line.split(";"):
             end = start + len(piece)
-            if piece.strip():
+            tokens = _NET_LEXER.split(line, start, end)
+            if tokens:
                 any_content = True
-                tokens = _tokenize_line(stripped, line_no, start, end)
-                parser = _LineParser(tokens, line_no, species_index, species_order)
-                steps.extend(parser.parse_chain())
+                try:
+                    _parse_chain(tokens, species_index, species_order, steps, keys)
+                except _ChainError as exc:
+                    raise _syntax_error(line, start, end, line_no, *exc.args) from None
             start = end + 1
     if not any_content:
         raise NetworkSyntaxError("no reactions found", 1, 1)
-    return ReactionNetwork(species_order, steps)
+    if len(keys) < len(steps):
+        # duplicate steps merge, with their warnings, as the constructor merges them
+        return ReactionNetwork(species_order, steps)
+    return ReactionNetwork._from_clean(tuple(species_order), tuple(steps))

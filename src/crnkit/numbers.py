@@ -4,13 +4,16 @@
 numbers.  The network and polynomial text formats spell a number with
 `DECIMAL` (the network format adds an optional "/digits"), and
 `read_literal` is the one reader of such a token and of the literal parts
-of a rate.  Every value these read has a numerator and a denominator below
-LITERAL_BOUND, and so does every rate and coefficient a network stores, so
-whatever a network holds is written with literals the text format reads.
+of a rate.  Both formats read their text with one `Lexer`.  Every value
+these read has a numerator and a denominator below LITERAL_BOUND, and so
+does every rate and coefficient a network stores, so whatever a network
+holds is written with literals the text format reads.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -34,6 +37,42 @@ def outside_literal_bound(what: str) -> str:
 
 # The unsigned decimal number of the text formats' tokenizers.
 DECIMAL = r"\d+(?:\.\d+)?"
+
+
+class Lexer:
+    r"""A text format's tokens: its alternatives, which hold no capturing group, then `\S`.
+
+    So only whitespace falls between tokens, and a character no token starts
+    with is a token of its own, which the format's parser refuses.  Columns
+    are not kept; `column` and `first_unexpected` read the text again.
+    """
+
+    def __init__(self, *alternatives: str):
+        body = "|".join(alternatives)
+        self._token = re.compile(rf"{body}|\S")
+        # the same tokens, with only a character no alternative reads captured
+        self._unexpected = re.compile(rf"(?:{body})|(\S)")
+
+    def split(self, text: str, start: int = 0, end: int = sys.maxsize) -> list[str]:
+        """The texts of the tokens of text[start:end]."""
+        return self._token.findall(text, start, end)
+
+    def first_unexpected(self, text: str, start: int = 0, end: int = sys.maxsize) -> int | None:
+        """The index in `text` of the first character of text[start:end] that
+        starts no token of the format, or None if there is none."""
+        if any(self._unexpected.findall(text, start, end)):
+            for match in self._unexpected.finditer(text, start, end):
+                if match.group(1):
+                    return match.start()
+        return None
+
+    def column(self, text: str, index: int, start: int = 0, end: int = sys.maxsize) -> int:
+        """The 1-based column, counted from the start of `text`, of
+        split(text, start, end)[index]."""
+        for number, match in enumerate(self._token.finditer(text, start, end)):
+            if number == index:
+                return match.start() + 1
+        raise IndexError(f"no token {index} in the text")
 
 
 def parse_rational(text: str) -> Fraction:

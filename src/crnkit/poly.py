@@ -32,6 +32,12 @@ powers multiply as one term, a coefficient and exponents, with the checks
 that a product of two one-term polynomials gets and nothing charged to the
 budget; a product becomes a `Polynomial` only at its first parenthesized
 factor, and from there each factor is multiplied in turn.
+
+The parser reads an expression's tokens with the `numbers.Lexer` both text
+formats share, one `findall` per expression, after one pass that refuses a
+character no token starts with, so such a text is refused before it
+charges anything to the budget.  Columns are not kept: a refusal that
+names one finds it by reading the expression again.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
-from .numbers import DECIMAL, format_rational, read_literal
+from .numbers import DECIMAL, Lexer, format_rational, read_literal
 
 Exponents = tuple[int, ...]
 Scalar = Union[Fraction, int]
@@ -64,6 +70,18 @@ MAX_NESTING = 100
 # of a sum multiplies the heights of its terms.  It admits every literal
 # parse_rational accepts (10^1000 has 3,322 bits).
 MAX_COEFFICIENT_BITS = 10_000
+
+
+# Fraction(i) for every coefficient a realization can store (0..MAX_DEGREE + 1),
+# shared so that building a complex or reading a small number creates no Fraction.
+SMALL_FRACTIONS = tuple(Fraction(i) for i in range(MAX_DEGREE + 2))
+
+
+def as_fraction(value: int | Fraction) -> Fraction:
+    """A non-negative int or a Fraction as a Fraction, small ints from the table."""
+    if type(value) is int:
+        return SMALL_FRACTIONS[value] if value < len(SMALL_FRACTIONS) else Fraction(value)
+    return value
 
 
 def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
@@ -346,34 +364,20 @@ class Polynomial:
 
 # -- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    rf"""(?P<ws>\s+)
-      | (?P<number>{DECIMAL})
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>[-+*/^()])
-    """,
-    re.VERBOSE,
-)
+# A variable name, matched only with fullmatch; the tokens read the same pattern.
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_POLY_LEXER = Lexer(DECIMAL, _IDENT_RE.pattern, r"[-+*/^()]")
+# the parser's token after the last one: whitespace is never a token
+_END = " "
+
+
+def _is_ident(token: str) -> bool:
+    """Is `token` a name token?  Only a name starts with an ASCII letter or '_'."""
+    return (token[0].isalpha() or token[0] == "_") and token.isascii()
 
 
 class PolynomialParseError(ValueError):
     """Raised for malformed polynomial expressions."""
-
-
-def _tokenize_poly(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise PolynomialParseError(
-                f"unexpected character {text[pos]!r} at column {pos + 1}"
-            )
-        pos = m.end()
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), m.start()))
-    return tokens
 
 
 def _height(poly: Polynomial) -> int:
@@ -389,7 +393,7 @@ def _height(poly: Polynomial) -> int:
     return top.bit_length()
 
 
-_ONE = Fraction(1)
+_ONE = SMALL_FRACTIONS[1]
 
 
 def _term_height(coeff: Fraction) -> int:
@@ -407,15 +411,16 @@ class _PolyParser:
         self.depth = 0
         self.expanded = 0  # summed term-count bounds of the expansions so far
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
+    def take(self) -> str:
+        tok = self.tokens[self.pos]
+        if tok is _END:
             raise PolynomialParseError("unexpected end of expression")
         self.pos += 1
         return tok
+
+    def column(self, index: int) -> int:
+        """The 1-based column of the token with this index."""
+        return _POLY_LEXER.column(self.text, index)
 
     def admit(self, kind: str, degree: int, terms: int, bits: int):
         """Refuse a result of this kind above a cap; charge a term bound above 1."""
@@ -472,16 +477,15 @@ class _PolyParser:
 
     def parse_exponent(self) -> int | None:
         """The integer after a `^`, or None when no `^` follows; none above MAX_DEGREE."""
-        nxt = self.peek()
-        if not (nxt and nxt[0] == "op" and nxt[1] == "^"):
+        if self.tokens[self.pos] != "^":
             return None
-        self.take()
+        self.pos += 1
         exp_tok = self.take()
-        if exp_tok[0] != "number" or "." in exp_tok[1]:
+        if not exp_tok[0].isdecimal() or "." in exp_tok:
             raise PolynomialParseError(
-                f"expected integer exponent at column {exp_tok[2] + 1}"
+                f"expected integer exponent at column {self.column(self.pos - 1)}"
             )
-        exponent = int(read_literal(exp_tok[1]))
+        exponent = int(read_literal(exp_tok))
         if exponent > MAX_DEGREE:
             raise PolynomialParseError(
                 f"exponent {exponent} is above MAX_DEGREE = {MAX_DEGREE}"
@@ -489,32 +493,40 @@ class _PolyParser:
         return exponent
 
     def parse(self, text: str) -> Polynomial:
-        self.tokens = _tokenize_poly(text)
+        # a character no token starts with is refused before anything is parsed
+        bad = _POLY_LEXER.first_unexpected(text)
+        if bad is not None:
+            raise PolynomialParseError(
+                f"unexpected character {text[bad]!r} at column {bad + 1}"
+            )
+        self.text = text
+        self.tokens = _POLY_LEXER.split(text)
         if not self.tokens:
             raise PolynomialParseError("empty polynomial expression")
+        self.tokens.append(_END)
         self.pos = 0
         result = self.parse_sum()
-        tok = self.peek()
-        if tok is not None:
+        tok = self.tokens[self.pos]
+        if tok is not _END:
             raise PolynomialParseError(
-                f"unexpected token {tok[1]!r} at column {tok[2] + 1}"
+                f"unexpected token {tok!r} at column {self.column(self.pos)}"
             )
         return result
 
     def parse_sum(self) -> Polynomial:
         scale = None
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
-            self.take()
-            scale = -1 if tok[1] == "-" else None
+        tok = self.tokens[self.pos]
+        if tok == "+" or tok == "-":
+            self.pos += 1
+            scale = -1 if tok == "-" else None
         sums: dict[Exponents, Fraction] = {}
         while True:
             accumulate_terms(sums, self.parse_product(), scale)
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "+-":
+            tok = self.tokens[self.pos]
+            if tok != "+" and tok != "-":
                 break
-            self.take()
-            scale = -1 if tok[1] == "-" else None
+            self.pos += 1
+            scale = -1 if tok == "-" else None
         return Polynomial._from_clean(self.dim, {e: c for e, c in sums.items() if c})
 
     def parse_product(self) -> dict[Exponents, Fraction]:
@@ -556,12 +568,10 @@ class _PolyParser:
                 if poly is None and coeff is not None:
                     poly = Polynomial._from_clean(self.dim, {tuple(expts): coeff} if coeff else {})
                 poly = factor if poly is None else self.product(poly, factor)
-            tok = self.peek()
-            if tok is None:
-                break
-            if tok[0] == "op" and tok[1] == "*":
-                self.take()
-            elif not (tok[0] in ("number", "ident") or (tok[0] == "op" and tok[1] == "(")):
+            tok = self.tokens[self.pos]
+            if tok == "*":
+                self.pos += 1
+            elif not (tok == "(" or tok[0].isdecimal() or _is_ident(tok)):
                 # anything else ends the product; a number, a name or "(" is
                 # an implicit multiplication, e.g. "2x", "x y" or "x(x + y)"
                 break
@@ -581,39 +591,38 @@ class _PolyParser:
     def parse_factor(self) -> Polynomial | Fraction | tuple[int, int]:
         """A parenthesized sum and its power, a number, or (index, exponent) of a variable power."""
         tok = self.take()
-        if tok[0] == "op" and tok[1] == "(":
+        if tok == "(":
             if self.depth == MAX_NESTING:
                 raise PolynomialParseError(
-                    f"parentheses at column {tok[2] + 1} nest deeper than "
+                    f"parentheses at column {self.column(self.pos - 1)} nest deeper than "
                     f"MAX_NESTING = {MAX_NESTING}"
                 )
             self.depth += 1
             inner = self.parse_sum()
             self.depth -= 1
             closing = self.take()
-            if closing[0] != "op" or closing[1] != ")":
+            if closing != ")":
                 raise PolynomialParseError(
-                    f"expected ')' at column {closing[2] + 1}"
+                    f"expected ')' at column {self.column(self.pos - 1)}"
                 )
             exponent = self.parse_exponent()
             return inner if exponent is None else self.power(inner, exponent)
-        if tok[0] == "number":
-            value = read_literal(tok[1])
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "/":
-                self.take()
+        if tok[0].isdecimal():
+            value = read_literal(tok)
+            if self.tokens[self.pos] == "/":
+                self.pos += 1
                 den_tok = self.take()
-                if den_tok[0] != "number":
+                if not den_tok[0].isdecimal():
                     raise PolynomialParseError(
-                        f"expected denominator at column {den_tok[2] + 1}"
+                        f"expected denominator at column {self.column(self.pos - 1)}"
                     )
-                den = read_literal(den_tok[1])
+                den = read_literal(den_tok)
                 if den == 0:
                     raise PolynomialParseError("division by zero in coefficient")
                 return Fraction(value, den)
-            return Fraction(value)
-        if tok[0] == "ident":
-            name = tok[1]
+            return as_fraction(value)
+        if _is_ident(tok):
+            name = tok
             if name not in self.index:
                 known = ", ".join(self.index) or "(none)"
                 raise PolynomialParseError(
@@ -626,7 +635,7 @@ class _PolyParser:
                 self.admit("single-term power", exponent, 1, exponent)
             return self.index[name], exponent
         raise PolynomialParseError(
-            f"unexpected token {tok[1]!r} at column {tok[2] + 1}"
+            f"unexpected token {tok!r} at column {self.column(self.pos - 1)}"
         )
 
 
@@ -692,8 +701,7 @@ class PolynomialSystem:
         vars_t = tuple(variables)
         for name in vars_t:
             # an identifier is what the expression tokenizer reads as one
-            match = _TOKEN_RE.fullmatch(name)
-            if match is None or match.lastgroup != "ident":
+            if not _IDENT_RE.fullmatch(name):
                 raise ValueError(
                     f"invalid variable name {name!r}: expected a letter or '_', "
                     "then letters, digits or '_'"

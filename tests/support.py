@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import warnings
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -32,19 +34,25 @@ from crnkit.kinetics import (
     ode_variable_names,
     species_names_for_variables,
 )
-from crnkit.numbers import read_literal
+from crnkit.numbers import LITERAL_BOUND, MAX_EXPONENT, outside_literal_bound, read_literal
 from crnkit.poly import (
     MAX_COEFFICIENT_BITS,
     MAX_DEGREE,
     MAX_NESTING,
     MAX_PARSE_TERMS,
     MAX_TERMS,
+    SMALL_FRACTIONS as NETWORK_SMALL_FRACTIONS,
     PolynomialParseError,
-    _tokenize_poly,
     accumulate_terms,
 )
 from crnkit.sim import CLAMP_TOLERANCE
-from crnkit.network import Complex, ReactionStep, resolve_rate
+from crnkit.network import (
+    Complex,
+    NetworkSyntaxError,
+    NetworkValidationError,
+    ReactionStep,
+    resolve_rate,
+)
 
 SMALL_FRACTIONS = [
     Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3) if Fraction(n, d) != 0
@@ -348,6 +356,34 @@ def _reference_height(poly: Polynomial) -> int:
     return top.bit_length()
 
 
+# The expression tokenizer the polynomial parser had before it shared a lexer
+# with the network format, kept as is so the oracle's tokens stay fixed.
+_REFERENCE_POLY_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<number>\d+(?:\.\d+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<op>[-+*/^()])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize_poly(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_POLY_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise PolynomialParseError(
+                f"unexpected character {text[pos]!r} at column {pos + 1}"
+            )
+        pos = m.end()
+        kind = m.lastgroup
+        if kind != "ws":
+            tokens.append((kind, m.group(), m.start()))
+    return tokens
+
+
 class ReferencePolyParser:
     """The polynomial parser that builds one Polynomial per factor: the oracle of `_PolyParser`.
 
@@ -448,7 +484,7 @@ class ReferencePolyParser:
         return base
 
     def parse(self, text: str) -> Polynomial:
-        self.tokens = _tokenize_poly(text)
+        self.tokens = _reference_tokenize_poly(text)
         if not self.tokens:
             raise PolynomialParseError("empty polynomial expression")
         self.pos = 0
@@ -535,6 +571,302 @@ class ReferencePolyParser:
         raise PolynomialParseError(
             f"unexpected token {tok[1]!r} at column {tok[2] + 1}"
         )
+
+
+# The network text parser as it was before it shared a lexer with the
+# polynomial format: the oracle of `parse_network`.  Every step goes through
+# the public `ReactionStep` and the network through the public constructor.
+_REFERENCE_NET_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<both>\<\=\>\[)
+      | (?P<bwd>\<\-\[)
+      | (?P<fwd>\-\>\[)
+      | (?P<number>\d+(?:\.\d+)?(?:/\d+)?)
+      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<plus>\+)
+      | (?P<comma>,)
+      | (?P<rbracket>\])
+      | (?P<unexpected>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def _reference_as_fraction(value: int | Fraction) -> Fraction:
+    if type(value) is int:
+        small = NETWORK_SMALL_FRACTIONS
+        return small[value] if value < len(small) else Fraction(value)
+    return value
+
+
+def _reference_tokenize_line(
+    line: str, line_no: int, start: int, end: int
+) -> list[tuple[str, str, int]]:
+    tokens = []
+    for m in _REFERENCE_NET_TOKEN_RE.finditer(line, start, end):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "unexpected":
+            raise NetworkSyntaxError(
+                f"unexpected character {m.group()!r}", line_no, m.start() + 1
+            )
+        tokens.append((kind, m.group(), m.start() + 1))
+    return tokens
+
+
+class _ReferenceLineParser:
+    def __init__(self, tokens, line_no, species_index, species_order):
+        self.tokens = tokens
+        self.line_no = line_no
+        self.pos = 0
+        self.species_index = species_index
+        self.species_order = species_order
+
+    def error(self, message, column=None):
+        if column is None:
+            column = self.tokens[-1][2] if self.tokens else 1
+        raise NetworkSyntaxError(message, self.line_no, column)
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self, kind=None):
+        tok = self.peek()
+        if tok is None:
+            self.error("unexpected end of line")
+        if kind is not None and tok[0] != kind:
+            self.error(f"expected {kind}, found {tok[1]!r}", tok[2])
+        self.pos += 1
+        return tok
+
+    def species_id(self, name: str) -> int:
+        if name not in self.species_index:
+            self.species_index[name] = len(self.species_order)
+            self.species_order.append(name)
+        return self.species_index[name]
+
+    def number(self, tok) -> int | Fraction:
+        try:
+            return read_literal(tok[1])
+        except ValueError as exc:
+            self.error(str(exc), tok[2])
+
+    def parse_complex(self) -> Complex:
+        tokens, pos, count = self.tokens, self.pos, len(self.tokens)
+        coeffs: dict[int, int | Fraction] = {}
+        first = True
+        while True:
+            if pos == count:
+                self.error("expected a complex")
+            tok = tokens[pos]
+            pos += 1
+            if tok[0] == "number":
+                value = self.number(tok)
+                if pos < count and tokens[pos][0] == "ident":
+                    if value <= 0:
+                        self.error(
+                            f"stoichiometric coefficient must be positive, got {tok[1]}",
+                            tok[2],
+                        )
+                    name = tokens[pos][1]
+                    pos += 1
+                elif value == 0 and first:
+                    self.pos = pos
+                    return Complex._from_clean(())
+                else:
+                    self.error(f"unexpected number {tok[1]!r}", tok[2])
+            elif tok[0] == "ident":
+                value, name = 1, tok[1]
+            else:
+                self.error(f"expected species term, found {tok[1]!r}", tok[2])
+            idx = self.species_id(name)
+            old = coeffs.get(idx)
+            if old is None:
+                coeffs[idx] = value
+            else:
+                value += old
+                if value.numerator >= LITERAL_BOUND or value.denominator >= LITERAL_BOUND:
+                    self.error(outside_literal_bound("stoichiometric coefficient"), tok[2])
+                coeffs[idx] = value
+            first = False
+            if pos < count and tokens[pos][0] == "plus":
+                pos += 1
+                continue
+            self.pos = pos
+            return Complex._from_clean(
+                tuple((i, _reference_as_fraction(c)) for i, c in sorted(coeffs.items()))
+            )
+
+    def parse_rate(self):
+        parts: list[str] = []
+        total: int | Fraction = 0
+        numeric = True
+        while True:
+            tok = self.take()
+            if tok[0] == "number":
+                value = self.number(tok)
+                if value <= 0:
+                    self.error(f"rate must be positive, got {tok[1]}", tok[2])
+                total += value
+                parts.append(tok[1])
+            elif tok[0] == "ident":
+                numeric = False
+                parts.append(tok[1])
+            else:
+                self.error(f"expected rate, found {tok[1]!r}", tok[2])
+            nxt = self.peek()
+            if nxt is None or nxt[0] != "plus":
+                return _reference_as_fraction(total) if numeric else "+".join(parts)
+            self.take()
+
+    def parse_chain(self) -> list[ReactionStep]:
+        steps = []
+        left = self.parse_complex()
+        saw_arrow = False
+        while self.peek() is not None:
+            arrow = self.take()
+            if arrow[0] not in ("fwd", "bwd", "both"):
+                self.error(f"expected an arrow, found {arrow[1]!r}", arrow[2])
+            saw_arrow = True
+            if arrow[0] == "both":
+                kf = self.parse_rate()
+                self.take("comma")
+                kb = self.parse_rate()
+            else:
+                kf = self.parse_rate()
+                kb = None
+            self.take("rbracket")
+            right = self.parse_complex()
+            try:
+                if arrow[0] == "fwd":
+                    steps.append(ReactionStep(left, right, kf))
+                elif arrow[0] == "bwd":
+                    steps.append(ReactionStep(right, left, kf))
+                else:
+                    steps.append(ReactionStep(left, right, kf))
+                    steps.append(ReactionStep(right, left, kb))
+            except NetworkValidationError as exc:
+                self.error(str(exc), arrow[2])
+            left = right
+        if not saw_arrow:
+            self.error("chain needs at least one arrow")
+        return steps
+
+
+def reference_parse_network(text: str) -> ReactionNetwork:
+    species_index: dict[str, int] = {}
+    species_order: list[str] = []
+    steps: list[ReactionStep] = []
+    any_content = False
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0]
+        start = 0
+        for piece in stripped.split(";"):
+            end = start + len(piece)
+            if piece.strip():
+                any_content = True
+                tokens = _reference_tokenize_line(stripped, line_no, start, end)
+                parser = _ReferenceLineParser(tokens, line_no, species_index, species_order)
+                steps.extend(parser.parse_chain())
+            start = end + 1
+    if not any_content:
+        raise NetworkSyntaxError("no reactions found", 1, 1)
+    return ReactionNetwork(species_order, steps)
+
+
+# Pieces of the network text format for generated texts: names that are
+# species or parameters, and literals that reach the literal bound (a
+# 1001-digit integer is below it, and a sum of two is not).
+_DSL_NAMES = ("A", "B", "C", "X_1", "k", "a2")
+_DSL_WIDE = "9" * (MAX_EXPONENT + 1)
+_DSL_LITERALS = ("1", "2", "3", "1/2", "3/2", "0.5", "2.25", "0", _DSL_WIDE, f"1/{_DSL_WIDE}",
+                 "0." + "0" * (MAX_EXPONENT - 1) + "1")
+_DSL_EDIT_CHARS = "AB k0123456789+-<=>[],;#/._\n\t $é"
+
+
+def _dsl_complex(rng: random.Random) -> str:
+    """"0" now and then, else one to three terms, a species maybe repeated,
+    with integer, fractional or wide coefficients."""
+    if rng.random() < 0.1:
+        return "0"
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        draw = rng.random()
+        coefficient = (
+            "" if draw < 0.7 else rng.choice(("2", "3")) if draw < 0.95
+            else rng.choice(("1/2", "3/2", "0.5")) if draw < 0.995 else _DSL_WIDE
+        )
+        species = rng.choice(_DSL_NAMES[:4])
+        terms.append(coefficient + rng.choice(("", "", " ")) + species)
+    return rng.choice((" + ", "+")).join(terms)
+
+
+def _dsl_rate(rng: random.Random) -> str:
+    """One to three parts, each a literal or a parameter name, joined by '+'."""
+    parts = [
+        rng.choice(_DSL_NAMES[4:]) if rng.random() < 0.3 else rng.choice(_DSL_LITERALS[:7])
+        if rng.random() < 0.97 else rng.choice(_DSL_LITERALS[7:])
+        for _ in range(rng.choice((1, 1, 1, 2, 3)))
+    ]
+    return rng.choice(("+", " + ")).join(parts)
+
+
+def _dsl_chain(rng: random.Random) -> str:
+    text = _dsl_complex(rng)
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        arrow = rng.choice(("->", "->", "<-", "<=>"))
+        rates = f"{_dsl_rate(rng)},{_dsl_rate(rng)}" if arrow == "<=>" else _dsl_rate(rng)
+        text += f" {arrow}[{rates}] {_dsl_complex(rng)}"
+    return text
+
+
+def network_dsl_text(rng: random.Random) -> str:
+    """A network text of one to five lines: chains joined by ';', comments,
+    blank lines, and lines written twice, which make duplicate steps."""
+    lines: list[str] = []
+    for _ in range(rng.randint(1, 5)):
+        draw = rng.random()
+        if draw < 0.05:
+            lines.append(rng.choice(("", "  ", "# a comment")))
+        elif draw < 0.2 and lines:
+            lines.append(rng.choice(lines))
+        else:
+            line = " ; ".join(_dsl_chain(rng) for _ in range(rng.choice((1, 1, 2))))
+            lines.append(line + ("  # A ->[1] B; $" if rng.random() < 0.15 else ""))
+    return "\n".join(lines)
+
+
+def edited_dsl_text(rng: random.Random, text: str) -> str:
+    """`text` with one to four characters inserted, deleted or replaced."""
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(len(text) + 1)
+        char = rng.choice(_DSL_EDIT_CHARS)
+        edit = rng.random()
+        if edit < 0.4 or not text:
+            text = text[:at] + char + text[at:]
+        else:
+            at = min(at, len(text) - 1)
+            text = text[:at] + (char if edit < 0.7 else "") + text[at + 1 :]
+    return text
+
+
+def network_parse_outcome(parse, text: str):
+    """What `parse` makes of `text`: the species and every step's complexes,
+    stored rate and net change, or the exception's type, message, line and
+    column; and the texts of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            net = parse(text)
+        except Exception as exc:  # noqa: BLE001 - every refusal is compared
+            outcome = (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+        else:
+            outcome = (net.species, [
+                (step.reactant, step.product, step.rate, type(step.rate), dict(step.net_change))
+                for step in net.steps
+            ])
+    return outcome, [str(warning.message) for warning in caught]
 
 
 def combine_units(units: list[QuadraticCandidate], weights) -> QuadraticCandidate:

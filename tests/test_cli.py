@@ -839,6 +839,44 @@ def test_messages(tmp_path, capsys, argv, text, code, line):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["odes", "{network}", "--params", "a=1", "a=2", "b=1"],
+         "parameter 'a' is bound more than once in --params"),
+        (["odes", "{network}", "--params", "a=1", "b=1", "--params", "a=2", "b=3"],
+         "--params is given more than once; give every binding in one --params"),
+        (["odes", "{network}", "--params", "a=1", "b=1", "c=4"],
+         "--params binds 'c', which no rate of the network uses"),
+        (["check", "{network}", "--property", "conserve-stoich", "--params", "k=1"],
+         "--params binds 'k', which no rate of the network uses"),
+        (["realize", "{network}", "--params", "a=1", "b=1", "--params"],
+         "--params is given more than once; give every binding in one --params"),
+        (["check", "{system}", "--property", "kinetic", "--params", "a=3"],
+         "--params binds 'a', but a polynomial system has no rate parameters"),
+        (["realize", "{system}", "--params", "x=1"],
+         "--params binds 'x', but a polynomial system has no rate parameters"),
+        (["simulate", "{system}", "--x0", "1,0", "--params", "a=1"],
+         "--params binds 'a', but a polynomial system has no rate parameters"),
+    ],
+    ids=" ".join,
+)
+def test_params_that_would_be_dropped_are_refused(network_file, system_file, capsys, argv, message):
+    files = {"network": network_file, "system": system_file}
+    assert main([arg.format(**files) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_params_bind_each_rate_parameter_once(network_file, capsys):
+    # the network's own parameters, each once, in any order; an empty --params binds nothing
+    assert main(["odes", network_file, "--params", "b=3", "a=2"]) == 0
+    assert capsys.readouterr().out.strip() == "{-3*x*y + 2*y^2, 3*x^2 - 2*x*y}"
+    argv = ["check", network_file, "--property", "conserve-stoich"]
+    assert main(argv + ["--params"]) == main(argv) == 1
+
+
 def test_warnings_are_one_line_each(tmp_path, capsys):
     path = write(tmp_path, "dup.crn", "A ->[1] B\nA ->[2] B\n")
     assert main(["parse", path]) == 0

@@ -197,3 +197,29 @@ def test_kernel_input_rows_are_converted_only_by_integer_rows():
     }
     assert callers == set(KERNEL_INPUTS)
     assert found == []
+
+
+# The calls that read tokens from a text: only the shared lexer makes them.
+TOKEN_READS = ("findall", "finditer", "match", "search", "scanner")
+
+
+def test_one_lexer_reads_the_tokens_of_both_text_formats():
+    # network.py and poly.py tokenize through numbers.Lexer, and no module
+    # keeps a tokenizer loop of its own
+    found, lexers = [], {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node, function, klass in _scoped_nodes(tree):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_tokenize"):
+                found.append(f"{path.name}:{node.lineno} defines {node.name}")
+            if _is_call_of(node, *TOKEN_READS) and isinstance(node.func, ast.Attribute):
+                if (path.name, klass) != ("numbers.py", "Lexer"):
+                    found.append(f"{path.name}:{node.lineno} calls {node.func.attr} in {function}")
+            if (
+                isinstance(node, ast.Assign)
+                and _is_call_of(node.value, "Lexer")
+                and isinstance(node.targets[0], ast.Name)
+            ):
+                lexers.setdefault(path.name, []).append(node.targets[0].id)
+    assert found == []
+    assert lexers == {"network.py": ["_NET_LEXER"], "poly.py": ["_POLY_LEXER"]}

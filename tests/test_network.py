@@ -23,7 +23,13 @@ from crnkit.network import Complex, ReactionStep, resolve_rate
 from crnkit.numbers import MAX_EXPONENT
 from crnkit.poly import MAX_DEGREE
 
-from .support import random_network
+from .support import (
+    edited_dsl_text,
+    network_dsl_text,
+    network_parse_outcome,
+    random_network,
+    reference_parse_network,
+)
 
 
 def step_tuples(net: ReactionNetwork):
@@ -383,6 +389,34 @@ def test_an_unexpected_character_is_refused_at_its_column(text, message):
     with pytest.raises(NetworkSyntaxError) as info:
         parse_network(text)
     assert str(info.value) == message
+
+
+# hypothesis draws only a seed: a plain generator writes the texts many times
+# faster than drawing each choice through hypothesis would
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(0, 2**64))
+def test_parser_matches_the_reference_parser(seed):
+    # a generated text and four edits of it: the same network, or the same
+    # refusal at the same line and column, and the same warnings
+    rng = random.Random(seed)
+    text = network_dsl_text(rng)
+    for edited in [text] + [edited_dsl_text(rng, text) for _ in range(4)]:
+        expected = network_parse_outcome(reference_parse_network, edited)
+        assert network_parse_outcome(parse_network, edited) == expected, edited
+
+
+def test_parsing_literal_rates_builds_no_step_through_the_constructor(monkeypatch):
+    built = []
+    post_init = ReactionStep.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ReactionStep, "__post_init__", counted)
+    net = parse_network("A + B <=>[1, 1/2] 2C ->[3+0.5] 0\n1/2 A <-[2] 0; C ->[7/3] B + B")
+    assert len(net.steps) == 5 and all(type(step.rate) is Fraction for step in net.steps)
+    assert built == []
 
 
 def test_merged_duplicates_keep_their_warnings_and_rate_order():
@@ -805,10 +839,10 @@ def test_stored_rates_round_trip_whatever_their_spelling(rates, merges, built_by
         if all(part in SPELLED_LITERALS for part in parts):
             assert type(step.rate) is F
         else:
-            # each stored part is a token the text format reads as a number or a name
+            # each stored part is one token the text format reads as a number or a name
             for part in step.rate.split("+"):
-                token = network._NET_TOKEN_RE.fullmatch(part)
-                assert token is not None and token.lastgroup in ("number", "ident"), part
+                assert network._NET_LEXER.split(part) == [part], part
+                assert part[0].isdecimal() or network._NAME_RE.fullmatch(part), part
         expected = sum(SPELLED_LITERALS.get(part) or binding[part] for part in parts)
         assert resolve_rate(step.rate, binding) == expected
     assert parse_network(net.render()) == net
