@@ -61,7 +61,7 @@ from .numbers import (
     parse_rational,
     read_literal,
 )
-from .poly import MAX_DEGREE, as_fraction
+from .poly import MAX_DEGREE, SMALL_FRACTIONS, as_fraction
 
 Rate = Fraction | str
 Matrix = list[list[Fraction]]
@@ -258,6 +258,10 @@ class ReactionStep:
         )
 
 
+# -Fraction(k) for every reactant coefficient k a step may have (up to MAX_DEGREE)
+_NEGATED_SMALL_FRACTIONS = tuple(-f for f in SMALL_FRACTIONS)
+
+
 def _checked_step(reactant: Complex, product: Complex, rate) -> tuple[Rate, dict[int, Fraction]]:
     """A step's stored rate and net change, after every check `ReactionStep` makes.
 
@@ -282,18 +286,25 @@ def _checked_step(reactant: Complex, product: Complex, rate) -> tuple[Rate, dict
             f"rate must be a Fraction, an int or a str, got {type(rate).__name__}"
         )
     if isinstance(rate, Fraction):
-        if rate <= 0:
+        if rate.numerator <= 0:
             raise NetworkValidationError(f"rate must be positive, got {rate}")
         # a sum of parts, or a value built in Python, may need longer literals
         if rate.numerator >= LITERAL_BOUND or rate.denominator >= LITERAL_BOUND:
             raise NetworkValidationError(outside_literal_bound("rate"))
-    if not reactant.is_integral():
-        raise NetworkValidationError("reactant-side coefficients must be nonnegative integers")
     # reactant coefficients become the exponents of the rate monomial
-    check_reactant_degree(sum(c.numerator for _, c in reactant.entries))
+    degree = 0
+    for _, coeff in reactant.entries:
+        if coeff.denominator != 1:
+            raise NetworkValidationError("reactant-side coefficients must be nonnegative integers")
+        degree += coeff.numerator
+    check_reactant_degree(degree)
+    # each reactant coefficient is now an integer of at most MAX_DEGREE
     change = dict(product.entries)
     for index, coeff in reactant.entries:
-        change[index] = change[index] - coeff if index in change else -coeff
+        if index in change:
+            change[index] = change[index] - coeff
+        else:
+            change[index] = _NEGATED_SMALL_FRACTIONS[coeff.numerator]
     return rate, {i: c for i, c in change.items() if c}
 
 

@@ -2,8 +2,11 @@
 
 Two integrators are provided: classical fixed-step RK4 and adaptive
 Runge-Kutta-Fehlberg 4(5).  Each step is generated as straight-line code for
-the system's dimension, doing the same float operations as the textbook
-per-component loops, so trajectories are bit-identical to theirs.  The step
+the system's dimension, giving the same results as the textbook
+per-component loops, so trajectories are bit-identical to theirs.  The
+generated right-hand side and invariant make two rewrites that are exact in
+IEEE 754: a term leaves out a factor 1.0 (`x0*x1`, not `1.0*x0*x1`), and its
+sign goes into the join (`s - 2.0*x0`, not `s + -2.0*x0`).  The step
 also reports whether its result lies in the closed positive orthant, so the
 loop inspects the state only when it does not.  The right-hand side and the
 invariant are compiled once per system and kept in a bounded cache, so
@@ -23,6 +26,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
+from operator import sub
 from typing import Callable, Sequence, TextIO
 
 from .poly import Polynomial, PolynomialSystem
@@ -146,20 +151,42 @@ def _compile(signature: str, lines: Sequence[str], **namespace) -> Callable:
     return namespace[signature.partition("(")[0]]
 
 
-def _sum(name: str, terms: Sequence[str]) -> tuple[list[str], str]:
-    """(lines, expression) for the left-to-right float sum of `terms`.
+def _term(value: float, factors: Sequence[str]) -> tuple[bool, str]:
+    """(negative, text) for the float product `value*f1*f2...`, text written with |value|.
 
-    `compile_rhs` builds each component with it.  Up to SUM_CHUNK terms the
-    expression is the one chain `t1 + ... + tk`, with no lines.  A longer
-    sum binds `name` a chunk at a time,
-    `name = t1 + ... + tk` then `name = name + tk+1 + ...`, which does the
+    The factor |value| is left out when it is 1.0 and a factor remains, as
+    `1.0*x == x`.  negative is value's sign bit, set for -0.0 too.  Negation
+    is exact and commutes with rounding, so the product is `-text`, and
+    `s + product` is `s - text`, bit for bit.
+    """
+    negative = math.copysign(1.0, value) < 0
+    magnitude = abs(value)
+    if magnitude != 1.0 or not factors:
+        factors = [repr(magnitude), *factors]
+    return negative, "*".join(factors)
+
+
+def _join(terms: Sequence[tuple[bool, str]], head: str = "") -> str:
+    """The chain `head + t1 - t2 ...` of `_term`s; with no head, `t1` or `-t1` starts it."""
+    signs = [" - " if negative else " + " for negative, _ in terms]
+    if signs and not head:
+        signs[0] = "-" if terms[0][0] else ""
+    return head + "".join(sign + text for sign, (_, text) in zip(signs, terms))
+
+
+def _sum(name: str, terms: Sequence[tuple[bool, str]]) -> tuple[list[str], str]:
+    """(lines, expression) for the left-to-right float sum of `_term`s.
+
+    Up to SUM_CHUNK terms the expression is the one chain `t1 + ... - tk`,
+    with no lines.  A longer sum binds `name` a chunk at a time,
+    `name = t1 + ... - tk` then `name = name + tk+1 - ...`, which does the
     same additions in the same order, and the expression is `name`.
     """
     if len(terms) <= SUM_CHUNK:
-        return [], " + ".join(terms)
-    lines = [f"{name} = {' + '.join(terms[:SUM_CHUNK])}"]
+        return [], _join(terms)
+    lines = [f"{name} = {_join(terms[:SUM_CHUNK])}"]
     for start in range(SUM_CHUNK, len(terms), SUM_CHUNK):
-        lines.append(f"{name} = {name} + {' + '.join(terms[start:start + SUM_CHUNK])}")
+        lines.append(f"{name} = {_join(terms[start:start + SUM_CHUNK], name)}")
     return lines, name
 
 
@@ -172,8 +199,11 @@ def _unpack(names: Sequence[str], value: str) -> str:
 def compile_rhs(system: PolynomialSystem) -> Callable[[Sequence[float]], list[float]]:
     """Generate a fast float evaluator for the system's right-hand side.
 
-    Cached per system: equal systems (same exact terms, same variable names)
-    share one evaluator.
+    Each component is the left-to-right sum of its terms in `sorted_terms`
+    order, each term `c*x0*x1**2` factor by factor, with the two exact
+    rewrites of `_term`: `-x0*x1 + 2.0*x2 - 0.5` for the terms -1, 2 and
+    -1/2 in that order.  Cached per system: equal systems (same exact
+    terms, same variable names) share one evaluator.
     """
     n = system.dim
     sums = []
@@ -186,13 +216,8 @@ def compile_rhs(system: PolynomialSystem) -> Callable[[Sequence[float]], list[fl
                 lambda: "coefficient of "
                 f"{Polynomial.monomial(n, expts).render(system.variables)} in d{var}/dt",
             )
-            factors = [repr(value)]
-            for i, e in enumerate(expts):
-                if e == 1:
-                    factors.append(f"x{i}")
-                elif e > 1:
-                    factors.append(f"x{i}**{e}")
-            parts.append("*".join(factors))
+            factors = [f"x{i}" if e == 1 else f"x{i}**{e}" for i, e in enumerate(expts) if e]
+            parts.append(_term(value, factors))
         lines, expr = _sum(f"s{k}", parts)
         sums += lines
         exprs.append(expr or "0.0")
@@ -206,22 +231,22 @@ def compile_invariant(candidate: QuadraticCandidate) -> Callable[[Sequence[float
 
     Cached per candidate, like `compile_rhs`.
 
-    For n = 2 with Q = diag(1, 1) and no linear part the generated code is
+    For n = 2 with Q = diag(1, -3), linear part (0, 2) and no constant the
+    generated code is
 
         def _invariant(state):
             x0, x1, = state
-            total = 0.0
-            total += 1.0 * x0 * x0
-            total += 1.0 * x1 * x1
-            return total
+            return 0.0 + x0*x0 + 2.0*x1 - 3.0*x1*x1
 
     The order is that of the dense double loop: the constant, then per i the
-    linear term and the row-i terms q[i][j] * x_i * x_j.  Entries that are
-    zero as floats are left out.  At a finite state a zero term adds +-0.0,
-    and a float sum is -0.0 only when both addends are, so leaving it out
-    changes the total only when the sum starts from a -0.0 constant; then
-    every entry is kept.  The value is bit-identical to the dense loop at
-    every finite state, the only states `integrate` evaluates it at.
+    linear term and the row-i terms q[i][j] * x_i * x_j, with the exact
+    rewrites of `_term` (no factor 1.0, the sign in the join), in chunks
+    as `compile_rhs` sums them.  Entries that are zero as floats are left
+    out.  At a finite state a zero term adds +-0.0, and a float sum is -0.0
+    only when both addends are, so leaving it out changes the total only
+    when the sum starts from a -0.0 constant; then every entry is kept.  The
+    value is bit-identical to the dense loop at every finite state, the only
+    states `integrate` evaluates it at.
     """
     n = candidate.dim
     constant = _to_float(candidate.constant, lambda: "constant term of the invariant")
@@ -235,14 +260,16 @@ def compile_invariant(candidate: QuadraticCandidate) -> Callable[[Sequence[float
     ]
     # a -0.0 constant is the one start where adding +0.0 changes the sum
     keep_zeros = constant == 0 and math.copysign(1.0, constant) < 0
-    lines = [_unpack([f"x{i}" for i in range(n)], "state"), f"total = {constant!r}"]
+    terms = [_term(constant, [])]
     for i in range(n):
         if linear[i] or keep_zeros:
-            lines.append(f"total += {linear[i]!r} * x{i}")
+            terms.append(_term(linear[i], [f"x{i}"]))
         for j in range(n):
             if q[i][j] or keep_zeros:
-                lines.append(f"total += {q[i][j]!r} * x{i} * x{j}")
-    return _compile("_invariant(state)", lines + ["return total"])
+                terms.append(_term(q[i][j], [f"x{i}", f"x{j}"]))
+    lines, expr = _sum("total", terms)
+    unpack = _unpack([f"x{i}" for i in range(n)], "state")
+    return _compile("_invariant(state)", [unpack, *lines, f"return {expr}"])
 
 
 _RKF_A = (
@@ -278,7 +305,8 @@ def _rk4_source(n: int) -> list[str]:
         _unpack(c, f"rhs({probe('hh', b)})"),
         _unpack(d, f"rhs({probe('h', c)})"),
         "h6 = h / 6.0",
-        *(f"z{i} = {x[i]} + h6 * ({a[i]} + 2 * {b[i]} + 2 * {c[i]} + {d[i]})" for i in range(n)),
+        # 2.0, not 2: int * float takes CPython's generic multiply, and 2 * y == 2.0 * y
+        *(f"z{i} = {x[i]} + h6 * ({a[i]} + 2.0 * {b[i]} + 2.0 * {c[i]} + {d[i]})" for i in range(n)),
         _return_step(n, "0.0"),
     ]
 
@@ -384,6 +412,8 @@ def integrate(
         h_min = 0.0  # a fixed step never shrinks
     t = 0.0
     accepted = rejected = 0
+    append_time, append_state = times.append, states.append
+    append_value = values.append if values is not None else None
     while t < end:
         step_h = t_end - t
         if not step_h < h:  # min(h, t_end - t), which keeps h on a tie
@@ -433,10 +463,10 @@ def integrate(
                 raise SimulationError(
                     f"more than {MAX_SAMPLES:.0e} samples to store; raise the stride", t
                 )
-            times.append(t)
-            states.append(state)
-            if values is not None:
-                values.append(v_func(state))
+            append_time(t)
+            append_state(state)
+            if append_value is not None:
+                append_value(v_func(state))
         if h < h_min:
             raise SimulationError("step size underflow", t)
     return Trajectory(
@@ -453,10 +483,10 @@ def drift_report(trajectory: Trajectory) -> dict:
     """Summarize invariant drift: max and final deviation from the start."""
     if trajectory.invariant_values is None:
         raise ValueError("trajectory has no invariant attached")
-    v0 = trajectory.invariant_values[0]
-    drifts = [abs(v - v0) for v in trajectory.invariant_values]
+    values = trajectory.invariant_values
+    v0 = values[0]
     return {
-        "max_abs_drift": max(drifts),
-        "final_drift": trajectory.invariant_values[-1] - v0,
+        "max_abs_drift": max(map(abs, map(sub, values, repeat(v0)))),
+        "final_drift": values[-1] - v0,
         "positivity_events": len(trajectory.positivity_events),
     }

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -635,17 +636,25 @@ def test_sums_up_to_the_chunk_size_stay_one_chain(monkeypatch):
     for count in (chunk, chunk + 1):
         compile_rhs.__wrapped__(_long_system(count))
     one_chain, chunked = sources
-    assert len(one_chain) == 2 and one_chain[1].count(" + ") == chunk - 1
-    assert chunked[1].startswith("s0 = ") and chunked[1].count(" + ") == chunk - 1
-    assert chunked[2].startswith("s0 = s0 + ") and chunked[2].count(" + ") == 1
-    assert chunked[3] == "return [s0, -1.0*x1, 0.0]"
+
+    def joins(line):
+        return line.count(" + ") + line.count(" - ")
+
+    assert len(one_chain) == 2 and joins(one_chain[1]) == chunk - 1
+    assert chunked[1].startswith("s0 = ") and joins(chunked[1]) == chunk - 1
+    assert chunked[2].startswith("s0 = s0 + ") and joins(chunked[2]) == 1
+    assert chunked[3] == "return [s0, -x1, 0.0]"
 
 
 @st.composite
 def chunked_cases(draw):
     dim = draw(st.integers(1, 5))
     exponents = st.tuples(*[st.integers(0, 2)] * dim)
-    component = st.dictionaries(exponents, st.sampled_from(SMALL_FRACTIONS), max_size=8)
+    # signed, so that a chunk can start with a subtraction
+    coefficient = st.builds(
+        lambda c, negative: -c if negative else c, st.sampled_from(SMALL_FRACTIONS), st.booleans()
+    )
+    component = st.dictionaries(exponents, coefficient, max_size=8)
     system = PolynomialSystem(
         tuple(f"x{i}" for i in range(dim)),
         tuple(Polynomial(dim, draw(component)) for _ in range(dim)),
@@ -667,3 +676,135 @@ def test_chunked_sums_keep_every_float_addition(case):
         chunked_rhs = compile_rhs.__wrapped__(system)
     for point in points:
         assert repr(chunked_rhs(point)) == repr(whole_rhs(point))
+
+
+# -- generated code ----------------------------------------------------------------
+
+# +-1, +-2, +-1/3, +-7/5, +-10^-400 (a float +-0.0) and +-10^300
+SIGNED_COEFFICIENTS = [
+    sign * value
+    for value in (F(1), F(2), F(1, 3), F(7, 5), F(1, 10**400), F(10**300))
+    for sign in (1, -1)
+]
+FINITE_SAMPLES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 0.75, -2.5, 1e200, -1e200, 1.7976931348623157e308
+]
+
+
+def _evaluated(function, state) -> str:
+    try:
+        return repr(function(state))
+    except OverflowError:
+        return "OverflowError"
+
+
+@st.composite
+def signed_rhs_cases(draw):
+    dim = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 3)] * dim)
+    component = st.dictionaries(exponents, st.sampled_from(SIGNED_COEFFICIENTS), max_size=6)
+    system = PolynomialSystem(
+        tuple(f"x{i}" for i in range(dim)),
+        tuple(Polynomial(dim, draw(component)) for _ in range(dim)),
+    )
+    value = st.one_of(
+        st.sampled_from(FINITE_SAMPLES + [math.inf, -math.inf, math.nan]), st.floats(-4.0, 4.0)
+    )
+    return system, draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=signed_rhs_cases())
+def test_compiled_rhs_is_the_left_to_right_loop_for_every_sign(case):
+    """Terms of coefficient +-1 without the factor 1.0 and signs written into
+    the join give the loop's floats: signed zeros, nonfinite states and
+    coefficients that round to -0.0 included; both overflow alike."""
+    system, points = case
+    rhs = compile_rhs(system)
+    for point in points:
+        assert _evaluated(rhs, point) == _evaluated(lambda s: left_to_right_rhs(system, s), point)
+
+
+@st.composite
+def signed_invariant_cases(draw):
+    dim = draw(st.integers(0, 4))
+    entry = st.sampled_from(SIGNED_COEFFICIENTS + [F(0)])
+    q = [[F(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            q[i][j] = q[j][i] = draw(entry)
+    candidate = QuadraticCandidate(
+        tuple(map(tuple, q)), tuple(draw(entry) for _ in range(dim)), draw(entry)
+    )
+    value = st.one_of(st.sampled_from(FINITE_SAMPLES), st.floats(-4.0, 4.0))
+    return candidate, draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=signed_invariant_cases())
+def test_compiled_invariant_is_the_dense_loop_for_every_sign(case):
+    """The one-expression invariant gives the dense loop's value at finite
+    states, the only ones `integrate` evaluates it at, for +-1, negative and
+    underflowing entries and a constant that rounds to -0.0."""
+    candidate, points = case
+    fast, slow = compile_invariant(candidate), dense_invariant(candidate)
+    for point in points:
+        assert repr(fast(point)) == repr(slow(point)), (candidate, point)
+
+
+def test_an_invariant_of_more_than_the_chunk_size_compiles():
+    """With a -0.0 constant every entry is kept: 60 * 61 terms after the
+    constant, more than one chain of about 3,000 `+` compiles."""
+    n = 60
+    q = tuple(tuple(F((i + j) % 3 - 1) for j in range(n)) for i in range(n))
+    candidate = QuadraticCandidate(q, tuple(F(1 - i % 2) for i in range(n)), F(-1, 10**400))
+    fast, slow = compile_invariant(candidate), dense_invariant(candidate)
+    for point in ([0.5] * n, [(-1.0) ** i * 1e-3 * i for i in range(n)], [-0.0] * n):
+        assert repr(fast(point)) == repr(slow(point))
+
+
+def _literal(node: ast.expr):
+    """The value of a number literal, signed or not, else None."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def test_generated_code_multiplies_by_no_int_and_no_one(monkeypatch, example_system, cascade_system):
+    """No int literal is a factor (int * float misses CPython's float multiply),
+    no factor is +-1.0, and a step calls `rhs` once per stage, which is what
+    the benchmark's `sim.rhs_evals` counter counts."""
+    sources = []
+    compile_lines = crnkit.sim._compile
+    monkeypatch.setattr(
+        crnkit.sim, "_compile", lambda sig, lines, **ns: sources.append(lines) or compile_lines(sig, lines, **ns)
+    )
+
+    def generated(build, *args):
+        build.__wrapped__(*args)
+        return ast.parse("def generated():\n" + "".join(f"    {line}\n" for line in sources.pop()))
+
+    rho = (1, 2, 4, 1, 4, 5, 2, 2, 1)
+    cascade_invariant = QuadraticCandidate(tuple((F(0),) * 9 for _ in rho), tuple(map(F, rho)), F(0))
+    evaluators = [
+        generated(compile_rhs, cascade_system),
+        generated(compile_rhs, example_system),
+        generated(compile_invariant, cascade_invariant),
+        generated(compile_invariant, SPHERE),
+    ]
+    steps = {
+        (method, n): generated(crnkit.sim._step_function, method, n)
+        for method in ("rk4_fixed", "rkf45_adaptive")
+        for n in range(1, 5)
+    }
+    for tree in evaluators + list(steps.values()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                for operand in (node.left, node.right):
+                    value = _literal(operand)
+                    assert type(value) is not int and value != 1.0, ast.unparse(node)
+    for (method, n), tree in steps.items():
+        calls = sum(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "rhs" for node in ast.walk(tree)
+        )
+        assert calls == {"rk4_fixed": 4, "rkf45_adaptive": 6}[method], (method, n)
