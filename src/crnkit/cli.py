@@ -5,7 +5,9 @@ Subcommands: parse, odes, check, generate, realize, simulate.  Exit codes:
 check fails or a search comes up empty, 2 on malformed input or bad
 arguments.  Set CRNKIT_NO_COLOR to disable ANSI colors.  When --out DIR is
 given, results and a reproducibility manifest are written there; rerunning
-the same command on the same inputs produces byte-identical files.
+the same command on the same inputs produces byte-identical files.  Every
+JSON report, --out file and manifest is written by `network.json_text`,
+which gives the bytes of `json.dumps(value, indent=2, sort_keys=True)`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .kinetics import (
     induced_kinetic_ode,
     negative_cross_effect,
 )
-from .network import ReactionNetwork, parse_network
+from .network import ReactionNetwork, json_text, parse_network
 from .numbers import format_rational, parse_rational
 from .poly import PolynomialSystem, parse_polynomial, parse_system
 from .qfi import (
@@ -167,9 +169,6 @@ def _read_invariant(text: str, system: PolynomialSystem) -> QuadraticCandidate:
     return QuadraticCandidate.from_polynomial(poly)
 
 
-_encode = functools.partial(json.dumps, indent=2, sort_keys=True)
-
-
 def _emit(args, payload: dict, lines, files: dict[str, str | dict]) -> None:
     """Print the text lines or the JSON report; write --out and its manifest.
 
@@ -177,7 +176,7 @@ def _emit(args, payload: dict, lines, files: dict[str, str | dict]) -> None:
     only when they are printed.  `files` maps extra --out files to their
     text, or to dicts encoded like the report.
     """
-    report = _encode(payload) if args.json or args.out else None
+    report = json_text(payload) if args.json or args.out else None
     if args.json:
         print(report)
     else:
@@ -190,7 +189,7 @@ def _emit(args, payload: dict, lines, files: dict[str, str | dict]) -> None:
     digests = {}
     for name, content in sorted(files.items()):
         if isinstance(content, dict):
-            content = (report if content is payload else _encode(content)) + "\n"
+            content = (report if content is payload else json_text(content)) + "\n"
         data = content.encode()
         (outdir / name).write_bytes(data)
         digests[name] = hashlib.sha256(data).hexdigest()
@@ -202,7 +201,7 @@ def _emit(args, payload: dict, lines, files: dict[str, str | dict]) -> None:
         "inputs": {target: args.target_sha256} if target else {},
         "outputs": digests,
     }
-    data = (_encode(manifest) + "\n").encode()
+    data = (json_text(manifest) + "\n").encode()
     (outdir / "manifest.json").write_bytes(data)
 
 

@@ -40,15 +40,19 @@ other fault of its chain.  Each step passes `_checked_step`, the one owner
 of the checks `ReactionStep` makes, before `_from_clean` builds it, and the
 network is built with `_from_clean` unless two steps have the same reactant
 and product; then the public constructor merges them, with its warnings.
+
+`json_text` is crnkit's one JSON writer: `ReactionNetwork.to_json` and every
+CLI report and --out file go through it.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import inf
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -93,12 +97,17 @@ class UnboundParameterError(ValueError):
 
 @dataclass(frozen=True)
 class Complex:
-    """A formal linear combination of species with positive coefficients."""
+    """A formal linear combination of species with positive coefficients.
+
+    An int (or bool) coefficient is stored as a Fraction, so every entry and
+    every net change built from it holds Fractions only.
+    """
 
     entries: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
         seen = set()
+        entries = []
         for index, coeff in self.entries:
             if index in seen:
                 raise NetworkValidationError(f"species index {index} repeated in complex")
@@ -114,9 +123,8 @@ class Complex:
                 )
             if coeff.numerator >= LITERAL_BOUND or coeff.denominator >= LITERAL_BOUND:
                 raise NetworkValidationError(outside_literal_bound("stoichiometric coefficient"))
-        object.__setattr__(
-            self, "entries", tuple(sorted(self.entries, key=lambda e: e[0]))
-        )
+            entries.append((index, coeff if type(coeff) is Fraction else Fraction(coeff)))
+        object.__setattr__(self, "entries", tuple(sorted(entries, key=lambda e: e[0])))
 
     @classmethod
     def _from_clean(cls, entries: tuple[tuple[int, Fraction], ...]) -> "Complex":
@@ -323,6 +331,62 @@ def check_species_names(species: Iterable[str]) -> None:
             raise NetworkValidationError(f"invalid species name {name!r}")
 
 
+def json_text(value) -> str:
+    """The text `json.dumps(value, indent=2, sort_keys=True)` gives.
+
+    The one writer of crnkit's JSON text: every --json report, every --out
+    file and manifest, and `ReactionNetwork.to_json`.  With an indent,
+    `json.dumps` runs its pure-Python encoder; this joins strings instead,
+    about twice as fast on CPython 3.11, and quotes with the string quoter
+    `json` itself uses.  Dicts are written with their items sorted, tuples
+    as lists, and a float by its repr or as NaN, Infinity or -Infinity.  Any
+    other type raises the TypeError `json.dumps` raises.  A dict key must be
+    a str: crnkit writes no other, and where `json.dumps` would convert an
+    int, float, bool or None key, this raises TypeError.  A value that
+    contains itself exceeds the recursion limit.
+    """
+    return _json(value, "\n")
+
+
+def _json(value, newline: str) -> str:
+    """`value`'s JSON text, each nested line indented two spaces past `newline`."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        # a str item, the most common one, is quoted without a call
+        items = [_quote(v) if type(v) is str else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            _quote(k) + ": " + (_quote(v) if type(v) is str else _json(v, inner))
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == inf:
+            return "Infinity"
+        if value == -inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 class ReactionNetwork:
     """Ordered species plus reaction steps; duplicates merged on build."""
 
@@ -451,7 +515,8 @@ class ReactionNetwork:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """`to_dict()` as JSON text, written by `json_text` like every CLI report."""
+        return json_text(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ReactionNetwork":

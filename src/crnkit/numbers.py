@@ -45,13 +45,19 @@ class Lexer:
     So only whitespace falls between tokens, and a character no token starts
     with is a token of its own, which the format's parser refuses.  Columns
     are not kept; `column` and `first_unexpected` read the text again.
+
+    `starts`, a character-class body, may list characters at each of which
+    some alternative matches; a text of only those and whitespace then has
+    no unexpected character, and `first_unexpected` says so without
+    tokenizing it.
     """
 
-    def __init__(self, *alternatives: str):
+    def __init__(self, *alternatives: str, starts: str = ""):
         body = "|".join(alternatives)
         self._token = re.compile(rf"{body}|\S")
         # the same tokens, with only a character no alternative reads captured
         self._unexpected = re.compile(rf"(?:{body})|(\S)")
+        self._plain = re.compile(rf"[\s{starts}]*")
 
     def split(self, text: str, start: int = 0, end: int = sys.maxsize) -> list[str]:
         """The texts of the tokens of text[start:end]."""
@@ -60,6 +66,8 @@ class Lexer:
     def first_unexpected(self, text: str, start: int = 0, end: int = sys.maxsize) -> int | None:
         """The index in `text` of the first character of text[start:end] that
         starts no token of the format, or None if there is none."""
+        if self._plain.fullmatch(text, start, end):
+            return None
         if any(self._unexpected.findall(text, start, end)):
             for match in self._unexpected.finditer(text, start, end):
                 if match.group(1):

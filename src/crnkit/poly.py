@@ -366,7 +366,9 @@ class Polynomial:
 
 # A variable name, matched only with fullmatch; the tokens read the same pattern.
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_POLY_LEXER = Lexer(DECIMAL, _IDENT_RE.pattern, r"[-+*/^()]")
+# An ASCII digit, letter, "_" or operator starts a token.  "." is left out,
+# since a lone "." starts none; a text with it is checked token by token.
+_POLY_LEXER = Lexer(DECIMAL, _IDENT_RE.pattern, r"[-+*/^()]", starts=r"0-9A-Za-z_+*/^()\-")
 # the parser's token after the last one: whitespace is never a token
 _END = " "
 

@@ -223,3 +223,24 @@ def test_one_lexer_reads_the_tokens_of_both_text_formats():
                 lexers.setdefault(path.name, []).append(node.targets[0].id)
     assert found == []
     assert lexers == {"network.py": ["_NET_LEXER"], "poly.py": ["_POLY_LEXER"]}
+
+
+def test_one_writer_writes_the_json_text():
+    # every --json report, --out file and manifest and ReactionNetwork.to_json
+    # is written by network.json_text; no module encodes JSON with the json module
+    found, writers = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "json_text":
+                writers.append(path.name)
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+                and node.attr in ("dumps", "dump", "JSONEncoder")
+            ):
+                found.append(f"{path.name}:{node.lineno} uses json.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found += [f"{path.name}:{node.lineno} imports {alias.name}" for alias in node.names]
+    assert found == []
+    assert writers == ["network.py"]

@@ -687,6 +687,32 @@ def test_a_coefficient_must_be_rational(coeff, kind):
 
 
 @pytest.mark.parametrize(
+    "entries",
+    [((0, 2),), ((1, 1), (0, 3)), ((2, True), (0, Fraction(3))), ((0, 1), (1, 7), (2, 90))],
+    ids=repr,
+)
+def test_int_coefficients_are_stored_as_fractions(entries):
+    as_fractions = tuple((index, Fraction(coeff)) for index, coeff in entries)
+    built, expected = Complex(entries), Complex(as_fractions)
+    assert all(type(coeff) is Fraction for _, coeff in built.entries)
+    assert built.entries == expected.entries
+    assert built == expected and hash(built) == hash(expected)
+    species = ("A", "B", "C")
+    assert built.render(species) == expected.render(species)
+    other = Complex(((3, 1),))
+    for reactant, product in ((built, other), (other, built)):
+        step = ReactionStep(reactant, product, 1)
+        assert all(type(change) is Fraction for change in step.net_change.values())
+        net = ReactionNetwork(("A", "B", "C", "D"), [step])
+        reference = ReactionNetwork(
+            ("A", "B", "C", "D"),
+            [ReactionStep(*(expected if c is built else c for c in (reactant, product)), 1)],
+        )
+        assert net.to_dict() == reference.to_dict()
+        assert dict(step.net_change) == dict(reference.steps[0].net_change)
+
+
+@pytest.mark.parametrize(
     "text, column, literal",
     [
         (f"A ->[{TOP}/1] B", 6, f"{TOP}/1"),

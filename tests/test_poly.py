@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import crnkit.poly
 from crnkit import Polynomial, PolynomialParseError, PolynomialSystem, parse_polynomial, parse_system
-from crnkit.numbers import format_rational
+from crnkit.numbers import DECIMAL, Lexer, format_rational
 from crnkit.poly import MAX_COEFFICIENT_BITS, MAX_DEGREE, MAX_NESTING, MAX_PARSE_TERMS, _PolyParser
+from crnkit.poly import _IDENT_RE, _POLY_LEXER
 from crnkit.poly import _height as poly_height
 
 from .conftest import LIMIT_CYCLE_4D_TEXT, SADDLE_3D_TEXT
@@ -442,6 +443,24 @@ def _expressions(seed: int) -> list[str]:
     rng = random.Random(seed)
     texts = [_expression_text(rng) for _ in range(rng.choice((1, 1, 2, 3)))]
     return [_edited(rng, text) if rng.random() < 0.4 else text for text in texts]
+
+
+# the polynomial tokens without `starts`, so every text is read token by token
+_TOKENWISE_LEXER = Lexer(DECIMAL, _IDENT_RE.pattern, r"[-+*/^()]")
+_LEXER_CHARACTERS = [chr(i) for i in range(128)] + ["é", "\u0663", "\uff11", "\u2003", "\u212a", "\ud800"]
+
+
+def test_the_plain_text_shortcut_finds_what_the_tokens_find():
+    # a text of `starts` characters and whitespace is passed without tokenizing;
+    # every other text, "." included, is read token by token, with the same answer
+    for char in _LEXER_CHARACTERS:
+        for text in (char, f"x{char}", f"{char}1", f"1{char}y", f" {char} ", f"2.{char}"):
+            assert _POLY_LEXER.first_unexpected(text) == _TOKENWISE_LEXER.first_unexpected(text)
+    rng = random.Random(31)
+    for _ in range(20_000):
+        text = "".join(rng.choice(_LEXER_CHARACTERS) for _ in range(rng.randint(0, 6)))
+        assert _POLY_LEXER.first_unexpected(text) == _TOKENWISE_LEXER.first_unexpected(text)
+    assert _POLY_LEXER.first_unexpected("x + .5") == 4
 
 
 # hypothesis draws only a seed: a plain generator writes the expressions many
