@@ -154,9 +154,16 @@ def _load_network(args) -> ReactionNetwork:
     return target
 
 
-def _as_system(args, params: dict[str, Fraction]) -> PolynomialSystem:
-    target = _load_target(args)
+def _load_with_params(args, load=_load_target):
+    """The target `load` reads, then the --params binding, checked against the target."""
+    target = load(args)
+    params = _parse_params(args.params)
     _check_params(params, target)
+    return target, params
+
+
+def _as_system(args) -> PolynomialSystem:
+    target, params = _load_with_params(args)
     if isinstance(target, ReactionNetwork):
         return induced_kinetic_ode(target, params)
     return target
@@ -225,9 +232,7 @@ def cmd_parse(args):
 
 
 def cmd_odes(args):
-    network = _load_network(args)
-    params = _parse_params(args.params)
-    _check_params(params, network)
+    network, params = _load_with_params(args, _load_network)
     system = induced_kinetic_ode(network, params)
     return 0, system.to_dict(), lambda: [system.render()], {}
 
@@ -258,14 +263,15 @@ def _check_conservation(target, args):
         payload["witness"] = [format_rational(v) for v in found.rho]
         details.append("  witness: " + " ".join(payload["witness"]))
     if candidate is not None:
-        holds = verify_conservation(candidate, target)
         payload["candidate"] = [format_rational(v) for v in candidate.rho]
+        # verify_conservation's test, made on the residual the payload shows
+        if mode == "stoichiometric":
+            residual = stoichiometric_residual(candidate.rho, target)
+            holds, payload["residual"] = not any(residual), [format_rational(v) for v in residual]
+        else:
+            residual = kinetic_residual(candidate.rho, target)
+            holds, payload["residual"] = residual.is_zero(), residual.render(target.variables)
         payload["candidate_valid"] = holds
-        payload["residual"] = (
-            [format_rational(v) for v in stoichiometric_residual(candidate.rho, target)]
-            if mode == "stoichiometric"
-            else kinetic_residual(candidate.rho, target).render(target.variables)
-        )
         details.append("  candidate valid: " + _verdict(holds))
     return holds, payload, [f"mass conserving ({mode}): {_verdict(holds)}", *details]
 
@@ -325,9 +331,7 @@ _CHECKS = {
 
 
 def cmd_check(args):
-    target = _load_target(args)
-    params = _parse_params(args.params)
-    _check_params(params, target)
+    target, params = _load_with_params(args)
     if args.property == "conserve-stoich":
         if not isinstance(target, ReactionNetwork):
             raise ValueError("conserve-stoich needs a reaction network")
@@ -420,7 +424,7 @@ def cmd_generate(args):
 
 
 def cmd_realize(args):
-    system = _as_system(args, _parse_params(args.params))
+    system = _as_system(args)
     try:
         network = canonical_realization(system)
     except NotKineticError as exc:
@@ -443,7 +447,7 @@ def cmd_realize(args):
 
 
 def cmd_simulate(args):
-    system = _as_system(args, _parse_params(args.params))
+    system = _as_system(args)
     x0 = _parse_vector(args.x0)
     method = {"rk4": "rk4_fixed", "rkf45": "rkf45_adaptive"}[args.method]
     config = SimConfig(

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .linalg import SparseRow, nullspace_basis, positive_vector_in_span
 from .network import ReactionNetwork
-from .poly import Exponents, Polynomial, PolynomialSystem, accumulate_terms
+from .poly import Exponents, Polynomial, PolynomialSystem, accumulate_terms, as_fraction
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class ConservationVector:
     mode: str  # "stoichiometric" | "kinetic"
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", tuple(Fraction(v) for v in self.rho))
+        object.__setattr__(self, "rho", tuple(map(as_fraction, self.rho)))
         if self.mode not in ("stoichiometric", "kinetic"):
             raise ValueError(f"unknown conservation mode {self.mode!r}")
         if not self.rho or any(v <= 0 for v in self.rho):
@@ -49,7 +49,7 @@ def stoichiometric_residual(
             f"vector length {len(rho)} does not match {network.num_species} species"
         )
     return [
-        sum((Fraction(rho[i]) * c for i, c in step.net_change.items()), Fraction(0))
+        sum((as_fraction(rho[i]) * c for i, c in step.net_change.items()), Fraction(0))
         for step in network.steps
     ]
 
@@ -62,7 +62,7 @@ def kinetic_residual(rho: Sequence[Fraction], system: PolynomialSystem) -> Polyn
         )
     sums: dict[Exponents, Fraction] = {}
     for value, component in zip(rho, system.components):
-        accumulate_terms(sums, component.terms(), Fraction(value))
+        accumulate_terms(sums, component.terms(), as_fraction(value))
     return Polynomial._from_clean(system.dim, {e: c for e, c in sums.items() if c})
 
 

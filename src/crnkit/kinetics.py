@@ -26,7 +26,7 @@ from .network import (
     check_species_names,
     resolve_rate,
 )
-from .numbers import LITERAL_BOUND, format_rational, outside_literal_bound
+from .numbers import exceeds_literal_bound, format_rational, outside_literal_bound
 from .poly import SMALL_FRACTIONS, Exponents, Polynomial, PolynomialSystem, grlex_key
 
 _ONE, _MINUS_ONE = SMALL_FRACTIONS[1], Fraction(-1)
@@ -206,7 +206,7 @@ def canonical_realization(system: PolynomialSystem) -> ReactionNetwork:
                 tuple((i, SMALL_FRACTIONS[e]) for i, e in enumerate(shifted) if e)
             )
             rate, change = (coeff, _ONE) if positive else (-coeff, _MINUS_ONE)
-            if rate.numerator >= LITERAL_BOUND or rate.denominator >= LITERAL_BOUND:
+            if exceeds_literal_bound(rate):
                 mono = Polynomial.monomial(system.dim, expts).render(system.variables)
                 raise NetworkValidationError(
                     outside_literal_bound(f"component {index + 1}: coefficient of {mono}")

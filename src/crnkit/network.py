@@ -28,7 +28,8 @@ a rendered network always parses back to itself.
 A JSON rate is a string or a number, read as its decimal text.
 
 `Complex`, `ReactionStep` and `ReactionNetwork` check every value they are
-given.  Code that builds values valid by construction (the text parser, the
+given: each number is stored as `poly.as_fraction` converts it, and its
+bound is tested by `numbers.exceeds_literal_bound`.  Code that builds values valid by construction (the text parser, the
 canonical realization) uses their private `_from_clean` constructors
 instead, which store what they are given as is; each states its contract.
 
@@ -58,8 +59,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .numbers import (
     DECIMAL,
-    LITERAL_BOUND,
     Lexer,
+    exceeds_literal_bound,
     format_rational,
     outside_literal_bound,
     parse_rational,
@@ -121,9 +122,9 @@ class Complex:
                 raise NetworkValidationError(
                     f"stoichiometric coefficient must be positive, got {coeff}"
                 )
-            if coeff.numerator >= LITERAL_BOUND or coeff.denominator >= LITERAL_BOUND:
+            if exceeds_literal_bound(coeff):
                 raise NetworkValidationError(outside_literal_bound("stoichiometric coefficient"))
-            entries.append((index, coeff if type(coeff) is Fraction else Fraction(coeff)))
+            entries.append((index, as_fraction(coeff)))
         object.__setattr__(self, "entries", tuple(sorted(entries, key=lambda e: e[0])))
 
     @classmethod
@@ -135,7 +136,8 @@ class Complex:
 
     @classmethod
     def from_mapping(cls, coeffs: Mapping[int, Fraction | int]) -> "Complex":
-        return cls(tuple((i, Fraction(c)) for i, c in coeffs.items() if c != 0))
+        """The complex of {species index: coefficient}; the constructor checks each nonzero one."""
+        return cls(tuple((i, c) for i, c in coeffs.items() if c != 0))
 
     def coefficient(self, index: int) -> Fraction:
         for i, c in self.entries:
@@ -149,9 +151,6 @@ class Complex:
     @property
     def is_empty(self) -> bool:
         return not self.entries
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for _, c in self.entries)
 
     def max_index(self) -> int:
         return max((i for i, _ in self.entries), default=-1)
@@ -179,7 +178,7 @@ def resolve_rate(rate: Rate, binding: Mapping[str, Fraction] | None = None) -> F
         if isinstance(part, str):
             if binding is None or part not in binding:
                 raise UnboundParameterError(part)
-            part = Fraction(binding[part])
+            part = as_fraction(binding[part])
         total += part
     return total
 
@@ -280,7 +279,7 @@ def _checked_step(reactant: Complex, product: Complex, rate) -> tuple[Rate, dict
     if reactant == product:
         raise NetworkValidationError("step has identical reactant and product")
     if type(rate) is int:
-        rate = Fraction(rate)
+        rate = as_fraction(rate)
     elif isinstance(rate, str):
         parts = _read_rate(rate)
         if any(isinstance(part, str) for part in parts):
@@ -297,7 +296,7 @@ def _checked_step(reactant: Complex, product: Complex, rate) -> tuple[Rate, dict
         if rate.numerator <= 0:
             raise NetworkValidationError(f"rate must be positive, got {rate}")
         # a sum of parts, or a value built in Python, may need longer literals
-        if rate.numerator >= LITERAL_BOUND or rate.denominator >= LITERAL_BOUND:
+        if exceeds_literal_bound(rate):
             raise NetworkValidationError(outside_literal_bound("rate"))
     # reactant coefficients become the exponents of the rate monomial
     degree = 0
@@ -643,7 +642,7 @@ def _parse_complex(
         if old is not None:
             # one literal keeps the bound; a sum of several may not
             value += old
-            if value.numerator >= LITERAL_BOUND or value.denominator >= LITERAL_BOUND:
+            if exceeds_literal_bound(value):
                 raise _ChainError(outside_literal_bound("stoichiometric coefficient"), at)
         coeffs[index] = value
         first = False

@@ -7,7 +7,9 @@ numbers.  The network and polynomial text formats spell a number with
 of a rate.  Both formats read their text with one `Lexer`.  Every value
 these read has a numerator and a denominator below LITERAL_BOUND, and so
 does every rate and coefficient a network stores, so whatever a network
-holds is written with literals the text format reads.
+holds is written with literals the text format reads.  `exceeds_literal_bound`
+is the one test of that bound, as `poly.as_fraction` is the one conversion
+of a caller's number to a stored Fraction.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ MAX_EXPONENT = 1000
 # A rational literal's numerator and denominator, and those of every rate and
 # coefficient a network stores, are below this: at most MAX_EXPONENT + 1 digits.
 LITERAL_BOUND = 10 ** (MAX_EXPONENT + 1)
+
+
+def exceeds_literal_bound(value) -> bool:
+    """Whether an int's or a Fraction's |numerator| or denominator is not below LITERAL_BOUND."""
+    return abs(value.numerator) >= LITERAL_BOUND or value.denominator >= LITERAL_BOUND
 
 
 def outside_literal_bound(what: str) -> str:
@@ -116,9 +123,7 @@ def parse_rational(text: str) -> Fraction:
             f"outside +-MAX_EXPONENT = {MAX_EXPONENT}"
         )
     result = Fraction(value)
-    if not (
-        -LITERAL_BOUND < result.numerator < LITERAL_BOUND and result.denominator < LITERAL_BOUND
-    ):
+    if exceeds_literal_bound(result):
         raise ValueError(outside_literal_bound(f"rational literal {text!r}"))
     return result
 

@@ -6,7 +6,9 @@ use descending graded-lexicographic term order, so rendered forms are stable
 and parse(render(p)) == p.
 
 `Polynomial(dim, terms)` is the validating constructor for terms that come
-from outside: it checks every exponent tuple and converts every coefficient.
+from outside: it checks every exponent tuple and converts every coefficient
+with `as_fraction`, the one conversion of a caller's number to the Fraction
+crnkit stores (`numbers.exceeds_literal_bound` is the one literal-bound test).
 Arithmetic and the exact pipeline build their results with the trusted
 `Polynomial._from_clean(dim, terms)` instead, which stores the dict it is
 given as is.  Its contract: the dict is not shared with anyone else, every
@@ -77,11 +79,14 @@ MAX_COEFFICIENT_BITS = 10_000
 SMALL_FRACTIONS = tuple(Fraction(i) for i in range(MAX_DEGREE + 2))
 
 
-def as_fraction(value: int | Fraction) -> Fraction:
-    """A non-negative int or a Fraction as a Fraction, small ints from the table."""
-    if type(value) is int:
-        return SMALL_FRACTIONS[value] if value < len(SMALL_FRACTIONS) else Fraction(value)
-    return value
+def as_fraction(value) -> Fraction:
+    """`value` as a stored Fraction, the one conversion of a caller's number: a Fraction
+    as it is, an int in 0..MAX_DEGREE + 1 from SMALL_FRACTIONS, else Fraction(value)."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is int and 0 <= value <= MAX_DEGREE + 1:
+        return SMALL_FRACTIONS[value]
+    return Fraction(value)
 
 
 def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
@@ -148,7 +153,7 @@ class Polynomial:
                 and all(type(e) is int and e >= 0 for e in raw)
             ):
                 raw = _checked_exponents(dim, raw)
-            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            c = as_fraction(coeff)
             if c:
                 cleaned[raw] = c
         object.__setattr__(self, "dim", dim)
@@ -253,10 +258,8 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial._from_clean(self.dim, {})
-            c = other if type(other) is Fraction else Fraction(other)
-            return Polynomial._from_clean(
-                self.dim, {e: v * c for e, v in self._terms.items()}
-            )
+            c = as_fraction(other)
+            return Polynomial._from_clean(self.dim, {e: v * c for e, v in self._terms.items()})
         if isinstance(other, Polynomial):
             if other.dim != self.dim:
                 raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
@@ -305,7 +308,7 @@ class Polynomial:
         """Exact value at a rational point."""
         if len(point) != self.dim:
             raise ValueError(f"point has length {len(point)}, expected {self.dim}")
-        values = [Fraction(p) for p in point]
+        values = [as_fraction(p) for p in point]
         total = Fraction(0)
         for expts, coeff in self._terms.items():
             v = coeff

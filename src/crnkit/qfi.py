@@ -61,6 +61,7 @@ from .poly import (
     Polynomial,
     PolynomialSystem,
     accumulate_terms,
+    as_fraction,
     default_variable_names,
 )
 
@@ -78,11 +79,6 @@ _ZERO = Fraction(0)
 MAX_SEARCH_SIZE = 4_000_000
 
 
-def _fraction(value: Scalar) -> Fraction:
-    """`value` as a Fraction, kept as is when it already is one."""
-    return value if type(value) is Fraction else Fraction(value)
-
-
 @dataclass(frozen=True)
 class QuadraticCandidate:
     """V(x) = x^T Q x + linear . x + constant with exact entries."""
@@ -92,11 +88,11 @@ class QuadraticCandidate:
     constant: Fraction = Fraction(0)
 
     def __post_init__(self):
-        q = tuple(tuple(map(_fraction, row)) for row in self.q)
-        linear = tuple(map(_fraction, self.linear))
+        q = tuple(tuple(map(as_fraction, row)) for row in self.q)
+        linear = tuple(map(as_fraction, self.linear))
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "constant", _fraction(self.constant))
+        object.__setattr__(self, "constant", as_fraction(self.constant))
         n = len(q)
         if any(len(row) != n for row in q):
             raise ValueError("Q must be square")
@@ -129,7 +125,7 @@ class QuadraticCandidate:
     def diagonal(cls, coeffs: Sequence[Scalar]) -> "QuadraticCandidate":
         n = len(coeffs)
         q = tuple(
-            tuple(_fraction(coeffs[i]) if i == j else _ZERO for j in range(n))
+            tuple(as_fraction(coeffs[i]) if i == j else _ZERO for j in range(n))
             for i in range(n)
         )
         return cls._from_clean(q, (_ZERO,) * n, _ZERO)
@@ -137,20 +133,13 @@ class QuadraticCandidate:
     @classmethod
     def binary_form(cls, a: Scalar, b: Scalar, c: Scalar) -> "QuadraticCandidate":
         """V = a x^2 + 2 b x y + c y^2."""
-        return cls(
-            ((Fraction(a), Fraction(b)), (Fraction(b), Fraction(c))),
-            (Fraction(0), Fraction(0)),
-        )
+        return cls(((a, b), (b, c)), (0, 0))
 
     @classmethod
     def shifted_sum_of_squares(cls, a: Scalar, b: Scalar) -> "QuadraticCandidate":
         """V = (x + a)^2 + (y + b)^2."""
-        a, b = Fraction(a), Fraction(b)
-        return cls(
-            ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
-            (2 * a, 2 * b),
-            a * a + b * b,
-        )
+        a, b = as_fraction(a), as_fraction(b)
+        return cls(((1, 0), (0, 1)), (2 * a, 2 * b), a * a + b * b)
 
     def as_polynomial(self) -> Polynomial:
         n = self.dim
@@ -336,8 +325,8 @@ class DiagonalParams:
     coupling: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        weights = tuple(map(_fraction, self.weights))
-        coupling = tuple(tuple(map(_fraction, row)) for row in self.coupling)
+        weights = tuple(map(as_fraction, self.weights))
+        coupling = tuple(tuple(map(as_fraction, row)) for row in self.coupling)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "coupling", coupling)
         n = len(weights)
@@ -409,17 +398,17 @@ class MixedSignParams:
     rho_z: Fraction = Fraction(1)
 
     def __post_init__(self):
-        plus = tuple(Fraction(v) for v in self.plus_weights)
-        minus = tuple(Fraction(v) for v in self.minus_weights)
-        coupling = tuple(tuple(Fraction(v) for v in row) for row in self.coupling)
-        rho_plus = tuple(Fraction(v) for v in self.rho_plus)
-        rho_minus = tuple(Fraction(v) for v in self.rho_minus)
+        plus = tuple(map(as_fraction, self.plus_weights))
+        minus = tuple(map(as_fraction, self.minus_weights))
+        coupling = tuple(tuple(map(as_fraction, row)) for row in self.coupling)
+        rho_plus = tuple(map(as_fraction, self.rho_plus))
+        rho_minus = tuple(map(as_fraction, self.rho_minus))
         object.__setattr__(self, "plus_weights", plus)
         object.__setattr__(self, "minus_weights", minus)
         object.__setattr__(self, "coupling", coupling)
         object.__setattr__(self, "rho_plus", rho_plus)
         object.__setattr__(self, "rho_minus", rho_minus)
-        object.__setattr__(self, "rho_z", Fraction(self.rho_z))
+        object.__setattr__(self, "rho_z", as_fraction(self.rho_z))
         kk, ll = len(plus), len(minus)
         _require(all(v > 0 for v in plus + minus), "weights must be strictly positive")
         _require(
@@ -610,7 +599,7 @@ class BinaryFormParams:
 
     def __post_init__(self):
         for name in "abcklmnrs":
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
         _require(self.family in BINARY_FORM_FAMILIES, f"unknown family {self.family!r}")
         row = _BINARY_FAMILIES[self.family]
         for holds, text in row.conditions:
@@ -651,7 +640,7 @@ def generate_shifted_system(
     Requires A, B >= 0; a negative shift disables the corresponding rate
     (a < 0 forces B = 0, b < 0 forces A = 0) to keep the system kinetic.
     """
-    A, B, a, b = Fraction(A), Fraction(B), Fraction(a), Fraction(b)
+    A, B, a, b = map(as_fraction, (A, B, a, b))
     _require(A >= 0 and B >= 0, "rates A and B must be nonnegative")
     if a < 0:
         _require(B == 0, "negative shift a requires B = 0")

@@ -877,6 +877,31 @@ def test_params_bind_each_rate_parameter_once(network_file, capsys):
     assert main(argv + ["--params"]) == main(argv) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["odes", "{target}"],
+        ["check", "{target}", "--property", "kinetic"],
+        ["realize", "{target}"],
+        ["simulate", "{target}", "--x0", "1,1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_the_target_is_read_before_the_binding(tmp_path, network_file, capsys, argv):
+    # every command that takes --params reports its target's faults first
+    bad_binding = ["--params", "a"]
+    missing = str(tmp_path / "missing.crn")
+    assert main([arg.format(target=missing) for arg in argv] + bad_binding) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    )
+    malformed = write(tmp_path, "bad.crn", "A ->[1] B C\n")
+    assert main([arg.format(target=malformed) for arg in argv] + bad_binding) == 2
+    assert capsys.readouterr().err == "error: line 1, column 11: expected an arrow, found 'C'\n"
+    assert main([arg.format(target=network_file) for arg in argv] + bad_binding) == 2
+    assert capsys.readouterr().err == "error: parameter binding 'a' must look like name=value\n"
+
+
 def test_warnings_are_one_line_each(tmp_path, capsys):
     path = write(tmp_path, "dup.crn", "A ->[1] B\nA ->[2] B\n")
     assert main(["parse", path]) == 0

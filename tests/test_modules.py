@@ -244,3 +244,37 @@ def test_one_writer_writes_the_json_text():
                 found += [f"{path.name}:{node.lineno} imports {alias.name}" for alias in node.names]
     assert found == []
     assert writers == ["network.py"]
+
+
+def _is_fraction_type_test(node) -> bool:
+    """Is `node` a comparison `type(...) is Fraction` or `type(...) is not Fraction`?"""
+    return (
+        isinstance(node, ast.Compare)
+        and _is_call_of(node.left, "type")
+        and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and any(isinstance(c, ast.Name) and c.id == "Fraction" for c in node.comparators)
+    )
+
+
+def test_one_conversion_to_fraction_and_one_literal_bound_test():
+    # poly.as_fraction alone converts a caller's number to a stored Fraction,
+    # and only numbers.py names LITERAL_BOUND (exceeds_literal_bound tests it)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            names = [getattr(node, "name", None)]
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [getattr(target, "id", None) for target in targets]
+            for name in names:
+                if name and name.endswith("_fraction") and (path.name, name) != ("poly.py", "as_fraction"):
+                    found.append(f"{path.name}:{node.lineno} defines {name}")
+        for node, function, _ in _scoped_nodes(tree):
+            if _is_fraction_type_test(node) and (path.name, function) != ("poly.py", "as_fraction"):
+                found.append(f"{path.name}:{node.lineno} tests type(...) is Fraction in {function}")
+            if isinstance(node, ast.Name) and node.id == "LITERAL_BOUND" and path.name != "numbers.py":
+                found.append(f"{path.name}:{node.lineno} names LITERAL_BOUND")
+            if isinstance(node, ast.alias) and node.name == "LITERAL_BOUND" and path.name != "numbers.py":
+                found.append(f"{path.name}:{node.lineno} imports LITERAL_BOUND")
+    assert found == []

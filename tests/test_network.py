@@ -712,6 +712,20 @@ def test_int_coefficients_are_stored_as_fractions(entries):
         assert dict(step.net_change) == dict(reference.steps[0].net_change)
 
 
+@pytest.mark.parametrize("coeff, kind", [(0.1, "float"), ("1/2", "str")])
+def test_from_mapping_refuses_what_the_constructor_refuses(coeff, kind):
+    message = f"stoichiometric coefficient must be a Fraction or an int, got {kind}"
+    assert _refusal(lambda: Complex(((0, coeff),))) == message
+    assert _refusal(lambda: Complex.from_mapping({1: 1, 0: coeff})) == message
+
+
+def test_from_mapping_stores_an_int_as_a_fraction_and_drops_zeros():
+    built = Complex.from_mapping({2: 3, 0: Fraction(1, 2), 1: 0})
+    assert built.entries == ((0, Fraction(1, 2)), (2, Fraction(3)))
+    assert all(type(coeff) is Fraction for _, coeff in built.entries)
+    assert built == Complex(((2, 3), (0, Fraction(1, 2))))
+
+
 @pytest.mark.parametrize(
     "text, column, literal",
     [

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crnkit.numbers import DECIMAL, MAX_EXPONENT, format_rational, parse_rational, read_literal
+from crnkit.numbers import (
+    DECIMAL,
+    MAX_EXPONENT,
+    exceeds_literal_bound,
+    format_rational,
+    parse_rational,
+    read_literal,
+)
 
 from .support import leading_sign_normalized, primitive_integer_vector
 
@@ -144,3 +151,22 @@ def test_leading_sign_flips_when_needed():
 
 def test_leading_sign_zero_vector_unchanged():
     assert leading_sign_normalized([Fraction(0), Fraction(0)]) == (Fraction(0), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "value, exceeds",
+    [
+        (TOP - 1, False),
+        (TOP, True),
+        (1 - TOP, False),
+        (-TOP, True),
+        (Fraction(-TOP, 7), True),
+        (Fraction(1 - TOP, 7), False),
+        (Fraction(1, TOP - 1), False),
+        (Fraction(-1, TOP), True),
+    ],
+    ids=["top-1", "top", "-(top-1)", "-top", "-top/7", "-(top-1)/7", "1/(top-1)", "-1/top"],
+)
+def test_exceeds_literal_bound_at_the_bound(value, exceeds):
+    # |numerator| and the denominator are tested, so a negative value is bounded too
+    assert exceeds_literal_bound(value) is exceeds

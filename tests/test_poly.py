@@ -13,6 +13,7 @@ import crnkit.poly
 from crnkit import Polynomial, PolynomialParseError, PolynomialSystem, parse_polynomial, parse_system
 from crnkit.numbers import DECIMAL, Lexer, format_rational
 from crnkit.poly import MAX_COEFFICIENT_BITS, MAX_DEGREE, MAX_NESTING, MAX_PARSE_TERMS, _PolyParser
+from crnkit.poly import SMALL_FRACTIONS, as_fraction
 from crnkit.poly import _IDENT_RE, _POLY_LEXER
 from crnkit.poly import _height as poly_height
 
@@ -23,6 +24,31 @@ ROOT = Path(__file__).resolve().parent.parent
 
 X = Polynomial.variable(2, 0)
 Y = Polynomial.variable(2, 1)
+
+
+NUMBERS = st.one_of(
+    st.integers(-3, len(SMALL_FRACTIONS) + 3),
+    st.integers(),
+    st.booleans(),
+    st.fractions(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.decimals(allow_nan=False, allow_infinity=False, places=3).map(str),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(NUMBERS)
+def test_as_fraction_is_the_fraction_of_its_value(value):
+    result = as_fraction(value)
+    assert type(result) is Fraction
+    assert result == Fraction(value)
+    if type(value) is Fraction:
+        assert result is value
+
+
+def test_as_fraction_of_a_negative_int():
+    assert as_fraction(-1) == -1
+    assert as_fraction(-len(SMALL_FRACTIONS)) == -len(SMALL_FRACTIONS)
 
 
 def test_constructors_agree():
