@@ -116,6 +116,18 @@ def _parse_matrix(text: str) -> list[list[Fraction]]:
     return [_parse_vector(row) for row in text.split(";")]
 
 
+def _refuse_unread(args, choice: str, reads: dict[str, tuple[str, ...]]) -> None:
+    """Refuse an option given that the chosen value of --`choice` does not read.
+
+    `reads` maps each value of --`choice` to the options it reads, by dest;
+    the options only other values read are refused, in the table's order.
+    """
+    value = getattr(args, choice)
+    for dest in dict.fromkeys(dest for read in reads.values() for dest in read):
+        if dest not in reads[value] and getattr(args, dest) is not None:
+            raise ValueError(f"--{choice} {value} does not read --{dest.replace('_', '-')}")
+
+
 def _load_target(args) -> ReactionNetwork | PolynomialSystem:
     """Read args.target as a network or a system, sniffing the format.
 
@@ -305,17 +317,10 @@ def _check_no_periodic(system, args):
         f"  divergence: {payload['divergence']}",
         f"  divergence nonpositive and nonzero: {_verdict(cert.divergence_negative)}",
     ]
-    # for n <= 2 a verified integral is always used; above that the rule may reject it
-    rejected = invariant is not None and cert.first_integral != invariant
-    if rejected:
-        rule = (
-            "the rule for n = 3 accepts only a nonzero linear form or a "
-            "positive-definite form with no linear part"
-            if system.dim == 3
-            else "the rule for n >= 4 accepts none, as a level set has dimension 3 or more"
-        )
-        lines.append(f"  supplied first integral verified but not used: {rule}")
-    if not rejected or cert.first_integral is not None:
+    rejected = cert.invariant_rejected
+    if rejected is not None:
+        lines.append(f"  supplied first integral verified but not used: {rejected}")
+    if rejected is None or cert.first_integral is not None:
         lines.append(f"  first integral known: {_verdict(cert.first_integral is not None)}")
     return cert.holds, payload, lines
 
@@ -329,8 +334,19 @@ _CHECKS = {
     "no-periodic": _check_no_periodic,
 }
 
+# The options of check each property reads; the others are refused.
+_CHECK_READS = {
+    "kinetic": (),
+    "conserve-stoich": ("candidate",),
+    "conserve-kinetic": ("candidate",),
+    "qfi": ("filter",),
+    "log-lv": (),
+    "no-periodic": ("invariant",),
+}
+
 
 def cmd_check(args):
+    _refuse_unread(args, "property", _CHECK_READS)
     target, params = _load_with_params(args)
     if args.property == "conserve-stoich":
         if not isinstance(target, ReactionNetwork):
@@ -345,6 +361,22 @@ def _scalar(args, name: str, default: Fraction = Fraction(0)) -> Fraction:
     """A scalar option: `default` when absent, else parse_rational of its text."""
     raw = getattr(args, name)
     return default if raw is None else parse_rational(raw)
+
+
+# The scalars of the binary-form families; BinaryFormParams refuses a nonzero
+# one that its family does not use.
+_BINARY_FORM_OPTIONS = ("a", "b", "c", "k", "l", "m", "n", "r", "s")
+
+# The options of generate each family reads, in the parser's order of families;
+# the others are refused.
+_FAMILY_READS = {
+    "diagonal": ("weights", "coupling"),
+    "mixed-sign": ("plus_weights", "minus_weights", "coupling", "rho_plus", "rho_minus", "rho_z"),
+    **{
+        family.replace("_", "-"): _BINARY_FORM_OPTIONS for family in BINARY_FORM_FAMILIES
+    },
+    "shifted": ("rate_A", "rate_B", "shift_a", "shift_b"),
+}
 
 
 def _generate_family(args):
@@ -393,6 +425,7 @@ def _generate_family(args):
 
 
 def cmd_generate(args):
+    _refuse_unread(args, "family", _FAMILY_READS)
     system, invariant, conservation = _generate_family(args)
     network = canonical_realization(system)
     checks = {
@@ -446,14 +479,20 @@ def cmd_realize(args):
     return 0, payload, lines, {"network.json": as_dict}
 
 
+# The options of simulate each method reads beyond --dt, which both read;
+# the others are refused.
+_METHOD_READS = {"rk4": (), "rkf45": ("tol",)}
+
+
 def cmd_simulate(args):
+    _refuse_unread(args, "method", _METHOD_READS)
     system = _as_system(args)
     x0 = _parse_vector(args.x0)
     method = {"rk4": "rk4_fixed", "rkf45": "rkf45_adaptive"}[args.method]
     config = SimConfig(
         method=method,
         step=args.dt,
-        tolerance=args.tol,
+        tolerance=SimConfig.tolerance if args.tol is None else args.tol,
         t_end=args.t_end,
         stride=args.stride,
         projection="level_set" if args.project else "off",
@@ -539,10 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("generate", parents=[common], help="emit a conserving family instance")
-    binary_forms = [family.replace("_", "-") for family in BINARY_FORM_FAMILIES]
-    families = ["diagonal", "mixed-sign", *binary_forms, "shifted"]
-    p.add_argument("--family", required=True, choices=families)
-    for opt in ("a", "b", "c", "k", "l", "m", "n", "r", "s"):
+    p.add_argument("--family", required=True, choices=list(_FAMILY_READS))
+    for opt in _BINARY_FORM_OPTIONS:
         p.add_argument(f"--{opt}", metavar="Q")
     p.add_argument("--weights", metavar="V", help="diagonal family: comma-separated a_m")
     p.add_argument("--coupling", metavar="M", help="matrix rows separated by ';'")
@@ -566,9 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("--params", nargs="*", action="append", metavar="NAME=VALUE")
     p.add_argument("--x0", required=True, metavar="V", help="comma-separated initial state")
-    p.add_argument("--method", choices=["rk4", "rkf45"], default="rk4")
+    p.add_argument("--method", choices=list(_METHOD_READS), default="rk4")
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float)
     p.add_argument("--t-end", type=float, default=10.0)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--invariant", metavar="EXPR", help="polynomial expression or 'auto'")

@@ -38,9 +38,10 @@ text formats share, one `findall` per chain, and walks them by index.
 Columns are not kept: a refusal finds its token's column by reading the
 chain again, and a character no token starts with is refused before any
 other fault of its chain.  Each step passes `_checked_step`, the one owner
-of the checks `ReactionStep` makes, before `_from_clean` builds it, and the
-network is built with `_from_clean` unless two steps have the same reactant
-and product; then the public constructor merges them, with its warnings.
+of the checks `ReactionStep` makes, before `_from_clean` builds it.  Steps
+with the same reactant and product are merged by `_merged`, the one merge
+routine, which `ReactionNetwork.__init__` calls too, and the network is
+built with `_from_clean`.
 
 `json_text` is crnkit's one JSON writer: `ReactionNetwork.to_json` and every
 CLI report and --out file go through it.
@@ -386,37 +387,45 @@ def _json(value, newline: str) -> str:
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
+def _merged(species: tuple[str, ...], steps: Sequence[ReactionStep]) -> tuple[ReactionStep, ...]:
+    """`steps` with each (reactant, product) pair once: the one merge of duplicate steps.
+
+    A later duplicate warns at the caller of `ReactionNetwork(...)` or
+    `parse_network`, and its rate is joined to the kept step's with '+'.
+    """
+    merged: dict[tuple[Complex, Complex], ReactionStep] = {}
+    for step in steps:
+        # one hash of the key; it is reassigned only for a duplicate
+        key = (step.reactant, step.product)
+        size = len(merged)
+        kept = merged.setdefault(key, step)
+        if len(merged) == size:
+            warnings.warn(
+                f"duplicate step {step.render(species)} merged by summing rates",
+                stacklevel=3,
+            )
+            rate = f"{format_rate(kept.rate)}+{format_rate(step.rate)}"
+            merged[key] = ReactionStep(step.reactant, step.product, rate)
+    return tuple(merged.values())
+
+
 class ReactionNetwork:
-    """Ordered species plus reaction steps; duplicates merged on build."""
+    """Ordered species plus reaction steps; duplicates merged on build by `_merged`."""
 
     def __init__(self, species: Sequence[str], steps: Iterable[ReactionStep]):
         species = tuple(species)
         if len(set(species)) != len(species):
             raise NetworkValidationError("duplicate species names")
         check_species_names(species)
-        merged: dict[tuple[Complex, Complex], ReactionStep] = {}
+        steps = tuple(steps)
         for step in steps:
             hi = max(step.reactant.max_index(), step.product.max_index())
             if hi >= len(species):
                 raise NetworkValidationError(
                     f"species index {hi} out of range for {len(species)} species"
                 )
-            # one hash of the key; it is reassigned only for a duplicate
-            key = (step.reactant, step.product)
-            size = len(merged)
-            kept = merged.setdefault(key, step)
-            if len(merged) == size:
-                warnings.warn(
-                    f"duplicate step {step.render(species)} merged by summing rates",
-                    stacklevel=2,
-                )
-                merged[key] = ReactionStep(
-                    step.reactant,
-                    step.product,
-                    f"{format_rate(kept.rate)}+{format_rate(step.rate)}",
-                )
         self.species = species
-        self.steps = tuple(merged.values())
+        self.steps = _merged(species, steps)
 
     @classmethod
     def _from_clean(
@@ -601,12 +610,8 @@ def _number(token: str, index: int) -> int | Fraction:
 
 def _parse_complex(
     tokens: list[str], pos: int, species_index: dict[str, int], species_order: list[str]
-) -> tuple[Complex, tuple, int]:
-    """The complex from tokens[pos] on, a key of it made of ints and the position after it.
-
-    Equal complexes have equal keys: (index, coefficient) pairs in index
-    order, a coefficient kept as the int it was read as when it is one.
-    """
+) -> tuple[Complex, int]:
+    """The complex from tokens[pos] on and the position after it."""
     count = len(tokens)
     coeffs: dict[int, int | Fraction] = {}
     first = True
@@ -627,7 +632,7 @@ def _parse_complex(
                 pos += 1
             elif value == 0 and first:
                 # bare "0" is the empty complex
-                return Complex._from_clean(()), (), pos
+                return Complex._from_clean(()), pos
             else:
                 raise _ChainError(f"unexpected number {token!r}", at)
         elif _is_name(token):
@@ -650,8 +655,7 @@ def _parse_complex(
             pos += 1
             continue
         # merged per species, every sum positive
-        items = sorted(coeffs.items())
-        return Complex._from_clean(tuple((i, as_fraction(c)) for i, c in items)), tuple(items), pos
+        return Complex._from_clean(tuple((i, as_fraction(c)) for i, c in sorted(coeffs.items()))), pos
 
 
 def _parse_rate(tokens: list[str], pos: int) -> tuple[Rate, int]:
@@ -704,11 +708,10 @@ def _parse_chain(
     species_index: dict[str, int],
     species_order: list[str],
     steps: list[ReactionStep],
-    keys: set[tuple],
 ) -> None:
-    """Append the steps of the chain `tokens` to `steps`, and their keys to `keys`."""
+    """Append the steps of the chain `tokens` to `steps`."""
     count = len(tokens)
-    left, left_key, pos = _parse_complex(tokens, 0, species_index, species_order)
+    left, pos = _parse_complex(tokens, 0, species_index, species_order)
     if pos == count:
         raise _ChainError("chain needs at least one arrow", count - 1)
     while pos < count:
@@ -720,17 +723,14 @@ def _parse_chain(
         if arrow == "<=>[":
             backward, pos = _parse_rate(tokens, _expect(tokens, pos, ",", "comma"))
         pos = _expect(tokens, pos, "]", "rbracket")
-        right, right_key, pos = _parse_complex(tokens, pos, species_index, species_order)
+        right, pos = _parse_complex(tokens, pos, species_index, species_order)
         if arrow == "<-[":
             steps.append(_step(right, left, forward, arrow_at))
-            keys.add((right_key, left_key))
         else:
             steps.append(_step(left, right, forward, arrow_at))
-            keys.add((left_key, right_key))
             if arrow == "<=>[":
                 steps.append(_step(right, left, backward, arrow_at))
-                keys.add((right_key, left_key))
-        left, left_key = right, right_key
+        left = right
 
 
 def _syntax_error(
@@ -751,12 +751,12 @@ def parse_network(text: str) -> ReactionNetwork:
     """Parse the reaction text format into a ReactionNetwork.
 
     Species are numbered in order of first appearance.  '#' starts a comment;
-    ';' separates chains on one line.
+    ';' separates chains on one line.  `_merged` merges duplicate steps, as
+    it does for the public constructor.
     """
     species_index: dict[str, int] = {}
     species_order: list[str] = []
     steps: list[ReactionStep] = []
-    keys: set[tuple] = set()
     any_content = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -767,13 +767,11 @@ def parse_network(text: str) -> ReactionNetwork:
             if tokens:
                 any_content = True
                 try:
-                    _parse_chain(tokens, species_index, species_order, steps, keys)
+                    _parse_chain(tokens, species_index, species_order, steps)
                 except _ChainError as exc:
                     raise _syntax_error(line, start, end, line_no, *exc.args) from None
             start = end + 1
     if not any_content:
         raise NetworkSyntaxError("no reactions found", 1, 1)
-    if len(keys) < len(steps):
-        # duplicate steps merge, with their warnings, as the constructor merges them
-        return ReactionNetwork(species_order, steps)
-    return ReactionNetwork._from_clean(tuple(species_order), tuple(steps))
+    species = tuple(species_order)
+    return ReactionNetwork._from_clean(species, _merged(species, steps))

@@ -733,12 +733,15 @@ class NoPeriodicOrbitCertificate:
     and a first integral that the rule for the system's dimension accepts
     is known (see `no_periodic_orbit_certificate`); both facts are recorded
     separately so an inconclusive answer shows which leg failed.
+    `invariant_rejected` says why a supplied, verified invariant was not
+    used, or is None; `to_dict` leaves it out.
     """
 
     verdict: str  # "yes" | "inconclusive"
     divergence: Polynomial
     divergence_negative: bool
     first_integral: QuadraticCandidate | None
+    invariant_rejected: str | None = None
 
     @property
     def holds(self) -> bool:
@@ -813,15 +816,22 @@ def no_periodic_orbit_certificate(
       periodic orbit in D.
     """
     div = divergence(system)
-    div_negative = (not div.is_zero()) and all(
-        coeff <= 0 for _, coeff in div.sorted_terms()
-    )
+    div_negative = (not div.is_zero()) and all(coeff <= 0 for coeff in div.terms().values())
     if invariant is not None and not is_first_integral(invariant, system):
         raise ValueError("supplied invariant is not a first integral of the system")
+    rejected = None
     if system.dim > 3:
         integral = None
+        if invariant is not None:
+            rejected = "the rule for n >= 4 accepts none, as a level set has dimension 3 or more"
     elif system.dim == 3:
         integral = _disk_level_integral(system, invariant)
+        # it returns the supplied invariant itself exactly when the rule accepts it
+        if invariant is not None and integral is not invariant:
+            rejected = (
+                "the rule for n = 3 accepts only a nonzero linear form or a "
+                "positive-definite form with no linear part"
+            )
     elif invariant is not None:
         integral = invariant
     else:
@@ -833,6 +843,7 @@ def no_periodic_orbit_certificate(
         divergence=div,
         divergence_negative=div_negative,
         first_integral=integral,
+        invariant_rejected=rejected,
     )
 
 

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 import re
 import warnings
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from typing import Sequence
 
+import crnkit
 from crnkit import (
     Polynomial,
     PolynomialSystem,
@@ -59,6 +62,14 @@ SMALL_FRACTIONS = [
 ]
 SMALL_POSITIVE = [f for f in SMALL_FRACTIONS if f > 0]
 SMALL_NONNEGATIVE = [Fraction(0)] + SMALL_POSITIVE
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment of a Python subprocess that imports this crnkit and these
+    tests, whether or not PYTHONPATH names them."""
+    src = Path(crnkit.__file__).resolve().parents[1]
+    root = Path(__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join((str(src), str(root)))}
 
 
 def random_polynomial(rng: random.Random, dim: int, max_degree: int = 3,

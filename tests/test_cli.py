@@ -11,12 +11,14 @@ import time
 import pytest
 
 from crnkit.cli import build_parser, main
+from crnkit.sim import SimConfig
 from .conftest import (
     CATALYTIC_CASCADE_TEXT,
     EXAMPLE_NETWORK_TEXT,
     LIMIT_CYCLE_4D_TEXT,
     SADDLE_3D_TEXT,
 )
+from .support import subprocess_env
 
 KINETIC_SYSTEM_TEXT = "vars x y\n2*y^2 - 3*x*y\n3*x^2 - 2*x*y\n"
 ROTATION_SYSTEM_TEXT = "vars x y\ny\n-x\n"
@@ -242,6 +244,35 @@ def test_check_no_periodic_names_the_rule_for_a_supplied_integral(
     assert capsys.readouterr().out.splitlines()[3:] == tail
 
 
+@pytest.mark.parametrize(
+    "target, argv, message",
+    [
+        ("system", ["--property", "kinetic", "--candidate", "1,1"],
+         "--property kinetic does not read --candidate"),
+        ("system", ["--property", "kinetic", "--candidate", ""],
+         "--property kinetic does not read --candidate"),
+        ("system", ["--property", "qfi", "--invariant", "x^2"],
+         "--property qfi does not read --invariant"),
+        ("network", ["--property", "conserve-stoich", "--filter", "positive-diagonal"],
+         "--property conserve-stoich does not read --filter"),
+        ("system", ["--property", "log-lv", "--filter", "positive-diagonal"],
+         "--property log-lv does not read --filter"),
+        ("system", ["--property", "no-periodic", "--candidate", "1,1", "--invariant", "x^2"],
+         "--property no-periodic does not read --candidate"),
+        ("missing", ["--property", "conserve-kinetic", "--invariant", "x^2"],
+         "--property conserve-kinetic does not read --invariant"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else " ".join(value),
+)
+def test_check_refuses_an_option_its_property_does_not_read(
+    network_file, system_file, capsys, target, argv, message
+):
+    # refused before the target is read, as argparse refuses an unknown option
+    files = {"network": network_file, "system": system_file, "missing": "missing.crn"}
+    assert main(["check", files[target], *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_check_stoich_requires_network(system_file, capsys):
     assert main(["check", system_file, "--property", "conserve-stoich"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -319,6 +350,36 @@ def test_generate_constraint_violation(capsys):
 def test_generate_missing_arguments(capsys):
     assert main(["generate", "--family", "diagonal"]) == 2
     assert "--weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["diagonal", "--weights", "1,1", "--coupling", "0,1;1,0", "--a", "5", "--rate-A", "3"],
+         "--family diagonal does not read --a"),
+        (["ellipse-hyperbola", "--a", "1", "--b", "0", "--c", "1", "--weights", "1,2"],
+         "--family ellipse-hyperbola does not read --weights"),
+        (["mixed-sign", "--plus-weights", "1", "--minus-weights", "1", "--coupling", "1",
+          "--rho-plus", "1", "--rho-minus", "1", "--shift-a", "0"],
+         "--family mixed-sign does not read --shift-a"),
+        (["shifted", "--rate-A", "1", "--rho-z", "2"], "--family shifted does not read --rho-z"),
+        (["diagonal", "--weights", "1,1", "--coupling", "0,1;1,0", "--rho-z", ""],
+         "--family diagonal does not read --rho-z"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else " ".join(value),
+)
+def test_generate_refuses_an_option_its_family_does_not_read(capsys, argv, message):
+    assert main(["generate", "--family", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_binary_form_family_reads_every_scalar(capsys):
+    # a zero scalar its form does not use is accepted; BinaryFormParams refuses a nonzero one
+    argv = ["generate", "--family", "ellipse-hyperbola", "--a", "1", "--b", "0", "--c", "1"]
+    assert main(argv + ["--m", "0"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--m", "1"]) == 2
+    assert capsys.readouterr().err == "error: family ellipse_hyperbola does not use parameter m\n"
 
 
 @pytest.mark.parametrize(
@@ -514,6 +575,19 @@ def test_simulate_rejects_nonfinite_settings(system_file, capsys, extra, message
     code = main(["simulate", system_file, "--x0", "1,0"] + extra)
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_simulate_refuses_an_option_its_method_does_not_read(system_file, capsys):
+    argv = ["simulate", system_file, "--x0", "1,0", "--t-end", "1", "--json"]
+    assert main(argv + ["--tol", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: --method rk4 does not read --tol\n")
+    # rkf45 reads --tol, and without it takes SimConfig's default
+    assert main(argv + ["--method", "rkf45"]) == 0
+    absent = capsys.readouterr()
+    assert main(argv + ["--method", "rkf45", "--tol", str(SimConfig.tolerance)]) == 0
+    assert capsys.readouterr() == absent
+    assert main(argv + ["--method", "rkf45", "--tol", "1e-3"]) == 0
+    assert capsys.readouterr() != absent
 
 
 def test_simulate_rejects_coefficient_too_large_for_a_float(tmp_path, capsys):
@@ -950,7 +1024,7 @@ def test_plain_pipe_output_has_no_color(system_file, capsys):
 def test_module_invocation():
     result = subprocess.run(
         [sys.executable, "-m", "crnkit", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env(),
     )
     assert result.returncode == 0
     assert result.stdout.startswith("crnkit")

@@ -41,6 +41,7 @@ from .support import (
     rref,
     sparse_rows,
     split_positive_vector_in_span,
+    subprocess_env,
     unit_candidates,
     unit_lie_derivative_matrix,
 )
@@ -661,7 +662,7 @@ def test_tampered_reduced_costs_fail_the_proof_check_under_optimization(monkeypa
         positive_vector_in_span([(1, -1)], 2)
     result = subprocess.run(
         [sys.executable, "-O", "-c", TAMPERED_CERTIFICATE_SCRIPT],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env(),
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["certificate must be nonnegative and nonzero"] * 2

@@ -278,3 +278,33 @@ def test_one_conversion_to_fraction_and_one_literal_bound_test():
             if isinstance(node, ast.alias) and node.name == "LITERAL_BOUND" and path.name != "numbers.py":
                 found.append(f"{path.name}:{node.lineno} imports LITERAL_BOUND")
     assert found == []
+
+
+def test_one_merge_routine_builds_every_network():
+    # network._merged merges duplicate steps for ReactionNetwork.__init__ and
+    # parse_network and is the one place that warns, and parse_network, with
+    # every function of network.py it reaches, calls no public ReactionNetwork(...)
+    tree = ast.parse((PACKAGE / "network.py").read_text())
+    warners, mergers = [], set()
+    for node, function, klass in _scoped_nodes(tree):
+        if _is_call_of(node, "warn"):
+            warners.append(function)
+        if _is_call_of(node, "_merged"):
+            mergers.add(f"{klass}.{function}" if klass else function)
+    assert warners == ["_merged"]
+    assert mergers == {"ReactionNetwork.__init__", "parse_network"}
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo, public = set(), ["parse_network"], []
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id in functions:
+                    todo.append(node.func.id)
+                if node.func.id == "ReactionNetwork":
+                    public.append(f"network.py:{node.lineno} in {name}")
+    assert {"_parse_chain", "_parse_complex", "_merged"} <= reached
+    assert public == []

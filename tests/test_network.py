@@ -405,6 +405,45 @@ def test_parser_matches_the_reference_parser(seed):
         assert network_parse_outcome(parse_network, edited) == expected, edited
 
 
+def _planted_duplicates(rng: random.Random, text: str) -> str:
+    """`text` with copies of some of its chains, each on a line of its own or
+    before a ';' at the start of a line, so their steps are duplicates."""
+    lines = text.split("\n")
+    chains = [chain for line in lines for chain in line.split("#", 1)[0].split(";") if chain.strip()]
+    for chain in rng.sample(chains, rng.randint(1, len(chains))) if chains else ():
+        at = rng.randrange(len(lines) + 1)
+        if at < len(lines) and rng.random() < 0.5:
+            lines[at] = chain + ";" + lines[at]
+        else:
+            lines.insert(at, chain)
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64))
+def test_planted_duplicates_merge_as_the_public_constructor_merges_them(seed):
+    # the same network and warnings as the reference parser, which builds
+    # through ReactionNetwork(...), and no two steps left with one key
+    rng = random.Random(seed)
+    text = _planted_duplicates(rng, network_dsl_text(rng))
+    outcome = network_parse_outcome(parse_network, text)
+    assert outcome == network_parse_outcome(reference_parse_network, text), text
+    result, _ = outcome
+    if isinstance(result[1], list):  # parsed: the species and the steps
+        keys = [(reactant, product) for reactant, product, *_ in result[1]]
+        assert len(set(keys)) == len(keys), text
+
+
+def test_a_merge_warning_points_at_the_caller():
+    for build in (
+        lambda: parse_network("A ->[1] B\nA ->[2] B"),
+        lambda: ReactionNetwork(["A", "B"], parse_network("A ->[1] B").steps * 2),
+    ):
+        with pytest.warns(UserWarning, match="merged by summing rates") as record:
+            build()
+        assert [warning.filename for warning in record] == [__file__]
+
+
 def test_parsing_literal_rates_builds_no_step_through_the_constructor(monkeypatch):
     built = []
     post_init = ReactionStep.__post_init__

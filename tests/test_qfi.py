@@ -36,13 +36,15 @@ from crnkit import (
     negative_cross_effect,
     no_periodic_orbit_certificate,
     parse_network,
+    parse_polynomial,
+    parse_system,
     solve_log_integral_family,
 )
 from crnkit.conservation import lie_derivative_rows
 from crnkit.linalg import _phase1, nullspace_basis, positive_vector_in_span
 from crnkit.poly import MAX_DEGREE, accumulate_terms
 
-from .conftest import CATALYTIC_CASCADE_TEXT
+from .conftest import CATALYTIC_CASCADE_TEXT, LIMIT_CYCLE_4D_TEXT, SADDLE_3D_TEXT
 from .support import (
     SMALL_FRACTIONS,
     arithmetic_lie_derivative,
@@ -52,6 +54,7 @@ from .support import (
     leading_sign_normalized,
     primitive_integer_vector,
     sparse_rows,
+    subprocess_env,
     unit_candidates,
     unit_lie_derivative_matrix,
 )
@@ -510,6 +513,30 @@ def test_exact_searches_refuse_a_system_above_max_degree():
     assert certificate.first_integral.render(names) == "x + y"
 
 
+@pytest.mark.parametrize(
+    "text, invariant, rejected",
+    [
+        (LIMIT_CYCLE_4D_TEXT, "w^2",
+         "the rule for n >= 4 accepts none, as a level set has dimension 3 or more"),
+        (SADDLE_3D_TEXT, "x^2 - y^2", "the rule for n = 3 accepts only a nonzero linear form "
+         "or a positive-definite form with no linear part"),
+        ("vars x y z\ny*z\nx*z\n-x*z - y*z\n", "x + y + z", None),
+        ("vars x y\n2*y^2 - 3*x*y\n3*x^2 - 2*x*y\n", "x^2 + y^2", None),
+        (LIMIT_CYCLE_4D_TEXT, None, None),
+    ],
+)
+def test_the_certificate_says_why_a_supplied_invariant_is_not_used(text, invariant, rejected):
+    system = parse_system(text)
+    candidate = None if invariant is None else QuadraticCandidate.from_polynomial(
+        parse_polynomial(invariant, system.variables)
+    )
+    certificate = no_periodic_orbit_certificate(system, candidate)
+    assert certificate.invariant_rejected == rejected
+    if candidate is not None and rejected is None:
+        assert certificate.first_integral == candidate
+    assert "invariant_rejected" not in certificate.to_dict(system.variables)
+
+
 def _exact_answers(system, order):
     """Reprs of the exact searches on `system`, run in `order`, as a dict by search."""
     searches = {
@@ -694,7 +721,7 @@ def test_generator_proof_check_survives_optimization(monkeypatch):
         generate_diagonal_system(params)
     result = subprocess.run(
         [sys.executable, "-O", "-c", FAILING_GENERATOR_SCRIPT],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env(),
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "generated system must conserve V"

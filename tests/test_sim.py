@@ -2,13 +2,11 @@ import ast
 import dataclasses
 import json
 import math
-import os
 import random
 import re
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +32,7 @@ from .support import (
     left_to_right_rhs,
     random_polynomial,
     reference_integrate,
+    subprocess_env,
 )
 
 F = Fraction
@@ -556,11 +555,9 @@ for run in (integrate, reference_integrate):
 
 def _run_bounded(args, **kwargs):
     """Run a Python subprocess that sees this crnkit and tests, killed after 10 s."""
-    src = Path(crnkit.sim.__file__).resolve().parents[1]
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(src), str(root)))}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=10, env=env, **kwargs
+        [sys.executable, *args], capture_output=True, text=True, timeout=10,
+        env=subprocess_env(), **kwargs
     )
 
 
