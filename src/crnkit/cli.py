@@ -3,11 +3,15 @@
 Subcommands: parse, odes, check, generate, realize, simulate.  Exit codes:
 0 when the requested property holds or the operation succeeds, 1 when a
 check fails or a search comes up empty, 2 on malformed input or bad
-arguments.  Set CRNKIT_NO_COLOR to disable ANSI colors.  When --out DIR is
-given, results and a reproducibility manifest are written there; rerunning
-the same command on the same inputs produces byte-identical files.  Every
-JSON report, --out file and manifest is written by `network.json_text`,
-which gives the bytes of `json.dumps(value, indent=2, sort_keys=True)`.
+arguments.  Each value of --property, --family and --method is one entry of
+one table (`_CHECKS`, `_FAMILIES`, `_METHODS`): the options it reads, then
+what runs it.  The parser offers the table's keys, and an option the chosen
+value does not read is refused.  Set CRNKIT_NO_COLOR to disable ANSI
+colors.  When --out DIR is given, results and a reproducibility manifest
+are written there; rerunning the same command on the same inputs produces
+byte-identical files.  Every JSON report, --out file and manifest is
+written by `network.json_text`, which gives the bytes of
+`json.dumps(value, indent=2, sort_keys=True)`.
 """
 
 from __future__ import annotations
@@ -90,18 +94,6 @@ def _parse_params(groups: list[list[str]] | None) -> dict[str, Fraction]:
     return binding
 
 
-def _check_params(binding: dict[str, Fraction], target) -> None:
-    """Refuse a bound name no rate of the target uses; a polynomial system has no rates."""
-    if isinstance(target, ReactionNetwork):
-        used = target.rate_parameters()
-        for name in binding:
-            if name not in used:
-                raise ValueError(f"--params binds {name!r}, which no rate of the network uses")
-    elif binding:
-        name = next(iter(binding))
-        raise ValueError(f"--params binds {name!r}, but a polynomial system has no rate parameters")
-
-
 def _parse_vector(text: str) -> list[Fraction]:
     """Comma-separated rationals; a blank text is the empty vector."""
     if not text.strip():
@@ -116,15 +108,17 @@ def _parse_matrix(text: str) -> list[list[Fraction]]:
     return [_parse_vector(row) for row in text.split(";")]
 
 
-def _refuse_unread(args, choice: str, reads: dict[str, tuple[str, ...]]) -> None:
+def _refuse_unread(args, choice: str, table: dict[str, tuple]) -> None:
     """Refuse an option given that the chosen value of --`choice` does not read.
 
-    `reads` maps each value of --`choice` to the options it reads, by dest;
-    the options only other values read are refused, in the table's order.
+    `table` maps each value of --`choice` to an entry whose first item names
+    the options it reads, by dest; the options only other values read are
+    refused, in the table's order.
     """
     value = getattr(args, choice)
-    for dest in dict.fromkeys(dest for read in reads.values() for dest in read):
-        if dest not in reads[value] and getattr(args, dest) is not None:
+    reads = table[value][0]
+    for dest in dict.fromkeys(dest for entry in table.values() for dest in entry[0]):
+        if dest not in reads and getattr(args, dest) is not None:
             raise ValueError(f"--{choice} {value} does not read --{dest.replace('_', '-')}")
 
 
@@ -159,24 +153,25 @@ def _load_target(args) -> ReactionNetwork | PolynomialSystem:
     return parse_network(text)
 
 
-def _load_network(args) -> ReactionNetwork:
+def _load(args, induce: bool = True, network_only: bool = False):
+    """args.target, with the --params binding checked against it.
+
+    With `network_only`, a target that is not a reaction network is refused
+    before the binding is read.  With `induce`, a network is replaced by its
+    induced mass-action ODE under the binding.
+    """
     target = _load_target(args)
-    if not isinstance(target, ReactionNetwork):
+    is_network = isinstance(target, ReactionNetwork)
+    if network_only and not is_network:
         raise ValueError(f"{args.command} expects a reaction network file")
-    return target
-
-
-def _load_with_params(args, load=_load_target):
-    """The target `load` reads, then the --params binding, checked against the target."""
-    target = load(args)
-    params = _parse_params(args.params)
-    _check_params(params, target)
-    return target, params
-
-
-def _as_system(args) -> PolynomialSystem:
-    target, params = _load_with_params(args)
-    if isinstance(target, ReactionNetwork):
+    params = _parse_params(getattr(args, "params", None))
+    used = target.rate_parameters() if is_network else ()
+    for name in params:
+        if name not in used:
+            why = ("which no rate of the network uses" if is_network
+                   else "but a polynomial system has no rate parameters")
+            raise ValueError(f"--params binds {name!r}, {why}")
+    if induce and is_network:
         return induced_kinetic_ode(target, params)
     return target
 
@@ -230,7 +225,7 @@ def _emit(args, payload: dict, lines, files: dict[str, str | dict]) -> None:
 # that costs a rendering comes as a function, which `_emit` calls only to print.
 
 def cmd_parse(args):
-    network = _load_network(args)
+    network = _load(args, induce=False, network_only=True)
 
     def lines():
         text = [f"species: {' '.join(network.species)}", network.render()]
@@ -244,8 +239,7 @@ def cmd_parse(args):
 
 
 def cmd_odes(args):
-    network, params = _load_with_params(args, _load_network)
-    system = induced_kinetic_ode(network, params)
+    system = _load(args, network_only=True)
     return 0, system.to_dict(), lambda: [system.render()], {}
 
 
@@ -325,35 +319,25 @@ def _check_no_periodic(system, args):
     return cert.holds, payload, lines
 
 
+# Each property of check: (the options it reads, whether a network target is
+# replaced by its induced ODE, the check).
 _CHECKS = {
-    "kinetic": _check_kinetic,
-    "conserve-stoich": _check_conservation,
-    "conserve-kinetic": _check_conservation,
-    "qfi": _check_qfi,
-    "log-lv": _check_log_lv,
-    "no-periodic": _check_no_periodic,
-}
-
-# The options of check each property reads; the others are refused.
-_CHECK_READS = {
-    "kinetic": (),
-    "conserve-stoich": ("candidate",),
-    "conserve-kinetic": ("candidate",),
-    "qfi": ("filter",),
-    "log-lv": (),
-    "no-periodic": ("invariant",),
+    "kinetic": ((), True, _check_kinetic),
+    "conserve-stoich": (("candidate",), False, _check_conservation),
+    "conserve-kinetic": (("candidate",), True, _check_conservation),
+    "qfi": (("filter",), True, _check_qfi),
+    "log-lv": ((), True, _check_log_lv),
+    "no-periodic": (("invariant",), True, _check_no_periodic),
 }
 
 
 def cmd_check(args):
-    _refuse_unread(args, "property", _CHECK_READS)
-    target, params = _load_with_params(args)
-    if args.property == "conserve-stoich":
-        if not isinstance(target, ReactionNetwork):
-            raise ValueError("conserve-stoich needs a reaction network")
-    elif isinstance(target, ReactionNetwork):
-        target = induced_kinetic_ode(target, params)
-    holds, payload, lines = _CHECKS[args.property](target, args)
+    _refuse_unread(args, "property", _CHECKS)
+    _, induce, check = _CHECKS[args.property]
+    target = _load(args, induce)
+    if not induce and not isinstance(target, ReactionNetwork):
+        raise ValueError(f"{args.property} needs a reaction network")
+    holds, payload, lines = check(target, args)
     return (0 if holds else 1), {"property": args.property, **payload}, lines, {}
 
 
@@ -363,70 +347,74 @@ def _scalar(args, name: str, default: Fraction = Fraction(0)) -> Fraction:
     return default if raw is None else parse_rational(raw)
 
 
+# -- generate: each family builder maps args to (system, invariant, conservation or None)
+
+def _diagonal(args):
+    if not args.weights or not args.coupling:
+        raise ValueError("diagonal family needs --weights and --coupling")
+    params = DiagonalParams(
+        tuple(_parse_vector(args.weights)),
+        tuple(tuple(row) for row in _parse_matrix(args.coupling)),
+    )
+    return generate_diagonal_system(params), params.invariant(), None
+
+
+def _mixed_sign(args):
+    needed = (args.plus_weights, args.minus_weights, args.coupling, args.rho_plus, args.rho_minus)
+    if any(v is None for v in needed):
+        raise ValueError(
+            "mixed-sign family needs --plus-weights, --minus-weights, "
+            "--coupling, --rho-plus and --rho-minus"
+        )
+    params = MixedSignParams(
+        tuple(_parse_vector(args.plus_weights)),
+        tuple(_parse_vector(args.minus_weights)),
+        tuple(tuple(row) for row in _parse_matrix(args.coupling)),
+        tuple(_parse_vector(args.rho_plus)),
+        tuple(_parse_vector(args.rho_minus)),
+        _scalar(args, "rho_z", Fraction(1)),
+    )
+    return generate_mixed_sign_system(params), params.invariant(), params.conservation()
+
+
 # The scalars of the binary-form families; BinaryFormParams refuses a nonzero
 # one that its family does not use.
 _BINARY_FORM_OPTIONS = ("a", "b", "c", "k", "l", "m", "n", "r", "s")
 
-# The options of generate each family reads, in the parser's order of families;
-# the others are refused.
-_FAMILY_READS = {
-    "diagonal": ("weights", "coupling"),
-    "mixed-sign": ("plus_weights", "minus_weights", "coupling", "rho_plus", "rho_minus", "rho_z"),
-    **{
-        family.replace("_", "-"): _BINARY_FORM_OPTIONS for family in BINARY_FORM_FAMILIES
-    },
-    "shifted": ("rate_A", "rate_B", "shift_a", "shift_b"),
-}
 
-
-def _generate_family(args):
-    """Build the requested family instance: (system, invariant, conservation or None)."""
-    fam = args.family
-    if fam == "diagonal":
-        if not args.weights or not args.coupling:
-            raise ValueError("diagonal family needs --weights and --coupling")
-        params = DiagonalParams(
-            tuple(_parse_vector(args.weights)),
-            tuple(tuple(row) for row in _parse_matrix(args.coupling)),
-        )
-        return generate_diagonal_system(params), params.invariant(), None
-    if fam == "mixed-sign":
-        needed = (args.plus_weights, args.minus_weights, args.coupling,
-                  args.rho_plus, args.rho_minus)
-        if any(v is None for v in needed):
-            raise ValueError(
-                "mixed-sign family needs --plus-weights, --minus-weights, "
-                "--coupling, --rho-plus and --rho-minus"
-            )
-        params = MixedSignParams(
-            tuple(_parse_vector(args.plus_weights)),
-            tuple(_parse_vector(args.minus_weights)),
-            tuple(tuple(row) for row in _parse_matrix(args.coupling)),
-            tuple(_parse_vector(args.rho_plus)),
-            tuple(_parse_vector(args.rho_minus)),
-            _scalar(args, "rho_z", Fraction(1)),
-        )
-        return generate_mixed_sign_system(params), params.invariant(), params.conservation()
-    if fam == "shifted":
-        A, B, a, b = (_scalar(args, name) for name in ("rate_A", "rate_B", "shift_a", "shift_b"))
-        system = generate_shifted_system(A, B, a, b)
-        return system, QuadraticCandidate.shifted_sum_of_squares(a, b), None
-    # binary-form families
+def _binary_form(args):
     if args.a is None or args.b is None:
-        raise ValueError(f"family {fam} needs --a and --b")
-    kwargs = {name: _scalar(args, name) for name in ("c", "k", "l", "m", "n", "r", "s")}
-    params = BinaryFormParams(
-        family=fam.replace("-", "_"),
-        a=_scalar(args, "a"),
-        b=_scalar(args, "b"),
-        **kwargs,
-    )
+        raise ValueError(f"family {args.family} needs --a and --b")
+    rest = {name: _scalar(args, name) for name in _BINARY_FORM_OPTIONS[2:]}
+    family = args.family.replace("-", "_")
+    params = BinaryFormParams(family, _scalar(args, "a"), _scalar(args, "b"), **rest)
     return generate_binary_form_system(params), params.invariant(), None
 
 
+def _shifted(args):
+    A, B, a, b = (_scalar(args, name) for name in ("rate_A", "rate_B", "shift_a", "shift_b"))
+    system = generate_shifted_system(A, B, a, b)
+    return system, QuadraticCandidate.shifted_sum_of_squares(a, b), None
+
+
+# Each family of generate, in the parser's order: (the options it reads, its builder).
+_FAMILIES = {
+    "diagonal": (("weights", "coupling"), _diagonal),
+    "mixed-sign": (
+        ("plus_weights", "minus_weights", "coupling", "rho_plus", "rho_minus", "rho_z"),
+        _mixed_sign,
+    ),
+    **{
+        family.replace("_", "-"): (_BINARY_FORM_OPTIONS, _binary_form)
+        for family in BINARY_FORM_FAMILIES
+    },
+    "shifted": (("rate_A", "rate_B", "shift_a", "shift_b"), _shifted),
+}
+
+
 def cmd_generate(args):
-    _refuse_unread(args, "family", _FAMILY_READS)
-    system, invariant, conservation = _generate_family(args)
+    _refuse_unread(args, "family", _FAMILIES)
+    system, invariant, conservation = _FAMILIES[args.family][1](args)
     network = canonical_realization(system)
     checks = {
         "kinetic": negative_cross_effect(system).is_kinetic,
@@ -457,7 +445,7 @@ def cmd_generate(args):
 
 
 def cmd_realize(args):
-    system = _as_system(args)
+    system = _load(args)
     try:
         network = canonical_realization(system)
     except NotKineticError as exc:
@@ -479,18 +467,17 @@ def cmd_realize(args):
     return 0, payload, lines, {"network.json": as_dict}
 
 
-# The options of simulate each method reads beyond --dt, which both read;
-# the others are refused.
-_METHOD_READS = {"rk4": (), "rkf45": ("tol",)}
+# Each method of simulate: (the options it reads beyond --dt, which both read,
+# its SimConfig.method).
+_METHODS = {"rk4": ((), "rk4_fixed"), "rkf45": (("tol",), "rkf45_adaptive")}
 
 
 def cmd_simulate(args):
-    _refuse_unread(args, "method", _METHOD_READS)
-    system = _as_system(args)
+    _refuse_unread(args, "method", _METHODS)
+    system = _load(args)
     x0 = _parse_vector(args.x0)
-    method = {"rk4": "rk4_fixed", "rkf45": "rkf45_adaptive"}[args.method]
     config = SimConfig(
-        method=method,
+        method=_METHODS[args.method][1],
         step=args.dt,
         tolerance=SimConfig.tolerance if args.tol is None else args.tol,
         t_end=args.t_end,
@@ -578,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("generate", parents=[common], help="emit a conserving family instance")
-    p.add_argument("--family", required=True, choices=list(_FAMILY_READS))
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     for opt in _BINARY_FORM_OPTIONS:
         p.add_argument(f"--{opt}", metavar="Q")
     p.add_argument("--weights", metavar="V", help="diagonal family: comma-separated a_m")
@@ -603,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("--params", nargs="*", action="append", metavar="NAME=VALUE")
     p.add_argument("--x0", required=True, metavar="V", help="comma-separated initial state")
-    p.add_argument("--method", choices=list(_METHOD_READS), default="rk4")
+    p.add_argument("--method", choices=list(_METHODS), default="rk4")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--tol", type=float)
     p.add_argument("--t-end", type=float, default=10.0)

@@ -835,8 +835,7 @@ def no_periodic_orbit_certificate(
     elif invariant is not None:
         integral = invariant
     else:
-        report = find_quadratic_first_integrals(system)
-        integral = report.basis[0] if report.basis else None
+        integral = find_quadratic_first_integrals(system).candidate
     verdict = "yes" if (div_negative and integral is not None) else "inconclusive"
     return NoPeriodicOrbitCertificate(
         verdict=verdict,

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import hashlib
 import io
@@ -1034,6 +1035,96 @@ def test_module_invocation():
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+# Each subcommand's arguments in the parser's order: (option strings, or the
+# name of a positional, dest, metavar, default, choices, required).
+_COMMON_ARGUMENTS = [
+    ("-h --help", "help", None, argparse.SUPPRESS, None, False),
+    ("--json", "json", None, False, None, False),
+    ("--out", "out", "DIR", None, None, False),
+    ("--seed", "seed", None, None, None, False),
+]
+_TARGET = ("target", "target", None, None, None, True)
+_PARAMS = ("--params", "params", "NAME=VALUE", None, None, False)
+_INTERFACE = {
+    "parse": [*_COMMON_ARGUMENTS, _TARGET],
+    "odes": [*_COMMON_ARGUMENTS, _TARGET, _PARAMS],
+    "check": [
+        *_COMMON_ARGUMENTS,
+        _TARGET,
+        ("--property", "property", None, None,
+         ("kinetic", "conserve-stoich", "conserve-kinetic", "qfi", "log-lv", "no-periodic"), True),
+        _PARAMS,
+        ("--candidate", "candidate", "RHO", None, None, False),
+        ("--filter", "filter", None, None, ("positive-diagonal",), False),
+        ("--invariant", "invariant", "EXPR", None, None, False),
+    ],
+    "generate": [
+        *_COMMON_ARGUMENTS,
+        ("--family", "family", None, None,
+         ("diagonal", "mixed-sign", "ellipse-hyperbola", "parabolic-plus", "parabolic-minus",
+          "indefinite", "rank-one", "shifted"), True),
+        ("--a", "a", "Q", None, None, False),
+        ("--b", "b", "Q", None, None, False),
+        ("--c", "c", "Q", None, None, False),
+        ("--k", "k", "Q", None, None, False),
+        ("--l", "l", "Q", None, None, False),
+        ("--m", "m", "Q", None, None, False),
+        ("--n", "n", "Q", None, None, False),
+        ("--r", "r", "Q", None, None, False),
+        ("--s", "s", "Q", None, None, False),
+        ("--weights", "weights", "V", None, None, False),
+        ("--coupling", "coupling", "M", None, None, False),
+        ("--plus-weights", "plus_weights", "V", None, None, False),
+        ("--minus-weights", "minus_weights", "V", None, None, False),
+        ("--rho-plus", "rho_plus", "V", None, None, False),
+        ("--rho-minus", "rho_minus", "V", None, None, False),
+        ("--rho-z", "rho_z", "Q", None, None, False),
+        ("--rate-A", "rate_A", "Q", None, None, False),
+        ("--rate-B", "rate_B", "Q", None, None, False),
+        ("--shift-a", "shift_a", "Q", None, None, False),
+        ("--shift-b", "shift_b", "Q", None, None, False),
+    ],
+    "realize": [*_COMMON_ARGUMENTS, _TARGET, _PARAMS],
+    "simulate": [
+        *_COMMON_ARGUMENTS,
+        _TARGET,
+        _PARAMS,
+        ("--x0", "x0", "V", None, None, True),
+        ("--method", "method", None, "rk4", ("rk4", "rkf45"), False),
+        ("--dt", "dt", None, 1e-3, None, False),
+        ("--tol", "tol", None, None, None, False),
+        ("--t-end", "t_end", None, 10.0, None, False),
+        ("--stride", "stride", None, 1, None, False),
+        ("--invariant", "invariant", "EXPR", None, None, False),
+        ("--project", "project", None, False, None, False),
+    ],
+}
+
+
+def test_each_subcommand_keeps_its_interface():
+    # --help and the option names are built from these actions
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    interface = {
+        name: [
+            (
+                " ".join(action.option_strings) or action.dest,
+                action.dest,
+                action.metavar,
+                action.default,
+                None if action.choices is None else tuple(action.choices),
+                action.required,
+            )
+            for action in subparser._actions
+        ]
+        for name, subparser in commands.choices.items()
+    }
+    assert interface == _INTERFACE
+    assert list(interface) == list(_INTERFACE)
 
 
 def test_seed_does_not_leak_between_calls(system_file, tmp_path, capsys):

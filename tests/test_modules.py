@@ -1,9 +1,11 @@
 """Module boundaries inside the crnkit package."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import crnkit
+from crnkit import cli
 
 PACKAGE = Path(crnkit.__file__).parent
 
@@ -308,3 +310,49 @@ def test_one_merge_routine_builds_every_network():
                     public.append(f"network.py:{node.lineno} in {name}")
     assert {"_parse_chain", "_parse_complex", "_merged"} <= reached
     assert public == []
+
+
+def test_one_table_per_cli_choice():
+    # argparse offers exactly the keys of the table _refuse_unread reads for a
+    # choice, and no other dict of cli.py lists two values of one choice, or
+    # compares an argument with one: a choice's options and action live in its entry
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    tables = {
+        node.args[1].value: node.args[2].id
+        for node in ast.walk(tree)
+        if _is_call_of(node, "_refuse_unread")
+    }
+    assert tables == {"property": "_CHECKS", "family": "_FAMILIES", "method": "_METHODS"}
+    (commands,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    offered = {
+        action.dest: list(action.choices)
+        for subparser in commands.choices.values()
+        for action in subparser._actions
+        if action.dest in tables
+    }
+    assert offered == {choice: list(getattr(cli, name)) for choice, name in tables.items()}
+
+    choices = [set(values) for values in offered.values()]
+    keyed = [
+        name for name, value in vars(cli).items()
+        if isinstance(value, dict) and any(set(value) & values for values in choices)
+    ]
+    assert sorted(keyed) == sorted(tables.values())
+    table_nodes = {
+        id(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in tables.values()
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict) and id(node) not in table_nodes:
+            keys = {key.value for key in node.keys if isinstance(key, ast.Constant)}
+            if any(len(keys & values) > 1 for values in choices):
+                found.append(f"cli.py:{node.lineno} lists the values of a choice")
+        if isinstance(node, ast.Compare):
+            for side in (node.left, *node.comparators):
+                if isinstance(side, ast.Constant) and any(side.value in values for values in choices):
+                    found.append(f"cli.py:{node.lineno} compares with {side.value!r}")
+    assert found == []

@@ -1002,3 +1002,15 @@ def test_resolve_rate_refuses_a_malformed_string(rate, message):
     with pytest.raises(NetworkValidationError) as info:
         resolve_rate(rate, {"k": F(1)})
     assert str(info.value) == message
+
+
+def test_equal_networks_hash_equal_and_a_non_network_is_unequal():
+    text = "A + B ->[k] C\nC ->[1] A + B\n"
+    first, second = parse_network(text), parse_network(text)
+    from_json = ReactionNetwork.from_dict(json.loads(first.to_json()))
+    assert first is not second and first == second == from_json
+    assert hash(first) == hash(second) == hash(from_json)
+    assert len({first, second, from_json}) == 1
+    assert len({first, parse_network("A + B ->[k] C\n")}) == 2
+    assert (first == text) is False and (first == 1) is False
+    assert first != text

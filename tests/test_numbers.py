@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from crnkit.numbers import (
     DECIMAL,
     MAX_EXPONENT,
+    Lexer,
     exceeds_literal_bound,
     format_rational,
     parse_rational,
@@ -170,3 +171,10 @@ def test_leading_sign_zero_vector_unchanged():
 def test_exceeds_literal_bound_at_the_bound(value, exceeds):
     # |numerator| and the denominator are tested, so a negative value is bounded too
     assert exceeds_literal_bound(value) is exceeds
+
+
+def test_column_refuses_a_token_past_the_end():
+    lexer = Lexer(DECIMAL)
+    assert lexer.column(" 1 2", 1) == 4
+    with pytest.raises(IndexError, match="^no token 2 in the text$"):
+        lexer.column(" 1 2", 2)

@@ -733,6 +733,7 @@ def test_arithmetic_results_are_clean(case, scalar):
 # -- malformed input: each refusal with its type and message ---------------------
 
 _EMPTY_2D = Polynomial(2, {})
+_X1 = Polynomial.variable(1, 0)
 
 
 @pytest.mark.parametrize(
@@ -786,6 +787,22 @@ _EMPTY_2D = Polynomial(2, {})
             "system JSON needs 'variables' and 'components'",
             id="json-keys",
         ),
+        pytest.param(lambda: Polynomial(-1), ValueError, "dimension must be nonnegative",
+                     id="negative-dimension"),
+        pytest.param(lambda: Polynomial.variable(2, 5), ValueError,
+                     "variable index 5 out of range for dim 2", id="variable-index"),
+        pytest.param(lambda: _X1 + X, ValueError, "dimension mismatch: 1 vs 2", id="add-dimensions"),
+        pytest.param(lambda: _X1 * X, ValueError, "dimension mismatch: 1 vs 2", id="mul-dimensions"),
+        pytest.param(lambda: _X1 ** -1, ValueError, "exponent must be a nonnegative integer",
+                     id="negative-power"),
+        pytest.param(lambda: _X1 ** 1.5, ValueError, "exponent must be a nonnegative integer",
+                     id="float-power"),
+        pytest.param(lambda: _X1.derivative(3), ValueError,
+                     "variable index 3 out of range for dim 1", id="derivative-index"),
+        pytest.param(lambda: _X1.evaluate([1, 2]), ValueError, "point has length 2, expected 1",
+                     id="point-length"),
+        pytest.param(lambda: _X1.render(["a", "b"]), ValueError, "2 names for dimension 1",
+                     id="name-count"),
     ],
 )
 def test_malformed_polynomial_input_is_refused(build, error, message):
@@ -793,3 +810,26 @@ def test_malformed_polynomial_input_is_refused(build, error, message):
         build()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: _X1 + "x", id="add"),
+        pytest.param(lambda: "x" + _X1, id="radd"),
+        pytest.param(lambda: _X1 - "x", id="sub"),
+        pytest.param(lambda: "x" - _X1, id="rsub"),
+        pytest.param(lambda: _X1 * "x", id="mul"),
+        pytest.param(lambda: "x" * _X1, id="rmul"),
+    ],
+)
+def test_arithmetic_with_a_non_number_is_a_type_error(build):
+    # the operator returns NotImplemented, and Python raises
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize("other", ["x", 1], ids=repr)
+def test_a_polynomial_is_unequal_to_a_non_polynomial(other):
+    # __eq__ returns NotImplemented, which Python turns into False
+    assert (_X1 == other) is False and (other == _X1) is False
