@@ -153,17 +153,18 @@ def _load_target(args) -> ReactionNetwork | PolynomialSystem:
     return parse_network(text)
 
 
-def _load(args, induce: bool = True, network_only: bool = False):
+def _load(args, induce: bool = True, network_only: str | None = None):
     """args.target, with the --params binding checked against it.
 
-    With `network_only`, a target that is not a reaction network is refused
-    before the binding is read.  With `induce`, a network is replaced by its
-    induced mass-action ODE under the binding.
+    With `network_only`, a refusal text, a target that is not a reaction
+    network is refused with it before the binding is read, so every command
+    refuses the kind of its target first.  With `induce`, a network is
+    replaced by its induced mass-action ODE under the binding.
     """
     target = _load_target(args)
     is_network = isinstance(target, ReactionNetwork)
     if network_only and not is_network:
-        raise ValueError(f"{args.command} expects a reaction network file")
+        raise ValueError(network_only)
     params = _parse_params(getattr(args, "params", None))
     used = target.rate_parameters() if is_network else ()
     for name in params:
@@ -225,7 +226,9 @@ def _emit(args, payload: dict, lines, files: dict[str, str | dict]) -> None:
 # that costs a rendering comes as a function, which `_emit` calls only to print.
 
 def cmd_parse(args):
-    network = _load(args, induce=False, network_only=True)
+    network = _load(
+        args, induce=False, network_only=f"{args.command} expects a reaction network file"
+    )
 
     def lines():
         text = [f"species: {' '.join(network.species)}", network.render()]
@@ -239,7 +242,7 @@ def cmd_parse(args):
 
 
 def cmd_odes(args):
-    system = _load(args, network_only=True)
+    system = _load(args, network_only=f"{args.command} expects a reaction network file")
     return 0, system.to_dict(), lambda: [system.render()], {}
 
 
@@ -320,7 +323,7 @@ def _check_no_periodic(system, args):
 
 
 # Each property of check: (the options it reads, whether a network target is
-# replaced by its induced ODE, the check).
+# replaced by its induced ODE, else the target must be a network, the check).
 _CHECKS = {
     "kinetic": ((), True, _check_kinetic),
     "conserve-stoich": (("candidate",), False, _check_conservation),
@@ -334,9 +337,7 @@ _CHECKS = {
 def cmd_check(args):
     _refuse_unread(args, "property", _CHECKS)
     _, induce, check = _CHECKS[args.property]
-    target = _load(args, induce)
-    if not induce and not isinstance(target, ReactionNetwork):
-        raise ValueError(f"{args.property} needs a reaction network")
+    target = _load(args, induce, None if induce else f"{args.property} needs a reaction network")
     holds, payload, lines = check(target, args)
     return (0 if holds else 1), {"property": args.property, **payload}, lines, {}
 

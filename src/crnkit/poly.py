@@ -321,6 +321,15 @@ class Polynomial:
     # -- equality and rendering -------------------------------------------
 
     def __eq__(self, other) -> bool:
+        """Equal to a Polynomial of the same dim with the same terms, and to nothing else.
+
+        A constant polynomial is unequal to the number it holds, although
+        `+`, `-` and `*` take that number as it.  Equality with numbers
+        would break `__hash__` (`hash(Polynomial.constant(1, 2))` is not
+        `hash(2)`) and transitivity: `Polynomial.constant(1, 2) == 2 ==
+        Polynomial.constant(2, 2)`, yet polynomials of different dims are
+        unequal.
+        """
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.dim == other.dim and self._terms == other._terms

@@ -6,7 +6,9 @@ the system's dimension, giving the same results as the textbook
 per-component loops, so trajectories are bit-identical to theirs.  The
 generated right-hand side and invariant make two rewrites that are exact in
 IEEE 754: a term leaves out a factor 1.0 (`x0*x1`, not `1.0*x0*x1`), and its
-sign goes into the join (`s - 2.0*x0`, not `s + -2.0*x0`).  The step
+sign goes into the join (`s - 2.0*x0`, not `s + -2.0*x0`).  The right-hand
+side makes a third: a power that two terms use is computed once, and so is
+a component whose terms are written as an earlier component's.  The step
 also reports whether its result lies in the closed positive orthant, so the
 loop inspects the state only when it does not.  The right-hand side and the
 invariant are compiled once per system and kept in a bounded cache, so
@@ -24,6 +26,7 @@ from __future__ import annotations
 import io
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
@@ -202,14 +205,28 @@ def compile_rhs(system: PolynomialSystem) -> Callable[[Sequence[float]], list[fl
     Each component is the left-to-right sum of its terms in `sorted_terms`
     order, each term `c*x0*x1**2` factor by factor, with the two exact
     rewrites of `_term`: `-x0*x1 + 2.0*x2 - 0.5` for the terms -1, 2 and
-    -1/2 in that order.  Cached per system: equal systems (same exact
-    terms, same variable names) share one evaluator.
+    -1/2 in that order.  A third exact rewrite computes repeated work once:
+    a power `x{i}**{e}` that two or more terms use is bound after the state
+    is unpacked (`c*x**e` parses as `c*(x**e)`, so `c*x_e` is the same
+    float), and a component whose written terms equal an earlier
+    component's returns that component's value.  Every bound power was
+    evaluated before too, so a float `**` overflow raises the same
+    OverflowError.  For the cascade (A + B -> C gives f_A = f_B)
+
+        x0, ..., x8, = state
+        x8_2 = x8**2
+        s0 = -2.0*x0*x1 + x2
+        ...
+        return [s0, s0, x0*x1 - 2.0*x2, ..., -4.0*x8_2 + 2.0*x7]
+
+    A system with no repeated power or component compiles to the plain
+    chains.  Cached per system: equal systems (same exact terms, same
+    variable names) share one evaluator.
     """
     n = system.dim
-    sums = []
-    exprs = []
-    for k, (var, component) in enumerate(zip(system.variables, system.components)):
-        parts = []
+    components = []
+    for var, component in zip(system.variables, system.components):
+        terms = []
         for expts, coeff in component.sorted_terms():
             value = _to_float(
                 coeff,
@@ -217,12 +234,33 @@ def compile_rhs(system: PolynomialSystem) -> Callable[[Sequence[float]], list[fl
                 f"{Polynomial.monomial(n, expts).render(system.variables)} in d{var}/dt",
             )
             factors = [f"x{i}" if e == 1 else f"x{i}**{e}" for i, e in enumerate(expts) if e]
-            parts.append(_term(value, factors))
-        lines, expr = _sum(f"s{k}", parts)
-        sums += lines
+            terms.append((value, factors))
+        components.append(terms)
+    # keyed on the written terms, not on float values: 0.0 == -0.0, but _term
+    # writes them differently
+    keys = [tuple(_term(value, factors) for value, factors in terms) for terms in components]
+    first = {}
+    for k, key in enumerate(keys):
+        first.setdefault(key, k)
+    powers = Counter(
+        f for k in first.values() for _, factors in components[k] for f in factors if "**" in f
+    )
+    bound = {power: power.replace("**", "_") for power, count in powers.items() if count > 1}
+    lines = [f"{name} = {power}" for power, name in bound.items()]
+    repeats = Counter(keys)
+    exprs = []
+    for k, (key, terms) in enumerate(zip(keys, components)):
+        if first[key] < k:
+            exprs.append(exprs[first[key]])
+            continue
+        parts = [_term(value, [bound.get(f, f) for f in factors]) for value, factors in terms]
+        sums, expr = _sum(f"s{k}", parts)
+        if repeats[key] > 1 and expr and not expr.isidentifier():
+            sums, expr = [f"s{k} = {expr}"], f"s{k}"
+        lines += sums
         exprs.append(expr or "0.0")
     unpack = _unpack([f"x{i}" for i in range(n)], "state")
-    return _compile("_rhs(state)", [unpack, *sums, f"return [{', '.join(exprs)}]"])
+    return _compile("_rhs(state)", [unpack, *lines, f"return [{', '.join(exprs)}]"])
 
 
 @lru_cache(maxsize=32)

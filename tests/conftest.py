@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from crnkit import PolynomialSystem, induced_kinetic_ode, parse_network
+from crnkit import (
+    DiagonalParams,
+    PolynomialSystem,
+    generate_diagonal_system,
+    induced_kinetic_ode,
+    parse_network,
+)
 
 EXAMPLE_NETWORK_TEXT = """\
 X <-[a] X + Y ->[b] Y
@@ -61,6 +67,16 @@ def cascade_network():
 @pytest.fixture
 def cascade_system(cascade_network):
     return induced_kinetic_ode(cascade_network)
+
+
+@pytest.fixture
+def diagonal3_system():
+    """Criterion 8's 3-D diagonal-family system, which conserves x^2 + y^2 + z^2;
+    each square x_p^2 enters two components."""
+    coupling = ((0, 2, 3), (4, 0, 5), (6, 7, 0))
+    return generate_diagonal_system(
+        DiagonalParams((Fraction(1),) * 3, tuple(tuple(map(Fraction, row)) for row in coupling))
+    )
 
 
 @pytest.fixture

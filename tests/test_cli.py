@@ -933,6 +933,12 @@ def test_messages(tmp_path, capsys, argv, text, code, line):
          "--params binds 'x', but a polynomial system has no rate parameters"),
         (["simulate", "{system}", "--x0", "1,0", "--params", "a=1"],
          "--params binds 'a', but a polynomial system has no rate parameters"),
+        # a command that needs a network refuses a system before it reads --params
+        (["check", "{system}", "--property", "conserve-stoich", "--params", "k=1"],
+         "conserve-stoich needs a reaction network"),
+        (["check", "{system}", "--property", "conserve-stoich", "--params", "k"],
+         "conserve-stoich needs a reaction network"),
+        (["odes", "{system}", "--params", "k"], "odes expects a reaction network file"),
     ],
     ids=" ".join,
 )

@@ -829,7 +829,17 @@ def test_arithmetic_with_a_non_number_is_a_type_error(build):
         build()
 
 
-@pytest.mark.parametrize("other", ["x", 1], ids=repr)
-def test_a_polynomial_is_unequal_to_a_non_polynomial(other):
+@pytest.mark.parametrize(
+    "polynomial, other",
+    [
+        pytest.param(_X1, "x", id="'x'"),
+        pytest.param(_X1, 1, id="1"),
+        # a constant polynomial is no number: its hash and its dim stay its own
+        pytest.param(Polynomial.constant(1, 1), 1, id="constant-1"),
+        pytest.param(Polynomial.constant(1, 1), Fraction(1), id="constant-Fraction(1)"),
+    ],
+)
+def test_a_polynomial_is_unequal_to_a_non_polynomial(polynomial, other):
     # __eq__ returns NotImplemented, which Python turns into False
-    assert (_X1 == other) is False and (other == _X1) is False
+    assert (polynomial == other) is False and (other == polynomial) is False
+    assert polynomial != other and other != polynomial

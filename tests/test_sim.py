@@ -415,13 +415,38 @@ def _outcome(run, system, x0, config, invariant):
 
 
 @st.composite
+def planted_components(draw, dim, component, coefficient, powers, zero=None):
+    """`dim` drawn term maps.  Sometimes two of them share a power x_v**e, and
+    sometimes one is a copy of another: the repeats `compile_rhs` computes
+    once.  With `zero`, a coefficient that rounds to 0.0, the copy is
+    sometimes `zero*x_v` against `-zero*x_v`, equal as floats but written
+    apart, which must stay two components."""
+    components = [draw(component) for _ in range(dim)]
+    pair = st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True)
+    if dim > 1 and draw(st.booleans()):
+        v, e = draw(st.integers(0, dim - 1)), draw(st.sampled_from(powers))
+        power = tuple(e if i == v else 0 for i in range(dim))
+        for k in draw(pair):
+            components[k] = {**components[k], power: draw(coefficient)}
+    if dim > 1 and draw(st.booleans()):
+        i, j = draw(pair)
+        components[j] = components[i]
+        if zero is not None and draw(st.booleans()):
+            v = draw(st.integers(0, dim - 1))
+            unit = tuple(int(k == v) for k in range(dim))
+            components[i], components[j] = {unit: zero}, {unit: -zero}
+    return components
+
+
+@st.composite
 def simulations(draw):
     dim = draw(st.integers(1, 6))
     exponents = st.tuples(*[st.integers(0, 2)] * dim).filter(lambda e: sum(e) <= 3)
-    component = st.dictionaries(exponents, st.sampled_from(SMALL_FRACTIONS), max_size=4)
+    coefficient = st.sampled_from(SMALL_FRACTIONS)
+    component = st.dictionaries(exponents, coefficient, max_size=4)
     system = PolynomialSystem(
         tuple(f"x{i}" for i in range(dim)),
-        tuple(Polynomial(dim, draw(component)) for _ in range(dim)),
+        tuple(Polynomial(dim, c) for c in draw(planted_components(dim, component, coefficient, [2]))),
     )
     value = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
     x0 = draw(st.lists(value, min_size=dim, max_size=dim))
@@ -632,15 +657,22 @@ def test_sums_up_to_the_chunk_size_stay_one_chain(monkeypatch):
     chunk = crnkit.sim.SUM_CHUNK
     for count in (chunk, chunk + 1):
         compile_rhs.__wrapped__(_long_system(count))
-    one_chain, chunked = sources
 
     def joins(line):
         return line.count(" + ") + line.count(" - ")
 
-    assert len(one_chain) == 2 and joins(one_chain[1]) == chunk - 1
-    assert chunked[1].startswith("s0 = ") and joins(chunked[1]) == chunk - 1
-    assert chunked[2].startswith("s0 = s0 + ") and joins(chunked[2]) == 1
-    assert chunked[3] == "return [s0, -x1, 0.0]"
+    def chains(lines):
+        """The lines from the first `+` chain on; each line between the unpack
+        and that chain binds a repeated power."""
+        start = next(i for i, line in enumerate(lines) if joins(line))
+        assert all(re.fullmatch(r"\w+ = x\d+\*\*\d+", line) for line in lines[1:start]), lines[:start]
+        return lines[start:]
+
+    one_chain, chunked = map(chains, sources)
+    assert len(one_chain) == 1 and joins(one_chain[0]) == chunk - 1
+    assert chunked[0].startswith("s0 = ") and joins(chunked[0]) == chunk - 1
+    assert chunked[1].startswith("s0 = s0 + ") and joins(chunked[1]) == 1
+    assert chunked[2] == "return [s0, -x1, 0.0]"
 
 
 @st.composite
@@ -699,10 +731,14 @@ def _evaluated(function, state) -> str:
 def signed_rhs_cases(draw):
     dim = draw(st.integers(1, 4))
     exponents = st.tuples(*[st.integers(0, 3)] * dim)
-    component = st.dictionaries(exponents, st.sampled_from(SIGNED_COEFFICIENTS), max_size=6)
+    coefficient = st.sampled_from(SIGNED_COEFFICIENTS)
+    component = st.dictionaries(exponents, coefficient, max_size=6)
     system = PolynomialSystem(
         tuple(f"x{i}" for i in range(dim)),
-        tuple(Polynomial(dim, draw(component)) for _ in range(dim)),
+        tuple(
+            Polynomial(dim, c)
+            for c in draw(planted_components(dim, component, coefficient, [2, 3], F(1, 10**400)))
+        ),
     )
     value = st.one_of(
         st.sampled_from(FINITE_SAMPLES + [math.inf, -math.inf, math.nan]), st.floats(-4.0, 4.0)
@@ -767,7 +803,9 @@ def _literal(node: ast.expr):
     return node.value if isinstance(node, ast.Constant) else None
 
 
-def test_generated_code_multiplies_by_no_int_and_no_one(monkeypatch, example_system, cascade_system):
+def test_generated_code_multiplies_by_no_int_and_no_one(
+    monkeypatch, example_system, cascade_system, diagonal3_system
+):
     """No int literal is a factor (int * float misses CPython's float multiply),
     no factor is +-1.0, and a step calls `rhs` once per stage, which is what
     the benchmark's `sim.rhs_evals` counter counts."""
@@ -786,6 +824,7 @@ def test_generated_code_multiplies_by_no_int_and_no_one(monkeypatch, example_sys
     evaluators = [
         generated(compile_rhs, cascade_system),
         generated(compile_rhs, example_system),
+        generated(compile_rhs, diagonal3_system),
         generated(compile_invariant, cascade_invariant),
         generated(compile_invariant, SPHERE),
     ]
@@ -805,3 +844,39 @@ def test_generated_code_multiplies_by_no_int_and_no_one(monkeypatch, example_sys
             isinstance(node, ast.Call) and getattr(node.func, "id", None) == "rhs" for node in ast.walk(tree)
         )
         assert calls == {"rk4_fixed": 4, "rkf45_adaptive": 6}[method], (method, n)
+
+
+def test_repeated_powers_and_components_are_computed_once(
+    monkeypatch, example_system, cascade_system, diagonal3_system
+):
+    """Each square of the diagonal family and each equal component pair of the
+    cascade is computed once; the 2-D example has nothing to bind."""
+    sources = []
+    compile_lines = crnkit.sim._compile
+    monkeypatch.setattr(
+        crnkit.sim, "_compile", lambda sig, lines, **ns: sources.append(lines) or compile_lines(sig, lines, **ns)
+    )
+
+    def generated(system):
+        rhs = compile_rhs.__wrapped__(system)
+        for state in ([0.5] * system.dim, [0.1 * (i + 1) for i in range(system.dim)]):
+            assert repr(rhs(state)) == repr(left_to_right_rhs(system, state))
+        return sources.pop()
+
+    diagonal = "\n".join(generated(diagonal3_system))
+    for i in range(3):
+        assert diagonal.count(f"x{i}**2") == 1, diagonal
+
+    *body, returned = generated(cascade_system)
+    values = returned.removeprefix("return [").removesuffix("]").split(", ")
+    for i, j in ((0, 1), (3, 4)):
+        assert cascade_system.components[i] == cascade_system.components[j]
+        assert values[i] == values[j]
+        assert sum(line.startswith(f"{values[i]} = ") for line in body) == 1
+    assert len(set(values)) == 7
+    assert "\n".join(body + [returned]).count("x8**2") == 1
+
+    assert generated(example_system) == [
+        "x0, x1, = state",
+        "return [-3.0*x0*x1 + 2.0*x1**2, 3.0*x0**2 - 2.0*x0*x1]",
+    ]
